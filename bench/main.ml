@@ -365,10 +365,6 @@ let micro () =
    Exercises the whole hot path at once: event scheduling, NIC
    reservations, vote digests, HMAC signatures, and aggregation. *)
 let macro_run name ~env ~protocol =
-  (* Keys carry the engine shard count (e.g. [@4d]) so the regression
-     gate always compares a configuration with itself: on a small CI
-     host a flat scaling curve is expected, never a failure. *)
-  let name = Printf.sprintf "%s@%dd" name (Protocols.Runenv.effective_shards env) in
   let t0 = Unix.gettimeofday () in
   let a0 = Gc.allocated_bytes () in
   let report = E.run protocol env in
@@ -415,87 +411,38 @@ let macro () =
            (spec "macro-bench" 8000) with
            attacks = Attack.Ddos.bandwidth_attack ~n:9 ();
          });
-  (* Multi-domain scaling curve: the same 32k-relay run over 1, 2, 4
-     and 8 engine shards.  Results are bit-identical at every width
-     (the tests pin it); the wall times show whatever speedup the host
-     's cores allow — on a single-core runner the curve is flat and
-     that is the honest number. *)
-  List.iter
-    (fun shards ->
-      macro_run "e2e-ours-32k-relays" ~protocol:E.Ours
-        ~env:
-          (Protocols.Runenv.of_spec { (spec "macro-bench" 32_000) with shards }))
-    [ 1; 2; 4; 8 ];
-  (* Telemetry pass over the same scaling curve, deliberately separate
-     from the timed runs above so the committed macro numbers stay
+  let name = "e2e-ours-32k-relays" in
+  let spec_32k = spec "macro-bench" 32_000 in
+  macro_run name ~protocol:E.Ours ~env:(Protocols.Runenv.of_spec spec_32k);
+  (* Telemetry pass over the same run, deliberately separate from the
+     timed runs above so the committed macro numbers stay
      telemetry-free (the 2x regression gate is the zero-cost-when-off
-     proof).  This pass reports where each shard's wall time goes —
-     busy executing events vs waiting at the round barrier — plus the
-     delivery-latency percentiles from the sequential run. *)
-  Printf.printf "\ntelemetry pass (untimed): per-shard busy vs barrier wait\n";
+     proof).  It reports the decision and delivery-latency
+     percentiles. *)
+  Printf.printf "\ntelemetry pass (untimed): latency percentiles\n";
+  let env =
+    { (Protocols.Runenv.of_spec spec_32k) with Protocols.Runenv.telemetry = true }
+  in
+  let report = E.run E.Ours env in
+  let quantiles key = function
+    | None -> ()
+    | Some h when Obs.Metrics.count h = 0 -> ()
+    | Some h ->
+        let p50 = Obs.Metrics.percentile h 0.5 and p99 = Obs.Metrics.percentile h 0.99 in
+        Printf.printf "%-44s n=%-4d p50 %9.6f s  p99 %9.6f s\n" key
+          (Obs.Metrics.count h) p50 p99;
+        obs_results :=
+          !obs_results
+          @ [ (key ^ "-n", I (Obs.Metrics.count h)); (key ^ "-p50_s", F p50);
+              (key ^ "-p99_s", F p99) ]
+  in
+  quantiles (name ^ "/time-to-decision") (Protocols.Runenv.time_to_decision report);
   List.iter
-    (fun shards ->
-      let env =
-        Protocols.Runenv.of_spec { (spec "macro-bench" 32_000) with shards }
-      in
-      let env = { env with Protocols.Runenv.telemetry = true } in
-      let name =
-        Printf.sprintf "e2e-ours-32k-relays@%dd"
-          (Protocols.Runenv.effective_shards env)
-      in
-      let report = E.run E.Ours env in
-      match Protocols.Runenv.report_obs report with
-      | None -> ()
-      | Some o ->
-          List.iter
-            (fun (s : Obs.Profiler.shard) ->
-              let total = s.Obs.Profiler.busy_s +. s.Obs.Profiler.wait_s in
-              Printf.printf
-                "%-28s shard %d: busy %7.3f s  wait %7.3f s  (%4.1f%% busy)  \
-                 %d rounds  %d barriers\n"
-                name s.Obs.Profiler.shard s.Obs.Profiler.busy_s
-                s.Obs.Profiler.wait_s
-                (if total > 0. then 100. *. s.Obs.Profiler.busy_s /. total
-                 else 100.)
-                s.Obs.Profiler.rounds s.Obs.Profiler.barriers;
-              obs_results :=
-                !obs_results
-                @ [
-                    ( Printf.sprintf "%s/shard%d-busy_s" name s.Obs.Profiler.shard,
-                      F s.Obs.Profiler.busy_s );
-                    ( Printf.sprintf "%s/shard%d-wait_s" name s.Obs.Profiler.shard,
-                      F s.Obs.Profiler.wait_s );
-                    ( Printf.sprintf "%s/shard%d-rounds" name s.Obs.Profiler.shard,
-                      I s.Obs.Profiler.rounds );
-                    ( Printf.sprintf "%s/shard%d-barriers" name
-                        s.Obs.Profiler.shard,
-                      I s.Obs.Profiler.barriers );
-                  ])
-            o.Protocols.Runenv.profile;
-          if shards = 1 then begin
-            let quantiles key = function
-              | None -> ()
-              | Some h when Obs.Metrics.count h = 0 -> ()
-              | Some h ->
-                  obs_results :=
-                    !obs_results
-                    @ [
-                        (key ^ "-n", I (Obs.Metrics.count h));
-                        (key ^ "-p50_s", F (Obs.Metrics.percentile h 0.5));
-                        (key ^ "-p99_s", F (Obs.Metrics.percentile h 0.99));
-                      ]
-            in
-            quantiles
-              (name ^ "/time-to-decision")
-              (Protocols.Runenv.time_to_decision report);
-            List.iter
-              (fun label ->
-                quantiles
-                  (name ^ "/delivery-" ^ label)
-                  (Protocols.Runenv.delivery_latency report label))
-              [ "proposal"; "agreement"; "document"; "cons-sig" ]
-          end)
-    [ 1; 2; 4; 8 ]
+    (fun label ->
+      quantiles
+        (name ^ "/delivery-" ^ label)
+        (Protocols.Runenv.delivery_latency report label))
+    [ "proposal"; "agreement"; "document"; "cons-sig" ]
 
 (* --- campaign macro bench --------------------------------------------------- *)
 
@@ -571,13 +518,13 @@ let campaign () =
    The counts land in the JSON report under [defense_break_counts] and
    are exact-match gated in CI; the wall time joins [macro_wall_s]
    under the ordinary 2x gate.  A rerun of one defended column at a
-   different worker count and shard width asserts the table is a pure
-   function of the configuration. *)
+   different worker count asserts the table is a pure function of the
+   configuration. *)
 let defense () =
   header "Defense toolbox: 200 chaos plans x {none, admission, rotation, both}";
   defense_results := [];
   let plans = 200 in
-  let breaks ?(shards = 1) ~jobs preset =
+  let breaks ~jobs preset =
     let config =
       {
         Exec.Chaos.default_config with
@@ -585,7 +532,7 @@ let defense () =
         defense = (if Defense.Plan.is_empty preset then None else Some preset);
       }
     in
-    let base = { (Exec.Chaos.base_spec config) with Protocols.Runenv.Spec.shards } in
+    let base = Exec.Chaos.base_spec config in
     let broken =
       Exec.Campaign.map ~jobs ~votes:(E.votes_for_spec base) ~base
         (fun ctx index ->
@@ -617,15 +564,15 @@ let defense () =
       Printf.printf "%-12s %10d/%d %10d/%d\n" label v3 plans ours plans)
     table;
   (* Determinism: the defended column rerun on a different worker count
-     and shard width must reproduce the committed counts exactly. *)
+     must reproduce the committed counts exactly. *)
   let rotation_counts =
     let _, _, counts = List.nth table 2 in
     counts
   in
-  let replay = breaks ~jobs:(if !jobs = 1 then 2 else 1) ~shards:2 Defense.Plan.rotation_only in
+  let replay = breaks ~jobs:(if !jobs = 1 then 2 else 1) Defense.Plan.rotation_only in
   if replay <> rotation_counts then
-    failwith "defense: break counts changed across --jobs/shard counts";
-  Printf.printf "replay (jobs/shards varied): rotation column identical\n";
+    failwith "defense: break counts changed across --jobs";
+  Printf.printf "replay (jobs varied): rotation column identical\n";
   Printf.printf "%-28s %8.3f s wall\n" name wall;
   defense_results :=
     List.concat_map

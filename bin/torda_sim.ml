@@ -67,19 +67,7 @@ let attack_arg =
           "DDoS on 5 of 9 authorities for the first 300 s: $(b,none), $(b,flood) \
            (0.5 Mbit/s residual), or $(b,knockout) (fully offline).")
 
-let shards_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Partition the simulated nodes over $(docv) OCaml domains under \
-           conservative-lookahead synchronization.  Results are bit-identical \
-           at every value; only wall-clock time changes.  Composes with \
-           $(b,--jobs) sweep parallelism (each sweep worker runs its own \
-           sharded engine), clamped against the host's core count.")
-
-let make_env ?distribution ?(shards = 1) ~seed ~relays ~bandwidth ~attack () =
+let make_env ?distribution ~seed ~relays ~bandwidth ~attack () =
   let attacks =
     match attack with
     | No_attack -> []
@@ -94,7 +82,6 @@ let make_env ?distribution ?(shards = 1) ~seed ~relays ~bandwidth ~attack () =
       bandwidth_bits_per_sec = bandwidth *. 1e6;
       attacks;
       distribution;
-      shards;
     }
 
 let print_distribution (o : Torclient.Distribution.outcome) =
@@ -138,8 +125,7 @@ let metrics_arg =
     & info [ "metrics" ]
         ~doc:
           "Print the run's latency histograms (time-to-decision and per-label \
-           delivery latency: count, p50, p99, max) and the per-shard engine \
-           profile.  Implies telemetry.")
+           delivery latency: count, p50, p99, max).  Implies telemetry.")
 
 let print_metrics (o : R.obs) =
   print_endline "metrics:";
@@ -153,13 +139,7 @@ let print_metrics (o : R.obs) =
           (Obs.Metrics.percentile h 0.5)
           (Obs.Metrics.percentile h 0.99)
           (Obs.Metrics.max_value h))
-    (Obs.Metrics.histograms o.R.metrics);
-  List.iter
-    (fun (s : Obs.Profiler.shard) ->
-      Printf.printf "  shard %d: busy %.3f s, wait %.3f s, %d round(s), %d event(s)\n"
-        s.Obs.Profiler.shard s.Obs.Profiler.busy_s s.Obs.Profiler.wait_s
-        s.Obs.Profiler.rounds s.Obs.Profiler.events)
-    o.R.profile
+    (Obs.Metrics.histograms o.R.metrics)
 
 let write_trace path (o : R.obs) =
   let json =
@@ -175,15 +155,14 @@ let write_trace path (o : R.obs) =
     (List.length o.R.samples)
 
 let run_cmd =
-  let action protocol relays bandwidth seed attack shards trace metrics =
-    let env = make_env ~shards ~seed ~relays ~bandwidth ~attack () in
+  let action protocol relays bandwidth seed attack trace metrics =
+    let env = make_env ~seed ~relays ~bandwidth ~attack () in
     let env =
       if trace <> None || metrics then { env with R.telemetry = true } else env
     in
     let report = E.run protocol env in
     Printf.printf "protocol:  %s\n" report.R.protocol;
     Printf.printf "relays:    %d\n" relays;
-    Printf.printf "shards:    %d domain(s)\n" (R.effective_shards env);
     Printf.printf "bandwidth: %.1f Mbit/s\n" bandwidth;
     Printf.printf "success:   %b\n" report.R.success;
     (match report.R.success_latency with
@@ -205,7 +184,7 @@ let run_cmd =
   let term =
     Term.(
       const action $ protocol_arg $ relays_arg $ bandwidth_arg $ seed_arg
-      $ attack_arg $ shards_arg $ trace_arg $ metrics_arg)
+      $ attack_arg $ trace_arg $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Simulate one consensus instance of a directory protocol.")

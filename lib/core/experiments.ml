@@ -136,23 +136,11 @@ let env ?attacks ?bandwidth_bits_per_sec ?horizon ~n_relays () =
    fig7's binary search re-probes a bandwidth — is simulated once. *)
 let results_cache : Job.outcome Exec.Cache.t = Exec.Cache.create ()
 
-let run_job ?(jobs = 1) (job : Job.t) =
+let run_job (job : Job.t) =
   Exec.Cache.find_or_compute results_cache ~key:(Job.key job) (fun () ->
-      let e = env_of_spec job.Job.spec in
-      (* Per-run sharding composes with sweep parallelism; clamp so a
-         [jobs]-worker sweep of [shards]-domain runs cannot
-         oversubscribe the host.  Results are shard-count-invariant
-         (DESIGN.md §10), so the cache key keeps the requested spec. *)
-      let e =
-        if jobs = 1 then e
-        else
-          { e with
-            Runenv.shards = Exec.Pool.clamp_shards ~jobs ~shards:e.Runenv.shards
-          }
-      in
-      Job.outcome job (run job.Job.protocol e))
+      Job.outcome job (run job.Job.protocol (env_of_spec job.Job.spec)))
 
-let run_jobs ?(jobs = 1) job_list = Exec.Pool.map ~jobs (run_job ~jobs) job_list
+let run_jobs ?(jobs = 1) job_list = Exec.Pool.map ~jobs run_job job_list
 
 (* --- Figure 1 ----------------------------------------------------------- *)
 

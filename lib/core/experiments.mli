@@ -23,15 +23,11 @@ val run : protocol -> Protocols.Runenv.t -> Protocols.Runenv.report
     document via {!Torclient.Consdiff}); after a failed run nothing
     reaches the caches, so the field is [None]. *)
 
-val run_job : ?jobs:int -> Exec.Job.t -> Exec.Job.outcome
+val run_job : Exec.Job.t -> Exec.Job.outcome
 (** Execute one sweep job through {!run}, memoized on
     {!Exec.Job.key}: a job whose key was already executed (this call
     or any earlier one, on any domain) returns the cached outcome
-    without simulating.  [jobs] (default 1) is the surrounding pool
-    width; a spec requesting engine shards is clamped with
-    {!Exec.Pool.clamp_shards} so the two parallelism layers never
-    oversubscribe the host — the outcome is shard-count-invariant, so
-    the memo key stays the requested spec. *)
+    without simulating. *)
 
 val votes_for_spec : Protocols.Runenv.Spec.t -> Dirdoc.Vote.t array
 (** The vote population [Runenv.of_spec] would generate for this spec,

@@ -73,12 +73,12 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let f = Icps.fault_bound ~n in
   let need = Runenv.majority ~n in
   let engine, net = Simulator.obtain ~driver:name env in
-  let trace = Sim.Trace.create ~lanes:(Sim.Engine.shard_count engine) () in
+  let trace = Sim.Trace.create () in
   Runenv.apply_attacks env net;
   let now () = Sim.Engine.now engine in
   let log ?node level fmt = Sim.Trace.logf trace ~time:(now ()) ?node level fmt in
   (* Message labels, interned once so per-send accounting is an array
-     add (DESIGN.md §7) — on every shard, via [Net.intern]. *)
+     add (DESIGN.md §7). *)
   let lbl_document = Sim.Net.intern net "document" in
   let lbl_proposal = Sim.Net.intern net "proposal" in
   let lbl_agreement = Sim.Net.intern net "agreement" in
@@ -92,12 +92,9 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
      round grid.  Every helper is a no-op when telemetry is off. *)
   let tel = Runenv.Telemetry.start env ~engine ~net () in
   (* Authorities that hold identical vote sets share one aggregation;
-     the memo is run-local, one per shard so domains never share a
-     hash table (aggregation is pure — the memo only dedups work). *)
-  let agg_memos =
-    Array.init (Sim.Engine.shard_count engine) (fun _ ->
-        Dirdoc.Aggregate.Memo.create ())
-  in
+     the memo is run-local (aggregation is pure — the memo only dedups
+     work). *)
+  let agg_memo = Dirdoc.Aggregate.Memo.create () in
   let nodes =
     Array.init n (fun id ->
         {
@@ -188,8 +185,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
                 (List.init n Fun.id)
             in
             let c =
-              Dirdoc.Aggregate.consensus_memo
-                ~memo:agg_memos.(Sim.Engine.current_shard engine)
+              Dirdoc.Aggregate.consensus_memo ~memo:agg_memo
                 ~valid_after:env.valid_after ~votes
             in
             let signature = Siground.set_consensus node.sig_round ~now:(now ()) c in

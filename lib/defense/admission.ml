@@ -24,9 +24,7 @@ let pp ppf c =
    [now >= tat - tolerance] with [tolerance = (burst - 1) / rate]; a
    conforming message advances the cursor by one token period.  The
    arithmetic is pure float compare-and-add — no RNG, no global state —
-   and each (dst, _) row is only ever touched by events on dst's shard,
-   which execute in a sharding-invariant order.  That is what makes the
-   admission verdict stream bit-identical at any shard count. *)
+   so the verdict stream is a function of the arrival order alone. *)
 type t = {
   config : config;
   period : float; (* seconds per token, 1 / rate *)

@@ -17,9 +17,8 @@
     The implementation is the virtual-scheduling form of the generic
     cell rate algorithm: one theoretical-arrival-time cursor per pair,
     pure float arithmetic, no randomness.  Verdicts depend only on the
-    arrival order at the receiver — which the engine keeps
-    sharding-invariant — so runs are bit-identical at any shard
-    count. *)
+    arrival order at the receiver, which the engine's tie-break keys
+    fix, so defended runs replay bit for bit. *)
 
 type config = {
   rate : float;  (** token refill rate per (dst, src) pair, tokens/s *)

@@ -39,8 +39,7 @@ let epoch_of config ~now = int_of_float (Float.floor (now /. config.epoch))
    the digests differ — but the node id breaks them anyway).  Random
    keys give a uniform random subset, fresh per epoch, with no RNG
    stream to thread: membership is a pure function of (config, n,
-   epoch), so every shard — and every shard COUNT — computes the same
-   schedule. *)
+   epoch). *)
 let out_nodes config ~n ~epoch =
   if config.out = 0 then []
   else begin
@@ -57,9 +56,7 @@ let out_nodes config ~n ~epoch =
 let quiet_at config ~n ~node ~now =
   List.mem node (out_nodes config ~n ~epoch:(epoch_of config ~now))
 
-(* Memoized membership for the per-message hot paths.  Each instance
-   is owned by one node and only consulted from that node's shard, so
-   the mutable epoch cache is single-writer. *)
+(* Memoized membership for the per-message hot paths. *)
 type t = {
   config : config;
   n : int;

@@ -13,9 +13,9 @@
     The schedule is a pure function of [(config, n, epoch-number)]:
     nodes are ranked by a seeded digest and the [out] smallest ranks
     form the epoch's quiet set.  No RNG stream, no mutable global
-    state, so the schedule is identical on every shard and at every
-    shard count; protocol drivers honor it through the
-    {!Runenv.awake} guard, the network through {!Net.set_defense}. *)
+    state, so every consumer computes the same schedule; protocol
+    drivers honor it through the {!Runenv.awake} guard, the network
+    through {!Net.set_defense}. *)
 
 type config = {
   seed : string;  (** salts the per-epoch subset draw *)
@@ -57,9 +57,8 @@ val quiet_at : config -> n:int -> node:int -> now:float -> bool
 (** {1 Runtime} *)
 
 type t
-(** Memoized membership for one node's hot-path checks.  An instance
-    caches the current epoch's subset; it must only be consulted from
-    the shard that owns its node (single-writer cache). *)
+(** Memoized membership for the hot-path checks.  An instance caches
+    the current epoch's subset. *)
 
 val instantiate : config -> n:int -> t
 (** Validates the config and allocates the cache. *)

@@ -2,9 +2,9 @@ module Runenv = Protocols.Runenv
 
 (* Batched evaluation of many run specs that differ only in the
    campaign-variable fields.  Everything else — the vote population,
-   keyring, topology, the canonical-form prefix of the spec, and (via
-   the per-context arena) the simulator heaps themselves — is built
-   once per worker and reused across the whole batch. *)
+   keyring, topology, and (via the per-context arena) the simulator
+   heaps themselves — is built once per worker and reused across the
+   whole batch. *)
 
 type plan = {
   attacks : Runenv.attack list;
@@ -29,7 +29,6 @@ let spec_of ~base plan =
 
 type ctx = {
   base : Runenv.Spec.t;
-  prefix : Runenv.Spec.prefix;
   env : Runenv.t;
       (* base environment with a private arena installed; [env_of]
          derives every plan's environment from it, so all runs in this
@@ -40,13 +39,10 @@ type ctx = {
 
 let create ?votes (base : Runenv.Spec.t) =
   let env = Runenv.of_spec ?votes base in
-  { base; prefix = Runenv.Spec.prefix base; env = { env with Runenv.arena = Some (Runenv.Arena.create ()) } }
+  { base; env = { env with Runenv.arena = Some (Runenv.Arena.create ()) } }
 
 let base_spec ctx = ctx.base
-
-let digest ctx plan =
-  Runenv.Spec.digest_with ctx.prefix ~attacks:plan.attacks
-    ~behaviors:plan.behaviors ~fault_plan:plan.fault_plan
+let digest ctx plan = Runenv.Spec.digest (spec_of ~base:ctx.base plan)
 
 let env_of ?(telemetry = false) ctx plan =
   let env =

@@ -4,15 +4,12 @@
     three campaign-variable ones — attacks, behaviors, fault plan
     (exactly what the chaos harness and attack sweeps vary).  A
     {!ctx} holds, per worker: the base environment (keyring, topology,
-    vote population — the dominant setup cost), the precomputed
-    {!Protocols.Runenv.Spec.prefix} of the canonical form (so per-plan
-    digests skip re-serializing the invariant fields), and a private
+    vote population — the dominant setup cost) and a private
     {!Protocols.Runenv.Arena} (so successive runs reset and reuse the
     same simulator heaps instead of reallocating them).
 
     None of the sharing changes results: environments come from
-    {!Protocols.Runenv.vary} (validated like [of_spec]), digests are
-    byte-compatible with {!Protocols.Runenv.Spec.digest}, and arena
+    {!Protocols.Runenv.vary} (validated like [of_spec]), and arena
     reuse is pinned bit-identical to fresh construction by the test
     suite. *)
 
@@ -46,9 +43,7 @@ val create : ?votes:Dirdoc.Vote.t array -> Protocols.Runenv.Spec.t -> ctx
 val base_spec : ctx -> Protocols.Runenv.Spec.t
 
 val digest : ctx -> plan -> string
-(** {!Protocols.Runenv.Spec.digest} of [spec_of ~base plan], computed
-    via the context's precomputed prefix — the invariant spec fields
-    are serialized once per context, not once per plan. *)
+(** {!Protocols.Runenv.Spec.digest} of [spec_of ~base plan]. *)
 
 val env_of : ?telemetry:bool -> ctx -> plan -> Protocols.Runenv.t
 (** The plan's run environment: {!Protocols.Runenv.vary} over the

@@ -326,8 +326,8 @@ let check ?(config = default_config) ~run_protocol ~jobs () =
   (* The vote population depends only on (seed, n, n_relays,
      valid_after, divergence) — identical across cases — so generate it
      once and share it (immutable) with every campaign worker; each
-     worker's context then reuses one simulator arena and one
-     spec-digest prefix across all its cases. *)
+     worker's context then reuses one simulator arena across all its
+     cases. *)
   let base = base_spec config in
   let votes = (Runenv.of_spec base).Runenv.votes in
   let verdicts =

@@ -56,18 +56,6 @@ let pop chan =
 
 let default_jobs () = Domain.recommended_domain_count ()
 
-let clamp_shards ~jobs ~shards =
-  if jobs < 1 then invalid_arg "Pool.clamp_shards: jobs must be >= 1";
-  if shards < 1 then invalid_arg "Pool.clamp_shards: shards must be >= 1";
-  if jobs = 1 then shards
-  else
-    (* Every pool worker would spawn [shards - 1] extra domains for the
-       duration of each run; keep the whole tree within the host's
-       recommended domain budget so runs time-slice instead of
-       thrashing. *)
-    let budget = max 1 (Domain.recommended_domain_count () / jobs) in
-    min shards budget
-
 type 'b slot =
   | Pending
   | Value of 'b

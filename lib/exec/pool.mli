@@ -23,16 +23,3 @@ val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs 0] style
     "auto" settings should use. *)
-
-val clamp_shards : jobs:int -> shards:int -> int
-(** Cap a per-run {!Sim.Engine} shard count against the sweep-level
-    [jobs] so the two parallelism layers compose: with [jobs] pool
-    workers each running a [shards]-domain simulation, the process
-    holds up to [jobs * shards] busy domains.  [clamp_shards] limits
-    oversubscription to the host's recommended domain count —
-    [jobs = 1] keeps [shards] untouched (a single interactive run may
-    use the whole machine); [jobs > 1] clamps [shards] to
-    [max 1 (recommended / jobs)].  Results are unaffected: simulation
-    output is bit-identical at every shard count (DESIGN.md §10), so
-    clamping only trades wall-clock shape.  Raises [Invalid_argument]
-    when either argument is [< 1]. *)

@@ -8,31 +8,21 @@ type span = {
 
 type sample = { node : int; track : string; time : float; value : float }
 
-type item = Span of span | Sample of sample
+type t = { mutable spans : span list; mutable samples : sample list }
 
-(* Newest-first per lane; only the lane's own domain pushes, so no
-   synchronization is needed (domains join before the merge reads). *)
-type t = { lanes : item list array }
+let create () = { spans = []; samples = [] }
 
-let create ?(lanes = 1) () =
-  if lanes < 1 then invalid_arg "Events.create: lanes must be positive";
-  { lanes = Array.make lanes [] }
+let span t ~node ~phase ~start ~stop ~complete =
+  t.spans <- { node; phase; start; stop; complete } :: t.spans
 
-let push t lane item =
-  if lane < 0 || lane >= Array.length t.lanes then
-    invalid_arg "Events: lane out of range";
-  t.lanes.(lane) <- item :: t.lanes.(lane)
+let sample t ~node ~track ~time ~value =
+  t.samples <- { node; track; time; value } :: t.samples
 
-let span t ~lane ~node ~phase ~start ~stop ~complete =
-  push t lane (Span { node; phase; start; stop; complete })
-
-let sample t ~lane ~node ~track ~time ~value =
-  push t lane (Sample { node; track; time; value })
-
-(* Full-field comparators: the sort result must not depend on which
-   lane (or in what intra-lane order) an item was recorded, only on the
-   item itself.  Duplicates are kept — they compare equal and the sort
-   is a permutation either way. *)
+(* Full-field comparators: the sort result depends only on the items,
+   not on the order they were recorded in (a lock-step driver emits its
+   spans after the run, an event-driven one as phases end).  Duplicates
+   are kept — they compare equal and the sort is a permutation either
+   way. *)
 
 let compare_span (a : span) (b : span) =
   match Float.compare a.start b.start with
@@ -59,22 +49,5 @@ let compare_sample (a : sample) (b : sample) =
       | c -> c)
   | c -> c
 
-let spans t =
-  Array.fold_left
-    (fun acc lane ->
-      List.fold_left
-        (fun acc item ->
-          match item with Span s -> s :: acc | Sample _ -> acc)
-        acc lane)
-    [] t.lanes
-  |> List.sort compare_span
-
-let samples t =
-  Array.fold_left
-    (fun acc lane ->
-      List.fold_left
-        (fun acc item ->
-          match item with Sample s -> s :: acc | Span _ -> acc)
-        acc lane)
-    [] t.lanes
-  |> List.sort compare_sample
+let spans t = List.sort compare_span t.spans
+let samples t = List.sort compare_sample t.samples

@@ -1,12 +1,9 @@
-(** Sim-time phase spans and counter samples, collected lane-sharded.
+(** Sim-time phase spans and counter samples.
 
-    Each engine shard records into its own lane (no synchronization on
-    the hot path, same design as [Sim.Trace]); the merged accessors
-    sort with comparators over *every* field, so the merged streams are
-    identical whichever lane an item landed in.  That is what makes
-    span streams bit-identical across shard counts: a span emitted
-    mid-run on its node's shard and a span emitted post-run on lane 0
-    sort to the same place. *)
+    The accessors sort with comparators over *every* field, so the
+    streams depend only on what was recorded, not in what order: a span
+    emitted mid-run and the same span emitted post-run sort to the same
+    place. *)
 
 type span = {
   node : int;
@@ -27,12 +24,10 @@ type sample = {
 
 type t
 
-val create : ?lanes:int -> unit -> t
-(** [lanes] defaults to 1; pass the engine's shard count. *)
+val create : unit -> t
 
 val span :
   t ->
-  lane:int ->
   node:int ->
   phase:string ->
   start:float ->
@@ -40,12 +35,10 @@ val span :
   complete:bool ->
   unit
 
-val sample :
-  t -> lane:int -> node:int -> track:string -> time:float -> value:float -> unit
+val sample : t -> node:int -> track:string -> time:float -> value:float -> unit
 
 val spans : t -> span list
-(** All spans, sorted by (start, node, phase, stop, complete) —
-    independent of lane placement. *)
+(** All spans, sorted by (start, node, phase, stop, complete). *)
 
 val samples : t -> sample list
 (** All samples, sorted by (time, node, track, value). *)

@@ -132,17 +132,6 @@ let gauge_value g = !g
 let histogram t name = find_or_add t.h_tbl name histogram_create
 let find_histogram t name = Hashtbl.find_opt t.h_tbl name
 
-let merge_into ~into src =
-  Hashtbl.iter (fun name c -> add (counter into name) !c) src.c_tbl;
-  Hashtbl.iter
-    (fun name g ->
-      let dst = gauge into name in
-      if !g > !dst then dst := !g)
-    src.g_tbl;
-  Hashtbl.iter
-    (fun name h -> merge_histogram ~into:(histogram into name) h)
-    src.h_tbl
-
 let sorted_bindings tbl extract =
   Hashtbl.fold (fun name v acc -> (name, extract v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)

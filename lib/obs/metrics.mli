@@ -7,13 +7,7 @@
     into a fixed [int array] (HDR-style: logarithmic buckets, here a
     fixed geometry shared by every histogram so any two can merge), with
     exact count/sum/min/max kept in a float array to avoid boxed-float
-    stores.
-
-    Registries merge by metric name ({!merge_into}), the same contract
-    as [Stats.merge_into]: per-shard instances that partition the
-    observations combine into exactly the histogram a single instance
-    would have recorded, because a merge is a bucket-wise sum and
-    min/max are order-insensitive. *)
+    stores. *)
 
 type t
 (** A named collection of metrics. *)
@@ -87,14 +81,9 @@ val merge_histogram : into:histogram -> histogram -> unit
 val render : histogram -> string
 (** Canonical text form — count, sum/min/max printed with [%h], and
     every non-empty bucket — used by the determinism tests to compare
-    histograms bit-for-bit across shard counts. *)
+    histograms bit for bit. *)
 
 (** {1 Registry-level operations} *)
-
-val merge_into : into:t -> t -> unit
-(** Merge every metric of [src] into [into], matching by name and
-    registering missing names: counters add, gauges keep the max,
-    histograms merge with {!merge_histogram}. *)
 
 val find_histogram : t -> string -> histogram option
 

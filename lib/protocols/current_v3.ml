@@ -38,7 +38,7 @@ let run (env : Runenv.t) =
   let n = env.n in
   let need = Runenv.majority ~n in
   let engine, net = Simulator.obtain ~driver:name env in
-  let trace = Sim.Trace.create ~lanes:(Sim.Engine.shard_count engine) () in
+  let trace = Sim.Trace.create () in
   Runenv.apply_attacks env net;
   let nodes =
     Array.init n (fun id ->
@@ -66,10 +66,7 @@ let run (env : Runenv.t) =
   let dir_deadline = Some Wire.dir_connection_timeout in
   (* Authorities holding identical vote sets share one aggregation;
      run-local, so parallel sweep runs stay independent. *)
-  let agg_memos =
-    Array.init (Sim.Engine.shard_count engine) (fun _ ->
-        Dirdoc.Aggregate.Memo.create ())
-  in
+  let agg_memo = Dirdoc.Aggregate.Memo.create () in
   let send ~src ~dst ~label m =
     (* Vote-sized transfers ride Tor's directory connections and give
        up after the client timeout; control messages are too small to
@@ -228,8 +225,7 @@ let run (env : Runenv.t) =
                    (List.length held) need
                else begin
                  let c =
-                   Dirdoc.Aggregate.consensus_memo
-                     ~memo:agg_memos.(Sim.Engine.current_shard engine)
+                   Dirdoc.Aggregate.consensus_memo ~memo:agg_memo
                      ~valid_after:env.valid_after ~votes:held
                  in
                  let signature = Siground.set_consensus node.sig_round ~now:(now ()) c in

@@ -41,24 +41,21 @@ type t = {
   defense : Defense.Plan.t option;
   distribution : Torclient.Distribution.config option;
   horizon : Sim.Simtime.t;
-  shards : int;
   telemetry : bool;
-      (* record spans/histograms/profile; NOT part of Spec (see mli) *)
+      (* record spans/histograms; NOT part of Spec (see mli) *)
   arena : Arena.t option;
       (* reusable simulator instances; NOT part of Spec (see mli) *)
-  rotation : Defense.Rotation.t array;
-      (* per-node rotation caches derived from [defense]; [||] = off.
-         Node i's cache is only consulted from i's shard (handlers and
-         scheduled actions run on the owner's shard), so the memoized
-         epoch is single-writer. *)
+  rotation : Defense.Rotation.t option;
+      (* rotation membership cache derived from [defense] *)
 }
 
 (* MPTC-style rotation: a rotated-out authority sits the epoch out —
    drivers treat it like a node that is not serving, exactly as they
    treat a crash window. *)
 let rotated_out t id ~now =
-  Array.length t.rotation > 0
-  && Defense.Rotation.quiet t.rotation.(id) ~node:id ~now
+  match t.rotation with
+  | None -> false
+  | Some r -> Defense.Rotation.quiet r ~node:id ~now
 
 let awake t id ~now =
   (match t.behaviors.(id) with
@@ -92,7 +89,6 @@ module Spec = struct
     defense : Defense.Plan.t option;
     distribution : Torclient.Distribution.config option;
     horizon : Sim.Simtime.t;
-    shards : int;
   }
 
   let default =
@@ -109,16 +105,11 @@ module Spec = struct
       defense = None;
       distribution = None;
       horizon = 7200.;
-      shards = 1;
     }
 
   (* Canonical serialization for job keying.  Floats are printed with
      %h (hex, lossless) so equal specs always serialize identically
-     and nothing depends on printf rounding.  The field encoders are
-     split out so {!prefix}/{!canonical_with} can reassemble the same
-     byte sequence from precomputed invariant chunks plus freshly
-     encoded campaign-variable fields — [canonical] and
-     [canonical_with] MUST stay byte-identical (a test pins it). *)
+     and nothing depends on printf rounding. *)
   let add_f buf x = Buffer.add_string buf (Printf.sprintf "%h;" x)
 
   let add_s buf x =
@@ -156,82 +147,41 @@ module Spec = struct
           b;
         Buffer.add_char buf ';'
 
-  let add_fault_plan buf fault_plan =
-    match fault_plan with
-    | None -> Buffer.add_string buf "default;"
-    | Some plan -> add_s buf (Sim.Fault.canonical plan)
-
-  let add_head buf t =
+  let canonical t =
+    let buf = Buffer.create 256 in
     add_s buf t.seed;
     add_f buf t.valid_after;
     add_i buf t.n;
     add_i buf t.n_relays;
-    add_f buf t.bandwidth_bits_per_sec
-
-  let add_divergence buf t =
-    match t.divergence with
+    add_f buf t.bandwidth_bits_per_sec;
+    add_attacks buf t.attacks;
+    add_behaviors buf t.behaviors;
+    (match t.divergence with
     | None -> Buffer.add_string buf "default;"
     | Some d ->
         add_f buf d.Dirdoc.Workload.missing_prob;
         add_f buf d.Dirdoc.Workload.bw_jitter;
         add_f buf d.Dirdoc.Workload.flag_flip_prob;
-        add_f buf d.Dirdoc.Workload.unmeasured_prob
-
-  let add_tail buf t =
+        add_f buf d.Dirdoc.Workload.unmeasured_prob);
+    (match t.fault_plan with
+    | None -> Buffer.add_string buf "default;"
+    | Some plan -> add_s buf (Sim.Fault.canonical plan));
     (match t.distribution with
     | None -> Buffer.add_string buf "default;"
     | Some d -> add_s buf (Torclient.Distribution.canonical_config d));
     add_f buf t.horizon;
-    add_i buf t.shards;
     (* The defense sub-record joined the spec in the defense-toolbox
        change; it is encoded unconditionally — [None] included — so
        every digest moved once, by design, and a defense-carrying spec
        can never collide with a defense-less one. *)
-    match t.defense with
+    (match t.defense with
     | None -> Buffer.add_string buf "default;"
-    | Some p -> add_s buf (Defense.Plan.canonical p)
-
-  let canonical t =
-    let buf = Buffer.create 256 in
-    add_head buf t;
-    add_attacks buf t.attacks;
-    add_behaviors buf t.behaviors;
-    add_divergence buf t;
-    add_fault_plan buf t.fault_plan;
-    add_tail buf t;
+    | Some p -> add_s buf (Defense.Plan.canonical p));
     Buffer.contents buf
 
   let digest t = Crypto.Digest32.hex (Crypto.Digest32.of_string (canonical t))
 
   let rng t = Sim.Rng.of_string_seed (digest t)
-
-  (* The invariant chunks of {!canonical}, precomputed once per
-     campaign.  The three campaign-variable fields (attacks, behaviors,
-     fault_plan) interleave between them in field order: head ·
-     attacks · behaviors · mid(divergence) · fault_plan · tail. *)
-  type prefix = { head : string; mid : string; tail : string }
-
-  let prefix t =
-    let render f =
-      let buf = Buffer.create 64 in
-      f buf t;
-      Buffer.contents buf
-    in
-    { head = render add_head; mid = render add_divergence; tail = render add_tail }
-
-  let canonical_with p ~attacks ~behaviors ~fault_plan =
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf p.head;
-    add_attacks buf attacks;
-    add_behaviors buf behaviors;
-    Buffer.add_string buf p.mid;
-    add_fault_plan buf fault_plan;
-    Buffer.add_string buf p.tail;
-    Buffer.contents buf
-
-  let digest_with p ~attacks ~behaviors ~fault_plan =
-    Crypto.Digest32.hex
-      (Crypto.Digest32.of_string (canonical_with p ~attacks ~behaviors ~fault_plan))
 end
 
 (* Validation of the campaign-variable fields, shared between
@@ -261,17 +211,11 @@ let check_variation ~who ~n ~attacks ~fault_plan =
       if a.bits_per_sec < 0. then invalid_arg (who ^ ": negative residual bandwidth"))
     attacks
 
-let rotation_caches ~n defense =
-  match defense with
-  | Some { Defense.Plan.rotation = Some c; _ } ->
-      Array.init n (fun _ -> Defense.Rotation.instantiate c ~n)
-  | _ -> [||]
-
 let of_spec ?votes (spec : Spec.t) =
   let { Spec.seed; valid_after; n; n_relays; bandwidth_bits_per_sec; attacks;
-        behaviors; divergence; fault_plan; defense; distribution; horizon;
-        shards } = spec in
-  if shards < 1 then invalid_arg "Runenv.of_spec: shards must be >= 1";
+        behaviors; divergence; fault_plan; defense; distribution; horizon } =
+    spec
+  in
   let keyring = Crypto.Keyring.create ~seed ~n () in
   let rng = Sim.Rng.of_string_seed seed in
   let topology = Sim.Topology.realistic ~n ~rng:(Sim.Rng.split rng) in
@@ -301,26 +245,19 @@ let of_spec ?votes (spec : Spec.t) =
     defense;
     distribution;
     horizon;
-    shards;
     telemetry = false;
     arena = None;
-    rotation = rotation_caches ~n defense;
+    rotation =
+      Option.bind defense (fun p ->
+          Option.map
+            (fun c -> Defense.Rotation.instantiate c ~n)
+            p.Defense.Plan.rotation);
   }
 
 let vary env ~attacks ~behaviors ~fault_plan =
   let behaviors = checked_behaviors ~who:"Runenv.vary" ~n:env.n behaviors in
   check_variation ~who:"Runenv.vary" ~n:env.n ~attacks ~fault_plan;
   { env with attacks; behaviors; fault_plan }
-
-(* The shard count the engine will actually run: sharding needs at
-   least two nodes and a positive finite cross-node lookahead (the
-   engine would clamp to 1 anyway; computing it here lets callers and
-   docs reason about it). *)
-let effective_shards env =
-  let lookahead = Sim.Topology.min_latency env.topology in
-  if env.shards <= 1 || env.n < 2 then 1
-  else if not (lookahead > 0.) || Sim.Simtime.is_infinite lookahead then 1
-  else min env.shards env.n
 
 (* Engine+network acquisition shared by the protocol drivers: build a
    fresh simulator, or — when the environment carries an arena — reuse
@@ -329,9 +266,8 @@ let effective_shards env =
    by an exception self-heals on the next use.  A slot is only reused
    when everything baked into engine/net construction matches:
    dimension, the identical topology (campaign runs share one base
-   environment, so physical equality is the campaign invariant), base
-   bandwidth and effective shard count; anything else rebuilds and
-   replaces the slot. *)
+   environment, so physical equality is the campaign invariant) and
+   base bandwidth; anything else rebuilds and replaces the slot. *)
 module Simulator (M : sig
   type msg
 end) =
@@ -342,23 +278,18 @@ struct
     s_n : int;
     s_topology : Sim.Topology.t;
     s_bits : float;
-    s_shards : int;
   }
 
   type Arena.slot += Slot of state
 
   let build env =
-    let shards = effective_shards env in
-    let engine =
-      Sim.Engine.create ~shards ~nodes:env.n
-        ~lookahead:(Sim.Topology.min_latency env.topology) ()
-    in
+    let engine = Sim.Engine.create ~nodes:env.n () in
     let net =
       Sim.Net.create ~engine ~topology:env.topology
         ~bits_per_sec:env.bandwidth_bits_per_sec ()
     in
     { engine; net; s_n = env.n; s_topology = env.topology;
-      s_bits = env.bandwidth_bits_per_sec; s_shards = shards }
+      s_bits = env.bandwidth_bits_per_sec }
 
   let obtain ~driver env =
     match env.arena with
@@ -370,8 +301,7 @@ struct
         | Some (Slot s)
           when s.s_n = env.n
                && s.s_topology == env.topology
-               && s.s_bits = env.bandwidth_bits_per_sec
-               && s.s_shards = effective_shards env ->
+               && s.s_bits = env.bandwidth_bits_per_sec ->
             Sim.Engine.reset s.engine;
             Sim.Net.reset s.net;
             (s.engine, s.net)
@@ -394,7 +324,6 @@ type obs = {
       (* "time-to-decision" + "delivery-latency/<label>" histograms *)
   spans : Obs.Events.span list;
   samples : Obs.Events.sample list;
-  profile : Obs.Profiler.shard list; (* wall-clock busy/wait per shard *)
 }
 
 type run_result = {
@@ -414,8 +343,7 @@ module Telemetry = struct
     tl_events : Obs.Events.t;
     tl_engine : Sim.Engine.t;
     (* Open (phase, start) pairs per node, for begin/end instrumented
-       drivers.  A node's handlers all run on its own shard, so each
-       slot is only touched from one domain. *)
+       drivers. *)
     tl_opens : (string * Sim.Simtime.t) list array;
   }
 
@@ -425,23 +353,16 @@ module Telemetry = struct
     if not env.telemetry then None
     else begin
       let stop = Option.value stop ~default:env.horizon in
-      Sim.Engine.enable_profiler engine;
       Sim.Net.enable_obs net;
-      let events =
-        Obs.Events.create ~lanes:(Sim.Engine.shard_count engine) ()
-      in
+      let events = Obs.Events.create () in
       Sim.Net.install_probes net ~events ~interval:probe_interval ~stop;
       Some { tl_events = events; tl_engine = engine; tl_opens = Array.make env.n [] }
     end
 
-  let lane c = Sim.Engine.current_shard c.tl_engine
-
   let span ?(complete = true) ctx ~node ~phase ~start ~stop =
     match ctx with
     | None -> ()
-    | Some c ->
-        Obs.Events.span c.tl_events ~lane:(lane c) ~node ~phase ~start ~stop
-          ~complete
+    | Some c -> Obs.Events.span c.tl_events ~node ~phase ~start ~stop ~complete
 
   let phase_begin ctx ~node phase =
     match ctx with
@@ -458,13 +379,12 @@ module Telemetry = struct
         | None -> () (* already closed (or never opened): idempotent *)
         | Some start ->
             c.tl_opens.(node) <- List.remove_assoc phase c.tl_opens.(node);
-            Obs.Events.span c.tl_events ~lane:(lane c) ~node ~phase ~start
+            Obs.Events.span c.tl_events ~node ~phase ~start
               ~stop:(Sim.Engine.now c.tl_engine) ~complete:true)
 
   (* After [Engine.run]: close dangling phases as incomplete (the
-     stall diagnosis the chaos harness reads), fold the decision times
-     into a histogram next to the net's delivery latencies, and attach
-     the engine profile. *)
+     stall diagnosis the chaos harness reads) and fold the decision
+     times into a histogram next to the net's delivery latencies. *)
   let finish ctx ~engine ~net ~per_authority =
     match ctx with
     | None -> None
@@ -474,8 +394,8 @@ module Telemetry = struct
           (fun node opens ->
             List.iter
               (fun (phase, start) ->
-                Obs.Events.span c.tl_events ~lane:0 ~node ~phase ~start
-                  ~stop:now ~complete:false)
+                Obs.Events.span c.tl_events ~node ~phase ~start ~stop:now
+                  ~complete:false)
               (List.rev opens))
           c.tl_opens;
         let metrics = Sim.Net.obs_metrics net in
@@ -491,10 +411,6 @@ module Telemetry = struct
             metrics;
             spans = Obs.Events.spans c.tl_events;
             samples = Obs.Events.samples c.tl_events;
-            profile =
-              (match Sim.Engine.profile engine with
-              | Some p -> p
-              | None -> []);
           }
 end
 

@@ -23,7 +23,7 @@ type behavior =
           a node crashed at time 0 until its recovery instant. *)
 
 (** A bag of reusable simulator instances keyed by driver name, shared
-    across the runs of a campaign (DESIGN.md §12).  The slot type is
+    across the runs of a campaign (DESIGN.md §11).  The slot type is
     extensible because each driver's network is monomorphic in its own
     message type; drivers stash and recover their slots through
     {!module-Simulator}. *)
@@ -55,18 +55,14 @@ type t = {
   distribution : Torclient.Distribution.config option;
       (** downstream cache/client tier; [None] = agreement core only *)
   horizon : Tor_sim.Simtime.t;       (** stop simulating at this time *)
-  shards : int;
-      (** requested engine shard (domain) count; see
-          {!effective_shards}.  Results are bit-identical at every
-          shard count — this only chooses the execution strategy. *)
   telemetry : bool;
-      (** record phase spans, latency histograms, probes and the engine
-          profile into {!run_result.obs}.  Default [false] (zero-cost:
-          the hot paths pay a branch, never an allocation).  Like
-          [shards], telemetry never changes simulation outcomes — and
-          unlike [shards] it is deliberately NOT part of {!Spec.t}, so
-          flipping it cannot invalidate existing spec digests; enable
-          it with a record update: [{ env with Runenv.telemetry = true }]. *)
+      (** record phase spans, latency histograms and probes into
+          {!run_result.obs}.  Default [false] (zero-cost: the hot paths
+          pay a branch, never an allocation).  Telemetry never changes
+          simulation outcomes, so it is deliberately NOT part of
+          {!Spec.t}: flipping it cannot invalidate existing spec
+          digests.  Enable it with a record update:
+          [{ env with Runenv.telemetry = true }]. *)
   arena : Arena.t option;
       (** reusable simulator instances for campaign evaluation.  Like
           [telemetry], NOT part of {!Spec.t}: reusing an arena never
@@ -75,11 +71,10 @@ type t = {
           [None] (the default from {!of_spec}) rebuilds the simulator
           per run; [Exec.Campaign] installs one arena per worker
           domain.  An arena must never be shared across domains. *)
-  rotation : Defense.Rotation.t array;
-      (** per-node rotation membership caches derived from [defense]
-          ([[||]] when rotation is off) — internal plumbing for
-          {!awake}, built by {!of_spec}.  Node [i]'s cache must only
-          be consulted from [i]'s shard. *)
+  rotation : Defense.Rotation.t option;
+      (** rotation membership cache derived from [defense] ([None] when
+          rotation is off) — internal plumbing for {!awake}, built by
+          {!of_spec}. *)
 }
 
 val awake : t -> int -> now:Tor_sim.Simtime.t -> bool
@@ -130,12 +125,6 @@ module Spec : sig
             {!canonical}/{!digest}, so distinct distribution configs
             always key distinct jobs. *)
     horizon : Tor_sim.Simtime.t;
-    shards : int;
-        (** engine shard (domain) count for the simulation run,
-            default 1.  Participates in {!canonical}/{!digest} (the
-            execution strategy is part of the experiment description)
-            even though results are bit-identical at every value —
-            the determinism tests rely on exactly that. *)
   }
 
   val default : t
@@ -155,33 +144,6 @@ module Spec : sig
   (** A deterministic per-spec RNG seeded from {!digest}, for
       job-level auxiliary randomness that must not depend on worker
       count or scheduling order. *)
-
-  type prefix
-  (** The precomputed invariant chunks of {!canonical} for a campaign:
-      everything except the three campaign-variable fields (attacks,
-      behaviors, fault_plan). *)
-
-  val prefix : t -> prefix
-  (** Compute the invariant chunks once; {!digest_with} then reuses
-      them for every plan in the batch. *)
-
-  val canonical_with :
-    prefix ->
-    attacks:attack list ->
-    behaviors:behavior array option ->
-    fault_plan:Tor_sim.Fault.plan option ->
-    string
-  (** Byte-identical to {!canonical} of the spec assembled from the
-      prefix's base and the given variable fields (a test pins it). *)
-
-  val digest_with :
-    prefix ->
-    attacks:attack list ->
-    behaviors:behavior array option ->
-    fault_plan:Tor_sim.Fault.plan option ->
-    string
-  (** [digest] of {!canonical_with} — the per-plan job key, without
-      re-serializing the invariant fields. *)
 end
 
 val of_spec : ?votes:Dirdoc.Vote.t array -> Spec.t -> t
@@ -206,13 +168,6 @@ val vary :
     Raises [Invalid_argument] on the same malformed inputs {!of_spec}
     rejects. *)
 
-val effective_shards : t -> int
-(** The shard count the engine will actually use for this environment:
-    [1] unless [shards > 1], [n >= 2], and the topology's
-    {!Tor_sim.Topology.min_latency} is positive and finite (the
-    conservative lookahead needs a real lower bound), and never more
-    than [n]. *)
-
 (** Per-driver engine+network acquisition, arena-aware.  Each protocol
     driver instantiates this once with its message type and calls
     {!Simulator.obtain} where it used to build the simulator by hand:
@@ -220,8 +175,7 @@ val effective_shards : t -> int
     slot stashed under the driver's name is reset
     ({!Tor_sim.Engine.reset} + {!Tor_sim.Net.reset}) and reused when
     its construction parameters (n, the identical topology, base
-    bandwidth, effective shard count) match, and rebuilt-and-replaced
-    otherwise.  Reset happens on acquisition, so an arena left dirty by
+    bandwidth) match, and rebuilt-and-replaced otherwise.  Reset happens on acquisition, so an arena left dirty by
     a raised exception is safe to reuse. *)
 module Simulator (M : sig
   type msg
@@ -240,9 +194,8 @@ type authority_result = {
 }
 
 (** Telemetry bundle of one run, present iff {!t.telemetry} was set.
-    Everything except [profile] (wall-clock, host-dependent) and the
-    ["queue-depth"] samples (per-shard by construction) is
-    bit-identical at every shard count, like the rest of the result. *)
+    Like the rest of the result, it is a deterministic function of the
+    environment. *)
 type obs = {
   metrics : Obs.Metrics.t;
       (** ["time-to-decision"] (seconds until each deciding authority
@@ -252,10 +205,8 @@ type obs = {
       (** protocol-phase spans, one track per node; [complete = false]
           marks a phase the run ended inside *)
   samples : Obs.Events.sample list;
-      (** periodic ["nic-backlog"] (per node) and ["queue-depth"] (per
-          shard) probes *)
-  profile : Obs.Profiler.shard list;
-      (** wall-clock busy vs barrier-wait per engine shard *)
+      (** periodic ["nic-backlog"] (per node) and ["queue-depth"]
+          (node 0: the engine's pending events) probes *)
 }
 
 type run_result = {
@@ -281,8 +232,8 @@ module Telemetry : sig
     unit ->
     ctx option
   (** [None] unless the environment has [telemetry] set.  Otherwise
-      enables the engine profiler and the net's latency histograms and
-      installs the periodic probes (every 5 sim seconds until [stop],
+      enables the net's latency histograms and installs the periodic
+      probes (every 5 sim seconds until [stop],
       default the environment horizon).  Call at setup, after message
       labels are interned and before [Engine.run]. *)
 
@@ -298,8 +249,7 @@ module Telemetry : sig
       record their fixed round structure after the run. *)
 
   val phase_begin : ctx option -> node:int -> string -> unit
-  (** Open a phase at the current sim time (from the node's own
-      shard). *)
+  (** Open a phase at the current sim time. *)
 
   val phase_end : ctx option -> node:int -> string -> unit
   (** Close an open phase as complete; a no-op if it is not open, so
@@ -312,8 +262,8 @@ module Telemetry : sig
     per_authority:authority_result array ->
     obs option
   (** After the run: closes still-open phases as incomplete, builds the
-      ["time-to-decision"] histogram from [decided_at], merges the
-      net's latency histograms, and attaches the engine profile. *)
+      ["time-to-decision"] histogram from [decided_at], and merges the
+      net's latency histograms. *)
 end
 
 val majority : n:int -> int

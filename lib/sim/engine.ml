@@ -1,49 +1,18 @@
-(* Pooled event cells, sharded across OCaml domains.
+(* Pooled event cells.
 
-   Single-shard structure (the default) is the PR-3 design: [schedule]
-   draws a reusable cell from a free list, the queue holds cell indices
-   (immediate ints), and a handle packs (generation, shard, index) so
-   [cancel] is a safe O(1) no-op on stale handles.
-
-   Multi-shard structure: nodes are partitioned into [shards]
-   contiguous blocks, each shard owning a private clock, event queue
-   and cell pool, executed by its own domain under conservative-
-   lookahead (CMB-style, null-message-free) synchronization.  A run is
-   a sequence of barrier-stepped rounds; in each round shard [d]:
-
-   1. drains cross-shard mail delivered to it (the [round_hook],
-      installed by [Net]) and publishes its clock lower bound — the
-      head of its queue;
-   2. waits on a barrier, then reads every shard's lower bound;
-   3. executes events strictly before
-        [H_d = (min over s <> d of lb_s) + lookahead]
-      (and at or before the run's [until] cap, inclusive), buffering
-      sends to other shards as mail;
-   4. waits on a second barrier and repeats.  All shards exit
-      together when the global minimum bound passes the cap.
-
-   Safety: [lookahead] is the minimum cross-node propagation latency,
-   so mail created by shard [s] at time [t >= lb_s] arrives at
-   [t + lookahead >= lb_s + lookahead >= H_d] — never in [d]'s past,
-   and (because the pop horizon is strict) never tying an event [d]
-   already executed.  Progress: the globally-minimal shard always has
-   [H_d > lb_d] (lookahead > 0), so every round executes at least one
-   event.  [create] falls back to one shard whenever the lookahead is
-   zero or unbounded, or there are fewer than two nodes.
+   [schedule] draws a reusable cell from a free list, the queue holds
+   cell indices (immediate ints), and a handle packs (generation,
+   index) so [cancel] is a safe O(1) no-op on stale handles.
 
    Determinism: equal-time events pop in ascending (creator, counter)
    key order, where the creator is the node owning the event that
-   scheduled them and the counter is per-creator.  Both are
-   sharding-invariant — per-node execution order never depends on the
-   partition — so any shard count replays the same simulation bit for
-   bit (see DESIGN.md §10 for the full argument). *)
+   scheduled them and the counter is per-creator.  The keys fix the
+   order of same-instant events — and with it every fault draw and
+   tie in the committed outputs — by what each node did, not by the
+   order the queue happened to see the pushes (DESIGN.md §7). *)
 
 let idx_bits = 24
 let idx_mask = (1 lsl idx_bits) - 1
-let shard_bits = 6
-let max_shards = 1 lsl shard_bits
-let shard_mask = max_shards - 1
-let gen_shift = idx_bits + shard_bits
 
 (* Tie-break key: (creator + 1) in the high bits, the creator's event
    counter below.  38 bits of counter per creator, creator ids to 2^24
@@ -69,31 +38,21 @@ let nop () = ()
 type handle = int
 type callback = int
 
-type shard = {
+type t = {
   mutable clock : Simtime.t;
   queue : int Event_queue.t;
   mutable cells : cell array;
   mutable n_cells : int;
   mutable free_head : int;
   mutable cur_owner : int; (* owner of the executing event; -1 outside *)
-  mutable limit : Simtime.t; (* this round's exclusive pop horizon *)
-}
-
-type t = {
-  shards : shard array;
-  nodes : int; (* node-id space partitioned over shards; 0 = untyped *)
-  lookahead : Simtime.t;
+  nodes : int; (* owner range [-1, nodes); 0 = unchecked *)
   mutable counters : int array; (* per-creator event counters, slot = creator+1 *)
   mutable callbacks : (int -> unit) array;
   mutable n_callbacks : int;
-  mutable round_hook : int -> unit; (* cross-shard mail drain, set by Net *)
-  mutable running_multi : bool;
-  mutable profiler : Obs.Profiler.t option;
 }
 
-let no_round_hook (_ : int) = ()
-
-let fresh_shard () =
+let create ?(nodes = 0) () =
+  if nodes < 0 then invalid_arg "Engine.create: negative nodes";
   {
     clock = Simtime.zero;
     queue = Event_queue.create ();
@@ -101,68 +60,13 @@ let fresh_shard () =
     n_cells = 0;
     free_head = -1;
     cur_owner = -1;
-    limit = Simtime.never;
-  }
-
-let create ?(shards = 1) ?(nodes = 0) ?(lookahead = Simtime.never) () =
-  if shards < 1 then invalid_arg "Engine.create: shards must be >= 1";
-  if nodes < 0 then invalid_arg "Engine.create: negative nodes";
-  (* Fall back to one shard when sharding is unsafe (no positive finite
-     cross-node lookahead) or pointless (fewer than two nodes). *)
-  let s =
-    if shards = 1 || nodes < 2 then 1
-    else if not (lookahead > 0.) || Simtime.is_infinite lookahead then 1
-    else min shards (min nodes max_shards)
-  in
-  {
-    shards = Array.init s (fun _ -> fresh_shard ());
     nodes;
-    lookahead;
     counters = Array.make (nodes + 1) 0;
     callbacks = [||];
     n_callbacks = 0;
-    round_hook = no_round_hook;
-    running_multi = false;
-    profiler = None;
   }
 
-let shard_count t = Array.length t.shards
-
-let current_shard t =
-  if Array.length t.shards = 1 then 0
-  else
-    let d = Domain_ctx.current () in
-    if d < Array.length t.shards then d else 0
-
-let shard_of_node t owner =
-  let s = Array.length t.shards in
-  if s = 1 || owner < 0 then 0 else owner * s / t.nodes
-
-let now t = t.shards.(current_shard t).clock
-let set_round_hook t f = t.round_hook <- f
-
-(* Cross-shard mail feedback bound, called by [Net] when the executing
-   shard queues mail for another shard.  Any reply chain triggered by
-   that mail needs at least one more hop, so nothing it causes can land
-   before [arrival + lookahead]; clamping the round's pop horizon to
-   that keeps the solo-shard fast path below sound.  For an event
-   executing at [ts], [arrival >= ts + lookahead] gives a clamp of at
-   least [ts + 2*lookahead] — beyond the standard window and strictly
-   after every event already executed, so the clamp only ever trims the
-   solo extension, never an ordinary round. *)
-let note_send t ~arrival =
-  let sh = t.shards.(current_shard t) in
-  let fb = Simtime.add arrival t.lookahead in
-  if fb < sh.limit then sh.limit <- fb
-
-let enable_profiler t =
-  match t.profiler with
-  | Some _ -> ()
-  | None -> t.profiler <- Some (Obs.Profiler.create ~shards:(shard_count t))
-
-let profile t = Option.map Obs.Profiler.report t.profiler
-
-let queue_depth t = Event_queue.size t.shards.(current_shard t).queue
+let now t = t.clock
 
 let register_callback t f =
   if t.n_callbacks = Array.length t.callbacks then begin
@@ -174,45 +78,43 @@ let register_callback t f =
   t.n_callbacks <- t.n_callbacks + 1;
   t.n_callbacks - 1
 
-(* Take a cell off the shard's free list, allocating one only at a new
+(* Take a cell off the free list, allocating one only at a new
    high-water mark of outstanding events. *)
-let acquire sh =
-  if sh.free_head >= 0 then begin
-    let idx = sh.free_head in
-    sh.free_head <- sh.cells.(idx).next_free;
+let acquire t =
+  if t.free_head >= 0 then begin
+    let idx = t.free_head in
+    t.free_head <- t.cells.(idx).next_free;
     idx
   end
   else begin
-    if sh.n_cells = Array.length sh.cells then begin
+    if t.n_cells = Array.length t.cells then begin
       let dummy =
         { time = 0.; gen = 0; state = st_free; kind = -1; arg = 0; owner = -1;
           action = nop; next_free = -1 }
       in
-      let fresh = Array.make (max 16 (2 * sh.n_cells)) dummy in
-      Array.blit sh.cells 0 fresh 0 sh.n_cells;
-      sh.cells <- fresh
+      let fresh = Array.make (max 16 (2 * t.n_cells)) dummy in
+      Array.blit t.cells 0 fresh 0 t.n_cells;
+      t.cells <- fresh
     end;
-    let idx = sh.n_cells in
+    let idx = t.n_cells in
     if idx > idx_mask then failwith "Engine: event pool exhausted";
-    sh.cells.(idx) <-
+    t.cells.(idx) <-
       { time = 0.; gen = 0; state = st_free; kind = -1; arg = 0; owner = -1;
         action = nop; next_free = -1 };
-    sh.n_cells <- sh.n_cells + 1;
+    t.n_cells <- t.n_cells + 1;
     idx
   end
 
-let release sh idx =
-  let cell = sh.cells.(idx) in
+let release t idx =
+  let cell = t.cells.(idx) in
   cell.gen <- cell.gen + 1;
   cell.state <- st_free;
   cell.action <- nop;
-  cell.next_free <- sh.free_head;
-  sh.free_head <- idx
+  cell.next_free <- t.free_head;
+  t.free_head <- idx
 
-(* Only engines created with [nodes = 0] can see creator slots beyond
-   the preallocated [nodes + 1]; those are single-shard, so growth is
-   single-domain.  Multi-shard engines validate owners at schedule
-   time, which pins every slot inside the preallocated array. *)
+(* Engines created with [nodes = 0] accept any owner, so their creator
+   slots may outgrow the preallocated [nodes + 1]. *)
 let ensure_counters t slot =
   if slot >= Array.length t.counters then begin
     let fresh = Array.make (max (slot + 1) (2 * Array.length t.counters)) 0 in
@@ -220,73 +122,61 @@ let ensure_counters t slot =
     t.counters <- fresh
   end
 
-let alloc_key t =
-  let slot = t.shards.(current_shard t).cur_owner + 1 in
+(* The next (creator, counter) key of the executing event's owner. *)
+let next_key t =
+  let slot = t.cur_owner + 1 in
   ensure_counters t slot;
   let seq = t.counters.(slot) in
   t.counters.(slot) <- seq + 1;
   (slot lsl key_seq_bits) lor seq
 
 let enqueue t ~at ~owner ~key ~kind ~arg action =
-  let cur = current_shard t in
-  if at < t.shards.(cur).clock then
-    invalid_arg "Engine.schedule: time is in the past";
+  if at < t.clock then invalid_arg "Engine.schedule: time is in the past";
   if owner < -1 || (t.nodes > 0 && owner >= t.nodes) then
     invalid_arg "Engine.schedule: owner out of range";
-  let tgt = shard_of_node t owner in
-  if t.running_multi && tgt <> cur then
-    invalid_arg "Engine.schedule: cross-shard schedule during a parallel run";
-  let tsh = t.shards.(tgt) in
-  let idx = acquire tsh in
-  let cell = tsh.cells.(idx) in
+  let idx = acquire t in
+  let cell = t.cells.(idx) in
   cell.time <- at;
   cell.state <- st_scheduled;
   cell.kind <- kind;
   cell.arg <- arg;
   cell.owner <- owner;
   cell.action <- action;
-  (match Event_queue.push_keyed tsh.queue ~time:at ~key idx with
+  (match Event_queue.push_keyed t.queue ~time:at ~key idx with
   | () -> ()
   | exception e ->
-      release tsh idx;
+      release t idx;
       raise e);
-  (cell.gen lsl gen_shift) lor (tgt lsl idx_bits) lor idx
+  (cell.gen lsl idx_bits) lor idx
 
 let default_owner t owner =
-  match owner with Some o -> o | None -> t.shards.(current_shard t).cur_owner
+  match owner with Some o -> o | None -> t.cur_owner
 
 let schedule t ?owner ~at action =
   let owner = default_owner t owner in
-  enqueue t ~at ~owner ~key:(alloc_key t) ~kind:(-1) ~arg:0 action
+  enqueue t ~at ~owner ~key:(next_key t) ~kind:(-1) ~arg:0 action
 
 let schedule_in t ?owner ~after action =
   if after < 0. then invalid_arg "Engine.schedule_in: negative delay";
-  schedule t ?owner ~at:(Simtime.add (now t) after) action
+  schedule t ?owner ~at:(Simtime.add t.clock after) action
 
 let schedule_call t ?owner ~at callback arg =
   let owner = default_owner t owner in
-  enqueue t ~at ~owner ~key:(alloc_key t) ~kind:callback ~arg nop
-
-let schedule_call_keyed t ~owner ~at ~key callback arg =
-  enqueue t ~at ~owner ~key ~kind:callback ~arg nop
+  enqueue t ~at ~owner ~key:(next_key t) ~kind:callback ~arg nop
 
 let cancel t h =
-  let sidx = (h lsr idx_bits) land shard_mask in
-  if sidx < Array.length t.shards then begin
-    let sh = t.shards.(sidx) in
-    let idx = h land idx_mask in
-    if idx < sh.n_cells then begin
-      let cell = sh.cells.(idx) in
-      if cell.gen = h lsr gen_shift && cell.state = st_scheduled then
-        cell.state <- st_cancelled
-    end
+  let idx = h land idx_mask in
+  if idx < t.n_cells then begin
+    let cell = t.cells.(idx) in
+    if cell.gen = h lsr idx_bits && cell.state = st_scheduled then
+      cell.state <- st_cancelled
   end
 
-let dispatch t sh idx =
-  let cell = sh.cells.(idx) in
+let dispatch t idx =
+  let cell = t.cells.(idx) in
   (* A cancelled event still advances the clock to its slot, like any
      popped event. *)
-  sh.clock <- cell.time;
+  t.clock <- cell.time;
   let state = cell.state and kind = cell.kind and arg = cell.arg in
   let owner = cell.owner in
   let action = cell.action in
@@ -294,246 +184,49 @@ let dispatch t sh idx =
      dispatched code schedules, and the generation bump makes any
      handle still pointing here stale — cancelling a fired event stays
      a no-op. *)
-  release sh idx;
+  release t idx;
   if state = st_scheduled then begin
-    sh.cur_owner <- owner;
+    t.cur_owner <- owner;
     if kind >= 0 then t.callbacks.(kind) arg else action ()
   end
 
-let run_single ?until t =
-  let sh = t.shards.(0) in
+let run ?until t =
   let horizon = Option.value until ~default:Simtime.never in
-  let rec loop n =
-    let idx = Event_queue.pop_if_before sh.queue ~horizon ~default:(-1) in
+  let rec loop () =
+    let idx = Event_queue.pop_if_before t.queue ~horizon ~default:(-1) in
     if idx >= 0 then begin
-      dispatch t sh idx;
-      loop (n + 1)
+      dispatch t idx;
+      loop ()
     end
-    else n
   in
-  (* One profiler branch per run, not per event: with profiling off the
-     loop is the PR-3 hot loop plus a dead int argument. *)
-  (match t.profiler with
-  | None -> ignore (loop 0)
-  | Some p ->
-      let t0 = Obs.Profiler.now () in
-      let n = loop 0 in
-      Obs.Profiler.add_busy p 0 (Obs.Profiler.now () -. t0);
-      Obs.Profiler.add_events p 0 n;
-      Obs.Profiler.incr_rounds p 0);
-  sh.cur_owner <- -1;
+  loop ();
+  t.cur_owner <- -1;
   match until with
-  | Some u when sh.clock < u && not (Simtime.is_infinite u) -> sh.clock <- u
+  | Some u when t.clock < u && not (Simtime.is_infinite u) -> t.clock <- u
   | _ -> ()
 
-(* Reusable generation-counted barrier.  [wait] returns false once the
-   barrier is poisoned (a shard died), releasing every waiter so the
-   run unwinds instead of deadlocking. *)
-module Barrier = struct
-  type t = {
-    m : Mutex.t;
-    c : Condition.t;
-    parties : int;
-    mutable count : int;
-    mutable gen : int;
-    mutable poisoned : bool;
-  }
-
-  let create parties =
-    { m = Mutex.create (); c = Condition.create (); parties; count = 0;
-      gen = 0; poisoned = false }
-
-  let wait b =
-    Mutex.lock b.m;
-    if b.poisoned then begin
-      Mutex.unlock b.m;
-      false
-    end
-    else begin
-      let g = b.gen in
-      b.count <- b.count + 1;
-      if b.count = b.parties then begin
-        b.count <- 0;
-        b.gen <- g + 1;
-        Condition.broadcast b.c;
-        let ok = not b.poisoned in
-        Mutex.unlock b.m;
-        ok
-      end
-      else begin
-        while b.gen = g && not b.poisoned do
-          Condition.wait b.c b.m
-        done;
-        let ok = not b.poisoned in
-        Mutex.unlock b.m;
-        ok
-      end
-    end
-
-  let poison b =
-    Mutex.lock b.m;
-    b.poisoned <- true;
-    Condition.broadcast b.c;
-    Mutex.unlock b.m
-end
-
-let run_multi ?until t =
-  let s = Array.length t.shards in
-  let cap = Option.value until ~default:Simtime.never in
-  let lbs = Array.make s Simtime.never in
-  let barrier = Barrier.create s in
-  let failures = Array.make s None in
-  let prof = t.profiler in
-  (* Timed barrier wait: the profiler charges blocked time to the shard
-     doing the blocking.  One branch per round when profiling is off. *)
-  let bwait d =
-    match prof with
-    | None -> Barrier.wait barrier
-    | Some p ->
-        let t0 = Obs.Profiler.now () in
-        let ok = Barrier.wait barrier in
-        Obs.Profiler.add_wait p d (Obs.Profiler.now () -. t0);
-        Obs.Profiler.add_barriers p d 1;
-        ok
-  in
-  let worker d =
-    Domain_ctx.set d;
-    let sh = t.shards.(d) in
-    (try
-       let continue = ref true in
-       while !continue do
-         (* Drain mail sent to this shard last round, then publish the
-            clock lower bound.  Mail sent in round r is drained before
-            round r+1's bounds, so the exit decision below never misses
-            pending work. *)
-         t.round_hook d;
-         lbs.(d) <-
-           (match Event_queue.peek_time sh.queue with
-           | Some tm -> tm
-           | None -> Simtime.never);
-         if not (bwait d) then continue := false
-         else begin
-           let gmin = ref Simtime.never in
-           for j = 0 to s - 1 do
-             if lbs.(j) < !gmin then gmin := lbs.(j)
-           done;
-           (* Identical inputs on every shard: all exit together. *)
-           if !gmin > cap || Simtime.is_infinite !gmin then continue := false
-           else begin
-             (* The safe horizon is the GLOBAL bound, own shard
-                included: mail is a chain of hops each adding >= one
-                lookahead, so anything any shard can still cause —
-                including feedback through a neighbour — lands at or
-                beyond [gmin + lookahead].  Basing the horizon on the
-                other shards alone lets the globally-min shard run
-                ahead and receive a reply in its own past. *)
-             let strict = Simtime.add !gmin t.lookahead in
-             (* Solo-shard fast path: when this shard alone holds the
-                global minimum and every other bound already clears the
-                standard window, no other shard pops this round, so the
-                baseline would spend round after round advancing only
-                this shard one lookahead window at a time.  Jump
-                straight to the next global minimum instead: run to
-                [gother + lookahead], the horizon the final such round
-                would have granted.  The only hazard is feedback
-                through this shard's own sends — [note_send] clamps
-                [sh.limit] to [arrival + lookahead] as mail is queued,
-                so a reply can never land at or before anything
-                executed here (a send from an event at [ts] clamps to
-                [>= ts + 2*lookahead]).  Other shards still pop
-                nothing (their heads are at or beyond [gother], their
-                horizon stays [strict]), so barrier parity holds and
-                the per-shard execution order — hence the result — is
-                bit-identical to the baseline rounds. *)
-             let gother = ref Simtime.never in
-             for j = 0 to s - 1 do
-               if j <> d && lbs.(j) < !gother then gother := lbs.(j)
-             done;
-             sh.limit <-
-               (if lbs.(d) = !gmin && !gother >= strict then
-                  if Simtime.is_infinite !gother then Simtime.never
-                  else Simtime.add !gother t.lookahead
-                else strict);
-             let rec pops n =
-               let idx =
-                 Event_queue.pop_if_within sh.queue ~strict:sh.limit ~le:cap
-                   ~default:(-1)
-               in
-               if idx >= 0 then begin
-                 dispatch t sh idx;
-                 pops (n + 1)
-               end
-               else n
-             in
-             (match prof with
-             | None -> ignore (pops 0)
-             | Some p ->
-                 let t0 = Obs.Profiler.now () in
-                 let n = pops 0 in
-                 Obs.Profiler.add_busy p d (Obs.Profiler.now () -. t0);
-                 Obs.Profiler.add_events p d n;
-                 Obs.Profiler.incr_rounds p d);
-             if not (bwait d) then continue := false
-           end
-         end
-       done
-     with e ->
-       failures.(d) <- Some (e, Printexc.get_raw_backtrace ());
-       Barrier.poison barrier);
-    sh.cur_owner <- -1
-  in
-  t.running_multi <- true;
-  let workers = Array.init (s - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1))) in
-  worker 0;
-  Array.iter Domain.join workers;
-  t.running_multi <- false;
-  Array.iter
-    (function
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
-    failures;
-  (* Align the shard clocks on the single-domain convention: the last
-     executed event, or [until] when given and reached. *)
-  let last = Array.fold_left (fun acc sh -> Float.max acc sh.clock) 0. t.shards in
-  let final =
-    match until with
-    | Some u when last < u && not (Simtime.is_infinite u) -> u
-    | _ -> last
-  in
-  Array.iter (fun sh -> sh.clock <- final) t.shards
-
-let run ?until t =
-  if Array.length t.shards = 1 then run_single ?until t else run_multi ?until t
-
-let pending t =
-  Array.fold_left (fun acc sh -> acc + Event_queue.size sh.queue) 0 t.shards
+let pending t = Event_queue.size t.queue
 
 (* Arena reset: back to the state [create] left, in O(pool size), with
    every array kept at its high-water capacity.  Registered callbacks
-   and the round hook survive — they are wiring installed once per
-   [Net], not per run — and the generation bump on every cell makes any
-   handle from before the reset stale, so a leftover [cancel] stays a
-   no-op.  The rebuilt free lists hand cells out in index order, the
-   same order a fresh engine allocates them. *)
+   survive — they are wiring installed once per [Net], not per run —
+   and the generation bump on every cell makes any handle from before
+   the reset stale, so a leftover [cancel] stays a no-op.  The rebuilt
+   free list hands cells out in index order, the same order a fresh
+   engine allocates them. *)
 let reset t =
-  if t.running_multi then invalid_arg "Engine.reset: run in progress";
-  Array.iter
-    (fun sh ->
-      sh.clock <- Simtime.zero;
-      Event_queue.clear sh.queue;
-      for i = 0 to sh.n_cells - 1 do
-        let c = sh.cells.(i) in
-        c.gen <- c.gen + 1;
-        c.state <- st_free;
-        c.kind <- -1;
-        c.arg <- 0;
-        c.owner <- -1;
-        c.action <- nop;
-        c.next_free <- (if i + 1 < sh.n_cells then i + 1 else -1)
-      done;
-      sh.free_head <- (if sh.n_cells > 0 then 0 else -1);
-      sh.cur_owner <- -1;
-      sh.limit <- Simtime.never)
-    t.shards;
-  Array.fill t.counters 0 (Array.length t.counters) 0;
-  t.profiler <- None
+  t.clock <- Simtime.zero;
+  Event_queue.clear t.queue;
+  for i = 0 to t.n_cells - 1 do
+    let c = t.cells.(i) in
+    c.gen <- c.gen + 1;
+    c.state <- st_free;
+    c.kind <- -1;
+    c.arg <- 0;
+    c.owner <- -1;
+    c.action <- nop;
+    c.next_free <- (if i + 1 < t.n_cells then i + 1 else -1)
+  done;
+  t.free_head <- (if t.n_cells > 0 then 0 else -1);
+  t.cur_owner <- -1;
+  Array.fill t.counters 0 (Array.length t.counters) 0

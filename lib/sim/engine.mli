@@ -1,27 +1,21 @@
-(** Discrete-event simulation engine, shardable across OCaml domains.
+(** Discrete-event simulation engine.
 
     The engine owns the clock and a queue of scheduled events.
     Protocols never read wall-clock time; everything observable happens
     inside a scheduled event, which makes runs deterministic.
 
-    Events live in pools of reusable cells (DESIGN.md §7): scheduling
+    Events live in a pool of reusable cells (DESIGN.md §7): scheduling
     in steady state allocates nothing, and a {!handle} is an immediate
     int carrying the cell's generation, so {!cancel} is O(1) and safe
     against cell reuse.  Hot paths that would otherwise allocate a
     closure per event can {!register_callback} once and schedule
     [(callback, int)] pairs via {!schedule_call}.
 
-    With [create ~shards ~nodes ~lookahead], nodes are partitioned
-    into contiguous shard blocks, each run by its own domain under
-    conservative-lookahead synchronization (DESIGN.md §10): a shard
-    only executes events strictly earlier than the global clock lower
-    bound (the minimum over {e all} shards' queue heads, its own
-    included) plus the minimum cross-node propagation latency, so no
-    event — not even one caused transitively, by feedback through
-    another shard — is ever created in a shard's past.  Equal-time
-    events order by a sharding-invariant (creator node, per-creator
-    counter) key, so any shard count — including 1 — replays the same
-    simulation bit for bit. *)
+    Equal-time events pop in ascending (creator, per-creator counter)
+    order: the creator is the owner of the event that scheduled them
+    ([-1] at setup), and the counter numbers that creator's schedules.
+    Same-instant ties therefore resolve by what each node did, not by
+    the global order of the pushes. *)
 
 type t
 
@@ -34,42 +28,21 @@ type callback
 (** A typed continuation registered once with the engine; scheduling it
     stores only an [int] argument, no closure. *)
 
-val create :
-  ?shards:int -> ?nodes:int -> ?lookahead:Simtime.t -> unit -> t
-(** [create ~shards ~nodes ~lookahead ()] builds an engine whose
-    events are owned by nodes [0 .. nodes-1] (plus ownerless events,
-    owner [-1], which live on shard 0), partitioned over [shards]
-    domains.  [lookahead] must be the minimum cross-node propagation
-    latency ({!Topology.min_latency}).  The shard count is clamped to
-    1 whenever sharding is unsafe or pointless: [shards = 1],
-    [nodes < 2], or a non-positive/unbounded [lookahead]; it is also
-    capped at [nodes] and at 64.  [create ()] is the classic
-    single-domain engine.  Raises [Invalid_argument] if [shards < 1]
-    or [nodes < 0]. *)
-
-val shard_count : t -> int
-(** Effective number of shards after clamping (1 for [create ()]). *)
-
-val current_shard : t -> int
-(** The shard index the calling domain executes (0 outside a sharded
-    run). *)
-
-val shard_of_node : t -> int -> int
-(** The shard owning a node's events ([-1], ownerless, maps to 0). *)
+val create : ?nodes:int -> unit -> t
+(** [create ~nodes ()] builds an engine whose events are owned by nodes
+    [0 .. nodes-1], plus ownerless events (owner [-1]).  With
+    [nodes = 0], the default, any owner is accepted.  Raises
+    [Invalid_argument] if [nodes < 0]. *)
 
 val now : t -> Simtime.t
-(** Current simulated time — of the calling domain's shard during a
-    sharded run.  Shard clocks are aligned again when {!run}
-    returns. *)
+(** Current simulated time. *)
 
 val schedule : t -> ?owner:int -> at:Simtime.t -> (unit -> unit) -> handle
 (** [schedule t ~at f] runs [f] at absolute time [at].  [owner] is the
-    node the event belongs to, deciding its shard; it defaults to the
-    owner of the currently executing event ([-1], shard 0, at setup).
-    During a sharded run an event may only target its own shard —
-    cross-shard communication goes through {!Net}'s mailboxes.  Raises
-    [Invalid_argument] if [at] is in the past or [owner] is outside
-    [[-1, nodes)]. *)
+    node the event belongs to — the creator of whatever it schedules in
+    turn; it defaults to the owner of the currently executing event
+    ([-1] at setup).  Raises [Invalid_argument] if [at] is in the past
+    or [owner] is outside [[-1, nodes)]. *)
 
 val schedule_in : t -> ?owner:int -> after:Simtime.t -> (unit -> unit) -> handle
 (** [schedule_in t ~after f] runs [f] after a relative delay. *)
@@ -85,74 +58,23 @@ val schedule_call : t -> ?owner:int -> at:Simtime.t -> callback -> int -> handle
     {!schedule} for pooled payloads addressed by index.  Raises
     [Invalid_argument] if [at] is in the past. *)
 
-val alloc_key : t -> int
-(** Allocate the next (creator, counter) tie-break key in the calling
-    context — the key {!schedule} would have used.  For cross-shard
-    mail: allocate the key on the sending shard (where it is
-    sharding-invariant), carry it with the message, and enqueue with
-    {!schedule_call_keyed} on the receiving shard. *)
-
-val schedule_call_keyed :
-  t -> owner:int -> at:Simtime.t -> key:int -> callback -> int -> handle
-(** {!schedule_call} with an explicit pre-allocated tie-break key
-    (from {!alloc_key}); used by {!Net}'s mailbox drain. *)
-
-val set_round_hook : t -> (int -> unit) -> unit
-(** Install the per-round mail drain: during a sharded run, shard [d]
-    calls [hook d] at every round start, before publishing its clock
-    lower bound.  One consumer ({!Net}) per engine; the last installed
-    hook wins. *)
-
 val cancel : t -> handle -> unit
 (** Cancel a pending event; cancelling a fired or already-cancelled
-    event is a no-op.  During a sharded run, only cancel handles owned
-    by the calling shard. *)
+    event is a no-op. *)
 
 val run : ?until:Simtime.t -> t -> unit
 (** Execute events in time order until the queue drains or the next
     event lies strictly beyond [until].  The clock ends at the last
-    executed event (or at [until] when given and reached).  With more
-    than one shard, spawns [shards - 1] domains for the duration of
-    the run; if any shard raises, every domain unwinds and the
-    lowest-numbered shard's exception is re-raised. *)
+    executed event (or at [until] when given and reached). *)
 
 val pending : t -> int
-(** Number of events still queued (including cancelled husks), summed
-    over shards. *)
+(** Number of events still queued (including cancelled husks). *)
 
 val reset : t -> unit
 (** [reset t] returns the engine to the state {!create} left it in —
-    clocks at zero, queues empty, every cell free, creator counters
-    zeroed, profiler detached — while keeping cell pools, queue arrays
-    and registered callbacks (plus the round hook) allocated and
-    installed, so a long campaign reuses one engine instead of
-    rebuilding it per run.  O(pool size), allocation-free.  Handles and
-    keys from before the reset are stale; cancelling one is a no-op.
-    Raises [Invalid_argument] during a sharded run. *)
-
-val note_send : t -> arrival:Simtime.t -> unit
-(** [note_send t ~arrival] tells the engine the executing shard just
-    queued cross-shard mail arriving at [arrival].  {!Net} calls this
-    on every mailbox push; the sharded run uses it to bound the
-    solo-shard fast path (a shard running alone may advance to the next
-    global minimum plus lookahead, clamped to [arrival + lookahead] so
-    feedback through its own sends can never land in its executed
-    past).  A no-op outside a sharded run. *)
-
-(** {1 Telemetry} *)
-
-val enable_profiler : t -> unit
-(** Attach a wall-clock profiler recording, per shard and per round,
-    busy time (dispatching events) and barrier-wait time.  Idempotent.
-    When no profiler is attached (the default) the run loops pay one
-    branch per round, nothing per event. *)
-
-val profile : t -> Obs.Profiler.shard list option
-(** Accumulated profile, one entry per shard; [None] unless
-    {!enable_profiler} was called.  Read it after {!run} returns —
-    worker domains have joined by then. *)
-
-val queue_depth : t -> int
-(** Events queued on the calling domain's shard (cancelled husks
-    included) — the probe view of local backlog, safe to read from
-    inside a sharded run, unlike {!pending}. *)
+    clock at zero, queue empty, every cell free, creator counters
+    zeroed — while keeping the cell pool, queue arrays and registered
+    callbacks allocated and installed, so a long campaign reuses one
+    engine instead of rebuilding it per run.  O(pool size),
+    allocation-free.  Handles from before the reset are stale;
+    cancelling one is a no-op. *)

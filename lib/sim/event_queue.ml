@@ -90,9 +90,9 @@ let push q ~time payload =
   sift_up q (q.size - 1) time seq payload
 
 (* Like [push] but with a caller-chosen tie-break key instead of the
-   queue's own insertion counter.  The sharded engine derives keys from
+   queue's own insertion counter.  The engine derives keys from
    (creator node, per-creator counter), which makes the pop order at
-   equal times independent of how nodes are partitioned into queues. *)
+   equal times independent of the global push order. *)
 let push_keyed q ~time ~key payload =
   if Float.is_nan time || Simtime.is_infinite time then
     invalid_arg "Event_queue.push: time must be finite";
@@ -124,17 +124,6 @@ let pop_if_before q ~horizon ~default =
   if q.size = 0 || q.times.(0) > horizon then default
   else snd (pop_root q)
 
-(* Two-bound pop for conservative-lookahead rounds: the cross-shard
-   safety horizon is exclusive (an event AT the horizon may tie with
-   mail another shard has not published yet), while the run's [until]
-   cap stays inclusive, matching [pop_if_before]. *)
-let pop_if_within q ~strict ~le ~default =
-  if q.size = 0 then default
-  else
-    let head = q.times.(0) in
-    if head >= strict || head > le then default else snd (pop_root q)
-
-let peek_time q = if q.size = 0 then None else Some q.times.(0)
 let size q = q.size
 let is_empty q = q.size = 0
 

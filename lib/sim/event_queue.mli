@@ -25,10 +25,10 @@ val pop : 'a t -> (Simtime.t * 'a) option
 val push_keyed : 'a t -> time:Simtime.t -> key:int -> 'a -> unit
 (** [push_keyed q ~time ~key e] enqueues [e] at [time] with an explicit
     tie-break key: equal-time events pop in ascending [key] order
-    instead of insertion order.  The sharded engine uses
-    (creator, per-creator counter) keys so the order at equal times
-    does not depend on which queue an event was pushed into.  Do not
-    mix with {!push} in one queue unless the key spaces are disjoint.
+    instead of insertion order.  The engine uses (creator, per-creator
+    counter) keys so the order at equal times does not depend on the
+    global push order.  Do not mix with {!push} in one queue unless the
+    key spaces are disjoint.
     Raises [Invalid_argument] on a non-finite or NaN time. *)
 
 val pop_if_before : 'a t -> horizon:Simtime.t -> default:'a -> 'a
@@ -39,16 +39,6 @@ val pop_if_before : 'a t -> horizon:Simtime.t -> default:'a -> 'a
     allocation, so callers whose payloads carry their own timestamps
     (or that pick an out-of-band [default]) can drain the queue without
     producing garbage. *)
-
-val pop_if_within : 'a t -> strict:Simtime.t -> le:Simtime.t -> default:'a -> 'a
-(** [pop_if_within q ~strict ~le ~default] pops the earliest payload
-    iff its time is strictly before [strict] AND at or before [le];
-    otherwise returns [default].  The sharded engine's round pop: the
-    lookahead horizon is exclusive (an event exactly at it could tie
-    with unpublished cross-shard mail), the [until] cap inclusive. *)
-
-val peek_time : 'a t -> Simtime.t option
-(** Time of the earliest event without removing it. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

@@ -114,9 +114,8 @@ let pp ppf plan =
    seeded by chaining the mixer over (plan seed, src, dst, k).  The
    draws a message sees then depend only on its position in ITS link's
    send sequence — which is the sender's program order — never on how
-   sends on different links interleave globally.  That is what lets the
-   sharded engine replay a plan bit-identically at any shard count:
-   per-node event order is sharding-invariant, global order is not. *)
+   sends on different links interleave globally.  The committed chaos
+   verdicts and break counts are pinned to this dealing of draws. *)
 type t = {
   plan : plan;
   base : int64; (* plan-keyed seed for per-message streams *)

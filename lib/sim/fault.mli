@@ -11,10 +11,11 @@
     per message: message [k] on link [(src, dst)] draws from its own
     stream seeded by [(plan, src, dst, k)].  A message's draws then
     depend only on its position in its link's send sequence — the
-    sender's program order — so a (spec, plan) pair replays
-    bit-identically across processes, worker counts, AND engine shard
-    counts (the global interleaving of sends on different links is not
-    sharding-invariant; per-link sequence numbers are).
+    sender's program order — never on how sends on different links
+    interleave, so a (spec, plan) pair replays bit-identically across
+    processes and worker counts.  Every committed chaos verdict and
+    break count depends on this keying: a single global stream would
+    deal the draws out differently.
 
     Window convention: a fault is active while [start <= now < stop]
     (half-open, like the NIC's {!Nic.limit_window}). *)
@@ -92,8 +93,9 @@ val bind : t -> n:int -> unit
 (** [bind t ~n] sizes the injector's per-link message counters for an
     [n]-node network and resets them; {!Net.set_fault} calls it.  An
     unbound injector still works (a single global message counter,
-    deterministic in call order) but its draws are then NOT
-    sharding-invariant.  Raises [Invalid_argument] if [n <= 0]. *)
+    deterministic in call order) but its draws then depend on how sends
+    on different links interleave.  Raises [Invalid_argument] if
+    [n <= 0]. *)
 
 type decision = {
   drop : bool;

@@ -6,19 +6,7 @@
    and only grow at a new high-water mark of concurrently in-flight
    messages.  A recycled slot keeps its last payload until reuse — the
    payloads are the simulation's own documents, alive elsewhere, so
-   nothing leaks beyond the run.
-
-   Sharded engines get one pool and one [Stats] instance per shard, so
-   the hot path never touches another domain's memory: a flight lives
-   in the pool of the shard that executes its events — the
-   destination's.  A send whose destination lives on another shard
-   becomes a [mail] value in a per-(src shard, dst shard) mailbox,
-   carrying its pre-computed arrival time and tie-break key; the
-   destination shard drains its mailboxes at every round start (the
-   engine's round hook) and schedules the arrival locally.  Mailbox
-   accesses are data-race-free because rounds are barrier-stepped:
-   senders push strictly between the barriers of round r, the receiver
-   drains strictly before the first barrier of round r+1. *)
+   nothing leaks beyond the run. *)
 
 let stage_self = 0 (* deliver locally, no bandwidth cost *)
 let stage_arrival = 1 (* reserve ingress on the receiver's NIC *)
@@ -31,9 +19,24 @@ let stage_admitted = 4 (* deferred by admission control, token granted *)
 let flag_duplicate = 8
 let stage_of bits = bits land 7
 
-(* Per-shard flight pool plus that shard's private statistics. *)
-type 'm pool = {
-  p_stats : Stats.t;
+type 'm t = {
+  engine : Engine.t;
+  topology : Topology.t;
+  nics : Nic.t array; (* one shared NIC per node: egress and ingress *)
+  stats : Stats.t;
+  mutable interned : string list; (* newest first *)
+  mutable fault : Fault.t option; (* installed injector, if any *)
+  mutable admission : Defense.Admission.t option;
+  mutable rotation : Defense.Rotation.t option;
+  mutable handler : (dst:int -> src:int -> 'm -> unit) option;
+  mutable trampoline : Engine.callback option;
+  mutable obs_on : bool; (* record delivery latencies (one test per delivery) *)
+  (* Delivery-latency histograms indexed [dst node][interned label id],
+     sized only when telemetry is enabled.  [obs_metrics] merges each
+     label's row in node order, which fixes the float summation order
+     of the merged sums. *)
+  mutable lat : Obs.Metrics.histogram array array;
+  (* The flight pool. *)
   mutable fl_msg : 'm array;
   mutable fl_src : int array;
   mutable fl_dst : int array;
@@ -47,64 +50,12 @@ type 'm pool = {
   mutable fl_free : int;
 }
 
-(* A cross-shard message: everything the destination shard needs to
-   schedule the next stage locally.  The send-side work (egress
-   reservation, fault verdict, arrival computation, stats) has already
-   happened on the source shard. *)
-type 'm mail = {
-  m_msg : 'm;
-  m_src : int;
-  m_dst : int;
-  m_size : int;
-  m_stage : int; (* stage bits to install: self, or arrival (+dup) *)
-  m_label : Stats.label;
-  m_sent_at : float;
-  m_deadline : float;
-  m_arrival : float; (* absolute time of the next stage's event *)
-  m_key : int; (* tie-break key allocated on the sending shard *)
-}
-
-type 'm t = {
-  engine : Engine.t;
-  topology : Topology.t;
-  nics : Nic.t array; (* one shared NIC per node: egress and ingress *)
-  pools : 'm pool array; (* one per engine shard *)
-  outboxes : 'm mail Queue.t array; (* [src_shard * shards + dst_shard] *)
-  mutable interned : string list; (* newest first; replayed into merges *)
-  mutable fault : Fault.t option; (* installed injector, if any *)
-  (* Installed defenses, if any.  The admission bucket array is shared:
-     its (dst, _) rows are only touched by dst's arrival events, which
-     run on dst's shard.  Rotation membership caches are per node for
-     the same reason — node i's cache is read on i's shard only (as
-     sender at send time, as receiver at delivery time). *)
-  mutable admission : Defense.Admission.t option;
-  mutable rotation : Defense.Rotation.t array; (* per node; [||] = off *)
-  mutable handler : (dst:int -> src:int -> 'm -> unit) option;
-  mutable trampoline : Engine.callback option;
-  mutable obs_on : bool; (* record delivery latencies (one test per delivery) *)
-  (* Delivery-latency histograms indexed [dst node][interned label id],
-     sized only when telemetry is enabled.  Keyed per destination — not
-     per shard — because a node's deliveries happen in the same sim
-     order at every shard count, so even the order-sensitive float sums
-     inside each histogram are bit-identical, and [obs_metrics] merges
-     in fixed node order. *)
-  mutable lat : Obs.Metrics.histogram array array;
-}
-
 let n t = Array.length t.nics
 let engine t = t.engine
-let shards t = Array.length t.pools
 
-let stats t =
-  (* Merged snapshot: intern in the shared order first so the ids are
-     stable, then sum the shards.  Counters are order-insensitive sums,
-     so the snapshot equals what a single live instance would hold.
-     Always a copy — even at one shard — so a report outlives any
-     {!reset} of the network that produced it. *)
-  let m = Stats.create ~n:(n t) in
-  List.iter (fun name -> ignore (Stats.intern m name)) (List.rev t.interned);
-  Array.iter (fun p -> Stats.merge_into ~into:m p.p_stats) t.pools;
-  m
+(* Always a copy, so a report outlives any {!reset} of the network
+   that produced it. *)
+let stats t = Stats.copy t.stats
 
 let ensure_lat t =
   let nlabels = List.length t.interned in
@@ -119,13 +70,9 @@ let ensure_lat t =
 
 let intern t name =
   if not (List.mem name t.interned) then t.interned <- name :: t.interned;
-  (* Every pool interns the same name sequence, so one name gets the
-     same dense id on every shard and a label travels with a flight or
-     mail across shards unchanged. *)
-  let id = ref Stats.no_label in
-  Array.iter (fun p -> id := Stats.intern p.p_stats name) t.pools;
+  let id = Stats.intern t.stats name in
   if t.obs_on then ensure_lat t;
-  !id
+  id
 
 let enable_obs t =
   t.obs_on <- true;
@@ -136,8 +83,7 @@ let enable_obs t =
 let obs_metrics t =
   let reg = Obs.Metrics.create () in
   (* Oldest-first replay gives label ids in interning order; merge each
-     id's per-node histograms under the label's name, in node order —
-     shard-count-invariant, like [stats]'s merged snapshot. *)
+     id's per-node histograms under the label's name, in node order. *)
   List.iteri
     (fun id name ->
       let h = Obs.Metrics.histogram reg ("delivery-latency/" ^ name) in
@@ -149,8 +95,7 @@ let obs_metrics t =
     (List.rev t.interned);
   reg
 
-(* Called at the instant a labelled message reaches its handler, on the
-   destination's shard — the only writer of that node's histograms. *)
+(* Called at the instant a labelled message reaches its handler. *)
 let observe_latency t ~dst ~label ~sent_at =
   if label <> Stats.no_label then begin
     let id = Stats.label_id label in
@@ -183,55 +128,56 @@ let set_defense t plan =
       Defense.Admission.bind a ~n:(n t);
       t.admission <- Some a);
   t.rotation <-
-    (match plan.Defense.Plan.rotation with
-    | None -> [||]
-    | Some c -> Array.init (n t) (fun _ -> Defense.Rotation.instantiate c ~n:(n t)))
+    Option.map
+      (fun c -> Defense.Rotation.instantiate c ~n:(n t))
+      plan.Defense.Plan.rotation
 
 (* Whether [node] is rotated out (quiet) right now. *)
 let quiet_now t node =
-  Array.length t.rotation > 0
-  && Defense.Rotation.quiet t.rotation.(node) ~node ~now:(Engine.now t.engine)
+  match t.rotation with
+  | None -> false
+  | Some r -> Defense.Rotation.quiet r ~node ~now:(Engine.now t.engine)
 
 let deliver t ~dst ~src msg =
   match t.handler with
   | None -> failwith "Net.deliver: no handler installed"
   | Some f -> f ~dst ~src msg
 
-let alloc_flight p msg =
-  if p.fl_free < 0 then begin
+let alloc_flight t msg =
+  if t.fl_free < 0 then begin
     (* grow the pool, seeding fresh slots with the message at hand *)
-    let cap = Array.length p.fl_src in
+    let cap = Array.length t.fl_src in
     let fresh = max 16 (2 * cap) in
-    let grow_int a = let b = Array.make fresh 0 in Array.blit a 0 b 0 p.fl_len; b in
-    let grow_float a = let b = Array.make fresh nan in Array.blit a 0 b 0 p.fl_len; b in
+    let grow_int a = let b = Array.make fresh 0 in Array.blit a 0 b 0 t.fl_len; b in
+    let grow_float a = let b = Array.make fresh nan in Array.blit a 0 b 0 t.fl_len; b in
     let msgs = Array.make fresh msg in
-    Array.blit p.fl_msg 0 msgs 0 p.fl_len;
-    p.fl_msg <- msgs;
-    p.fl_src <- grow_int p.fl_src;
-    p.fl_dst <- grow_int p.fl_dst;
-    p.fl_size <- grow_int p.fl_size;
-    p.fl_stage <- grow_int p.fl_stage;
-    p.fl_label <-
+    Array.blit t.fl_msg 0 msgs 0 t.fl_len;
+    t.fl_msg <- msgs;
+    t.fl_src <- grow_int t.fl_src;
+    t.fl_dst <- grow_int t.fl_dst;
+    t.fl_size <- grow_int t.fl_size;
+    t.fl_stage <- grow_int t.fl_stage;
+    t.fl_label <-
       (let b = Array.make fresh Stats.no_label in
-       Array.blit p.fl_label 0 b 0 p.fl_len;
+       Array.blit t.fl_label 0 b 0 t.fl_len;
        b);
-    p.fl_sent_at <- grow_float p.fl_sent_at;
-    p.fl_deadline <- grow_float p.fl_deadline;
-    p.fl_next <- grow_int p.fl_next;
+    t.fl_sent_at <- grow_float t.fl_sent_at;
+    t.fl_deadline <- grow_float t.fl_deadline;
+    t.fl_next <- grow_int t.fl_next;
     for i = cap to fresh - 1 do
-      p.fl_next.(i) <- (if i + 1 < fresh then i + 1 else -1)
+      t.fl_next.(i) <- (if i + 1 < fresh then i + 1 else -1)
     done;
-    p.fl_free <- cap;
-    p.fl_len <- fresh
+    t.fl_free <- cap;
+    t.fl_len <- fresh
   end;
-  let fl = p.fl_free in
-  p.fl_free <- p.fl_next.(fl);
-  p.fl_msg.(fl) <- msg;
+  let fl = t.fl_free in
+  t.fl_free <- t.fl_next.(fl);
+  t.fl_msg.(fl) <- msg;
   fl
 
-let release_flight p fl =
-  p.fl_next.(fl) <- p.fl_free;
-  p.fl_free <- fl
+let release_flight t fl =
+  t.fl_next.(fl) <- t.fl_free;
+  t.fl_free <- fl
 
 (* Whether [node] is inside an injected crash window right now. *)
 let crashed_now t node =
@@ -239,28 +185,22 @@ let crashed_now t node =
   | None -> false
   | Some fa -> Fault.crashed fa ~node ~now:(Engine.now t.engine)
 
-(* The pool of the shard this domain executes.  Flights are always
-   touched from the shard that owns their events, so this is the pool
-   the flight index is valid in. *)
-let my_pool t = t.pools.(Engine.current_shard t.engine)
-
 let trampoline t fl =
-  let p = my_pool t in
-  let bits = p.fl_stage.(fl) in
+  let bits = t.fl_stage.(fl) in
   let stage = stage_of bits in
   if stage = stage_self then begin
-    let src = p.fl_src.(fl) and dst = p.fl_dst.(fl) and msg = p.fl_msg.(fl) in
-    let label = p.fl_label.(fl) and sent_at = p.fl_sent_at.(fl) in
-    release_flight p fl;
-    if crashed_now t dst then Stats.record_drop p.p_stats ~node:dst ~label
-    else if quiet_now t dst then Stats.record_reject p.p_stats ~node:dst ~label
+    let src = t.fl_src.(fl) and dst = t.fl_dst.(fl) and msg = t.fl_msg.(fl) in
+    let label = t.fl_label.(fl) and sent_at = t.fl_sent_at.(fl) in
+    release_flight t fl;
+    if crashed_now t dst then Stats.record_drop t.stats ~node:dst ~label
+    else if quiet_now t dst then Stats.record_reject t.stats ~node:dst ~label
     else begin
       if t.obs_on then observe_latency t ~dst ~label ~sent_at;
       deliver t ~dst ~src msg
     end
   end
   else if stage = stage_arrival || stage = stage_admitted then begin
-    let dst = p.fl_dst.(fl) and size = p.fl_size.(fl) in
+    let dst = t.fl_dst.(fl) and size = t.fl_size.(fl) in
     let arrival = Engine.now t.engine in
     (* Admission control runs BEFORE the ingress reservation: a
        turned-away message never costs the receiver bandwidth.  A
@@ -272,17 +212,17 @@ let trampoline t fl =
       | None -> Defense.Admission.Admit
       | Some a ->
           if stage = stage_admitted then begin
-            Defense.Admission.drain a ~dst ~src:p.fl_src.(fl);
+            Defense.Admission.drain a ~dst ~src:t.fl_src.(fl);
             Defense.Admission.Admit
           end
-          else Defense.Admission.decide a ~now:arrival ~dst ~src:p.fl_src.(fl)
+          else Defense.Admission.decide a ~now:arrival ~dst ~src:t.fl_src.(fl)
     in
     match verdict with
     | Defense.Admission.Reject ->
-        Stats.record_reject p.p_stats ~node:dst ~label:p.fl_label.(fl);
-        release_flight p fl
+        Stats.record_reject t.stats ~node:dst ~label:t.fl_label.(fl);
+        release_flight t fl
     | Defense.Admission.Defer grant_at ->
-        p.fl_stage.(fl) <- stage_admitted lor (bits land flag_duplicate);
+        t.fl_stage.(fl) <- stage_admitted lor (bits land flag_duplicate);
         (match t.trampoline with
         | Some cb ->
             ignore (Engine.schedule_call t.engine ~owner:dst ~at:grant_at cb fl)
@@ -292,15 +232,15 @@ let trampoline t fl =
            reservations happen in arrival order, not send order. *)
         let finish = Nic.reserve t.nics.(dst) ~now:arrival ~bytes:size in
         if Simtime.is_infinite finish then begin
-          Stats.record_drop p.p_stats ~node:dst ~label:p.fl_label.(fl);
-          release_flight p fl
+          Stats.record_drop t.stats ~node:dst ~label:t.fl_label.(fl);
+          release_flight t fl
         end
         else begin
-          let deadline = p.fl_deadline.(fl) in
+          let deadline = t.fl_deadline.(fl) in
           let expired =
-            (not (Float.is_nan deadline)) && finish -. p.fl_sent_at.(fl) > deadline
+            (not (Float.is_nan deadline)) && finish -. t.fl_sent_at.(fl) > deadline
           in
-          p.fl_stage.(fl) <-
+          t.fl_stage.(fl) <-
             (if expired then stage_finish_expired else stage_finish)
             lor (bits land flag_duplicate);
           match t.trampoline with
@@ -311,30 +251,30 @@ let trampoline t fl =
   end
   else begin
     (* stage_finish / stage_finish_expired *)
-    let dst = p.fl_dst.(fl) and label = p.fl_label.(fl) in
-    Stats.record_received p.p_stats ~node:dst ~bytes:p.fl_size.(fl);
+    let dst = t.fl_dst.(fl) and label = t.fl_label.(fl) in
+    Stats.record_received t.stats ~node:dst ~bytes:t.fl_size.(fl);
     if stage = stage_finish_expired then begin
-      Stats.record_drop p.p_stats ~node:dst ~label;
-      release_flight p fl
+      Stats.record_drop t.stats ~node:dst ~label;
+      release_flight t fl
     end
     else if crashed_now t dst then begin
       (* The receiver is inside a crash window when ingress completes:
          the message reached a dead node. *)
-      Stats.record_drop p.p_stats ~node:dst ~label;
-      release_flight p fl
+      Stats.record_drop t.stats ~node:dst ~label;
+      release_flight t fl
     end
     else if quiet_now t dst then begin
       (* The receiver rotated out while ingress was in progress: the
          bytes were spent (the attacker's budget is wasted on a quiet
          target) but nothing is served. *)
-      Stats.record_reject p.p_stats ~node:dst ~label;
-      release_flight p fl
+      Stats.record_reject t.stats ~node:dst ~label;
+      release_flight t fl
     end
     else begin
-      let src = p.fl_src.(fl) and msg = p.fl_msg.(fl) in
+      let src = t.fl_src.(fl) and msg = t.fl_msg.(fl) in
       let duplicate = bits land flag_duplicate <> 0 in
-      if t.obs_on then observe_latency t ~dst ~label ~sent_at:p.fl_sent_at.(fl);
-      release_flight p fl;
+      if t.obs_on then observe_latency t ~dst ~label ~sent_at:t.fl_sent_at.(fl);
+      release_flight t fl;
       deliver t ~dst ~src msg;
       if duplicate then deliver t ~dst ~src msg
     end
@@ -343,136 +283,75 @@ let trampoline t fl =
 let the_trampoline t =
   match t.trampoline with Some cb -> cb | None -> assert false
 
-(* Drain every mailbox addressed to shard [d]: allocate the flight in
-   [d]'s pool and schedule its next stage locally, under the tie-break
-   key allocated on the sending shard.  Runs on [d]'s domain at round
-   start (and once before single-threaded [run]s via the same hook).
-   The arrival times of drained mail are never in [d]'s past — that is
-   exactly the engine's lookahead invariant. *)
-let drain t d =
-  let s = shards t in
-  let p = t.pools.(d) in
-  for src_sh = 0 to s - 1 do
-    let q = t.outboxes.((src_sh * s) + d) in
-    while not (Queue.is_empty q) do
-      let m = Queue.pop q in
-      let fl = alloc_flight p m.m_msg in
-      p.fl_src.(fl) <- m.m_src;
-      p.fl_dst.(fl) <- m.m_dst;
-      p.fl_size.(fl) <- m.m_size;
-      p.fl_stage.(fl) <- m.m_stage;
-      p.fl_label.(fl) <- m.m_label;
-      p.fl_sent_at.(fl) <- m.m_sent_at;
-      p.fl_deadline.(fl) <- m.m_deadline;
-      ignore
-        (Engine.schedule_call_keyed t.engine ~owner:m.m_dst ~at:m.m_arrival
-           ~key:m.m_key (the_trampoline t) fl)
-    done
-  done
-
-let fresh_pool ~n () =
-  {
-    p_stats = Stats.create ~n;
-    fl_msg = [||];
-    fl_src = [||];
-    fl_dst = [||];
-    fl_size = [||];
-    fl_stage = [||];
-    fl_label = [||];
-    fl_sent_at = [||];
-    fl_deadline = [||];
-    fl_next = [||];
-    fl_len = 0;
-    fl_free = -1;
-  }
-
 let create ~engine ~topology ~bits_per_sec () =
   let n = Topology.n topology in
-  let s = Engine.shard_count engine in
   let t =
     {
       engine;
       topology;
       nics = Array.init n (fun _ -> Nic.create ~bits_per_sec ());
-      pools = Array.init s (fun _ -> fresh_pool ~n ());
-      outboxes = Array.init (s * s) (fun _ -> Queue.create ());
+      stats = Stats.create ~n;
       interned = [];
       fault = None;
       admission = None;
-      rotation = [||];
+      rotation = None;
       handler = None;
       trampoline = None;
       obs_on = false;
       lat = [||];
+      fl_msg = [||];
+      fl_src = [||];
+      fl_dst = [||];
+      fl_size = [||];
+      fl_stage = [||];
+      fl_label = [||];
+      fl_sent_at = [||];
+      fl_deadline = [||];
+      fl_next = [||];
+      fl_len = 0;
+      fl_free = -1;
     }
   in
   t.trampoline <- Some (Engine.register_callback engine (fun fl -> trampoline t fl));
-  if s > 1 then Engine.set_round_hook engine (fun d -> drain t d);
   t
+
+(* Put a message in flight: its next stage fires at [at], owned by the
+   receiver. *)
+let post t ~src ~dst ~size ~stage ~label ~sent_at ~deadline ~at msg =
+  let fl = alloc_flight t msg in
+  t.fl_src.(fl) <- src;
+  t.fl_dst.(fl) <- dst;
+  t.fl_size.(fl) <- size;
+  t.fl_stage.(fl) <- stage;
+  t.fl_label.(fl) <- label;
+  t.fl_sent_at.(fl) <- sent_at;
+  t.fl_deadline.(fl) <- deadline;
+  ignore (Engine.schedule_call t.engine ~owner:dst ~at (the_trampoline t) fl)
 
 (* Internal send with sentinel-encoded optionals: [label] is an
    interned id or [Stats.no_label], [deadline] is NaN for none.  The
-   caller has validated the node ids.  Executes on the sending node's
-   shard (or the main domain before the run starts). *)
+   caller has validated the node ids. *)
 let send_msg t ~src ~dst ~size ~label ~deadline msg =
   let now = Engine.now t.engine in
-  let cur = Engine.current_shard t.engine in
-  let p = t.pools.(cur) in
-  let dst_shard = Engine.shard_of_node t.engine dst in
-  let post ~stage ~at =
-    if dst_shard = cur then begin
-      let fl = alloc_flight p msg in
-      p.fl_src.(fl) <- src;
-      p.fl_dst.(fl) <- dst;
-      p.fl_size.(fl) <- size;
-      p.fl_stage.(fl) <- stage;
-      p.fl_label.(fl) <- label;
-      p.fl_sent_at.(fl) <- now;
-      p.fl_deadline.(fl) <- deadline;
-      ignore (Engine.schedule_call t.engine ~owner:dst ~at (the_trampoline t) fl)
-    end
-    else begin
-      (* Another shard's node: allocate the tie-break key here, where
-         it is sharding-invariant, and let the destination shard
-         schedule the event when it drains its mailbox. *)
-      Queue.push
-        {
-          m_msg = msg;
-          m_src = src;
-          m_dst = dst;
-          m_size = size;
-          m_stage = stage;
-          m_label = label;
-          m_sent_at = now;
-          m_deadline = deadline;
-          m_arrival = at;
-          m_key = Engine.alloc_key t.engine;
-        }
-        t.outboxes.((cur * shards t) + dst_shard);
-      (* Feedback bound for the engine's solo-shard fast path: nothing
-         this mail can cause lands before [at + lookahead]. *)
-      Engine.note_send t.engine ~arrival:at
-    end
-  in
   if (match t.fault with Some fa -> Fault.crashed fa ~node:src ~now | None -> false)
   then
     (* A down node transmits nothing: no bytes charged, the message
        simply never existed on the wire. *)
-    Stats.record_drop p.p_stats ~node:dst ~label
+    Stats.record_drop t.stats ~node:dst ~label
   else if quiet_now t src then
     (* A rotated-out authority goes quiet: nothing transmitted, no
        bytes charged, accounted as a defense reject rather than a
        fault drop. *)
-    Stats.record_reject p.p_stats ~node:dst ~label
+    Stats.record_reject t.stats ~node:dst ~label
   else if src = dst then
     (* Local delivery: no bandwidth cost, but still asynchronous so
        handlers never reenter the caller. *)
-    post ~stage:stage_self ~at:now
+    post t ~src ~dst ~size ~stage:stage_self ~label ~sent_at:now ~deadline ~at:now msg
   else begin
-    Stats.record_send p.p_stats ~node:src ~bytes:size ~label;
+    Stats.record_send t.stats ~node:src ~bytes:size ~label;
     (* Link-fault verdict at send time: the injector's draws are keyed
        per (src, dst, message number), so the verdict depends only on
-       the sender's program order — deterministic at any shard count. *)
+       the message's place in its link's send sequence. *)
     let decision =
       match t.fault with
       | None -> Fault.pass
@@ -480,11 +359,11 @@ let send_msg t ~src ~dst ~size ~label ~deadline msg =
     in
     let egress_done = Nic.reserve t.nics.(src) ~now ~bytes:size in
     if Simtime.is_infinite egress_done then
-      Stats.record_drop p.p_stats ~node:dst ~label
+      Stats.record_drop t.stats ~node:dst ~label
     else if decision.Fault.drop then
       (* Lost in the network after transmission: egress was charged,
          no arrival is scheduled. *)
-      Stats.record_drop p.p_stats ~node:dst ~label
+      Stats.record_drop t.stats ~node:dst ~label
     else begin
       let arrival =
         Simtime.add egress_done (Topology.latency t.topology ~src ~dst)
@@ -493,7 +372,7 @@ let send_msg t ~src ~dst ~size ~label ~deadline msg =
       let stage =
         stage_arrival lor if decision.Fault.duplicate then flag_duplicate else 0
       in
-      post ~stage ~at:arrival
+      post t ~src ~dst ~size ~stage ~label ~sent_at:now ~deadline ~at:arrival msg
     end
   end
 
@@ -522,57 +401,42 @@ let limit_node t ~node ~start ~stop ~bits_per_sec =
   Nic.limit_window t.nics.(node) ~start ~stop ~bits_per_sec
 
 (* Arena reset: statistics zeroed (interned labels survive, so a driver
-   re-interning the same names gets the same dense ids), flight pools
-   and mailboxes emptied, NIC schedules dropped, fault injector and
-   handler detached, telemetry off with its histograms zeroed.  The
-   trampoline callback and the engine round hook stay installed — they
-   are per-network wiring, registered once in [create].  Everything
-   keeps its high-water capacity. *)
+   re-interning the same names gets the same dense ids), flight pool
+   emptied, NIC schedules dropped, fault injector and handler detached,
+   telemetry off with its histograms zeroed.  The trampoline callback
+   stays installed — it is per-network wiring, registered once in
+   [create].  Everything keeps its high-water capacity. *)
 let reset t =
-  Array.iter
-    (fun p ->
-      Stats.reset p.p_stats;
-      for i = 0 to p.fl_len - 1 do
-        p.fl_next.(i) <- (if i + 1 < p.fl_len then i + 1 else -1)
-      done;
-      p.fl_free <- (if p.fl_len > 0 then 0 else -1))
-    t.pools;
-  Array.iter Queue.clear t.outboxes;
+  Stats.reset t.stats;
+  for i = 0 to t.fl_len - 1 do
+    t.fl_next.(i) <- (if i + 1 < t.fl_len then i + 1 else -1)
+  done;
+  t.fl_free <- (if t.fl_len > 0 then 0 else -1);
   Array.iter Nic.reset t.nics;
   t.fault <- None;
   t.admission <- None;
-  t.rotation <- [||];
+  t.rotation <- None;
   t.handler <- None;
   t.obs_on <- false;
   Array.iter (fun row -> Array.iter Obs.Metrics.histogram_reset row) t.lat
 
 (* Periodic telemetry probes, one recurring event per node.  Each probe
    samples the node's NIC backlog (drain time of everything already
-   reserved); the first node of each shard additionally samples its
-   shard's event-queue depth.  Probes run on their node's shard with
-   ordinary sharding-invariant tie-break keys, read state that the
-   node's own shard already owns, and change nothing — so enabling them
-   perturbs no simulation outcome, at any shard count, and the
-   nic-backlog stream itself is shard-count-invariant (queue depth is
-   per-shard by construction and excluded from that guarantee). *)
+   reserved); node 0 additionally samples the engine's queue depth.
+   Probes are ordinary owned events with ordinary tie-break keys, read
+   state and change nothing — so enabling them perturbs no simulation
+   outcome. *)
 let install_probes t ~events ~interval ~stop =
   if not (interval > 0.) then
     invalid_arg "Net.install_probes: interval must be positive";
   let engine = t.engine in
-  let first_of_shard = Array.make (shards t) max_int in
-  for node = 0 to n t - 1 do
-    let s = Engine.shard_of_node engine node in
-    if node < first_of_shard.(s) then first_of_shard.(s) <- node
-  done;
   let rec probe node () =
     let now = Engine.now engine in
-    let lane = Engine.current_shard engine in
     let backlog = Float.max 0. (Nic.busy_until t.nics.(node) -. now) in
-    Obs.Events.sample events ~lane ~node ~track:"nic-backlog" ~time:now
-      ~value:backlog;
-    if first_of_shard.(lane) = node then
-      Obs.Events.sample events ~lane ~node ~track:"queue-depth" ~time:now
-        ~value:(float_of_int (Engine.queue_depth engine));
+    Obs.Events.sample events ~node ~track:"nic-backlog" ~time:now ~value:backlog;
+    if node = 0 then
+      Obs.Events.sample events ~node ~track:"queue-depth" ~time:now
+        ~value:(float_of_int (Engine.pending engine));
     let next = now +. interval in
     if next <= stop then
       ignore (Engine.schedule engine ~owner:node ~at:next (probe node))

@@ -27,28 +27,20 @@ val create :
   unit ->
   'm t
 (** All NICs start at the given uniform rate; per-node adjustments go
-    through {!nic}.  The network sizes itself to the engine's shard
-    count: one flight pool and one {!Stats} instance per shard, plus
-    the cross-shard mailboxes and the engine round hook that drains
-    them (one network per sharded engine). *)
+    through {!nic}. *)
 
 val n : 'm t -> int
 val engine : 'm t -> Engine.t
-val shards : 'm t -> int
 
 val stats : 'm t -> Stats.t
-(** Traffic statistics, as a merged snapshot of the per-shard
-    instances — take it after {!Engine.run} returns.  Counters are
-    order-insensitive sums, so the snapshot is identical at every shard
-    count.  Always a fresh copy, so a report built from it survives a
+(** A snapshot of the traffic statistics — take it after {!Engine.run}
+    returns.  Always a fresh copy, so a report built from it survives a
     later {!reset} of this network. *)
 
 val intern : 'm t -> string -> Stats.label
-(** Intern a label on every shard's statistics, returning the shared
-    dense id (the same on all shards, so it can ride a cross-shard
-    message).  Call at setup, before the run; prefer this over
-    [Stats.intern (Net.stats net)], which on a sharded network would
-    intern into a throwaway snapshot. *)
+(** Intern a label in the network's statistics, returning its dense
+    id.  Call at setup, before the run; [Stats.intern (Net.stats net)]
+    would intern into a throwaway snapshot. *)
 
 val nic : 'm t -> int -> Nic.t
 (** The node's shared NIC. *)
@@ -96,9 +88,7 @@ val set_defense : 'm t -> Defense.Plan.t -> unit
        target).}}
     Every turned-away message is counted via {!Stats.record_reject}
     under the message's label — never mixed into the fault-drop
-    counters.  Verdicts are pure arithmetic on state touched only by
-    the owning node's shard, so runs stay bit-identical at any shard
-    count.  Raises [Invalid_argument] on a plan invalid for this
+    counters.  Raises [Invalid_argument] on a plan invalid for this
     network's size. *)
 
 val send :
@@ -132,38 +122,35 @@ val limit_node :
 
 val reset : 'm t -> unit
 (** [reset t] empties the network for reuse in a fresh run: statistics
-    zeroed (interned labels keep their ids), flight pools and
-    cross-shard mailboxes cleared, NIC rate schedules and reservations
-    dropped, fault injector, defenses and delivery handler detached,
-    telemetry disabled with its histograms zeroed.  Pools, mailboxes and
-    histogram arrays keep their high-water capacity; the engine wiring
-    (trampoline callback, round hook) stays installed.  Callers must
-    {!set_handler} again before the next run and reset the engine
-    alongside ({!Engine.reset}). *)
+    zeroed (interned labels keep their ids), flight pool cleared, NIC
+    rate schedules and reservations dropped, fault injector, defenses
+    and delivery handler detached, telemetry disabled with its
+    histograms zeroed.  The pool and histogram arrays keep their
+    high-water capacity; the trampoline callback stays registered with
+    the engine.  Callers must {!set_handler} again before the next run
+    and reset the engine alongside ({!Engine.reset}). *)
 
 (** {1 Telemetry} *)
 
 val enable_obs : 'm t -> unit
 (** Start recording per-label delivery latencies (send instant to
-    handler invocation) into per-shard histograms.  Off by default; the
-    hot path then pays one boolean test per delivery.  Call at setup,
-    after the protocol's labels are interned (later {!intern}s are
-    still picked up). *)
+    handler invocation) into per-(destination, label) histograms.  Off
+    by default; the hot path then pays one boolean test per delivery.
+    Call at setup, after the protocol's labels are interned (later
+    {!intern}s are still picked up). *)
 
 val obs_metrics : 'm t -> Obs.Metrics.t
-(** Merged snapshot of the telemetry metrics: one
-    ["delivery-latency/<label>"] histogram per interned label, summed
-    over shards (order-insensitive, so identical to a single-shard
-    run's).  Take it after {!Engine.run} returns.  Empty when
-    {!enable_obs} was never called. *)
+(** Snapshot of the telemetry metrics: one
+    ["delivery-latency/<label>"] histogram per interned label, merged
+    over destinations in node order.  Take it after {!Engine.run}
+    returns.  Empty when {!enable_obs} was never called. *)
 
 val install_probes :
   'm t -> events:Obs.Events.t -> interval:Simtime.t -> stop:Simtime.t -> unit
 (** Schedule one recurring probe per node, every [interval] sim seconds
     from time 0 through [stop], recording a ["nic-backlog"] sample (how
-    far the node's NIC is booked past now, in seconds) and — on the
-    first node of each shard — a ["queue-depth"] sample of that shard's
-    event queue.  Probes are read-only and keyed like ordinary events,
-    so they never change simulation outcomes; nic-backlog samples are
-    bit-identical across shard counts, queue-depth is inherently
-    per-shard.  Raises [Invalid_argument] if [interval <= 0]. *)
+    far the node's NIC is booked past now, in seconds) and — on node 0
+    — a ["queue-depth"] sample of the engine's pending events.  Probes
+    are read-only and keyed like ordinary events, so they never change
+    simulation outcomes.  Raises [Invalid_argument] if
+    [interval <= 0]. *)

@@ -168,26 +168,21 @@ let rejected_labels t =
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
-let merge_into ~into src =
-  if n into <> n src then invalid_arg "Stats.merge_into: node-count mismatch";
-  for node = 0 to n into - 1 do
-    into.bytes_sent.(node) <- into.bytes_sent.(node) + src.bytes_sent.(node);
-    into.bytes_received.(node) <- into.bytes_received.(node) + src.bytes_received.(node);
-    into.messages_sent.(node) <- into.messages_sent.(node) + src.messages_sent.(node);
-    into.dropped_at.(node) <- into.dropped_at.(node) + src.dropped_at.(node);
-    into.rejected_at.(node) <- into.rejected_at.(node) + src.rejected_at.(node)
-  done;
-  into.dropped <- into.dropped + src.dropped;
-  into.rejected <- into.rejected + src.rejected;
-  (* Labels merge by name, so the two sides' intern orders need not
-     match; [into] interns any label it has not seen. *)
-  for id = 0 to src.n_labels - 1 do
-    let tid = intern into src.label_names.(id) in
-    into.label_counts.(tid) <- into.label_counts.(tid) + src.label_counts.(id);
-    into.label_drops.(tid) <- into.label_drops.(tid) + src.label_drops.(id);
-    into.label_rejected.(tid) <- into.label_rejected.(tid) + src.label_rejected.(id);
-    if src.label_used.(id) then into.label_used.(tid) <- true
-  done
+let copy t =
+  {
+    t with
+    bytes_sent = Array.copy t.bytes_sent;
+    bytes_received = Array.copy t.bytes_received;
+    messages_sent = Array.copy t.messages_sent;
+    dropped_at = Array.copy t.dropped_at;
+    rejected_at = Array.copy t.rejected_at;
+    intern_table = Hashtbl.copy t.intern_table;
+    label_names = Array.copy t.label_names;
+    label_counts = Array.copy t.label_counts;
+    label_drops = Array.copy t.label_drops;
+    label_rejected = Array.copy t.label_rejected;
+    label_used = Array.copy t.label_used;
+  }
 
 let reset t =
   Array.fill t.bytes_sent 0 (n t) 0;

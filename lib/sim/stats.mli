@@ -95,15 +95,9 @@ val rejected_labels : t -> (string * int) list
 (** Labels with at least one defense-rejected message since the last
     reset, with their reject counts, sorted by label. *)
 
-val merge_into : into:t -> t -> unit
-(** [merge_into ~into src] adds every counter of [src] into [into]:
-    per-node arrays, the drop and reject totals, and per-label
-    counts/drops/rejects/used flags, matching labels by name
-    (interning into [into] as needed).
-    The sharded engine merges per-shard instances this way at run end;
-    merging shards that partition the traffic equals recording it all
-    on one instance.  Raises [Invalid_argument] if the node counts
-    differ.  [src] is not modified. *)
+val copy : t -> t
+(** An independent snapshot: later records or a {!reset} on either
+    side leave the other unchanged.  Interned ids stay valid in both. *)
 
 val reset : t -> unit
 (** Clear every counter.  Interned ids remain valid. *)

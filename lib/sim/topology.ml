@@ -28,18 +28,6 @@ let realistic ~n ~rng =
   done;
   { n; delays }
 
-let min_latency t =
-  (* Minimum off-diagonal delay: the safe conservative lookahead for
-     the sharded engine (no message crosses nodes faster than this).
-     A single-node topology has no links, so the bound is [never]. *)
-  let best = ref Simtime.never in
-  for i = 0 to t.n - 1 do
-    for j = 0 to t.n - 1 do
-      if i <> j && t.delays.(i).(j) < !best then best := t.delays.(i).(j)
-    done
-  done;
-  !best
-
 let of_matrix m =
   let n = Array.length m in
   if n = 0 then invalid_arg "Topology.of_matrix: empty matrix";

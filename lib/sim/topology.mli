@@ -21,14 +21,6 @@ val realistic : n:int -> rng:Rng.t -> t
 (** Seeded long-tailed latencies: Gaussian around 45 ms (σ = 25 ms)
     clamped to [\[5 ms, 150 ms\]], symmetric. *)
 
-val min_latency : t -> Simtime.t
-(** Global minimum off-diagonal latency — the conservative lookahead
-    bound for the sharded engine: no message propagates between
-    distinct nodes in less than this.  [Simtime.never] for a
-    single-node topology (no links); [0.] for [uniform ~latency:0.],
-    in which case sharding is unsafe and the engine falls back to one
-    shard. *)
-
 val of_matrix : Simtime.t array array -> t
 (** Explicit matrix; must be square and non-negative, and is
     symmetrized by taking the max of the two directions. *)

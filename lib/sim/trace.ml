@@ -2,20 +2,13 @@ type level = Notice | Info | Warn
 
 type record = { time : Simtime.t; node : int option; level : level; text : string }
 
-(* One list per engine shard (lane), each newest-first, so domains
-   never contend on a shared cons cell.  [records] merges lanes with a
-   stable sort on (time, node): a node only ever logs from its own
-   shard, so records sharing a (time, node) key sit in one lane and
-   stability preserves their emission order — the merged view is
-   identical whatever the shard count, including 1. *)
-type t = { lanes : record list array }
+(* Newest first; [records] restores emission order and then sorts. *)
+type t = { mutable records : record list }
 
-let create ?(lanes = 1) () = { lanes = Array.make (max 1 lanes) [] }
+let create () = { records = [] }
 
 let log t ~time ?node level text =
-  let d = Domain_ctx.current () in
-  let d = if d < Array.length t.lanes then d else 0 in
-  t.lanes.(d) <- { time; node; level; text } :: t.lanes.(d)
+  t.records <- { time; node; level; text } :: t.records
 
 let logf t ~time ?node level fmt =
   Format.kasprintf (fun text -> log t ~time ?node level text) fmt
@@ -23,15 +16,12 @@ let logf t ~time ?node level fmt =
 let node_key r = match r.node with None -> -1 | Some id -> id
 
 let records t =
-  (* [rev_append lane acc] un-reverses the newest-first lane, so [all]
-     is lane 0 oldest-first, then lane 1, ... *)
-  let all = Array.fold_right (fun lane acc -> List.rev_append lane acc) t.lanes [] in
   List.stable_sort
     (fun a b ->
       match Float.compare a.time b.time with
       | 0 -> Int.compare (node_key a) (node_key b)
       | c -> c)
-    all
+    (List.rev t.records)
 
 let for_node t node =
   List.filter (fun r -> r.node = Some node) (records t)
@@ -41,46 +31,9 @@ let level_string = function Notice -> "notice" | Info -> "info" | Warn -> "warn"
 let render r =
   Format.asprintf "%a [%s] %s" Simtime.pp_tor_log r.time (level_string r.level) r.text
 
-(* Streaming merge over the lanes, yielding exactly the order of
-   [records] without materializing the merged list.  A lane is sorted
-   by time (each shard's clock is monotone) but not by node within one
-   instant, so a plain head-comparison k-way merge would not reproduce
-   the stable (time, node) sort.  Instead: take the smallest head time
-   across lanes, collect every lane's contiguous run at that instant
-   (in lane order — exactly their order in the concatenated input),
-   stable-sort that one group by node, emit.  Memory is bounded by the
-   largest single-instant group, not the trace. *)
 let iter ?node t f =
-  let lanes = Array.map (fun l -> Array.of_list (List.rev l)) t.lanes in
-  let k = Array.length lanes in
-  let pos = Array.make k 0 in
   let wanted r = match node with None -> true | Some id -> r.node = Some id in
-  let rec next () =
-    let tmin = ref Float.infinity and any = ref false in
-    for l = 0 to k - 1 do
-      if pos.(l) < Array.length lanes.(l) then begin
-        any := true;
-        let at = lanes.(l).(pos.(l)).time in
-        if at < !tmin then tmin := at
-      end
-    done;
-    if !any then begin
-      let group = ref [] in
-      for l = 0 to k - 1 do
-        let lane = lanes.(l) in
-        let len = Array.length lane in
-        while pos.(l) < len && Float.equal lane.(pos.(l)).time !tmin do
-          group := lane.(pos.(l)) :: !group;
-          pos.(l) <- pos.(l) + 1
-        done
-      done;
-      List.rev !group
-      |> List.stable_sort (fun a b -> Int.compare (node_key a) (node_key b))
-      |> List.iter (fun r -> if wanted r then f r);
-      next ()
-    end
-  in
-  next ()
+  List.iter (fun r -> if wanted r then f r) (records t)
 
 let dump ?node t =
   let buf = Buffer.create 256 in
@@ -89,4 +42,4 @@ let dump ?node t =
       Buffer.add_string buf (render r));
   Buffer.contents buf
 
-let clear t = Array.fill t.lanes 0 (Array.length t.lanes) []
+let clear t = t.records <- []

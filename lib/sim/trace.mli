@@ -15,10 +15,7 @@ type record = {
 
 type t
 
-val create : ?lanes:int -> unit -> t
-(** [create ~lanes:s ()] sizes the trace for an [s]-shard engine: each
-    domain appends to its own lane (routed by {!Domain_ctx}), so
-    logging never contends across domains.  Default one lane. *)
+val create : unit -> t
 
 val log : t -> time:Simtime.t -> ?node:int -> level -> string -> unit
 
@@ -26,10 +23,8 @@ val logf :
   t -> time:Simtime.t -> ?node:int -> level -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 val records : t -> record list
-(** All records, merged across lanes by a stable (time, node) sort.
-    Since a node logs only from its own shard, records with equal
-    (time, node) keep their emission order, and the merged view is
-    identical at every shard count. *)
+(** All records, by a stable (time, node) sort: records with equal
+    (time, node) keep their emission order. *)
 
 val for_node : t -> int -> record list
 (** Records emitted by one node, oldest first. *)
@@ -39,9 +34,7 @@ val render : record -> string
 
 val iter : ?node:int -> t -> (record -> unit) -> unit
 (** Visit records in exactly the order of {!records} (optionally one
-    node's), as a streaming merge over the lanes — no merged list is
-    materialized; memory is bounded by the records of one sim instant,
-    not the run.  [dump] and [torda-sim log] are built on it. *)
+    node's).  [dump] and [torda-sim log] are built on it. *)
 
 val dump : ?node:int -> t -> string
 (** All (or one node's) records rendered, newline-separated. *)

@@ -376,6 +376,25 @@ let test_cost_rows_exact () =
   Alcotest.(check (float 1e-9)) "per run" 0.0740 (get "cost to break one run ($)");
   Alcotest.(check (float 1e-9)) "per month" 53.28 (get "cost per month ($)")
 
+(* Golden Figure 11: 8k relays, five authorities knocked offline for
+   the first 300 s.  The lock-step baselines fail and fall back to the
+   next scheduled run (2100 s); ours recovers at ~302.7 s.  Compared in
+   hex so a last-bit move of the simulated latency fails the test. *)
+let test_fig11_golden () =
+  let rows = Torpartial.Experiments.fig11 () in
+  let render (r : Torpartial.Experiments.fig11_row) =
+    ( Torpartial.Experiments.protocol_name r.protocol,
+      Option.fold ~none:"none" ~some:(Printf.sprintf "%h") r.total_latency )
+  in
+  Alcotest.(check (list (pair string string)))
+    "fig11 rows"
+    [
+      ("current", Printf.sprintf "%h" 2100.);
+      ("synchronous", Printf.sprintf "%h" 2100.);
+      ("ours", "0x1.2ea94558c6f5p+8");
+    ]
+    (List.map render rows)
+
 let test_table2_structure () =
   let rows, measured = Torpartial.Experiments.table2 () in
   checki "three sub-protocols" 3 (List.length rows);
@@ -643,6 +662,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_definition_5_1;
     ("experiments: exact cost figures", `Quick, test_cost_rows_exact);
     ("experiments: table 2 rounds", `Quick, test_table2_structure);
+    ("experiments: figure 11 golden", `Quick, test_fig11_golden);
     ("outage: current goes dark at hour 3", `Slow, test_outage_current_goes_dark);
     ("outage: ours stays up", `Slow, test_outage_ours_stays_up);
     ("outage: no-attack baseline", `Slow, test_outage_no_attack_baseline);

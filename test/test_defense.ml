@@ -1,7 +1,7 @@
 (* Defense toolbox: token-bucket admission boundaries, the rotation
    schedule, plan canonicalization and digest participation, and the
    end-to-end invariants — defense-off runs identical to undefended
-   runs, defended runs bit-identical across shard counts and across
+   runs, defended runs bit-identical across worker counts and across
    arena reuse. *)
 
 open Tor_sim
@@ -223,17 +223,17 @@ let test_stats_rejected_counters () =
   Alcotest.(check int) "rejected at node 1" 2 (Stats.rejected_at s 1);
   Alcotest.(check int) "rejected by label" 2 (Stats.label_rejected s "vote");
   Alcotest.(check int) "dropped untouched" 0 (Stats.dropped s);
-  (* merge_into folds rejects like drops. *)
-  let dst = Stats.create ~n:3 in
-  ignore (Stats.intern dst "vote");
-  Stats.merge_into ~into:dst s;
-  Alcotest.(check int) "merged total" 3 (Stats.rejected dst);
-  Alcotest.(check int) "merged node" 2 (Stats.rejected_at dst 1);
-  Alcotest.(check int) "merged label" 2 (Stats.label_rejected dst "vote");
+  (* A copy keeps the rejects through a reset of the original. *)
+  let snap = Stats.copy s in
   Stats.reset s;
   Alcotest.(check int) "reset total" 0 (Stats.rejected s);
   Alcotest.(check int) "reset node" 0 (Stats.rejected_at s 1);
-  Alcotest.(check int) "reset label" 0 (Stats.label_rejected s "vote")
+  Alcotest.(check int) "reset label" 0 (Stats.label_rejected s "vote");
+  Alcotest.(check int) "copied total" 3 (Stats.rejected snap);
+  Alcotest.(check int) "copied node" 2 (Stats.rejected_at snap 1);
+  Alcotest.(check int) "copied label" 2 (Stats.label_rejected snap "vote");
+  Alcotest.(check (list (pair string int))) "copied rejected labels"
+    [ ("vote", 2) ] (Stats.rejected_labels snap)
 
 (* --- End-to-end invariants ------------------------------------------------ *)
 
@@ -286,20 +286,23 @@ let test_defended_run_rejects () =
   let undefended = E.run E.Current (R.of_spec base_spec) in
   Alcotest.(check int) "undefended run rejects nothing" 0 undefended.R.rejected
 
-let test_defended_sharding_invariant () =
-  let spec = { base_spec with R.Spec.defense = Some tight_defense } in
+let test_defended_jobs_invariant () =
+  (* A defended campaign gives the same runs on one worker as on two:
+     chunking changes which arena each plan lands on and what ran on it
+     before, never the result. *)
+  let defended = { base_spec with R.Spec.defense = Some tight_defense } in
+  let plans =
+    List.map
+      (fun attacks -> Exec.Campaign.plan_of_spec { defended with R.Spec.attacks })
+      [ []; Attack.Ddos.knockout ~n:9 (); Attack.Ddos.bandwidth_attack ~n:9 () ]
+  in
   List.iter
     (fun protocol ->
-      let one = summary (E.run protocol (R.of_spec { spec with R.Spec.shards = 1 })) in
-      List.iter
-        (fun shards ->
-          let got =
-            summary (E.run protocol (R.of_spec { spec with R.Spec.shards }))
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "defended: %d shards == 1 shard" shards)
-            true (got = one))
-        [ 2; 4 ])
+      let eval ctx plan = summary (E.run protocol (Exec.Campaign.env_of ctx plan)) in
+      let one = Exec.Campaign.map ~jobs:1 ~base:defended eval plans in
+      let two = Exec.Campaign.map ~jobs:2 ~base:defended eval plans in
+      Alcotest.(check int) "one result per plan" (List.length plans) (List.length one);
+      Alcotest.(check bool) "defended: jobs=2 == jobs=1" true (two = one))
     [ E.Current; E.Ours ]
 
 let test_defended_arena_reuse () =
@@ -336,6 +339,7 @@ let suite =
     ("stats: rejected counters", `Quick, test_stats_rejected_counters);
     ("e2e: empty plan == no plan", `Quick, test_defense_off_identical);
     ("e2e: defended run rejects, undefended does not", `Quick, test_defended_run_rejects);
-    ("e2e: defended run bit-identical across shards", `Quick, test_defended_sharding_invariant);
+    ("e2e: defended run bit-identical across worker counts", `Quick,
+      test_defended_jobs_invariant);
     ("e2e: defended arena reuse bit-identical", `Quick, test_defended_arena_reuse);
   ]

@@ -1,7 +1,8 @@
 (* Tests for the parallel sweep engine: Spec digest stability, the
    bounded-queue domain pool, the domain-safe result cache, sweep
-   compilation, and jobs=1 vs jobs=4 determinism over a Figure 10
-   sub-grid. *)
+   compilation, jobs=1 vs jobs=4 determinism over a Figure 10
+   sub-grid, and campaign arenas whose reuse is bit-identical to fresh
+   construction. *)
 
 module R = Protocols.Runenv
 module E = Torpartial.Experiments
@@ -22,7 +23,6 @@ let test_spec_digest_stability () =
       { R.Spec.default with R.Spec.n_relays = 1001 };
       { R.Spec.default with R.Spec.bandwidth_bits_per_sec = 10e6 };
       { R.Spec.default with R.Spec.horizon = 3600. };
-      { R.Spec.default with R.Spec.shards = 4 };
       { R.Spec.default with R.Spec.attacks = Attack.Ddos.knockout ~n:9 () };
       { R.Spec.default with R.Spec.behaviors = Some (Array.make 9 R.Silent) };
       {
@@ -84,64 +84,6 @@ let test_spec_digest_stability () =
   let digests = List.map R.Spec.digest variants in
   checki "variant digests all distinct" (List.length digests)
     (List.length (List.sort_uniq compare digests))
-
-let test_spec_prefix_digest () =
-  (* The campaign fast path: [canonical_with]/[digest_with] over a
-     precomputed prefix must be byte-identical to serializing the
-     assembled spec from scratch, for every shape of the three
-     variable fields. *)
-  let base =
-    {
-      R.Spec.default with
-      R.Spec.seed = "prefix-test";
-      n_relays = 123;
-      bandwidth_bits_per_sec = 10e6;
-      horizon = 3600.;
-      shards = 4;
-    }
-  in
-  let p = R.Spec.prefix base in
-  let behaviors =
-    let b = Array.make 9 R.Honest in
-    b.(2) <- R.Silent;
-    b.(5) <- R.Crashed { start = 10.; stop = 60. };
-    b
-  in
-  let fault_plan =
-    Some
-      {
-        Tor_sim.Fault.seed = "prefix";
-        faults =
-          [
-            {
-              Tor_sim.Fault.kind = Tor_sim.Fault.Drop { src = 0; dst = 1; prob = 0.5 };
-              start = 0.;
-              stop = 60.;
-            };
-          ];
-      }
-  in
-  let cases =
-    [
-      ([], None, None);
-      (Attack.Ddos.knockout ~n:9 (), None, None);
-      ([], Some behaviors, None);
-      ([], None, fault_plan);
-      (Attack.Ddos.bandwidth_attack ~n:9 (), Some behaviors, fault_plan);
-    ]
-  in
-  List.iteri
-    (fun i (attacks, behaviors, fault_plan) ->
-      let spec = { base with R.Spec.attacks; behaviors; fault_plan } in
-      Alcotest.(check string)
-        (Printf.sprintf "case %d: canonical_with matches canonical" i)
-        (R.Spec.canonical spec)
-        (R.Spec.canonical_with p ~attacks ~behaviors ~fault_plan);
-      Alcotest.(check string)
-        (Printf.sprintf "case %d: digest_with matches digest" i)
-        (R.Spec.digest spec)
-        (R.Spec.digest_with p ~attacks ~behaviors ~fault_plan))
-    cases
 
 let test_spec_rng_deterministic () =
   let a = R.Spec.rng R.Spec.default in
@@ -354,6 +296,133 @@ let test_campaign_map_determinism () =
   checki "one result per plan" (List.length plans) (List.length seq);
   checkb "jobs=1 and jobs=3 identical" true (seq = par)
 
+(* --- Arena reuse is bit-identical --------------------------------------------- *)
+
+(* Everything observable about a run: the verdicts, traffic totals,
+   per-label accounting, each authority's document digest / signature
+   count / decision times, and the full trace.  Structural equality on
+   [report] itself would compare hash tables, so flatten to a canonical
+   summary first. *)
+let summary (r : R.report) =
+  let auth (a : R.authority_result) =
+    ( (match a.R.consensus with
+      | Some c -> Crypto.Digest32.hex (Dirdoc.Consensus.digest c)
+      | None -> "none"),
+      a.R.signatures,
+      a.R.decided_at,
+      a.R.network_time )
+  in
+  let stats = r.R.result.R.stats in
+  ( ( r.R.protocol,
+      r.R.success,
+      r.R.agreement,
+      r.R.success_latency,
+      r.R.decided_at_latest ),
+    ( r.R.total_bytes,
+      r.R.dropped,
+      Tor_sim.Stats.labels stats,
+      Tor_sim.Stats.dropped_labels stats ),
+    Array.to_list (Array.map auth r.R.result.R.per_authority),
+    List.map Tor_sim.Trace.render (Tor_sim.Trace.records r.R.result.R.trace) )
+
+let e2e_spec = { R.Spec.default with R.Spec.n_relays = 400; horizon = 600. }
+
+let flood_spec =
+  { e2e_spec with R.Spec.attacks = Attack.Ddos.bandwidth_attack ~n:9 () }
+
+(* Running a plan on a reused (reset) simulator arena must produce
+   exactly the report a fresh construction produces.  [warmup] runs a
+   *different* plan through the context first, so the arena is
+   genuinely dirty — stale heap payloads, interned labels, NIC
+   schedules — when the plan under test acquires it. *)
+let fresh_vs_reused ~name protocol specs =
+  let ctx = Exec.Campaign.create e2e_spec in
+  let warmup =
+    Exec.Campaign.plan_of_spec
+      { e2e_spec with R.Spec.attacks = Attack.Ddos.knockout ~n:9 () }
+  in
+  ignore (E.run protocol (Exec.Campaign.env_of ctx warmup) : R.report);
+  List.iteri
+    (fun i spec ->
+      let fresh = summary (E.run protocol (R.of_spec spec)) in
+      let reused =
+        summary
+          (E.run protocol (Exec.Campaign.env_of ctx (Exec.Campaign.plan_of_spec spec)))
+      in
+      checkb (Printf.sprintf "%s plan %d: reused arena == fresh" name i) true
+        (reused = fresh))
+    specs
+
+let test_arena_reuse_ours () = fresh_vs_reused ~name:"ours" E.Ours [ e2e_spec; flood_spec ]
+
+let test_arena_reuse_current () =
+  fresh_vs_reused ~name:"current" E.Current [ e2e_spec; flood_spec ]
+
+let test_arena_reuse_sync () =
+  fresh_vs_reused ~name:"synchronous" E.Synchronous [ e2e_spec; flood_spec ]
+
+let test_arena_reuse_chaos () =
+  (* 20 seeded chaos plans — faults, partitions, crash windows,
+     misbehaving authorities — streamed through ONE context, each
+     compared against its own fresh run. *)
+  let config =
+    { Exec.Chaos.default_config with Exec.Chaos.n_relays = 120; horizon = 900. }
+  in
+  let ctx = Exec.Campaign.create (Exec.Chaos.base_spec config) in
+  for index = 0 to 19 do
+    let spec = Exec.Chaos.sample_spec config ~index in
+    let fresh = summary (E.run E.Ours (R.of_spec spec)) in
+    let reused =
+      summary (E.run E.Ours (Exec.Campaign.env_of ctx (Exec.Campaign.plan_of_spec spec)))
+    in
+    checkb (Printf.sprintf "chaos plan %d: reused arena == fresh" index) true
+      (reused = fresh)
+  done
+
+let test_arena_reset_after_exception () =
+  (* A run that dies mid-simulation leaves the arena dirty at an
+     arbitrary point; reset-on-acquire must still hand back a simulator
+     that reproduces the fresh result. *)
+  let env = { (R.of_spec e2e_spec) with R.arena = Some (R.Arena.create ()) } in
+  let module S = R.Simulator (struct
+    type msg = unit
+  end) in
+  let engine, _net = S.obtain ~driver:"test-exn" env in
+  ignore
+    (Tor_sim.Engine.schedule engine ~owner:0 ~at:1.0 (fun () -> failwith "mid-run"));
+  Alcotest.check_raises "simulated failure propagates" (Failure "mid-run") (fun () ->
+      Tor_sim.Engine.run engine);
+  (* Same slot, acquired again: reset on acquisition, fully reusable. *)
+  let engine2, net2 = S.obtain ~driver:"test-exn" env in
+  checki "queue empty after reset" 0 (Tor_sim.Engine.pending engine2);
+  let delivered = ref 0 in
+  Tor_sim.Net.set_handler net2 (fun ~dst:_ ~src:_ () -> incr delivered);
+  Tor_sim.Net.send net2 ~src:0 ~dst:1 ~size:100 ();
+  Tor_sim.Engine.run engine2;
+  checki "reused simulator delivers" 1 !delivered;
+  (* And a full protocol run through the same dirtied arena still
+     matches fresh. *)
+  let fresh = summary (E.run E.Ours (R.of_spec e2e_spec)) in
+  let reused = summary (E.run E.Ours env) in
+  checkb "protocol run after exception == fresh" true (reused = fresh)
+
+let test_arena_obs_reset () =
+  (* Telemetry accumulated by one run must not leak into the next
+     run's histograms/spans through the reused network and engine. *)
+  let ctx = Exec.Campaign.create e2e_spec in
+  let plan = Exec.Campaign.plan_of_spec e2e_spec in
+  let fresh = E.run E.Ours { (R.of_spec e2e_spec) with R.telemetry = true } in
+  let first = E.run E.Ours (Exec.Campaign.env_of ~telemetry:true ctx plan) in
+  let second = E.run E.Ours (Exec.Campaign.env_of ~telemetry:true ctx plan) in
+  let counts r =
+    ( Option.map Obs.Metrics.count (R.time_to_decision r),
+      Option.map Obs.Metrics.count (R.delivery_latency r "proposal"),
+      Option.map (fun (o : R.obs) -> List.length o.R.spans) (R.report_obs r) )
+  in
+  checkb "first reused telemetry == fresh" true (counts first = counts fresh);
+  checkb "second reused telemetry == fresh (no accumulation)" true
+    (counts second = counts fresh)
+
 (* --- Chaos ------------------------------------------------------------------ *)
 
 let chaos_config =
@@ -396,9 +465,14 @@ let suite =
     ("cache: computes once under contention", `Quick, test_cache_computes_once);
     ("cache: exceptions not cached", `Quick, test_cache_exception_not_cached);
     ("cache: capacity bound evicts FIFO", `Quick, test_cache_eviction);
-    ("spec: prefix digest fast path", `Quick, test_spec_prefix_digest);
     ("campaign: plan/spec roundtrip and digests", `Quick, test_campaign_plan_roundtrip);
     ("campaign: map independent of jobs", `Slow, test_campaign_map_determinism);
+    ("arena reuse bit-identical (ours)", `Quick, test_arena_reuse_ours);
+    ("arena reuse bit-identical (current)", `Quick, test_arena_reuse_current);
+    ("arena reuse bit-identical (synchronous)", `Quick, test_arena_reuse_sync);
+    ("arena reuse across chaos plans", `Slow, test_arena_reuse_chaos);
+    ("arena reusable after mid-run exception", `Quick, test_arena_reset_after_exception);
+    ("arena telemetry does not accumulate", `Quick, test_arena_obs_reset);
     ("sweep: compiles the grid", `Quick, test_sweep_compiles_grid);
     ("sweep: fig10 sub-grid determinism jobs=1 vs jobs=4", `Slow,
       test_fig10_subgrid_determinism);

@@ -10,7 +10,6 @@ let () =
       ("core", Test_core.suite);
       ("exec", Test_exec.suite);
       ("defense", Test_defense.suite);
-      ("shards", Test_shards.suite);
       ("obs", Test_obs.suite);
       ("client", Test_client.suite);
       ("attack", Test_attack.suite);

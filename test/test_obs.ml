@@ -1,8 +1,8 @@
-(* Telemetry: histogram bucketing/merging, the metrics registry, the
-   Chrome trace-event export, streaming log iteration, and the headline
-   invariant — with telemetry on, the histograms, phase spans, and
-   nic-backlog probes of a sharded run are bit-identical to the
-   single-domain run (mirroring test_shards for the base results). *)
+(* Telemetry: histogram bucketing/merging, the network's by-label
+   registry snapshot, the Chrome trace-event export, log iteration,
+   and end-to-end telemetry — every protocol's
+   run records spans, probes and delivery histograms, and a rerun
+   reproduces them bit for bit. *)
 
 module R = Protocols.Runenv
 module E = Torpartial.Experiments
@@ -42,7 +42,7 @@ let test_histogram_basics () =
 let test_histogram_merge_overlapping () =
   (* Two histograms with overlapping buckets must merge to exactly the
      histogram a single instance would have recorded for the union —
-     the property the per-shard latency tables rely on. *)
+     the property the per-destination latency tables rely on. *)
   let values_a = [ 0.001; 0.010; 0.010; 0.500; 3.0 ] in
   let values_b = [ 0.010; 0.020; 0.500; 0.500; 100.0 ] in
   let a = M.histogram_create () and b = M.histogram_create () in
@@ -61,42 +61,71 @@ let test_histogram_merge_overlapping () =
   Alcotest.(check string) "merge commutes" (M.render m) (M.render m')
 
 let test_registry_merge () =
-  let a = M.create () and b = M.create () in
-  M.add (M.counter a "msgs") 3;
-  M.add (M.counter b "msgs") 4;
-  M.incr (M.counter b "only-b");
-  M.set_gauge (M.gauge a "depth") 5.;
-  M.set_gauge (M.gauge b "depth") 2.;
-  M.observe (M.histogram a "lat") 0.01;
-  M.observe (M.histogram b "lat") 0.02;
-  let into = M.create () in
-  M.merge_into ~into a;
-  M.merge_into ~into b;
-  Alcotest.(check (list (pair string int))) "counters add, by name"
-    [ ("msgs", 7); ("only-b", 1) ]
-    (M.counters into);
-  Alcotest.(check (list (pair string (float 0.)))) "gauges keep max"
-    [ ("depth", 5.) ]
-    (M.gauges into);
-  (match M.find_histogram into "lat" with
-  | None -> Alcotest.fail "merged histogram missing"
-  | Some h ->
-      Alcotest.(check int) "histogram observations" 2 (M.count h);
-      Alcotest.(check (float 1e-9)) "histogram sum" 0.03 (M.sum h));
-  Alcotest.(check bool) "unknown name" true (M.find_histogram into "nope" = None)
+  (* The network keeps one delivery histogram per (destination, label)
+     and its registry snapshot merges them by label name, destinations
+     in node order: the same histograms, bit for bit, as merging the
+     per-destination recordings by hand. *)
+  let module S = Tor_sim in
+  let engine = S.Engine.create () in
+  let topology = S.Topology.uniform ~n:3 ~latency:0.01 in
+  let net = S.Net.create ~engine ~topology ~bits_per_sec:1e6 () in
+  let vote = S.Net.intern net "vote" and sig_ = S.Net.intern net "sig" in
+  ignore (S.Net.intern net "idle" : S.Stats.label);
+  S.Net.enable_obs net;
+  let by_hand = Hashtbl.create 8 in
+  let recorded ~dst label =
+    match Hashtbl.find_opt by_hand (dst, label) with
+    | Some h -> h
+    | None ->
+        let h = M.histogram_create () in
+        Hashtbl.replace by_hand (dst, label) h;
+        h
+  in
+  (* Every message is sent at time 0, so its delivery latency is the
+     delivery instant. *)
+  S.Net.set_handler net (fun ~dst ~src:_ label ->
+      if label <> "unlabelled" then
+        M.observe (recorded ~dst label) (S.Engine.now engine));
+  S.Net.broadcast net ~src:0 ~size:1_000 ~label:vote "vote";
+  S.Net.broadcast net ~src:1 ~size:3_000 ~label:vote "vote";
+  S.Net.send net ~src:2 ~dst:0 ~size:500 ~label:sig_ "sig";
+  S.Net.send net ~src:1 ~dst:0 ~size:700 ~label:sig_ "sig";
+  S.Net.send net ~src:0 ~dst:2 ~size:900 "unlabelled";
+  S.Engine.run engine;
+  let expected label =
+    let h = M.histogram_create () in
+    for dst = 0 to 2 do
+      Option.iter (M.merge_histogram ~into:h) (Hashtbl.find_opt by_hand (dst, label))
+    done;
+    M.render h
+  in
+  let reg = S.Net.obs_metrics net in
+  Alcotest.(check (list string)) "one histogram per interned label"
+    [ "delivery-latency/idle"; "delivery-latency/sig"; "delivery-latency/vote" ]
+    (List.map fst (M.histograms reg));
+  List.iter
+    (fun (label, deliveries) ->
+      match M.find_histogram reg ("delivery-latency/" ^ label) with
+      | None -> Alcotest.fail ("missing histogram for " ^ label)
+      | Some h ->
+          Alcotest.(check int) (label ^ ": deliveries") deliveries (M.count h);
+          Alcotest.(check string) (label ^ ": merged by name, in node order")
+            (expected label) (M.render h))
+    [ ("vote", 4); ("sig", 2); ("idle", 0) ];
+  Alcotest.(check bool) "unknown name" true
+    (M.find_histogram reg "delivery-latency/nope" = None)
 
 (* --- trace-event export -------------------------------------------------- *)
 
 let test_trace_event_json () =
-  let events = Obs.Events.create ~lanes:2 () in
-  Obs.Events.span events ~lane:1 ~node:1 ~phase:"agreement" ~start:0.5 ~stop:2.5
+  let events = Obs.Events.create () in
+  Obs.Events.span events ~node:1 ~phase:"agreement" ~start:0.5 ~stop:2.5
     ~complete:true;
-  Obs.Events.span events ~lane:0 ~node:0 ~phase:"dissemination" ~start:0.
-    ~stop:1.5 ~complete:false;
-  Obs.Events.sample events ~lane:0 ~node:0 ~track:"nic-backlog" ~time:1.0
-    ~value:0.25;
+  Obs.Events.span events ~node:0 ~phase:"dissemination" ~start:0. ~stop:1.5
+    ~complete:false;
+  Obs.Events.sample events ~node:0 ~track:"nic-backlog" ~time:1.0 ~value:0.25;
   let spans = Obs.Events.spans events in
-  (* Merged accessor sorts on every field: lane placement is invisible. *)
+  (* The accessor sorts on every field, not by recording order. *)
   Alcotest.(check int) "both spans" 2 (List.length spans);
   Alcotest.(check string) "sorted by start" "dissemination"
     (List.hd spans).Obs.Events.phase;
@@ -120,40 +149,18 @@ let test_trace_event_json () =
   Alcotest.(check bool) "incomplete span flagged" true
     (contains "\"complete\": false")
 
-(* --- profiler ------------------------------------------------------------ *)
-
-let test_profiler_accumulates () =
-  let p = Obs.Profiler.create ~shards:2 in
-  Obs.Profiler.add_busy p 0 0.5;
-  Obs.Profiler.add_busy p 0 0.25;
-  Obs.Profiler.add_wait p 1 0.125;
-  Obs.Profiler.add_events p 0 10;
-  Obs.Profiler.incr_rounds p 0;
-  Obs.Profiler.incr_rounds p 0;
-  match Obs.Profiler.report p with
-  | [ s0; s1 ] ->
-      Alcotest.(check (float 1e-9)) "busy sums" 0.75 s0.Obs.Profiler.busy_s;
-      Alcotest.(check (float 1e-9)) "wait sums" 0.125 s1.Obs.Profiler.wait_s;
-      Alcotest.(check int) "events" 10 s0.Obs.Profiler.events;
-      Alcotest.(check int) "rounds" 2 s0.Obs.Profiler.rounds;
-      Alcotest.(check int) "shard ids" 1 s1.Obs.Profiler.shard
-  | l -> Alcotest.failf "expected 2 shard entries, got %d" (List.length l)
-
-(* --- streaming log iteration --------------------------------------------- *)
+(* --- log iteration --------------------------------------------------------- *)
 
 let test_trace_iter_matches_records () =
-  let t = Tor_sim.Trace.create ~lanes:3 () in
-  (* Interleave lanes with colliding times so the merge has real ties
-     to break. *)
+  let t = Tor_sim.Trace.create () in
+  (* Six records per instant, nodes out of order and one node twice, so
+     the (time, node) sort has real ties to break. *)
   for i = 0 to 29 do
-    let lane = i mod 3 in
-    Tor_sim.Domain_ctx.set lane;
     Tor_sim.Trace.log t
       ~time:(float_of_int (i / 6))
-      ~node:(i mod 5) Tor_sim.Trace.Notice
+      ~node:(7 * i mod 5) Tor_sim.Trace.Notice
       (Printf.sprintf "record %d" i)
   done;
-  Tor_sim.Domain_ctx.set 0;
   let via_iter = ref [] in
   Tor_sim.Trace.iter t (fun r -> via_iter := r :: !via_iter);
   Alcotest.(check (list string)) "iter order == records order"
@@ -173,28 +180,23 @@ let test_trace_iter_matches_records () =
 
 let obs_spec = { R.Spec.default with R.Spec.n_relays = 400; horizon = 600. }
 
-let run_obs spec protocol shards =
-  let env = R.of_spec { spec with R.Spec.shards } in
-  let env = { env with R.telemetry = true } in
+let run_obs spec protocol =
+  let env = { (R.of_spec spec) with R.telemetry = true } in
   let report = E.run protocol env in
   match R.report_obs report with
   | Some o -> (report, o)
   | None -> Alcotest.fail "telemetry on but no obs in the result"
 
-(* Everything deterministic about a run's telemetry: histograms in
-   canonical text form, every span field, and the nic-backlog probe
-   stream.  Queue-depth samples are per-shard by construction and the
-   profile is wall-clock, so both stay out of the determinism check. *)
+(* Everything a run's telemetry records: histograms in canonical text
+   form, every span field, and every probe sample. *)
 let obs_summary (o : R.obs) =
   ( List.map (fun (name, h) -> (name, M.render h)) (M.histograms o.R.metrics),
     o.R.spans,
-    List.filter
-      (fun (s : Obs.Events.sample) -> s.Obs.Events.track = "nic-backlog")
-      o.R.samples )
+    o.R.samples )
 
-let check_obs_shard_counts ~name spec protocol counts =
-  let _, base_obs = run_obs spec protocol 1 in
-  let base = obs_summary base_obs in
+let check_obs ~name spec protocol =
+  let _, first = run_obs spec protocol in
+  let base = obs_summary first in
   let hists, spans, samples = base in
   Alcotest.(check bool) (name ^ ": has spans") true (spans <> []);
   Alcotest.(check bool) (name ^ ": has probes") true (samples <> []);
@@ -204,26 +206,16 @@ let check_obs_shard_counts ~name spec protocol counts =
     (List.exists
        (fun (n, _) -> String.length n > 17 && String.sub n 0 17 = "delivery-latency/")
        hists);
-  List.iter
-    (fun s ->
-      let _, got = run_obs spec protocol s in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: telemetry at %d shards == 1 shard" name s)
-        true
-        (obs_summary got = base))
-    counts
+  let _, again = run_obs spec protocol in
+  Alcotest.(check bool) (name ^ ": rerun reproduces telemetry") true
+    (obs_summary again = base)
 
-let test_obs_sharded_ours () =
-  check_obs_shard_counts ~name:"ours" obs_spec E.Ours [ 2; 4; 8 ]
-
-let test_obs_sharded_current () =
-  check_obs_shard_counts ~name:"current" obs_spec E.Current [ 2; 4 ]
-
-let test_obs_sharded_sync () =
-  check_obs_shard_counts ~name:"synchronous" obs_spec E.Synchronous [ 2; 4 ]
+let test_obs_ours () = check_obs ~name:"ours" obs_spec E.Ours
+let test_obs_current () = check_obs ~name:"current" obs_spec E.Current
+let test_obs_sync () = check_obs ~name:"synchronous" obs_spec E.Synchronous
 
 let test_report_accessors () =
-  let report, o = run_obs obs_spec E.Ours 1 in
+  let report, o = run_obs obs_spec E.Ours in
   (* Every decided authority contributes one time-to-decision
      observation. *)
   let decided =
@@ -283,32 +275,16 @@ let test_stalled_phase () =
   Alcotest.(check bool) "healthy run: no stalled phase" true
     (R.stalled_phase healthy_env healthy = None)
 
-let test_engine_profile_shape () =
-  let _, o = run_obs obs_spec E.Ours 2 in
-  Alcotest.(check int) "one entry per shard" 2 (List.length o.R.profile);
-  List.iteri
-    (fun i (s : Obs.Profiler.shard) ->
-      Alcotest.(check int) "shard order" i s.Obs.Profiler.shard;
-      Alcotest.(check bool) "ran rounds" true (s.Obs.Profiler.rounds > 0);
-      Alcotest.(check bool) "nonnegative busy" true (s.Obs.Profiler.busy_s >= 0.);
-      Alcotest.(check bool) "nonnegative wait" true (s.Obs.Profiler.wait_s >= 0.))
-    o.R.profile;
-  Alcotest.(check bool) "shards dispatched events" true
-    (List.for_all (fun (s : Obs.Profiler.shard) -> s.Obs.Profiler.events > 0)
-       o.R.profile)
-
 let suite =
   [
     ("histogram: bucketing and percentiles", `Quick, test_histogram_basics);
     ("histogram: overlapping merge", `Quick, test_histogram_merge_overlapping);
     ("registry: merge by name", `Quick, test_registry_merge);
     ("trace-event: JSON export", `Quick, test_trace_event_json);
-    ("profiler: accumulation", `Quick, test_profiler_accumulates);
     ("trace: iter matches records", `Quick, test_trace_iter_matches_records);
-    ("telemetry bit-identical (ours)", `Quick, test_obs_sharded_ours);
-    ("telemetry bit-identical (current)", `Quick, test_obs_sharded_current);
-    ("telemetry bit-identical (synchronous)", `Quick, test_obs_sharded_sync);
+    ("telemetry bit-identical (ours)", `Quick, test_obs_ours);
+    ("telemetry bit-identical (current)", `Quick, test_obs_current);
+    ("telemetry bit-identical (synchronous)", `Quick, test_obs_sync);
     ("report: telemetry accessors", `Quick, test_report_accessors);
     ("report: stalled-phase diagnosis", `Quick, test_stalled_phase);
-    ("engine profile: per-shard shape", `Quick, test_engine_profile_shape);
   ]

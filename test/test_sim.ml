@@ -271,6 +271,37 @@ let test_engine_cancelled_advances_clock () =
   Engine.run e;
   checkf "clock reaches the cancelled event's time" 7. (Engine.now e)
 
+let test_queue_push_keyed_order () =
+  let q = Event_queue.create () in
+  (* Equal times pop in key order, independent of push order. *)
+  Event_queue.push_keyed q ~time:1. ~key:30 "c";
+  Event_queue.push_keyed q ~time:1. ~key:10 "a";
+  Event_queue.push_keyed q ~time:0.5 ~key:99 "first";
+  Event_queue.push_keyed q ~time:1. ~key:20 "b";
+  let popped = List.init 4 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  Alcotest.(check (list string)) "key order at equal times"
+    [ "first"; "a"; "b"; "c" ] popped
+
+(* Same-instant events pop in ascending (creator, per-creator counter)
+   order, where the creator is the owner of the event that scheduled
+   them — not in the order they were scheduled.  Nodes 2, 0 and 1 (in
+   that order), then an ownerless event, each schedule work for t = 5;
+   insertion order would run x, y1, y2, z, w. *)
+let test_engine_creator_tie_break () =
+  let e = Engine.create ~nodes:3 () in
+  let order = ref [] in
+  let note tag () = order := tag :: !order in
+  let at_five tags () =
+    List.iter (fun tag -> ignore (Engine.schedule e ~at:5. (note tag))) tags
+  in
+  ignore (Engine.schedule e ~owner:2 ~at:1. (at_five [ "x" ]));
+  ignore (Engine.schedule e ~owner:0 ~at:2. (at_five [ "y1"; "y2" ]));
+  ignore (Engine.schedule e ~owner:1 ~at:3. (at_five [ "z" ]));
+  ignore (Engine.schedule e ~at:4. (at_five [ "w" ]));
+  Engine.run e;
+  Alcotest.(check (list string)) "ascending (creator, counter)"
+    [ "w"; "y1"; "y2"; "z"; "x" ] (List.rev !order)
+
 let test_queue_pop_if_before () =
   let q = Event_queue.create () in
   checki "empty yields default" (-1) (Event_queue.pop_if_before q ~horizon:10. ~default:(-1));
@@ -827,6 +858,8 @@ let suite =
     ("engine pool churn stress", `Quick, test_engine_pool_stress);
     ("engine cancelled event advances clock", `Quick, test_engine_cancelled_advances_clock);
     ("event queue pop_if_before", `Quick, test_queue_pop_if_before);
+    ("event queue keyed push order", `Quick, test_queue_push_keyed_order);
+    ("engine same-instant creator tie-break", `Quick, test_engine_creator_tie_break);
     ("nic basic rate", `Quick, test_nic_basic_rate);
     ("nic zero rate forever", `Quick, test_nic_zero_rate_forever);
     ("nic stalls through offline window", `Quick, test_nic_window_stall);
