@@ -395,6 +395,232 @@ let test_fig11_golden () =
     ]
     (List.map render rows)
 
+(* --- Whole-run fingerprints ------------------------------------------------ *)
+
+(* Everything a run produces, rendered to text and hashed: per
+   authority the consensus digest, signature count and decision times
+   (%h, so a last-bit move shows); per node the traffic counters; the
+   per-label byte/drop/reject tables; the full log; and, with
+   telemetry on, every histogram, span and probe sample.  The expected
+   digests pin the drivers' observable behaviour: any change to a
+   message, a size, a deadline, a log line or the same-instant order of
+   setup events moves at least one of them. *)
+let fingerprint (r : R.run_result) =
+  let b = Buffer.create 65536 in
+  let p fmt = Printf.bprintf b fmt in
+  let opt_h = function None -> "none" | Some x -> Printf.sprintf "%h" x in
+  p "protocol %s\n" r.R.protocol;
+  Array.iteri
+    (fun i (a : R.authority_result) ->
+      p "auth %d %s sigs=%d decided=%s net=%s\n" i
+        (match a.R.consensus with
+        | Some c -> Crypto.Digest32.hex (Dirdoc.Consensus.digest c)
+        | None -> "none")
+        a.R.signatures (opt_h a.R.decided_at) (opt_h a.R.network_time))
+    r.R.per_authority;
+  let s = r.R.stats in
+  for i = 0 to Tor_sim.Stats.n s - 1 do
+    p "node %d sent=%d recv=%d msgs=%d dropped=%d rejected=%d\n" i
+      (Tor_sim.Stats.bytes_sent s i) (Tor_sim.Stats.bytes_received s i)
+      (Tor_sim.Stats.messages_sent s i) (Tor_sim.Stats.dropped_at s i)
+      (Tor_sim.Stats.rejected_at s i)
+  done;
+  let table name = List.iter (fun (l, v) -> p "%s %s=%d\n" name l v) in
+  table "label" (Tor_sim.Stats.labels s);
+  table "dropped" (Tor_sim.Stats.dropped_labels s);
+  table "rejected" (Tor_sim.Stats.rejected_labels s);
+  Buffer.add_string b (Tor_sim.Trace.dump r.R.trace);
+  (match r.R.obs with
+  | None -> p "\nobs none\n"
+  | Some o ->
+      List.iter
+        (fun (name, h) -> p "\nhist %s %s" name (Obs.Metrics.render h))
+        (Obs.Metrics.histograms o.R.metrics);
+      List.iter
+        (fun (sp : Obs.Events.span) ->
+          p "\nspan %d %s %h %h %b" sp.node sp.phase sp.start sp.stop sp.complete)
+        o.R.spans;
+      List.iter
+        (fun (sa : Obs.Events.sample) ->
+          p "\nsample %d %s %h %h" sa.node sa.track sa.time sa.value)
+        o.R.samples);
+  Crypto.Digest32.hex (Crypto.Digest32.of_string (Buffer.contents b))
+
+let fingerprint_base = { R.Spec.default with n_relays = 300; horizon = 1800. }
+
+let fingerprint_scenarios =
+  [
+    ("healthy", fingerprint_base);
+    ( "flood-3k",
+      {
+        fingerprint_base with
+        n_relays = 3000;
+        attacks = Attack.Ddos.bandwidth_attack ~n:9 ();
+      } );
+    ("knockout", { fingerprint_base with attacks = Attack.Ddos.knockout ~n:9 () });
+    ( "behaviors",
+      {
+        fingerprint_base with
+        behaviors =
+          Some
+            (behaviors_with
+               [
+                 (0, R.Equivocating);
+                 (3, R.Silent);
+                 (5, R.Crashed { start = 0.; stop = 200. });
+                 (7, R.Crashed { start = 100.; stop = 400. });
+               ]);
+      } );
+    ("defense", { fingerprint_base with defense = Some Defense.Plan.both });
+    ( "faults",
+      {
+        fingerprint_base with
+        fault_plan =
+          Some
+            {
+              Tor_sim.Fault.seed = "fingerprint";
+              faults =
+                [
+                  { kind = Tor_sim.Fault.Partition { a = 1; b = 4 }; start = 0.; stop = 900. };
+                  {
+                    kind = Tor_sim.Fault.Drop { src = Tor_sim.Fault.any; dst = 2; prob = 0.5 };
+                    start = 0.;
+                    stop = 600.;
+                  };
+                ];
+            };
+      } );
+  ]
+
+let fingerprint_protocols =
+  Torpartial.Experiments.[ Current; Synchronous; Ours ]
+
+(* (scenario, protocol, telemetry) -> SHA-256 of [fingerprint]. *)
+let expected_fingerprints =
+  [
+    ("healthy/current/plain",
+     "35f1bb4251cf8df9f9e69a7a735a39d9ea8dbfa66078c6d53675725161e46a19");
+    ("healthy/current/obs",
+     "7e45f0b5feaf64b6b4aff846d09ac6cd148e79076a161224698fe58517f5d8ea");
+    ("healthy/synchronous/plain",
+     "7b6a9f09b37507546c6ae522b2df932d38ffff4acaeb8823b26f4ce9d7967914");
+    ("healthy/synchronous/obs",
+     "7c9d0683f75acd2fa12ad457fa103f6026496527c5f97118e7357c59cfc90f30");
+    ("healthy/ours/plain",
+     "d38969eec06166feaf0a5d1932660dc6bbea2935e1c91d461087a120cada239c");
+    ("healthy/ours/obs",
+     "db437ca9a56d145422670025eec4ac702961ad89f65e95ad3881714134818a76");
+    ("flood-3k/current/plain",
+     "30e13f866c868c7176ea58114d3874bd6e825c8f6146b7026d60c528d0b5c1c1");
+    ("flood-3k/current/obs",
+     "563d61d369fce68ccdbdb953ecddf7510086492b09e6323ea076ec9141cf63ce");
+    ("flood-3k/synchronous/plain",
+     "6eed01e4570dfb0bdecbbf31e95e36166aa24ccee73d8d986286f1d106ffd883");
+    ("flood-3k/synchronous/obs",
+     "e4f5d068501b85d47693a4b741d89becf2f3f9572a28194bef196134e9c7d232");
+    ("flood-3k/ours/plain",
+     "51dc22ed31a16daa7eab160f96e8401420a3c7541c9d10f6ab360fd9ff7d9323");
+    ("flood-3k/ours/obs",
+     "2d0db6d902aeb6153f4d27f0a9ea16915b7254c5c98ca585e9781ac67b4aebdc");
+    ("knockout/current/plain",
+     "1830a8493fa03895c730bc47b22979f333724b5aa5682c8abd8116693e4690cf");
+    ("knockout/current/obs",
+     "d61b70d9680e146a173cb4727bd63f2a4bae65e209981f89c6f9eb9858cbfd56");
+    ("knockout/synchronous/plain",
+     "6b9aefabf69e414f06bf6709ed6db142db589bc6d92cf9f4cb67e72a7646c9d3");
+    ("knockout/synchronous/obs",
+     "7d14739c6234c11ba3397b1bcabe7957e47aaf1b111fd2b08c5ad216b464c347");
+    ("knockout/ours/plain",
+     "cf402a3d8974d401f3f8945d2a1c3174b674dc7a0e935ddf1715d33ad52c8ef0");
+    ("knockout/ours/obs",
+     "0303e68233a643e5f6e514b12ed5c5710e94790b6c4a8a42fbeb3ec2eb2a512b");
+    ("behaviors/current/plain",
+     "cbc06c5977781578bfc58d85df0187ad3010b872c925aa12182166226bfea5b3");
+    ("behaviors/current/obs",
+     "45ba380ba951f60ac27d53da8935e2d7c340e2ea22600ae67b5bdfe7f444eacf");
+    ("behaviors/synchronous/plain",
+     "9931d9e23b85b58e5c58de2ed50c344cb14ee6b27d97dfc31a48f9a00e666a7f");
+    ("behaviors/synchronous/obs",
+     "0bc8dde97679625f23992fb1e93e6d3e7e544bfbbc4869cfa9923299cf3091a5");
+    ("behaviors/ours/plain",
+     "026ab7d60da02264b350f03a4492574dafa09574f228729e4018de23b7d684c1");
+    ("behaviors/ours/obs",
+     "aa1b12c4a09b307cf7adc88ee8e23ebb32f0927b407eaadfd8a931b23ba47199");
+    ("defense/current/plain",
+     "cdad321c513265cf3ac382620e2944bbdd4f982772ef802ce27da72d5a5a89a6");
+    ("defense/current/obs",
+     "cba239a528ea2b0e3ac6e491e36b09a64496c3057a639c8037503a3d364c88ed");
+    ("defense/synchronous/plain",
+     "cb41bdf03e8a19357920bf34abddb08b6f2357b32fbc2ef6a7782bd437e9aaf0");
+    ("defense/synchronous/obs",
+     "c2d2587f0f66c4c9da1866147d2eba24a460d75c0361d33163625b3e64086920");
+    ("defense/ours/plain",
+     "410c69c103cd1662988ceb789f1f829579ca1d51a615520dd752fe2f60aca2f1");
+    ("defense/ours/obs",
+     "afaad2bee6f490590fc40f90f01c775858f65b35a7834258faceb3490c2bb989");
+    ("faults/current/plain",
+     "dc823606516a3549f5d0e24f96676dfc0157693e6c1782acc71a1c081b38ce9a");
+    ("faults/current/obs",
+     "24cab6bb3b9184b798e769a446d864317b8134e4912608181c6badf0984eb543");
+    ("faults/synchronous/plain",
+     "d34fa9512eb067e6f4d0bd60b47462a95ea1a9d6d4c3ae5434143729e61f9a69");
+    ("faults/synchronous/obs",
+     "53472ae98cd8248af7729653a9c89a89834fdf03cdf75d48a0b0952df806bc9f");
+    ("faults/ours/plain",
+     "c2a85f6dcf7e7fe7fefc3978eeda852da988fe4ee1c0edafdd3b1d8fe14905c7");
+    ("faults/ours/obs",
+     "1b9ba667cee51dd04524f3c6842ba773b22323bfa19e65216c4ec8c89550786c");
+  ]
+
+let fingerprint_key scenario protocol telemetry =
+  Printf.sprintf "%s/%s/%s" scenario
+    (Torpartial.Experiments.protocol_name protocol)
+    (if telemetry then "obs" else "plain")
+
+let fingerprints env_of =
+  List.concat_map
+    (fun (scenario, spec) ->
+      List.concat_map
+        (fun protocol ->
+          List.map
+            (fun telemetry ->
+              let report = Torpartial.Experiments.run protocol (env_of spec ~telemetry) in
+              ( fingerprint_key scenario protocol telemetry,
+                fingerprint report.R.result ))
+            [ false; true ])
+        fingerprint_protocols)
+    fingerprint_scenarios
+
+let test_run_fingerprints () =
+  let votes = Torpartial.Experiments.votes_for_spec in
+  let fresh spec ~telemetry =
+    { (R.of_spec ~votes:(votes spec) spec) with R.telemetry }
+  in
+  Alcotest.(check (list (pair string string)))
+    "fresh environments" expected_fingerprints (fingerprints fresh);
+  (* The same runs through campaign arenas: one context per base spec,
+     so simulators are reset and reused across scenarios, protocols and
+     the telemetry flag. *)
+  let contexts = ref [] in
+  let through_arena spec ~telemetry =
+    let plan = Exec.Campaign.plan_of_spec spec in
+    let base =
+      Exec.Campaign.spec_of ~base:spec
+        { Exec.Campaign.attacks = []; behaviors = None; fault_plan = None }
+    in
+    let ctx =
+      match List.assoc_opt base !contexts with
+      | Some ctx -> ctx
+      | None ->
+          let ctx = Exec.Campaign.create ~votes:(votes base) base in
+          contexts := (base, ctx) :: !contexts;
+          ctx
+    in
+    Exec.Campaign.env_of ~telemetry ctx plan
+  in
+  Alcotest.(check (list (pair string string)))
+    "campaign arenas" expected_fingerprints (fingerprints through_arena)
+
 let test_table2_structure () =
   let rows, measured = Torpartial.Experiments.table2 () in
   checki "three sub-protocols" 3 (List.length rows);
@@ -663,6 +889,7 @@ let suite =
     ("experiments: exact cost figures", `Quick, test_cost_rows_exact);
     ("experiments: table 2 rounds", `Quick, test_table2_structure);
     ("experiments: figure 11 golden", `Quick, test_fig11_golden);
+    ("drivers: whole-run fingerprints", `Quick, test_run_fingerprints);
     ("outage: current goes dark at hour 3", `Slow, test_outage_current_goes_dark);
     ("outage: ours stays up", `Slow, test_outage_ours_stays_up);
     ("outage: no-attack baseline", `Slow, test_outage_no_attack_baseline);
