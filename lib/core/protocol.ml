@@ -33,23 +33,32 @@ type msg =
   | Cons_sig of { digest : Digest32.t; signature : Signature.t }
   | Cons_sig_request
 
-module Simulator = Runenv.Simulator (struct
+module D = Protocols.Driver.Make (struct
   type nonrec msg = msg
-end)
 
-let msg_size = function
-  | Document { doc; _ } | Fetch_reply { doc; _ } ->
-      Wire.vote_push_bytes ~n_relays:(Dirdoc.Vote.n_relays doc) + Signature.wire_size
-  | Proposal p ->
-      Wire.control_bytes
-      + Array.fold_left
-          (fun acc (e : Dissemination.entry) ->
-            acc + Digest32.wire_size + Signature.wire_size
-            + match e.sender_sig with Some _ -> Signature.wire_size | None -> 0)
-          0 p.entries
-  | Agreement m -> A.msg_size ~value_size:Dissemination.value_wire_size m
-  | Fetch _ | Cons_sig_request -> Wire.request_bytes
-  | Cons_sig _ -> Wire.signature_bytes + Wire.control_bytes
+  let name = name
+
+  let msg_size = function
+    | Document { doc; _ } | Fetch_reply { doc; _ } ->
+        Wire.vote_push_bytes ~n_relays:(Dirdoc.Vote.n_relays doc) + Signature.wire_size
+    | Proposal p ->
+        Wire.control_bytes
+        + Array.fold_left
+            (fun acc (e : Dissemination.entry) ->
+              acc + Digest32.wire_size + Signature.wire_size
+              + match e.sender_sig with Some _ -> Signature.wire_size | None -> 0)
+            0 p.entries
+    | Agreement m -> A.msg_size ~value_size:Dissemination.value_wire_size m
+    | Fetch _ | Cons_sig_request -> Wire.request_bytes
+    | Cons_sig _ -> Wire.signature_bytes + Wire.control_bytes
+
+  (* No transport deadline: documents may take arbitrarily long. *)
+  let deadline _ = None
+  let sig_push digest signature = Cons_sig { digest; signature }
+  let sig_request = Cons_sig_request
+  let sig_label = "cons-sig"
+  let sig_answer_label = "cons-sig"
+end)
 
 type node = {
   id : int;
@@ -65,36 +74,27 @@ type node = {
   mutable decided_view : int option;
   (* aggregation *)
   mutable fetch_timer : Sim.Engine.handle option;
-  sig_round : Siground.t;
 }
 
 let run_detailed ?(params = default_params) (env : Runenv.t) =
   let n = env.n in
   let f = Icps.fault_bound ~n in
-  let need = Runenv.majority ~n in
-  let engine, net = Simulator.obtain ~driver:name env in
-  let trace = Sim.Trace.create () in
-  Runenv.apply_attacks env net;
-  let now () = Sim.Engine.now engine in
-  let log ?node level fmt = Sim.Trace.logf trace ~time:(now ()) ?node level fmt in
-  (* Message labels, interned once so per-send accounting is an array
-     add (DESIGN.md §7). *)
-  let lbl_document = Sim.Net.intern net "document" in
-  let lbl_proposal = Sim.Net.intern net "proposal" in
-  let lbl_agreement = Sim.Net.intern net "agreement" in
-  let lbl_fetch = Sim.Net.intern net "fetch" in
-  let lbl_fetch_reply = Sim.Net.intern net "fetch-reply" in
-  let lbl_cons_sig = Sim.Net.intern net "cons-sig" in
-  let lbl_sig_request = Sim.Net.intern net "sig-request" in
+  let r =
+    D.setup env ~labels:[| "document"; "proposal"; "agreement"; "fetch"; "fetch-reply" |]
+  in
+  let lbl_document = r.labels.(0) in
+  let lbl_proposal = r.labels.(1) in
+  let lbl_agreement = r.labels.(2) in
+  let lbl_fetch = r.labels.(3) in
+  let lbl_fetch_reply = r.labels.(4) in
+  let engine = r.engine in
+  let now () = D.now r in
+  let log ?node level fmt = Sim.Trace.logf r.trace ~time:(now ()) ?node level fmt in
   (* Event-driven protocol, event-driven spans: phases open and close
      at the actual transitions (first proposal sent, agreement decided,
      consensus signed, signature majority reached), not on a fixed
      round grid.  Every helper is a no-op when telemetry is off. *)
-  let tel = Runenv.Telemetry.start env ~engine ~net () in
-  (* Authorities that hold identical vote sets share one aggregation;
-     the memo is run-local (aggregation is pure — the memo only dedups
-     work). *)
-  let agg_memo = Dirdoc.Aggregate.Memo.create () in
+  let tel = r.tel in
   let nodes =
     Array.init n (fun id ->
         {
@@ -108,11 +108,8 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
           decided_vector = None;
           decided_view = None;
           fetch_timer = None;
-          sig_round = Siground.create ~keyring:env.keyring ~node:id ~need;
         })
   in
-  let send ~src ~dst ~label m = Sim.Net.send net ~src ~dst ~size:(msg_size m) ~label m in
-  let broadcast ~src ~label m = Sim.Net.broadcast net ~src ~size:(msg_size m) ~label m in
   (* --- dissemination ---------------------------------------------------- *)
   let docs_held node =
     Array.fold_left (fun acc d -> match d with Some _ -> acc + 1 | None -> acc) 0 node.docs
@@ -137,7 +134,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
         Dissemination.make_proposal env.keyring ~proposer:node.id ~digests
       in
       let leader = A.leader ~n ~view in
-      send ~src:node.id ~dst:leader ~label:lbl_proposal (Proposal proposal)
+      D.send r ~src:node.id ~dst:leader ~label:lbl_proposal (Proposal proposal)
     end
   in
   (* --- aggregation ------------------------------------------------------ *)
@@ -147,35 +144,34 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
      node has decided, periodically ask every peer for its signature;
      peers that have signed answer with a Cons_sig. *)
   let rec ensure_signatures node =
-    if Siground.consensus node.sig_round <> None
-       && Siground.decided_at node.sig_round = None
-    then begin
-      broadcast ~src:node.id ~label:lbl_sig_request Cons_sig_request;
+    if D.request_signatures r ~node:node.id then
       ignore
         (Sim.Engine.schedule_in engine ~after:params.fetch_retry (fun () ->
              ensure_signatures node))
-    end
+  in
+  (* Documents the agreed vector names that this node lacks, or holds
+     in a version with a different digest. *)
+  let missing node (value : Dissemination.value) =
+    List.filter
+      (fun j ->
+        match (value.vector.(j), node.docs.(j)) with
+        | Some d, Some doc -> not (Digest32.equal d (Dirdoc.Vote.digest doc))
+        | Some _, None -> true
+        | None, _ -> false)
+      (List.init n Fun.id)
   in
   let try_finish node =
     match node.decided_vector with
     | None -> ()
     | Some value ->
-        let missing =
-          List.filter
-            (fun j ->
-              match (value.Dissemination.vector.(j), node.docs.(j)) with
-              | Some d, Some doc -> not (Digest32.equal d (Dirdoc.Vote.digest doc))
-              | Some _, None -> true
-              | None, _ -> false)
-            (List.init n Fun.id)
-        in
-        if missing = [] then begin
+        if missing node value = [] then begin
           (match node.fetch_timer with
           | Some h ->
               Sim.Engine.cancel engine h;
               node.fetch_timer <- None
           | None -> ());
-          if Siground.consensus node.sig_round = None then begin
+          let sig_round = r.rounds.(node.id) in
+          if Siground.consensus sig_round = None then begin
             let votes =
               List.filter_map
                 (fun j ->
@@ -184,21 +180,15 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
                   | None -> None)
                 (List.init n Fun.id)
             in
-            let c =
-              Dirdoc.Aggregate.consensus_memo ~memo:agg_memo
-                ~valid_after:env.valid_after ~votes
-            in
-            let signature = Siground.set_consensus node.sig_round ~now:(now ()) c in
+            D.sign r ~node:node.id votes;
             Runenv.Telemetry.phase_end tel ~node:node.id "aggregation";
             Runenv.Telemetry.phase_begin tel ~node:node.id "signature-exchange";
-            if Siground.decided_at node.sig_round <> None then
+            if Siground.decided_at sig_round <> None then
               (* Own signature already suffices (tiny n). *)
               Runenv.Telemetry.phase_end tel ~node:node.id "signature-exchange";
             log ~node:node.id Sim.Trace.Notice
               "Aggregated %d votes into a consensus document; broadcasting signature."
               (List.length votes);
-            broadcast ~src:node.id ~label:lbl_cons_sig
-              (Cons_sig { digest = Dirdoc.Consensus.digest c; signature });
             ignore
               (Sim.Engine.schedule_in engine ~after:params.fetch_retry (fun () ->
                    ensure_signatures node))
@@ -208,24 +198,15 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let rec start_fetching node =
     match node.decided_vector with
     | None -> ()
-    | Some value ->
-        let missing =
-          List.filter
-            (fun j ->
-              match (value.Dissemination.vector.(j), node.docs.(j)) with
-              | Some _, None -> true
-              | Some d, Some doc -> not (Digest32.equal d (Dirdoc.Vote.digest doc))
-              | None, _ -> false)
-            (List.init n Fun.id)
-        in
-        if missing <> [] then begin
-          broadcast ~src:node.id ~label:lbl_fetch (Fetch { wanted = missing });
-          node.fetch_timer <-
-            Some
-              (Sim.Engine.schedule_in engine ~after:params.fetch_retry (fun () ->
-                   start_fetching node))
-        end
-        else try_finish node
+    | Some value -> (
+        match missing node value with
+        | [] -> try_finish node
+        | wanted ->
+            D.broadcast r ~src:node.id ~label:lbl_fetch (Fetch { wanted });
+            node.fetch_timer <-
+              Some
+                (Sim.Engine.schedule_in engine ~after:params.fetch_retry (fun () ->
+                     start_fetching node)))
   in
   (* --- document intake --------------------------------------------------- *)
   let accept_document node ~origin doc signature =
@@ -263,7 +244,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
                      match node.hotstuff with
                      | Some hs -> A.handle hs ~src:node.id m
                      | None -> ()))
-            else send ~src:node.id ~dst ~label:lbl_agreement (Agreement m));
+            else D.send r ~src:node.id ~dst ~label:lbl_agreement (Agreement m));
         validate = (fun v -> Dissemination.validate env.keyring ~n ~f v);
         value_digest = Dissemination.value_digest;
         proposal = (fun () -> Dissemination.Collector.build node.collector);
@@ -288,133 +269,71 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   in
   Array.iter (fun node -> node.hotstuff <- Some (make_hotstuff node)) nodes;
   (* --- network dispatch --------------------------------------------------- *)
-  Sim.Net.set_handler net (fun ~dst ~src msg ->
+  D.handle r (fun ~dst ~src msg ->
       let node = nodes.(dst) in
-      if Runenv.awake env dst ~now:(now ()) then
-        match msg with
-        | Document { doc; signature } ->
-            accept_document node ~origin:doc.Dirdoc.Vote.authority doc signature
-        | Fetch_reply { doc; signature } ->
-            accept_document node ~origin:doc.Dirdoc.Vote.authority doc signature
-        | Proposal p -> (
-            Dissemination.Collector.add node.collector p;
-            match node.hotstuff with
-            | Some hs -> A.notify_ready hs
-            | None -> ())
-        | Agreement m -> (
-            match node.hotstuff with
-            | Some hs -> A.handle hs ~src m
-            | None -> ())
-        | Fetch { wanted } ->
-            List.iter
-              (fun j ->
-                match (node.docs.(j), node.doc_sigs.(j)) with
-                | Some doc, Some signature ->
-                    send ~src:dst ~dst:src ~label:lbl_fetch_reply
-                      (Fetch_reply { doc; signature })
-                | _ -> ())
-              wanted
-        | Cons_sig { digest; signature } ->
-            Siground.store node.sig_round ~now:(now ()) ~digest signature;
-            if Siground.decided_at node.sig_round <> None then
-              Runenv.Telemetry.phase_end tel ~node:dst "signature-exchange"
-        | Cons_sig_request -> (
-            match
-              (Siground.consensus node.sig_round, Siground.my_signature node.sig_round)
-            with
-            | Some c, Some signature ->
-                send ~src:dst ~dst:src ~label:lbl_cons_sig
-                  (Cons_sig { digest = Dirdoc.Consensus.digest c; signature })
-            | _ -> ()));
+      match msg with
+      | Document { doc; signature } ->
+          accept_document node ~origin:doc.Dirdoc.Vote.authority doc signature
+      | Fetch_reply { doc; signature } ->
+          accept_document node ~origin:doc.Dirdoc.Vote.authority doc signature
+      | Proposal p -> (
+          Dissemination.Collector.add node.collector p;
+          match node.hotstuff with
+          | Some hs -> A.notify_ready hs
+          | None -> ())
+      | Agreement m -> (
+          match node.hotstuff with
+          | Some hs -> A.handle hs ~src m
+          | None -> ())
+      | Fetch { wanted } ->
+          List.iter
+            (fun j ->
+              match (node.docs.(j), node.doc_sigs.(j)) with
+              | Some doc, Some signature ->
+                  D.send r ~src:dst ~dst:src ~label:lbl_fetch_reply
+                    (Fetch_reply { doc; signature })
+              | _ -> ())
+            wanted
+      | Cons_sig { digest; signature } ->
+          D.store_signature r ~node:dst digest signature;
+          if Siground.decided_at r.rounds.(dst) <> None then
+            Runenv.Telemetry.phase_end tel ~node:dst "signature-exchange"
+      | Cons_sig_request -> D.answer_signature_request r ~node:dst ~src);
   (* --- start ------------------------------------------------------------- *)
-  let start_node node =
-    let id = node.id in
-    Runenv.Telemetry.phase_begin tel ~node:id "dissemination";
-    Runenv.Telemetry.phase_begin tel ~node:id "agreement";
-    (match env.behaviors.(id) with
-    | Runenv.Silent -> assert false (* never started; see below *)
-    | Runenv.Honest | Runenv.Crashed _ ->
-        let doc = env.votes.(id) in
-        let signature =
-          Dissemination.sign_document env.keyring ~sender:id
-            (Dirdoc.Vote.digest doc)
-        in
-        node.docs.(id) <- Some doc;
-        node.doc_sigs.(id) <- Some signature;
-        broadcast ~src:id ~label:lbl_document (Document { doc; signature })
-    | Runenv.Equivocating ->
-        (* Conflicting documents to even/odd peers. *)
-        let doc = env.votes.(id) in
-        let relays = Array.to_list doc.Dirdoc.Vote.relays in
-        let trimmed = match relays with [] -> [] | _ :: rest -> rest in
-        let variant =
-          Dirdoc.Vote.create ~authority:id
-            ~authority_fingerprint:doc.Dirdoc.Vote.authority_fingerprint
-            ~nickname:doc.Dirdoc.Vote.nickname
-            ~published:doc.Dirdoc.Vote.published
-            ~valid_after:doc.Dirdoc.Vote.valid_after ~relays:trimmed
-        in
-        node.docs.(id) <- Some doc;
-        node.doc_sigs.(id) <-
-          Some
-            (Dissemination.sign_document env.keyring ~sender:id
-               (Dirdoc.Vote.digest doc));
-        for dst = 0 to n - 1 do
-          if dst <> id then begin
-            let d = if dst land 1 = 0 then doc else variant in
-            let signature =
-              Dissemination.sign_document env.keyring ~sender:id
-                (Dirdoc.Vote.digest d)
-            in
-            send ~src:id ~dst ~label:lbl_document (Document { doc = d; signature })
-          end
-        done);
-    ignore
-      (Sim.Engine.schedule_in engine ~after:params.doc_timeout (fun () ->
-           node.doc_deadline_passed <- true;
-           match node.hotstuff with
-           | Some hs ->
-               send_proposal_if_ready node ~view:(A.current_view hs);
-               A.notify_ready hs
-           | None -> ()));
-    match node.hotstuff with
-    | Some hs -> A.start hs
-    | None -> ()
-  in
-  Array.iter
-    (fun node ->
-      let id = node.id in
+  (* A node crashed from the first instant starts on recovery: the
+     whole startup — document broadcast, document deadline, agreement
+     engine — waits.  An equivocator sends conflicting documents to
+     even and odd peers. *)
+  D.start r (fun id variant ->
+      let node = nodes.(id) in
+      Runenv.Telemetry.phase_begin tel ~node:id "dissemination";
+      Runenv.Telemetry.phase_begin tel ~node:id "agreement";
+      let sign doc =
+        Dissemination.sign_document env.keyring ~sender:id (Dirdoc.Vote.digest doc)
+      in
+      let doc = env.votes.(id) in
+      let signature = sign doc in
+      node.docs.(id) <- Some doc;
+      node.doc_sigs.(id) <- Some signature;
+      let own = Document { doc; signature } in
+      (match variant with
+      | None -> D.broadcast r ~src:id ~label:lbl_document own
+      | Some v ->
+          D.split_broadcast r ~src:id ~label:lbl_document ~even:own
+            ~odd:(Document { doc = v; signature = sign v }));
       ignore
-        (Sim.Engine.schedule engine ~owner:id ~at:0. (fun () ->
-             match env.behaviors.(id) with
-             | Runenv.Silent -> ()
-             | Runenv.Crashed { start; stop } when start <= 0. ->
-                 (* Down from the first instant: the whole startup —
-                    document broadcast, document deadline, agreement
-                    engine — waits for recovery. *)
-                 ignore
-                   (Sim.Engine.schedule engine ~at:stop (fun () -> start_node node))
-             | Runenv.Honest | Runenv.Equivocating | Runenv.Crashed _ ->
-                 start_node node)))
-    nodes;
-  Sim.Engine.run ~until:env.horizon engine;
-  let per_authority =
-    Array.map
-      (fun node ->
-        let decided_at = Siground.decided_at node.sig_round in
-        {
-          Runenv.consensus = Siground.consensus node.sig_round;
-          signatures = Siground.count node.sig_round;
-          decided_at;
-          (* No lock-step rounds: latency is simply time-to-decision. *)
-          network_time = decided_at;
-        })
-      nodes
-  in
-  let obs = Runenv.Telemetry.finish tel ~engine ~net ~per_authority in
-  let result =
-    { Runenv.protocol = name; per_authority; stats = Sim.Net.stats net; trace; obs }
-  in
+        (Sim.Engine.schedule_in engine ~after:params.doc_timeout (fun () ->
+             node.doc_deadline_passed <- true;
+             match node.hotstuff with
+             | Some hs ->
+                 send_proposal_if_ready node ~view:(A.current_view hs);
+                 A.notify_ready hs
+             | None -> ()));
+      match node.hotstuff with
+      | Some hs -> A.start hs
+      | None -> ());
+  (* No lock-step rounds: latency is simply time-to-decision. *)
+  let result = D.run r ~network_time:(fun _ decided -> decided) in
   {
     result;
     vectors =

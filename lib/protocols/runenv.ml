@@ -349,10 +349,9 @@ module Telemetry = struct
 
   let probe_interval = 5.
 
-  let start (env : t) ~engine ~net ?stop () =
+  let start (env : t) ~engine ~net ~stop =
     if not env.telemetry then None
     else begin
-      let stop = Option.value stop ~default:env.horizon in
       Sim.Net.enable_obs net;
       let events = Obs.Events.create () in
       Sim.Net.install_probes net ~events ~interval:probe_interval ~stop;
@@ -544,36 +543,3 @@ let stalled_phase env r =
           | _ -> Some (c, ph))
         counts None
       |> Option.map snd
-
-let apply_attacks env net =
-  List.iter
-    (fun a ->
-      Sim.Net.limit_node net ~node:a.node ~start:a.start ~stop:a.stop
-        ~bits_per_sec:a.bits_per_sec)
-    env.attacks;
-  (* Install the fault injector.  Crash-window behaviors compile to
-     [Fault.Crash] entries so the network suppresses the node's sends
-     and deliveries during the window, whatever the protocol on top;
-     the driver only has to time the node's own actions (see
-     {!awake}).  The merged plan is a pure function of the spec, so
-     the injector's RNG stream is too. *)
-  let behavior_crashes =
-    List.concat_map
-      (fun i ->
-        match env.behaviors.(i) with
-        | Crashed { start; stop } ->
-            [ { Sim.Fault.kind = Sim.Fault.Crash { node = i }; start; stop } ]
-        | Honest | Silent | Equivocating -> [])
-      (List.init env.n Fun.id)
-  in
-  let base = Option.value env.fault_plan ~default:Sim.Fault.empty in
-  let merged = { base with Sim.Fault.faults = base.Sim.Fault.faults @ behavior_crashes } in
-  if merged.Sim.Fault.faults <> [] then
-    Sim.Net.set_fault net (Sim.Fault.instantiate merged);
-  (* Install the defenses through the same seam.  Like the fault
-     injector, the installation is per run — an arena [Net.reset]
-     detaches defenses, so a reused simulator picks up exactly the
-     plan of the spec it is serving. *)
-  match env.defense with
-  | Some p when not (Defense.Plan.is_empty p) -> Sim.Net.set_defense net p
-  | Some _ | None -> ()

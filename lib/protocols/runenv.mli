@@ -50,7 +50,7 @@ type t = {
   fault_plan : Tor_sim.Fault.plan option; (** injected network faults *)
   defense : Defense.Plan.t option;
       (** installed defenses (admission control, rotation); [None] =
-          undefended.  Installed on the network by {!apply_attacks},
+          undefended.  Installed on the network by {!Driver.Make.setup},
           honored by the drivers through {!awake}. *)
   distribution : Torclient.Distribution.config option;
       (** downstream cache/client tier; [None] = agreement core only *)
@@ -168,10 +168,10 @@ val vary :
     Raises [Invalid_argument] on the same malformed inputs {!of_spec}
     rejects. *)
 
-(** Per-driver engine+network acquisition, arena-aware.  Each protocol
-    driver instantiates this once with its message type and calls
-    {!Simulator.obtain} where it used to build the simulator by hand:
-    without an arena that is exactly what [obtain] does; with one, the
+(** Per-driver engine+network acquisition, arena-aware.  The driver
+    skeleton ({!Driver.Make}) instantiates this once per message type
+    and calls {!Simulator.obtain} at setup: without an arena [obtain]
+    builds a fresh simulator; with one, the
     slot stashed under the driver's name is reset
     ({!Tor_sim.Engine.reset} + {!Tor_sim.Net.reset}) and reused when
     its construction parameters (n, the identical topology, base
@@ -225,17 +225,11 @@ module Telemetry : sig
   type ctx
 
   val start :
-    t ->
-    engine:Tor_sim.Engine.t ->
-    net:'m Tor_sim.Net.t ->
-    ?stop:Tor_sim.Simtime.t ->
-    unit ->
-    ctx option
+    t -> engine:Tor_sim.Engine.t -> net:'m Tor_sim.Net.t -> stop:Tor_sim.Simtime.t -> ctx option
   (** [None] unless the environment has [telemetry] set.  Otherwise
       enables the net's latency histograms and installs the periodic
-      probes (every 5 sim seconds until [stop],
-      default the environment horizon).  Call at setup, after message
-      labels are interned and before [Engine.run]. *)
+      probes (every 5 sim seconds until [stop]).  Call at setup, after
+      message labels are interned and before [Engine.run]. *)
 
   val span :
     ?complete:bool ->
@@ -332,13 +326,6 @@ val stalled_phase : t -> report -> string option
     decided, each one's latest-begun incomplete phase span, reduced to
     the most common phase name (ties alphabetically).  [None] when
     telemetry was off or every correct authority decided. *)
-
-val apply_attacks : t -> 'm Tor_sim.Net.t -> unit
-(** Install every attack window on the network's NICs, install the
-    environment's fault injector ({!Spec.t.fault_plan} plus one
-    {!Tor_sim.Fault.Crash} entry per [Crashed] behavior), and install
-    the environment's defenses ({!Tor_sim.Net.set_defense}) on the
-    network.  Call once, before the first send. *)
 
 val default_valid_after : float
 (** POSIX time of the simulated consensus hour (2026-01-01 01:00). *)
