@@ -4,44 +4,10 @@ type 'v t = {
   mutex : Mutex.t;
   done_ : Condition.t;
   table : (string, 'v state) Hashtbl.t;
-  capacity : int option;
-  order : string Queue.t;
-      (* completed keys, oldest first.  Invariant (under [mutex]): the
-         queue holds exactly the keys whose table state is [Done], in
-         completion order — [Computing] entries are never queued, the
-         failure path removes only [Computing] entries, and eviction
-         pops the queue and the table together. *)
-  mutable n_done : int;
 }
 
-let create ?(size = 64) ?capacity () =
-  (match capacity with
-  | Some c when c < 1 -> invalid_arg "Cache.create: capacity must be >= 1"
-  | Some _ | None -> ());
-  {
-    mutex = Mutex.create ();
-    done_ = Condition.create ();
-    table = Hashtbl.create size;
-    capacity;
-    order = Queue.create ();
-    n_done = 0;
-  }
-
-(* Record a completed entry and evict oldest completed entries beyond
-   the capacity.  In-flight [Computing] entries are invisible here:
-   they hold no value worth bounding and evicting one would strand the
-   domains waiting on it. *)
-let note_done t key =
-  Queue.push key t.order;
-  t.n_done <- t.n_done + 1;
-  match t.capacity with
-  | None -> ()
-  | Some cap ->
-      while t.n_done > cap do
-        let oldest = Queue.pop t.order in
-        Hashtbl.remove t.table oldest;
-        t.n_done <- t.n_done - 1
-      done
+let create () =
+  { mutex = Mutex.create (); done_ = Condition.create (); table = Hashtbl.create 64 }
 
 let rec find_or_compute t ~key f =
   Mutex.lock t.mutex;
@@ -62,7 +28,6 @@ let rec find_or_compute t ~key f =
       | v ->
           Mutex.lock t.mutex;
           Hashtbl.replace t.table key (Done v);
-          note_done t key;
           Condition.broadcast t.done_;
           Mutex.unlock t.mutex;
           v
@@ -87,6 +52,8 @@ let find_opt t key =
 
 let length t =
   Mutex.lock t.mutex;
-  let n = t.n_done in
+  let n =
+    Hashtbl.fold (fun _ s n -> match s with Done _ -> n + 1 | Computing -> n) t.table 0
+  in
   Mutex.unlock t.mutex;
   n

@@ -9,18 +9,8 @@
 
 type 'v t
 
-val create : ?size:int -> ?capacity:int -> unit -> 'v t
-(** [size] is the initial hash-table bucket hint.  [capacity] bounds
-    the number of {e completed} entries retained: when an insertion
-    pushes the count past [capacity], the oldest completed entries are
-    evicted FIFO until the bound holds again.  An evicted key is simply
-    recomputed on its next request.  In-flight computations never count
-    against (and are never evicted by) the bound — evicting one would
-    strand the domains waiting on it.  Default: unbounded, the right
-    choice for sweep result memoization where every entry may be
-    re-read; pass a bound for long campaign sessions where the key
-    population grows without reuse.  Raises [Invalid_argument] when
-    [capacity < 1]. *)
+val create : unit -> 'v t
+(** An empty cache; entries are never evicted. *)
 
 val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
 (** [find_or_compute t ~key f] returns the cached value for [key],

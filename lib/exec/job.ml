@@ -17,8 +17,6 @@ type t = { protocol : protocol; spec : Runenv.Spec.t }
 
 let key t = protocol_name t.protocol ^ ":" ^ Runenv.Spec.digest t.spec
 
-let rng t = Tor_sim.Rng.of_string_seed (key t)
-
 type outcome = {
   key : string;
   success : bool;

@@ -22,10 +22,6 @@ type t = { protocol : protocol; spec : Protocols.Runenv.Spec.t }
 val key : t -> string
 (** Stable job identity: [protocol_name ^ ":" ^ Spec.digest]. *)
 
-val rng : t -> Tor_sim.Rng.t
-(** Deterministic per-job RNG seeded from {!key}: identical however
-    the job is scheduled, distinct across distinct jobs. *)
-
 (** Summary of a finished job — the deterministic, domain-portable
     slice of a [run_result] that every sweep consumer
     (Figures 7/10/11, the CLI, the determinism tests) reads. *)

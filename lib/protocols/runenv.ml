@@ -180,8 +180,6 @@ module Spec = struct
     Buffer.contents buf
 
   let digest t = Crypto.Digest32.hex (Crypto.Digest32.of_string (canonical t))
-
-  let rng t = Sim.Rng.of_string_seed (digest t)
 end
 
 (* Validation of the campaign-variable fields, shared between

@@ -95,8 +95,8 @@ val participates : behavior -> bool
 (** Declarative run specification: the serializable description of an
     environment.  A [Spec.t] carries everything [of_spec] needs to
     rebuild a [t] deterministically, so a spec (or its digest) fully
-    identifies a simulation — the sweep engine keys its job cache and
-    per-job RNG streams on {!Spec.digest}. *)
+    identifies a simulation — the sweep engine keys its job cache on
+    {!Spec.digest}. *)
 module Spec : sig
   type t = {
     seed : string;
@@ -139,11 +139,6 @@ module Spec : sig
   (** SHA-256 of {!canonical} as 64 hex characters.  Structurally
       equal specs always digest identically; any field change changes
       the digest.  This is the job key of the sweep engine. *)
-
-  val rng : t -> Tor_sim.Rng.t
-  (** A deterministic per-spec RNG seeded from {!digest}, for
-      job-level auxiliary randomness that must not depend on worker
-      count or scheduling order. *)
 end
 
 val of_spec : ?votes:Dirdoc.Vote.t array -> Spec.t -> t

@@ -85,16 +85,6 @@ let test_spec_digest_stability () =
   checki "variant digests all distinct" (List.length digests)
     (List.length (List.sort_uniq compare digests))
 
-let test_spec_rng_deterministic () =
-  let a = R.Spec.rng R.Spec.default in
-  let b = R.Spec.rng { R.Spec.default with R.Spec.n_relays = 1000 } in
-  checkb "same spec, same stream" true
-    (List.init 8 (fun _ -> Tor_sim.Rng.next_int64 a)
-    = List.init 8 (fun _ -> Tor_sim.Rng.next_int64 b));
-  let c = R.Spec.rng { R.Spec.default with R.Spec.seed = "other" } in
-  checkb "different spec, different stream" false
-    (Tor_sim.Rng.next_int64 (R.Spec.rng R.Spec.default) = Tor_sim.Rng.next_int64 c)
-
 (* --- Pool ------------------------------------------------------------------- *)
 
 let test_pool_empty () =
@@ -166,34 +156,6 @@ let test_cache_exception_not_cached () =
          incr count;
          5));
   checki "ran twice" 2 !count
-
-let test_cache_eviction () =
-  Alcotest.check_raises "capacity >= 1"
-    (Invalid_argument "Cache.create: capacity must be >= 1") (fun () ->
-      ignore (Exec.Cache.create ~capacity:0 () : unit Exec.Cache.t));
-  let cache = Exec.Cache.create ~capacity:2 () in
-  let count = ref 0 in
-  let get key =
-    Exec.Cache.find_or_compute cache ~key (fun () ->
-        incr count;
-        key)
-  in
-  Alcotest.(check string) "a computes" "a" (get "a");
-  Alcotest.(check string) "b computes" "b" (get "b");
-  checki "bound not yet hit" 2 (Exec.Cache.length cache);
-  Alcotest.(check string) "c evicts the oldest" "c" (get "c");
-  checki "bounded at capacity" 2 (Exec.Cache.length cache);
-  checkb "oldest entry gone" true (Exec.Cache.find_opt cache "a" = None);
-  checkb "younger entries survive" true
-    (Exec.Cache.find_opt cache "b" = Some "b"
-    && Exec.Cache.find_opt cache "c" = Some "c");
-  checki "three computations so far" 3 !count;
-  (* An evicted key is recomputed, re-inserted, and evicts in turn. *)
-  Alcotest.(check string) "a recomputes after eviction" "a" (get "a");
-  checki "recomputation happened" 4 !count;
-  checkb "b evicted in turn" true (Exec.Cache.find_opt cache "b" = None);
-  Alcotest.(check string) "c still cached" "c" (get "c");
-  checki "c still a hit" 4 !count
 
 (* --- Sweep compilation ------------------------------------------------------- *)
 
@@ -457,14 +419,12 @@ let test_chaos_breaks_current () =
 let suite =
   [
     ("spec: digest stability", `Quick, test_spec_digest_stability);
-    ("spec: per-spec rng determinism", `Quick, test_spec_rng_deterministic);
     ("pool: empty job list", `Quick, test_pool_empty);
     ("pool: order and sequential fallback", `Quick, test_pool_order_and_fallback);
     ("pool: invalid jobs rejected", `Quick, test_pool_invalid_jobs);
     ("pool: a job that raises", `Quick, test_pool_exception);
     ("cache: computes once under contention", `Quick, test_cache_computes_once);
     ("cache: exceptions not cached", `Quick, test_cache_exception_not_cached);
-    ("cache: capacity bound evicts FIFO", `Quick, test_cache_eviction);
     ("campaign: plan/spec roundtrip and digests", `Quick, test_campaign_plan_roundtrip);
     ("campaign: map independent of jobs", `Slow, test_campaign_map_determinism);
     ("arena reuse bit-identical (ours)", `Quick, test_arena_reuse_ours);
