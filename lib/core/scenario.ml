@@ -34,11 +34,10 @@ let dist_config draft =
 
 let ( let* ) = Result.bind
 
-let parse_protocol = function
-  | "current" -> Ok Experiments.Current
-  | "synchronous" | "sync" -> Ok Experiments.Synchronous
-  | "ours" | "partial" -> Ok Experiments.Ours
-  | s -> Error (Printf.sprintf "unknown protocol %S" s)
+let parse_protocol s =
+  Option.to_result
+    ~none:(Printf.sprintf "unknown protocol %S" s)
+    (Exec.Job.protocol_of_name s)
 
 let int_arg s = Option.to_result ~none:(Printf.sprintf "bad integer %S" s) (int_of_string_opt s)
 let float_arg s = Option.to_result ~none:(Printf.sprintf "bad number %S" s) (float_of_string_opt s)

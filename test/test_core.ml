@@ -769,7 +769,14 @@ let test_scenario_directives () =
       checkb "crash window parsed" true
         (env.R.behaviors.(4) = R.Crashed { start = 30.; stop = 120. });
       checki "six windows" 6 (List.length env.R.attacks);
-      checkb "bandwidth" true (env.R.bandwidth_bits_per_sec = 10e6)
+      checkb "bandwidth" true (env.R.bandwidth_bits_per_sec = 10e6);
+      List.iter
+        (fun (word, protocol) ->
+          match Torpartial.Scenario.parse ("protocol " ^ word) with
+          | Error e -> Alcotest.fail e
+          | Ok sc ->
+              checkb ("protocol " ^ word) true (sc.Torpartial.Scenario.protocol = protocol))
+        Torpartial.Experiments.[ ("sync", Synchronous); ("partial", Ours) ]
 
 let test_scenario_errors () =
   let expect_error text =
@@ -780,7 +787,13 @@ let test_scenario_errors () =
   checkb "unknown directive has line number" true
     (String.length (expect_error "frobnicate 3") > 0
     && String.sub (expect_error "frobnicate 3") 0 7 = "line 1:");
-  ignore (expect_error "protocol alien");
+  let alien = expect_error "protocol alien" in
+  let needle = {|unknown protocol "alien"|} in
+  let rec contains i =
+    i + String.length needle <= String.length alien
+    && (String.sub alien i (String.length needle) = needle || contains (i + 1))
+  in
+  checkb "unknown protocol named" true (contains 0);
   ignore (expect_error "relays many");
   ignore (expect_error "behavior 42 silent");
   ignore (expect_error "behavior 1 crashed:120:30" (* stop before start *));
