@@ -30,20 +30,45 @@ let meta_date = ref "unknown"
 
 (* One JSON value type for every report section, so integer sections
    (dropped-message counts) and float sections flow through the same
-   emitter instead of each ref carrying its own formatting. *)
+   emitter instead of each section carrying its own formatting. *)
 type jv = I of int | F of float | S of string
 
-(* Results accumulated for the JSON report. *)
-let micro_results : (string * float) list ref = ref []    (* ns/run *)
-let macro_results : (string * float) list ref = ref []    (* wall s *)
-let alloc_results : (string * float) list ref = ref []    (* MB allocated per run *)
-let drop_results : (string * int) list ref = ref []       (* messages dropped *)
-let obs_results : (string * jv) list ref = ref []         (* telemetry pass *)
-let dist_wall : (string * float) list ref = ref []        (* wall s *)
-let dist_metrics : (string * float) list ref = ref []     (* simulated metrics *)
-let campaign_results : (string * float) list ref = ref [] (* plans/s + speedup *)
-let defense_results : (string * int) list ref = ref []    (* plans broken *)
-let target_times : (string * float) list ref = ref []     (* wall s *)
+(* The JSON report's sections.  A target clears the sections it owns
+   before recording into them; [emit_json] walks {!sections}. *)
+type section =
+  | Micro         (* ns/run *)
+  | Macro_wall    (* wall s *)
+  | Alloc         (* MB allocated per run *)
+  | Dropped       (* messages dropped *)
+  | Obs_profile   (* telemetry pass *)
+  | Campaign      (* plans/s + speedup *)
+  | Defense       (* plans broken *)
+  | Dist_wall     (* wall s *)
+  | Dist_metrics  (* simulated metrics *)
+  | Target_wall   (* wall s per bench target *)
+
+(* Emission order and JSON names. *)
+let sections =
+  [
+    (Micro, "micro_ns_per_run");
+    (Macro_wall, "macro_wall_s");
+    (Alloc, "alloc_mb_per_run");
+    (Dropped, "macro_dropped_msgs");
+    (Obs_profile, "obs_profile");
+    (Campaign, "campaign_plans_per_s");
+    (Defense, "defense_break_counts");
+    (Dist_wall, "dist_wall_s");
+    (Dist_metrics, "dist_metrics");
+    (Target_wall, "target_wall_s");
+  ]
+
+(* Results accumulated for the JSON report, in recording order. *)
+let results = List.map (fun (section, _) -> (section, ref [])) sections
+let clear section = List.assoc section results := []
+
+let record section key value =
+  let entries = List.assoc section results in
+  entries := !entries @ [ (key, value) ]
 
 let header title =
   Printf.printf "\n================ %s ================\n%!" title
@@ -353,10 +378,12 @@ let micro () =
   let estimates =
     List.sort (fun (a, _) (b, _) -> String.compare a b) !estimates
   in
+  clear Micro;
   List.iter
-    (fun (name, est) -> Printf.printf "%-40s %12.0f ns/run\n" name est)
-    estimates;
-  micro_results := estimates
+    (fun (name, est) ->
+      Printf.printf "%-40s %12.0f ns/run\n" name est;
+      record Micro name (F est))
+    estimates
 
 (* --- macro benchmark ------------------------------------------------------- *)
 
@@ -382,16 +409,13 @@ let macro_run name ~env ~protocol =
       Printf.printf "%-28s dropped: %s\n" ""
         (String.concat ", "
            (List.map (fun (l, c) -> Printf.sprintf "%s=%d" l c) by_label)));
-  macro_results := !macro_results @ [ (name, wall) ];
-  alloc_results := !alloc_results @ [ (name, alloc_mb) ];
-  drop_results := !drop_results @ [ (name, Tor_sim.Stats.dropped stats) ]
+  record Macro_wall name (F wall);
+  record Alloc name (F alloc_mb);
+  record Dropped name (I (Tor_sim.Stats.dropped stats))
 
 let macro () =
   header "Macro benchmarks: full protocol runs (wall clock + allocation)";
-  macro_results := [];
-  alloc_results := [];
-  drop_results := [];
-  obs_results := [];
+  List.iter clear [ Macro_wall; Alloc; Dropped; Obs_profile ];
   let spec seed n_relays = { Protocols.Runenv.Spec.default with seed; n_relays } in
   (* Figure 10's largest completing configuration. *)
   macro_run "e2e-ours-8k-relays" ~protocol:E.Ours
@@ -431,10 +455,9 @@ let macro () =
         let p50 = Obs.Metrics.percentile h 0.5 and p99 = Obs.Metrics.percentile h 0.99 in
         Printf.printf "%-44s n=%-4d p50 %9.6f s  p99 %9.6f s\n" key
           (Obs.Metrics.count h) p50 p99;
-        obs_results :=
-          !obs_results
-          @ [ (key ^ "-n", I (Obs.Metrics.count h)); (key ^ "-p50_s", F p50);
-              (key ^ "-p99_s", F p99) ]
+        record Obs_profile (key ^ "-n") (I (Obs.Metrics.count h));
+        record Obs_profile (key ^ "-p50_s") (F p50);
+        record Obs_profile (key ^ "-p99_s") (F p99)
   in
   quantiles (name ^ "/time-to-decision") (Protocols.Runenv.time_to_decision report);
   List.iter
@@ -457,7 +480,7 @@ let macro () =
    a halved throughput fails CI). *)
 let campaign () =
   header "Campaign engine: 200 chaos plans, cold rebuild vs amortized arena";
-  campaign_results := [];
+  clear Campaign;
   (* 4000 relays: large enough that per-plan reconstruction (dominated
      by vote generation, which scales with the relay count) is the
      honest bottleneck a cold campaign pays, while 200 warm plans stay
@@ -502,12 +525,9 @@ let campaign () =
   Printf.printf
     "%-28s cold %7.2f s (%6.2f plans/s)\n%-28s warm %7.2f s (%6.2f plans/s)  %.2fx\n"
     name cold_s cold_rate name warm_s warm_rate (cold_s /. warm_s);
-  campaign_results :=
-    [
-      (name ^ "/cold", cold_rate);
-      (name, warm_rate);
-      (name ^ "/speedup", cold_s /. warm_s);
-    ]
+  record Campaign (name ^ "/cold") (F cold_rate);
+  record Campaign name (F warm_rate);
+  record Campaign (name ^ "/speedup") (F (cold_s /. warm_s))
 
 (* --- defense head-to-head --------------------------------------------------- *)
 
@@ -522,7 +542,7 @@ let campaign () =
    configuration. *)
 let defense () =
   header "Defense toolbox: 200 chaos plans x {none, admission, rotation, both}";
-  defense_results := [];
+  clear Defense;
   let plans = 200 in
   let breaks ~jobs preset =
     let config =
@@ -574,15 +594,12 @@ let defense () =
     failwith "defense: break counts changed across --jobs";
   Printf.printf "replay (jobs varied): rotation column identical\n";
   Printf.printf "%-28s %8.3f s wall\n" name wall;
-  defense_results :=
-    List.concat_map
-      (fun (label, _, (v3, ours)) ->
-        [
-          (Printf.sprintf "%s/%s/v3" name label, v3);
-          (Printf.sprintf "%s/%s/ours" name label, ours);
-        ])
-      table;
-  macro_results := !macro_results @ [ (name, wall) ]
+  List.iter
+    (fun (label, _, (v3, ours)) ->
+      record Defense (Printf.sprintf "%s/%s/v3" name label) (I v3);
+      record Defense (Printf.sprintf "%s/%s/ours" name label) (I ours))
+    table;
+  record Macro_wall name (F wall)
 
 (* --- distribution macro bench ---------------------------------------------- *)
 
@@ -594,8 +611,8 @@ let defense () =
    deterministic and land in their own JSON section. *)
 let dist () =
   header "Distribution tier: 1M-client flash crowd after a 3-hour halt";
-  dist_wall := [];
-  dist_metrics := [];
+  clear Dist_wall;
+  clear Dist_metrics;
   let flash name ~diffs =
     let distribution =
       Some { Torclient.Distribution.default_config with halt = 10800.; diffs }
@@ -612,7 +629,7 @@ let dist () =
     let t0 = Unix.gettimeofday () in
     let report = E.run E.Ours env in
     let wall = Unix.gettimeofday () -. t0 in
-    dist_wall := !dist_wall @ [ (name, wall) ];
+    record Dist_wall name (F wall);
     match report.Protocols.Runenv.distribution with
     | None -> failwith (name ^ ": no distribution outcome")
     | Some o ->
@@ -626,13 +643,9 @@ let dist () =
         Printf.printf
           "%-28s %8.3f s wall  t90 %7.1f s  full %7.1f s  %10.1f MB/cache\n" name
           wall t90 tfull mb_per_cache;
-        dist_metrics :=
-          !dist_metrics
-          @ [
-              (name ^ "-t90_s", t90);
-              (name ^ "-tfull_s", tfull);
-              (name ^ "-mb_per_cache", mb_per_cache);
-            ]
+        record Dist_metrics (name ^ "-t90_s") (F t90);
+        record Dist_metrics (name ^ "-tfull_s") (F tfull);
+        record Dist_metrics (name ^ "-mb_per_cache") (F mb_per_cache)
   in
   flash "dist-flash-crowd-1M" ~diffs:true;
   flash "dist-flash-crowd-1M-full" ~diffs:false;
@@ -664,8 +677,6 @@ let emit_json path =
     if entries <> [] then Buffer.add_string buf "\n  ";
     Buffer.add_string buf (if last then "}\n" else "},\n")
   in
-  let floats l = List.map (fun (k, v) -> (k, F v)) l in
-  let ints l = List.map (fun (k, v) -> (k, I v)) l in
   Buffer.add_string buf "{\n  \"schema\": \"torda-bench/2\",\n";
   section "meta"
     [
@@ -675,16 +686,10 @@ let emit_json path =
       ("cores", I (Domain.recommended_domain_count ()));
     ]
     ~last:false;
-  section "micro_ns_per_run" (floats !micro_results) ~last:false;
-  section "macro_wall_s" (floats !macro_results) ~last:false;
-  section "alloc_mb_per_run" (floats !alloc_results) ~last:false;
-  section "macro_dropped_msgs" (ints !drop_results) ~last:false;
-  section "obs_profile" !obs_results ~last:false;
-  section "campaign_plans_per_s" (floats !campaign_results) ~last:false;
-  section "defense_break_counts" (ints !defense_results) ~last:false;
-  section "dist_wall_s" (floats !dist_wall) ~last:false;
-  section "dist_metrics" (floats !dist_metrics) ~last:false;
-  section "target_wall_s" (floats (List.rev !target_times)) ~last:true;
+  List.iteri
+    (fun i (s, name) ->
+      section name !(List.assoc s results) ~last:(i = List.length sections - 1))
+    sections;
   Buffer.add_string buf "}\n";
   let oc = open_out path in
   Buffer.output_buffer oc buf;
@@ -761,7 +766,7 @@ let rec parse_args = function
 let run_target name f =
   let t0 = Unix.gettimeofday () in
   f ();
-  target_times := (name, Unix.gettimeofday () -. t0) :: !target_times
+  record Target_wall name (F (Unix.gettimeofday () -. t0))
 
 let () =
   (match parse_args (List.tl (Array.to_list Sys.argv)) with
