@@ -105,7 +105,6 @@ module Make (P : PROTOCOL) = struct
     }
 
   let now t = Sim.Engine.now t.engine
-  let log t ?node level fmt = Sim.Trace.logf t.trace ~time:(now t) ?node level fmt
 
   let send t ~src ~dst ~label m =
     Sim.Net.send t.net ~src ~dst ~size:(P.msg_size m) ~label ?deadline:(P.deadline m) m
@@ -129,8 +128,7 @@ module Make (P : PROTOCOL) = struct
              match t.env.behaviors.(id) with
              | Runenv.Silent -> ()
              | Runenv.Crashed { start; stop } when start <= 0. ->
-                 (* Down at start-up: start on recovery.  Peers judge
-                    what arrives late like anything else late. *)
+                 (* Down at start-up: start on recovery. *)
                  ignore (Sim.Engine.schedule t.engine ~at:stop (fun () -> f id None))
              | Runenv.Honest | Runenv.Crashed _ -> f id None
              | Runenv.Equivocating -> f id (Some (variant id t.env.votes.(id)))))
@@ -202,7 +200,7 @@ module Make (P : PROTOCOL) = struct
         let votes = held id in
         let count = List.length votes in
         if count < t.need then
-          log t ~node:id Sim.Trace.Warn
+          Sim.Trace.logf t.trace ~time:(now t) ~node:id Sim.Trace.Warn
             "We don't have enough votes to generate a consensus: %d of %d" count t.need
         else sign t ~node:id votes);
     at_round 3 (fun id -> ignore (request_signatures t ~node:id));
