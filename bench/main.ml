@@ -469,17 +469,17 @@ let macro () =
 
 (* --- campaign macro bench --------------------------------------------------- *)
 
-(* Amortized campaign evaluation: the same 200 chaos-sampled plans run
-   cold (every plan rebuilds votes, topology and simulator from its
-   spec — what a naive loop over [Experiments.run] costs) and warm
-   (one {!Exec.Campaign} context: shared votes, one resettable arena,
-   one spec-digest prefix).  The reports are checked identical before
-   any number is reported — amortization that changed results would be
-   a bug, not a speedup.  The warm plans/s lands in the JSON report
-   under [campaign_plans_per_s] and is regression-gated (inverted:
-   a halved throughput fails CI). *)
+(* Campaign evaluation: the same 200 chaos-sampled plans run cold
+   (every plan generates its own vote population — what a naive loop
+   over [Runenv.of_spec] and [Experiments.run] costs) and warm (one
+   {!Exec.Campaign} context: the population built once, each plan
+   still building its own environment and simulator from it).  The
+   reports are checked identical before any number is reported —
+   sharing that changed results would be a bug, not a speedup.  The
+   warm plans/s lands in the JSON report under [campaign_plans_per_s]
+   and is regression-gated (inverted: a halved throughput fails CI). *)
 let campaign () =
-  header "Campaign engine: 200 chaos plans, cold rebuild vs amortized arena";
+  header "Campaign engine: 200 chaos plans, cold rebuild vs shared votes";
   clear Campaign;
   (* 4000 relays: large enough that per-plan reconstruction (dominated
      by vote generation, which scales with the relay count) is the

@@ -67,22 +67,30 @@ let attack_arg =
           "DDoS on 5 of 9 authorities for the first 300 s: $(b,none), $(b,flood) \
            (0.5 Mbit/s residual), or $(b,knockout) (fully offline).")
 
-let make_env ?distribution ~seed ~relays ~bandwidth ~attack () =
+(* The environment of a [run]/[log]/[distribute] invocation, handed to
+   [k]; a spec [Runenv.of_spec] rejects is a usage error (exit 2). *)
+let with_env cmd ?distribution ~seed ~relays ~bandwidth ~attack k =
   let attacks =
     match attack with
     | No_attack -> []
     | Flood -> Attack.Ddos.bandwidth_attack ~n:9 ()
     | Knockout -> Attack.Ddos.knockout ~n:9 ()
   in
-  R.of_spec
-    {
-      R.Spec.default with
-      seed;
-      n_relays = relays;
-      bandwidth_bits_per_sec = bandwidth *. 1e6;
-      attacks;
-      distribution;
-    }
+  match
+    R.of_spec
+      {
+        R.Spec.default with
+        seed;
+        n_relays = relays;
+        bandwidth_bits_per_sec = bandwidth *. 1e6;
+        attacks;
+        distribution;
+      }
+  with
+  | exception Invalid_argument e ->
+      Printf.eprintf "%s: %s\n" cmd e;
+      2
+  | env -> k env
 
 let print_distribution (o : Torclient.Distribution.outcome) =
   let time = function
@@ -156,7 +164,7 @@ let write_trace path (o : R.obs) =
 
 let run_cmd =
   let action protocol relays bandwidth seed attack trace metrics =
-    let env = make_env ~seed ~relays ~bandwidth ~attack () in
+    with_env "run" ~seed ~relays ~bandwidth ~attack @@ fun env ->
     let env =
       if trace <> None || metrics then { env with R.telemetry = true } else env
     in
@@ -232,25 +240,21 @@ let distribute_cmd =
         diffs = not no_diffs;
       }
     in
-    match make_env ~distribution ~seed ~relays ~bandwidth ~attack () with
-    | exception Invalid_argument e ->
-        Printf.eprintf "distribute: %s\n" e;
-        2
-    | env -> (
-        let report = E.run protocol env in
-        Printf.printf "protocol:       %s\n" report.R.protocol;
-        Printf.printf "relays:         %d\n" relays;
-        Printf.printf "consensus:      %s\n"
-          (if report.R.success then "produced" else "FAILED");
-        (match report.R.distribution with
-        | Some o ->
-            print_distribution o;
-            if report.R.success && o.Torclient.Distribution.time_to_full_recovery <> None
-            then 0
-            else 1
-        | None ->
-            print_endline "distribution:   (no signed consensus reached the caches)";
-            1))
+    with_env "distribute" ~distribution ~seed ~relays ~bandwidth ~attack @@ fun env ->
+    let report = E.run protocol env in
+    Printf.printf "protocol:       %s\n" report.R.protocol;
+    Printf.printf "relays:         %d\n" relays;
+    Printf.printf "consensus:      %s\n"
+      (if report.R.success then "produced" else "FAILED");
+    match report.R.distribution with
+    | Some o ->
+        print_distribution o;
+        if report.R.success && o.Torclient.Distribution.time_to_full_recovery <> None
+        then 0
+        else 1
+    | None ->
+        print_endline "distribution:   (no signed consensus reached the caches)";
+        1
   in
   let term =
     Term.(
@@ -279,7 +283,7 @@ let log_cmd =
       & info [ "node" ] ~docv:"ID" ~doc:"Authority whose log to print (default 8).")
   in
   let action protocol relays bandwidth seed attack node =
-    let env = make_env ~seed ~relays ~bandwidth ~attack () in
+    with_env "log" ~seed ~relays ~bandwidth ~attack @@ fun env ->
     let report = E.run protocol env in
     (* Stream the merged log one record at a time instead of
        materializing the full merged list and a joined string. *)

@@ -131,14 +131,8 @@ let env_of_spec (s : Runenv.Spec.t) =
 let env ?attacks ?bandwidth_bits_per_sec ?horizon ~n_relays () =
   env_of_spec (spec ?attacks ?bandwidth_bits_per_sec ?horizon ~n_relays ())
 
-(* Sweep execution: results memoized by job key (protocol + spec
-   digest), so a cell that reappears — across figures, or because
-   fig7's binary search re-probes a bandwidth — is simulated once. *)
-let results_cache : Job.outcome Exec.Cache.t = Exec.Cache.create ()
-
 let run_job (job : Job.t) =
-  Exec.Cache.find_or_compute results_cache ~key:(Job.key job) (fun () ->
-      Job.outcome job (run job.Job.protocol (env_of_spec job.Job.spec)))
+  Job.outcome job (run job.Job.protocol (env_of_spec job.Job.spec))
 
 let run_jobs ?(jobs = 1) job_list = Exec.Pool.map ~jobs run_job job_list
 
@@ -163,8 +157,8 @@ let fig6 () =
 let default_relay_counts = [ 1000; 2000; 3000; 4000; 5000; 6000; 7000; 8000; 9000; 10000 ]
 
 let min_bandwidth_for_success ~n_relays ~precision =
-  (* Each probe is one job; the result cache keys probes by spec
-     digest, so a re-probed bandwidth is never simulated twice. *)
+  (* Each probe is one job; a binary search never probes a bandwidth
+     twice. *)
   let ok mbit =
     let attacks =
       Attack.Ddos.bandwidth_attack ~n:9 ~residual_bits_per_sec:(mbit *. 1e6) ()

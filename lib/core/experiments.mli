@@ -24,10 +24,9 @@ val run : protocol -> Protocols.Runenv.t -> Protocols.Runenv.report
     reaches the caches, so the field is [None]. *)
 
 val run_job : Exec.Job.t -> Exec.Job.outcome
-(** Execute one sweep job through {!run}, memoized on
-    {!Exec.Job.key}: a job whose key was already executed (this call
-    or any earlier one, on any domain) returns the cached outcome
-    without simulating. *)
+(** Execute one sweep job through {!run}, on a fresh environment built
+    from its spec with the shared vote population
+    ({!votes_for_spec}). *)
 
 val votes_for_spec : Protocols.Runenv.Spec.t -> Dirdoc.Vote.t array
 (** The vote population [Runenv.of_spec] would generate for this spec,

@@ -4,9 +4,9 @@
     A plan is a serializable value that rides in
     [Runenv.Spec.defense], participates in the spec digest, and is
     installed on the network ({!Net.set_defense}) and the run
-    environment each run — so arena-reused simulators pick it up
-    exactly like a fault plan, and defense-off specs behave
-    byte-identically to a world without the defense layer. *)
+    environment each run, exactly like a fault plan, so defense-off
+    specs behave byte-identically to a world without the defense
+    layer. *)
 
 type t = {
   admission : Admission.config option;

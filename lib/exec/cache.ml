@@ -39,21 +39,3 @@ let rec find_or_compute t ~key f =
           Condition.broadcast t.done_;
           Mutex.unlock t.mutex;
           raise e)
-
-let find_opt t key =
-  Mutex.lock t.mutex;
-  let r =
-    match Hashtbl.find_opt t.table key with
-    | Some (Done v) -> Some v
-    | Some Computing | None -> None
-  in
-  Mutex.unlock t.mutex;
-  r
-
-let length t =
-  Mutex.lock t.mutex;
-  let n =
-    Hashtbl.fold (fun _ s n -> match s with Done _ -> n + 1 | Computing -> n) t.table 0
-  in
-  Mutex.unlock t.mutex;
-  n

@@ -1,10 +1,9 @@
 (** Domain-safe memoization keyed by string digests.
 
-    The sweep engine keys simulation results (and shared vote
-    populations) by {!Protocols.Runenv.Spec.digest}, so a cell that
-    appears twice in a sweep — e.g. a bandwidth the Figure 7 binary
-    search probes again — is only ever simulated once, even when the
-    two requests race on different domains: the second requester
+    The experiments key shared vote populations by the
+    {!Protocols.Runenv.Spec.digest} of their vote-relevant fields, so a
+    population that many sweep cells share is generated once, even
+    when the requests race on different domains: the second requester
     blocks until the first finishes and then reads its result. *)
 
 type 'v t
@@ -18,9 +17,3 @@ val find_or_compute : 'v t -> key:string -> (unit -> 'v) -> 'v
     caches it.  If [f] raises, nothing is cached, the exception
     propagates to the caller that ran [f], and any waiting domain
     retries the computation itself. *)
-
-val find_opt : 'v t -> string -> 'v option
-(** Completed entry for [key], if any (never blocks). *)
-
-val length : 'v t -> int
-(** Number of completed entries. *)

@@ -1,17 +1,14 @@
-(** Amortized campaign evaluation: many runs, one simulator.
+(** Campaign evaluation: many runs over one shared vote population.
 
     A campaign is a batch of run specs sharing every field except the
     three campaign-variable ones — attacks, behaviors, fault plan
-    (exactly what the chaos harness and attack sweeps vary).  A
-    {!ctx} holds, per worker: the base environment (keyring, topology,
-    vote population — the dominant setup cost) and a private
-    {!Protocols.Runenv.Arena} (so successive runs reset and reuse the
-    same simulator heaps instead of reallocating them).
-
-    None of the sharing changes results: environments come from
-    {!Protocols.Runenv.vary} (validated like [of_spec]), and arena
-    reuse is pinned bit-identical to fresh construction by the test
-    suite. *)
+    (exactly what the chaos harness and attack sweeps vary).  A {!ctx}
+    holds the base spec and its vote population, the dominant setup
+    cost.  Both are immutable, so one context serves every worker
+    domain.  Each run still builds its own environment with
+    {!Protocols.Runenv.of_spec}, and the drivers build its own
+    simulator: a run through a context is exactly the run a fresh
+    [of_spec] of its spec would give (DESIGN.md §11). *)
 
 type plan = {
   attacks : Protocols.Runenv.attack list;
@@ -30,15 +27,14 @@ val spec_of : base:Protocols.Runenv.Spec.t -> plan -> Protocols.Runenv.Spec.t
     variable fields. *)
 
 type ctx
-(** Per-worker evaluation context.  Holds an arena, so it is
-    single-domain by construction: {!map} builds one per worker and
-    never shares them. *)
+(** A base spec and its vote population; immutable, so safe to share
+    across domains. *)
 
 val create : ?votes:Dirdoc.Vote.t array -> Protocols.Runenv.Spec.t -> ctx
 (** Build a context for a base spec.  [votes] as in
     {!Protocols.Runenv.of_spec}: pass a cached population to skip vote
-    generation.  Raises [Invalid_argument] on the inputs [of_spec]
-    rejects. *)
+    generation.  Runs [of_spec] on the base once, so it raises
+    [Invalid_argument] on the inputs [of_spec] rejects. *)
 
 val base_spec : ctx -> Protocols.Runenv.Spec.t
 
@@ -46,12 +42,11 @@ val digest : ctx -> plan -> string
 (** {!Protocols.Runenv.Spec.digest} of [spec_of ~base plan]. *)
 
 val env_of : ?telemetry:bool -> ctx -> plan -> Protocols.Runenv.t
-(** The plan's run environment: {!Protocols.Runenv.vary} over the
-    context's base environment, sharing its votes/keyring/topology and
-    its arena.  Running a protocol on consecutive [env_of] results
-    reuses one resettable simulator per driver.  [telemetry] (default
-    [false]) sets {!Protocols.Runenv.t.telemetry} on the result;
-    neither it nor the shared arena changes simulation outcomes. *)
+(** The plan's run environment: [of_spec] of [spec_of ~base plan] with
+    the context's votes.  Every call builds a new environment; never
+    hand one to two domains.  [telemetry] (default [false]) sets
+    {!Protocols.Runenv.t.telemetry} on the result.  Raises
+    [Invalid_argument] on a plan [of_spec] rejects. *)
 
 val map :
   ?jobs:int ->
@@ -60,11 +55,9 @@ val map :
   (ctx -> 'a -> 'b) ->
   'a list ->
   'b list
-(** [map ~jobs ~base f items] evaluates [f ctx item] for every item,
-    order-preserving, on up to [jobs] domains (default 1 =
-    sequential, no domains spawned).  Items are split into contiguous
-    chunks, one fresh context per chunk, so each context stays on one
-    domain and sees items in input order.  Results are independent of
-    [jobs] whenever [f] is a pure function of its item (the usual
-    case: sample a plan, run it, report).  Exceptions propagate as in
-    {!Pool.map}. *)
+(** [map ~jobs ~base f items] builds one context and evaluates
+    [f ctx item] for every item with {!Pool.map} on up to [jobs]
+    domains (default 1 = sequential, no domains spawned),
+    order-preserving.  Results are independent of [jobs] whenever [f]
+    is a pure function of its item (the usual case: sample a plan, run
+    it, report).  Exceptions propagate as in {!Pool.map}. *)

@@ -269,10 +269,9 @@ let shrink config ~ctx ~run_protocol ~plan ~behaviors =
 let verdict_of_case config ~ctx ~run_protocol ~index =
   let plan, behaviors = sample_case config ~index in
   let cplan = campaign_plan config ~plan ~behaviors in
-  let env = Campaign.env_of ctx cplan in
   let reports =
     List.map
-      (fun p -> report_of ~run_protocol p env)
+      (fun p -> report_of ~run_protocol p (Campaign.env_of ctx cplan))
       [ Job.Current; Job.Synchronous; Job.Ours ]
   in
   let ours = List.nth reports 2 in
@@ -293,7 +292,7 @@ let verdict_of_case config ~ctx ~run_protocol ~index =
   let stalled_phase =
     if liveness_ok then None
     else begin
-      let env = { env with Runenv.telemetry = true } in
+      let env = Campaign.env_of ~telemetry:true ctx cplan in
       let r = run_protocol Job.Ours env in
       match Runenv.stalled_phase env r with
       | Some _ as phase -> phase
@@ -324,14 +323,10 @@ let verdict_of_case config ~ctx ~run_protocol ~index =
 let check ?(config = default_config) ~run_protocol ~jobs () =
   if config.plans < 0 then invalid_arg "Chaos.check: negative plan count";
   (* The vote population depends only on (seed, n, n_relays,
-     valid_after, divergence) — identical across cases — so generate it
-     once and share it (immutable) with every campaign worker; each
-     worker's context then reuses one simulator arena across all its
-     cases. *)
-  let base = base_spec config in
-  let votes = (Runenv.of_spec base).Runenv.votes in
+     valid_after, divergence) — identical across cases — so the one
+     shared campaign context builds it once for every worker. *)
   let verdicts =
-    Campaign.map ~jobs ~votes ~base
+    Campaign.map ~jobs ~base:(base_spec config)
       (fun ctx index -> verdict_of_case config ~ctx ~run_protocol ~index)
       (List.init config.plans Fun.id)
   in

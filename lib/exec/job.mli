@@ -1,10 +1,10 @@
 (** One simulation as a value: a protocol choice plus the serializable
     parameter spec that deterministically rebuilds its environment.
 
-    Jobs are what the {!Pool} executes and what the {!Cache} keys:
-    {!key} combines the protocol name with {!Runenv.Spec.digest}, so
-    two jobs with the same key are byte-identical simulations and two
-    different simulations always have different keys. *)
+    Jobs are what the {!Pool} executes.  {!key} combines the protocol
+    name with {!Runenv.Spec.digest}, so two jobs with the same key are
+    byte-identical simulations and two different simulations always
+    have different keys. *)
 
 type protocol = Current | Synchronous | Ours
 (** The three directory protocols of the evaluation: the deployed v3
@@ -35,4 +35,4 @@ type outcome = {
 
 val outcome : t -> Protocols.Runenv.report -> outcome
 (** Project a full experiment {!Protocols.Runenv.report} down to the
-    sweep-cache slice, stamped with this job's {!key}. *)
+    sweep slice, stamped with this job's {!key}. *)

@@ -39,7 +39,3 @@ let cells t =
     t.protocols
 
 let jobs t = List.map (fun c -> c.job) (cells t)
-
-let size t =
-  List.length t.protocols * List.length t.bandwidths_mbit
-  * List.length t.relay_counts

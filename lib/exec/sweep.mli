@@ -37,6 +37,3 @@ val cells : t -> cell list
 
 val jobs : t -> Job.t list
 (** [cells] without the axis labels. *)
-
-val size : t -> int
-(** Number of cells in the grid. *)

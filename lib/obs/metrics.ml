@@ -66,13 +66,6 @@ let percentile h q =
     Float.min (Float.max upper h.agg.(agg_min)) h.agg.(agg_max)
   end
 
-let histogram_reset h =
-  Array.fill h.buckets 0 n_buckets 0;
-  h.n <- 0;
-  h.agg.(agg_sum) <- 0.;
-  h.agg.(agg_min) <- infinity;
-  h.agg.(agg_max) <- neg_infinity
-
 let merge_histogram ~into src =
   for i = 0 to n_buckets - 1 do
     into.buckets.(i) <- into.buckets.(i) + src.buckets.(i)
@@ -96,46 +89,22 @@ let render h =
   done;
   Buffer.contents buf
 
-(* Registry: one hashtable per metric kind, names matched exactly. *)
+(* Registry: histograms by name, matched exactly. *)
 
-type counter = int ref
-type gauge = float ref
+type t = (string, histogram) Hashtbl.t
 
-type t = {
-  c_tbl : (string, counter) Hashtbl.t;
-  g_tbl : (string, gauge) Hashtbl.t;
-  h_tbl : (string, histogram) Hashtbl.t;
-}
+let create () = Hashtbl.create 16
 
-let create () =
-  { c_tbl = Hashtbl.create 16;
-    g_tbl = Hashtbl.create 16;
-    h_tbl = Hashtbl.create 16 }
-
-let find_or_add tbl name make =
-  match Hashtbl.find_opt tbl name with
-  | Some v -> v
+let histogram t name =
+  match Hashtbl.find_opt t name with
+  | Some h -> h
   | None ->
-      let v = make () in
-      Hashtbl.add tbl name v;
-      v
+      let h = histogram_create () in
+      Hashtbl.add t name h;
+      h
 
-let counter t name = find_or_add t.c_tbl name (fun () -> ref 0)
-let incr c = Stdlib.incr c
-let add c n = c := !c + n
-let counter_value c = !c
+let find_histogram t name = Hashtbl.find_opt t name
 
-let gauge t name = find_or_add t.g_tbl name (fun () -> ref 0.)
-let set_gauge g v = g := v
-let gauge_value g = !g
-
-let histogram t name = find_or_add t.h_tbl name histogram_create
-let find_histogram t name = Hashtbl.find_opt t.h_tbl name
-
-let sorted_bindings tbl extract =
-  Hashtbl.fold (fun name v acc -> (name, extract v) :: acc) tbl []
+let histograms t =
+  Hashtbl.fold (fun name h acc -> (name, h) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let counters t = sorted_bindings t.c_tbl (fun c -> !c)
-let gauges t = sorted_bindings t.g_tbl (fun g -> !g)
-let histograms t = sorted_bindings t.h_tbl (fun h -> h)

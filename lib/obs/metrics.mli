@@ -1,36 +1,16 @@
-(** Metrics registry: allocation-free counters/gauges and log-bucketed
-    latency histograms.
+(** Metrics registry of log-bucketed latency histograms.
 
     The simulator's hot paths (one call per delivered message) must not
     allocate when telemetry is on, and must cost one branch when it is
-    off.  Counters and gauges are bare references; histograms bucket
-    into a fixed [int array] (HDR-style: logarithmic buckets, here a
-    fixed geometry shared by every histogram so any two can merge), with
-    exact count/sum/min/max kept in a float array to avoid boxed-float
-    stores. *)
+    off.  Histograms bucket into a fixed [int array] (HDR-style:
+    logarithmic buckets, here a fixed geometry shared by every
+    histogram so any two can merge), with exact count/sum/min/max kept
+    in a float array to avoid boxed-float stores. *)
 
 type t
-(** A named collection of metrics. *)
+(** A named collection of histograms. *)
 
 val create : unit -> t
-
-(** {1 Counters and gauges} *)
-
-type counter = int ref
-
-val counter : t -> string -> counter
-(** Find or register a counter under [name].  Registering twice returns
-    the same reference. *)
-
-val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_value : counter -> int
-
-type gauge = float ref
-
-val gauge : t -> string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {1 Histograms} *)
 
@@ -68,12 +48,6 @@ val percentile : histogram -> float -> float
     quantile (the upper edge of the bucket holding it, clamped to the
     exact observed min/max).  [nan] when empty. *)
 
-val histogram_reset : histogram -> unit
-(** [histogram_reset h] zeroes every bucket and the exact aggregates,
-    making [h] indistinguishable from a fresh {!histogram_create}
-    without reallocating the bucket array.  Part of the simulator-arena
-    reset path. *)
-
 val merge_histogram : into:histogram -> histogram -> unit
 (** Bucket-wise sum plus count/sum/min/max combination; [src] is not
     modified.  Merging is commutative and associative. *)
@@ -86,12 +60,6 @@ val render : histogram -> string
 (** {1 Registry-level operations} *)
 
 val find_histogram : t -> string -> histogram option
-
-val counters : t -> (string * int) list
-(** Name-sorted. *)
-
-val gauges : t -> (string * float) list
-(** Name-sorted. *)
 
 val histograms : t -> (string * histogram) list
 (** Name-sorted. *)

@@ -18,8 +18,7 @@ end
    the window, whatever the protocol on top; the driver only has to
    time the node's own actions (see [Runenv.awake]).  The merged plan
    is a pure function of the spec, so the injector's RNG stream is
-   too.  An arena [Net.reset] detaches faults and defenses, so a
-   reused simulator picks up exactly the plan of the spec it serves. *)
+   too. *)
 let apply_attacks (env : Runenv.t) net =
   List.iter
     (fun (a : Runenv.attack) ->
@@ -51,10 +50,6 @@ let variant id (v : Dirdoc.Vote.t) =
     ~nickname:v.nickname ~published:v.published ~valid_after:v.valid_after ~relays
 
 module Make (P : PROTOCOL) = struct
-  module Simulator = Runenv.Simulator (struct
-    type msg = P.msg
-  end)
-
   type t = {
     env : Runenv.t;
     engine : Sim.Engine.t;
@@ -72,11 +67,17 @@ module Make (P : PROTOCOL) = struct
     lbl_sig_answer : Sim.Stats.label;
   }
 
-  (* Labels are interned once so per-send accounting is an array add
-     (DESIGN.md §7).  Telemetry starts last: its t = 0 probes must be
-     scheduled before any driver event they tie with. *)
+  (* A simulator lives for exactly one run: every setup builds its own
+     engine and network.  Labels are interned once so per-send
+     accounting is an array add (DESIGN.md §7).  Telemetry starts last:
+     its t = 0 probes must be scheduled before any driver event they
+     tie with. *)
   let setup ?(round_seconds = infinity) (env : Runenv.t) ~labels =
-    let engine, net = Simulator.obtain ~driver:P.name env in
+    let engine = Sim.Engine.create ~nodes:env.n () in
+    let net =
+      Sim.Net.create ~engine ~topology:env.topology
+        ~bits_per_sec:env.bandwidth_bits_per_sec ()
+    in
     let trace = Sim.Trace.create () in
     apply_attacks env net;
     let labels = Array.map (Sim.Net.intern net) labels in

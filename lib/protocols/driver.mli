@@ -17,7 +17,7 @@ module type PROTOCOL = sig
   type msg
 
   val name : string
-  (** Result name and arena slot. *)
+  (** Result name. *)
 
   val msg_size : msg -> int
   val deadline : msg -> Tor_sim.Simtime.t option
@@ -53,7 +53,7 @@ module Make (P : PROTOCOL) : sig
   }
 
   val setup : ?round_seconds:Tor_sim.Simtime.t -> Runenv.t -> labels:string array -> t
-  (** Acquire the simulator ({!Runenv.Simulator}), install the
+  (** Build the run's own engine and network, install the
       environment's attacks, faults and defenses, intern [labels] then
       the signature labels, and start telemetry.  With [round_seconds]
       the run is lock-step and stops after four rounds (or at the

@@ -5,8 +5,6 @@ type result = {
   majority_signed_documents : Dirdoc.Consensus.t list;
 }
 
-let rerun_interval_seconds = 1800.
-
 let split_attack () =
   (* A full knockout during the two signature rounds: authorities 5-8
      neither send nor receive signatures before the 600 s deadline, so

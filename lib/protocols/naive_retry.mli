@@ -25,9 +25,6 @@ type result = {
           iteration — more than one is a safety violation *)
 }
 
-val rerun_interval_seconds : float
-(** 1800 s — Tor's fallback interval after a failed run. *)
-
 val run : ?iterations:int -> Runenv.t -> result
 (** Run up to [iterations] (default 3) rounds of retry.  The
     environment's attack windows apply to iteration 0 only (the attack

@@ -13,21 +13,6 @@ type behavior =
   | Equivocating
   | Crashed of { start : Sim.Simtime.t; stop : Sim.Simtime.t }
 
-(* A bag of reusable simulator instances, one slot per driver name.
-   The slot payload is an extensible variant because each driver's
-   network is monomorphic in its own message type; the driver that
-   stashed a slot is the only one that can match it back out. *)
-module Arena = struct
-  type slot = ..
-  type t = { mutable slots : (string * slot) list }
-
-  let create () = { slots = [] }
-  let find t driver = List.assoc_opt driver t.slots
-
-  let set t driver slot =
-    t.slots <- (driver, slot) :: List.remove_assoc driver t.slots
-end
-
 type t = {
   n : int;
   keyring : Crypto.Keyring.t;
@@ -43,10 +28,8 @@ type t = {
   horizon : Sim.Simtime.t;
   telemetry : bool;
       (* record spans/histograms; NOT part of Spec (see mli) *)
-  arena : Arena.t option;
-      (* reusable simulator instances; NOT part of Spec (see mli) *)
   rotation : Defense.Rotation.t option;
-      (* rotation membership cache derived from [defense] *)
+      (* mutable rotation membership memo derived from [defense] *)
 }
 
 (* MPTC-style rotation: a rotated-out authority sits the epoch out —
@@ -182,34 +165,41 @@ module Spec = struct
   let digest t = Crypto.Digest32.hex (Crypto.Digest32.of_string (canonical t))
 end
 
-(* Validation of the campaign-variable fields, shared between
-   [of_spec] and [vary] so a plan streamed through an arena is held to
-   exactly the checks a cold [of_spec] would apply. *)
-let checked_behaviors ~who ~n behaviors =
-  match behaviors with
-  | Some b ->
-      if Array.length b <> n then
-        invalid_arg (who ^ ": behaviors length mismatch");
+(* Every check runs before anything is built, so a malformed spec is
+   rejected before it costs a vote population.  The comparisons are
+   written so that NaN fails them — [not (start <= stop)],
+   [not (rate >= 0.)] — while an infinite bandwidth stays legal. *)
+let validate (spec : Spec.t) =
+  let fail msg = invalid_arg ("Runenv.of_spec: " ^ msg) in
+  let n = spec.n in
+  if spec.n_relays < 0 then fail "negative relay count";
+  if not (spec.bandwidth_bits_per_sec >= 0.) then
+    fail "bandwidth must be a non-negative number";
+  if not (Float.is_finite spec.horizon && spec.horizon >= 0.) then
+    fail "horizon must be finite and non-negative";
+  Option.iter
+    (fun b ->
+      if Array.length b <> n then fail "behaviors length mismatch";
       Array.iter
         (function
-          | Crashed { start; stop } when stop < start ->
-              invalid_arg (who ^ ": crash window stops before it starts")
+          | Crashed { start; stop } when not (start <= stop) ->
+              fail "crash window stops before it starts"
           | _ -> ())
-        b;
-      b
-  | None -> Array.make n Honest
-
-let check_variation ~who ~n ~attacks ~fault_plan =
-  Option.iter (fun plan -> Sim.Fault.validate ~n plan) fault_plan;
+        b)
+    spec.behaviors;
   List.iter
     (fun a ->
-      if a.node < 0 || a.node >= n then
-        invalid_arg (who ^ ": attack node out of range");
-      if a.stop < a.start then invalid_arg (who ^ ": attack stops before it starts");
-      if a.bits_per_sec < 0. then invalid_arg (who ^ ": negative residual bandwidth"))
-    attacks
+      if a.node < 0 || a.node >= n then fail "attack node out of range";
+      if not (a.start <= a.stop) then fail "attack stops before it starts";
+      if not (a.bits_per_sec >= 0.) then
+        fail "residual bandwidth must be a non-negative number")
+    spec.attacks;
+  Option.iter (Sim.Fault.validate ~n) spec.fault_plan;
+  Option.iter (Defense.Plan.validate ~n) spec.defense;
+  Option.iter Torclient.Distribution.validate_config spec.distribution
 
 let of_spec ?votes (spec : Spec.t) =
+  validate spec;
   let { Spec.seed; valid_after; n; n_relays; bandwidth_bits_per_sec; attacks;
         behaviors; divergence; fault_plan; defense; distribution; horizon } =
     spec
@@ -226,10 +216,6 @@ let of_spec ?votes (spec : Spec.t) =
         Dirdoc.Workload.votes ~rng ?divergence ~keyring ~n_authorities:n ~n_relays
           ~valid_after ()
   in
-  let behaviors = checked_behaviors ~who:"Runenv.of_spec" ~n behaviors in
-  check_variation ~who:"Runenv.of_spec" ~n ~attacks ~fault_plan;
-  Option.iter (Defense.Plan.validate ~n) defense;
-  Option.iter Torclient.Distribution.validate_config distribution;
   {
     n;
     keyring;
@@ -238,76 +224,18 @@ let of_spec ?votes (spec : Spec.t) =
     valid_after;
     bandwidth_bits_per_sec;
     attacks;
-    behaviors;
+    behaviors = Option.value behaviors ~default:(Array.make n Honest);
     fault_plan;
     defense;
     distribution;
     horizon;
     telemetry = false;
-    arena = None;
     rotation =
       Option.bind defense (fun p ->
           Option.map
             (fun c -> Defense.Rotation.instantiate c ~n)
             p.Defense.Plan.rotation);
   }
-
-let vary env ~attacks ~behaviors ~fault_plan =
-  let behaviors = checked_behaviors ~who:"Runenv.vary" ~n:env.n behaviors in
-  check_variation ~who:"Runenv.vary" ~n:env.n ~attacks ~fault_plan;
-  { env with attacks; behaviors; fault_plan }
-
-(* Engine+network acquisition shared by the protocol drivers: build a
-   fresh simulator, or — when the environment carries an arena — reuse
-   the one stashed under the driver's name, reset on acquisition.
-   Resetting on the way in (not the way out) means an arena left dirty
-   by an exception self-heals on the next use.  A slot is only reused
-   when everything baked into engine/net construction matches:
-   dimension, the identical topology (campaign runs share one base
-   environment, so physical equality is the campaign invariant) and
-   base bandwidth; anything else rebuilds and replaces the slot. *)
-module Simulator (M : sig
-  type msg
-end) =
-struct
-  type state = {
-    engine : Sim.Engine.t;
-    net : M.msg Sim.Net.t;
-    s_n : int;
-    s_topology : Sim.Topology.t;
-    s_bits : float;
-  }
-
-  type Arena.slot += Slot of state
-
-  let build env =
-    let engine = Sim.Engine.create ~nodes:env.n () in
-    let net =
-      Sim.Net.create ~engine ~topology:env.topology
-        ~bits_per_sec:env.bandwidth_bits_per_sec ()
-    in
-    { engine; net; s_n = env.n; s_topology = env.topology;
-      s_bits = env.bandwidth_bits_per_sec }
-
-  let obtain ~driver env =
-    match env.arena with
-    | None ->
-        let s = build env in
-        (s.engine, s.net)
-    | Some arena -> (
-        match Arena.find arena driver with
-        | Some (Slot s)
-          when s.s_n = env.n
-               && s.s_topology == env.topology
-               && s.s_bits = env.bandwidth_bits_per_sec ->
-            Sim.Engine.reset s.engine;
-            Sim.Net.reset s.net;
-            (s.engine, s.net)
-        | _ ->
-            let s = build env in
-            Arena.set arena driver (Slot s);
-            (s.engine, s.net))
-end
 
 type authority_result = {
   consensus : Dirdoc.Consensus.t option;

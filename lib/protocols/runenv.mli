@@ -22,22 +22,6 @@ type behavior =
           {!Tor_sim.Fault.Crash} entry) and the protocol drivers defer
           a node crashed at time 0 until its recovery instant. *)
 
-(** A bag of reusable simulator instances keyed by driver name, shared
-    across the runs of a campaign (DESIGN.md §11).  The slot type is
-    extensible because each driver's network is monomorphic in its own
-    message type; drivers stash and recover their slots through
-    {!module-Simulator}. *)
-module Arena : sig
-  type slot = ..
-  type t
-
-  val create : unit -> t
-  val find : t -> string -> slot option
-
-  val set : t -> string -> slot -> unit
-  (** Replace any existing slot under the same name. *)
-end
-
 type t = {
   n : int;
   keyring : Crypto.Keyring.t;
@@ -63,31 +47,19 @@ type t = {
           {!Spec.t}: flipping it cannot invalidate existing spec
           digests.  Enable it with a record update:
           [{ env with Runenv.telemetry = true }]. *)
-  arena : Arena.t option;
-      (** reusable simulator instances for campaign evaluation.  Like
-          [telemetry], NOT part of {!Spec.t}: reusing an arena never
-          changes simulation outcomes (a test pins reports
-          bit-identical fresh vs reused), it only skips reconstruction.
-          [None] (the default from {!of_spec}) rebuilds the simulator
-          per run; [Exec.Campaign] installs one arena per worker
-          domain.  An arena must never be shared across domains. *)
   rotation : Defense.Rotation.t option;
       (** rotation membership cache derived from [defense] ([None] when
           rotation is off) — internal plumbing for {!awake}, built by
-          {!of_spec}. *)
+          {!of_spec}.  The cache is mutable, so a [t] must never be
+          shared across domains: build one per run. *)
 }
 
 val awake : t -> int -> now:Tor_sim.Simtime.t -> bool
 (** Whether authority [id] processes events at [now]: [false] for
     [Silent] always, for [Crashed] inside its window, and for a node
-    the defense {!rotated_out} of the active subset.  The drivers
-    guard message handlers and scheduled round actions with this
-    instead of hard-coding [Silent]'s permanence. *)
-
-val rotated_out : t -> int -> now:Tor_sim.Simtime.t -> bool
-(** Whether the environment's rotation defense has authority [id]
-    quiet at [now] ([false] when no rotation is configured).  Folded
-    into {!awake}; exposed for diagnostics. *)
+    the rotation defense has rotated out of the active subset.  The
+    drivers guard message handlers and scheduled round actions with
+    this instead of hard-coding [Silent]'s permanence. *)
 
 val participates : behavior -> bool
 (** [false] only for [Silent] — the node never takes part. *)
@@ -95,8 +67,8 @@ val participates : behavior -> bool
 (** Declarative run specification: the serializable description of an
     environment.  A [Spec.t] carries everything [of_spec] needs to
     rebuild a [t] deterministically, so a spec (or its digest) fully
-    identifies a simulation — the sweep engine keys its job cache on
-    {!Spec.digest}. *)
+    identifies a simulation — sweep job keys and chaos repro lines are
+    built on {!Spec.digest}. *)
 module Spec : sig
   type t = {
     seed : string;
@@ -109,8 +81,8 @@ module Spec : sig
     divergence : Dirdoc.Workload.divergence option;
     fault_plan : Tor_sim.Fault.plan option;
         (** injected network faults; [None] = fault-free.  Participates
-            in {!canonical}/{!digest} so cached sweep results keyed on a
-            digest never conflate faulty and fault-free runs. *)
+            in {!canonical}/{!digest}, so a faulty run never shares a
+            digest with a fault-free one. *)
     defense : Defense.Plan.t option;
         (** defenses to install (admission control and/or rotation);
             [None] = undefended.  Participates in
@@ -147,36 +119,15 @@ val of_spec : ?votes:Dirdoc.Vote.t array -> Spec.t -> t
     population across configurations — the generated votes depend
     only on [seed], [n], [n_relays], [valid_after], and
     [divergence], so a cached population is exactly what would have
-    been generated).  Raises [Invalid_argument] on inconsistent
-    array lengths or malformed attack windows. *)
-
-val vary :
-  t ->
-  attacks:attack list ->
-  behaviors:behavior array option ->
-  fault_plan:Tor_sim.Fault.plan option ->
-  t
-(** [vary env ~attacks ~behaviors ~fault_plan] is [env] with the three
-    campaign-variable fields replaced, validated exactly as {!of_spec}
-    validates them ([None] behaviors means all honest).  Everything
-    expensive — keyring, topology, votes — is shared with [env].
-    Raises [Invalid_argument] on the same malformed inputs {!of_spec}
-    rejects. *)
-
-(** Per-driver engine+network acquisition, arena-aware.  The driver
-    skeleton ({!Driver.Make}) instantiates this once per message type
-    and calls {!Simulator.obtain} at setup: without an arena [obtain]
-    builds a fresh simulator; with one, the
-    slot stashed under the driver's name is reset
-    ({!Tor_sim.Engine.reset} + {!Tor_sim.Net.reset}) and reused when
-    its construction parameters (n, the identical topology, base
-    bandwidth) match, and rebuilt-and-replaced otherwise.  Reset happens on acquisition, so an arena left dirty by
-    a raised exception is safe to reuse. *)
-module Simulator (M : sig
-  type msg
-end) : sig
-  val obtain : driver:string -> t -> Tor_sim.Engine.t * M.msg Tor_sim.Net.t
-end
+    been generated; with votes given, building takes about 0.1 ms).
+    Raises [Invalid_argument] ["Runenv.of_spec: ..."] before building
+    anything on a malformed spec: a negative relay count, a NaN or
+    negative bandwidth (infinite is legal), a NaN, infinite or negative
+    horizon, an attack or crash window that is NaN or stops before it
+    starts, a NaN or negative residual attack rate, an attack node out
+    of range, or a behaviors or votes array of the wrong length.
+    Invalid fault plans, defenses and distribution configs raise their
+    own modules' errors. *)
 
 (** Outcome of one authority at the end of a run. *)
 type authority_result = {

@@ -5,6 +5,4 @@ let digest_bytes = Crypto.Digest32.wire_size
 
 let vote_push_bytes ~n_relays = Dirdoc.Vote.wire_size_for ~n_relays + control_bytes
 
-let consensus_bytes ~n_entries = 1536 + (220 * n_entries) + control_bytes
-
 let dir_connection_timeout = 60.

@@ -21,9 +21,6 @@ val digest_bytes : int
 val vote_push_bytes : n_relays:int -> int
 (** A full vote document plus envelope. *)
 
-val consensus_bytes : n_entries:int -> int
-(** A consensus document plus envelope. *)
-
 val dir_connection_timeout : float
 (** Tor's directory-client connection timeout (60 s): a vote transfer
     that cannot complete within this window fails with

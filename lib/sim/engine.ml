@@ -206,27 +206,3 @@ let run ?until t =
   | _ -> ()
 
 let pending t = Event_queue.size t.queue
-
-(* Arena reset: back to the state [create] left, in O(pool size), with
-   every array kept at its high-water capacity.  Registered callbacks
-   survive — they are wiring installed once per [Net], not per run —
-   and the generation bump on every cell makes any handle from before
-   the reset stale, so a leftover [cancel] stays a no-op.  The rebuilt
-   free list hands cells out in index order, the same order a fresh
-   engine allocates them. *)
-let reset t =
-  t.clock <- Simtime.zero;
-  Event_queue.clear t.queue;
-  for i = 0 to t.n_cells - 1 do
-    let c = t.cells.(i) in
-    c.gen <- c.gen + 1;
-    c.state <- st_free;
-    c.kind <- -1;
-    c.arg <- 0;
-    c.owner <- -1;
-    c.action <- nop;
-    c.next_free <- (if i + 1 < t.n_cells then i + 1 else -1)
-  done;
-  t.free_head <- (if t.n_cells > 0 then 0 else -1);
-  t.cur_owner <- -1;
-  Array.fill t.counters 0 (Array.length t.counters) 0

@@ -69,12 +69,3 @@ val run : ?until:Simtime.t -> t -> unit
 
 val pending : t -> int
 (** Number of events still queued (including cancelled husks). *)
-
-val reset : t -> unit
-(** [reset t] returns the engine to the state {!create} left it in —
-    clock at zero, queue empty, every cell free, creator counters
-    zeroed — while keeping the cell pool, queue arrays and registered
-    callbacks allocated and installed, so a long campaign reuses one
-    engine instead of rebuilding it per run.  O(pool size),
-    allocation-free.  Handles from before the reset are stale;
-    cancelling one is a no-op. *)

@@ -126,11 +126,3 @@ let pop_if_before q ~horizon ~default =
 
 let size q = q.size
 let is_empty q = q.size = 0
-
-(* O(1) reuse: drop the live prefix and restart the tie-break counter.
-   The payload array deliberately keeps its stale entries — callers
-   whose payloads are heap values and who care about retention should
-   pop the queue dry instead. *)
-let clear q =
-  q.size <- 0;
-  q.next_seq <- 0

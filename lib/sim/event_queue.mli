@@ -42,10 +42,3 @@ val pop_if_before : 'a t -> horizon:Simtime.t -> default:'a -> 'a
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit
-(** [clear q] empties the queue in O(1), keeping the arrays at their
-    high-water capacity and restarting the insertion tie-break counter,
-    so a cleared queue behaves exactly like a fresh one.  The payload
-    array retains whatever values it held; callers recycling queues of
-    heap payloads should drain with {!pop} if retention matters. *)

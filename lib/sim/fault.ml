@@ -13,14 +13,6 @@ let any = -1
 
 let empty = { seed = ""; faults = [] }
 
-let fault_nodes f =
-  let ends = function e when e = any -> [] | e -> [ e ] in
-  match f.kind with
-  | Drop { src; dst; _ } | Delay { src; dst; _ } | Duplicate { src; dst; _ } ->
-      ends src @ ends dst
-  | Partition { a; b } -> ends a @ ends b
-  | Crash { node } -> ends node
-
 let crash_nodes plan =
   List.filter_map
     (fun f -> match f.kind with Crash { node } -> Some node | _ -> None)
@@ -41,7 +33,7 @@ let validate ~n plan =
   in
   List.iter
     (fun f ->
-      if f.stop < f.start then
+      if not (f.start <= f.stop) then
         invalid_arg "Fault.validate: fault window stops before it starts";
       match f.kind with
       | Drop { src; dst; prob = p } ->
@@ -49,7 +41,7 @@ let validate ~n plan =
       | Partition { a; b } -> node a "partition"; node b "partition"
       | Delay { src; dst; max_extra } ->
           node src "delay"; node dst "delay";
-          if max_extra < 0. then invalid_arg "Fault.validate: negative delay"
+          if not (max_extra >= 0.) then invalid_arg "Fault.validate: negative delay"
       | Duplicate { src; dst; prob = p } ->
           node src "duplicate"; node dst "duplicate"; prob p "duplicate"
       | Crash { node = e } -> node e "crash")

@@ -49,9 +49,6 @@ val any : int
 
 val empty : plan
 
-val fault_nodes : fault -> int list
-(** Node ids the fault names ([any] excluded). *)
-
 val crash_nodes : plan -> int list
 (** Sorted, de-duplicated ids of nodes with a [Crash] window. *)
 

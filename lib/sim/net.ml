@@ -53,9 +53,7 @@ type 'm t = {
 let n t = Array.length t.nics
 let engine t = t.engine
 
-(* Always a copy, so a report outlives any {!reset} of the network
-   that produced it. *)
-let stats t = Stats.copy t.stats
+let stats t = t.stats
 
 let ensure_lat t =
   let nlabels = List.length t.interned in
@@ -399,26 +397,6 @@ let broadcast t ~src ~size ?label ?deadline msg =
 let limit_node t ~node ~start ~stop ~bits_per_sec =
   check_node t node "limit_node";
   Nic.limit_window t.nics.(node) ~start ~stop ~bits_per_sec
-
-(* Arena reset: statistics zeroed (interned labels survive, so a driver
-   re-interning the same names gets the same dense ids), flight pool
-   emptied, NIC schedules dropped, fault injector and handler detached,
-   telemetry off with its histograms zeroed.  The trampoline callback
-   stays installed — it is per-network wiring, registered once in
-   [create].  Everything keeps its high-water capacity. *)
-let reset t =
-  Stats.reset t.stats;
-  for i = 0 to t.fl_len - 1 do
-    t.fl_next.(i) <- (if i + 1 < t.fl_len then i + 1 else -1)
-  done;
-  t.fl_free <- (if t.fl_len > 0 then 0 else -1);
-  Array.iter Nic.reset t.nics;
-  t.fault <- None;
-  t.admission <- None;
-  t.rotation <- None;
-  t.handler <- None;
-  t.obs_on <- false;
-  Array.iter (fun row -> Array.iter Obs.Metrics.histogram_reset row) t.lat
 
 (* Periodic telemetry probes, one recurring event per node.  Each probe
    samples the node's NIC backlog (drain time of everything already

@@ -33,14 +33,15 @@ val n : 'm t -> int
 val engine : 'm t -> Engine.t
 
 val stats : 'm t -> Stats.t
-(** A snapshot of the traffic statistics — take it after {!Engine.run}
-    returns.  Always a fresh copy, so a report built from it survives a
-    later {!reset} of this network. *)
+(** The network's traffic statistics — read them after {!Engine.run}
+    returns.  The table is the network's own, not a copy: a network
+    serves one run, so nothing records into it once its run is
+    over. *)
 
 val intern : 'm t -> string -> Stats.label
 (** Intern a label in the network's statistics, returning its dense
     id.  Call at setup, before the run; [Stats.intern (Net.stats net)]
-    would intern into a throwaway snapshot. *)
+    would hide the label from the delivery-latency histograms. *)
 
 val nic : 'm t -> int -> Nic.t
 (** The node's shared NIC. *)
@@ -71,8 +72,7 @@ val fault : 'm t -> Fault.t option
 val set_defense : 'm t -> Defense.Plan.t -> unit
 (** Install a defense plan through the same interposition seam as
     {!set_fault}; install before the first send, alongside the fault
-    injector (an arena {!reset} detaches both).  Semantics per
-    message:
+    injector.  Semantics per message:
     {ul
     {- {b admission} ({!Defense.Admission}): checked at the delivery
        stage, {e before} ingress bandwidth is reserved on the
@@ -119,16 +119,6 @@ val broadcast :
 val limit_node :
   'm t -> node:int -> start:Simtime.t -> stop:Simtime.t -> bits_per_sec:float -> unit
 (** Cap [node]'s NIC during a window; the DDoS primitive. *)
-
-val reset : 'm t -> unit
-(** [reset t] empties the network for reuse in a fresh run: statistics
-    zeroed (interned labels keep their ids), flight pool cleared, NIC
-    rate schedules and reservations dropped, fault injector, defenses
-    and delivery handler detached, telemetry disabled with its
-    histograms zeroed.  The pool and histogram arrays keep their
-    high-water capacity; the trampoline callback stays registered with
-    the engine.  Callers must {!set_handler} again before the next run
-    and reset the engine alongside ({!Engine.reset}). *)
 
 (** {1 Telemetry} *)
 

@@ -154,11 +154,3 @@ let reserve t ~now ~bytes =
   end
 
 let busy_until t = t.busy_until
-
-(* Back to the state [create] left: no breakpoints, idle FIFO.  The
-   breakpoint arrays keep their capacity so re-applying an attack
-   schedule after a reset allocates nothing. *)
-let reset t =
-  t.n_bp <- 0;
-  t.cursor <- -1;
-  t.busy_until <- Simtime.zero

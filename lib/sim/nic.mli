@@ -37,8 +37,3 @@ val reserve : t -> now:Simtime.t -> bytes:int -> Simtime.t
 val transfer_time : t -> now:Simtime.t -> bytes:int -> Simtime.t
 (** Like {!reserve} but without committing the reservation; used by
     planners and tests. *)
-
-val reset : t -> unit
-(** [reset t] drops every breakpoint and pending reservation, returning
-    the NIC to the state {!create} produced while keeping the
-    breakpoint arrays allocated at their high-water capacity. *)

@@ -23,7 +23,7 @@ type t = {
   mutable label_counts : int array;
   mutable label_drops : int array; (* dropped messages per label *)
   mutable label_rejected : int array; (* defense-rejected messages per label *)
-  mutable label_used : bool array; (* recorded at least once since reset *)
+  mutable label_used : bool array; (* recorded at least once *)
   mutable n_labels : int;
 }
 
@@ -106,8 +106,6 @@ let record_drop t ~node ~label =
     t.label_used.(label) <- true
   end
 
-let record_dropped t = record_drop t ~node:(-1) ~label:no_label
-
 (* Allocation-free reject accounting, mirroring [record_drop]: [node]
    is the intended recipient (or [-1]), [label] an interned id or
    [no_label]. *)
@@ -145,8 +143,8 @@ let label_rejected t name =
 
 let labels t =
   let acc = ref [] in
-  (* Only labels actually recorded since the last reset appear, exactly
-     as the old string-keyed table only held recorded labels. *)
+  (* Only labels actually recorded appear, exactly as the old
+     string-keyed table only held recorded labels. *)
   for id = t.n_labels - 1 downto 0 do
     if t.label_used.(id) then acc := (t.label_names.(id), t.label_counts.(id)) :: !acc
   done;
@@ -167,33 +165,3 @@ let rejected_labels t =
       acc := (t.label_names.(id), t.label_rejected.(id)) :: !acc
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
-
-let copy t =
-  {
-    t with
-    bytes_sent = Array.copy t.bytes_sent;
-    bytes_received = Array.copy t.bytes_received;
-    messages_sent = Array.copy t.messages_sent;
-    dropped_at = Array.copy t.dropped_at;
-    rejected_at = Array.copy t.rejected_at;
-    intern_table = Hashtbl.copy t.intern_table;
-    label_names = Array.copy t.label_names;
-    label_counts = Array.copy t.label_counts;
-    label_drops = Array.copy t.label_drops;
-    label_rejected = Array.copy t.label_rejected;
-    label_used = Array.copy t.label_used;
-  }
-
-let reset t =
-  Array.fill t.bytes_sent 0 (n t) 0;
-  Array.fill t.bytes_received 0 (n t) 0;
-  Array.fill t.messages_sent 0 (n t) 0;
-  t.dropped <- 0;
-  Array.fill t.dropped_at 0 (n t) 0;
-  t.rejected <- 0;
-  Array.fill t.rejected_at 0 (n t) 0;
-  (* Interned ids stay valid across reset; only the counts clear. *)
-  Array.fill t.label_counts 0 t.n_labels 0;
-  Array.fill t.label_drops 0 t.n_labels 0;
-  Array.fill t.label_rejected 0 t.n_labels 0;
-  Array.fill t.label_used 0 t.n_labels false

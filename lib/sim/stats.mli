@@ -11,8 +11,7 @@
 type t
 
 type label
-(** An interned message label, valid for the {!t} that interned it
-    (and across {!reset}). *)
+(** An interned message label, valid for the {!t} that interned it. *)
 
 val create : n:int -> t
 
@@ -42,9 +41,6 @@ val record_drop : t -> node:int -> label:label -> unit
 (** Count one lost message: [node] is the intended recipient ([-1]
     when unattributable), [label] the message's interned label or
     {!no_label}.  Allocation-free, like {!record_send}. *)
-
-val record_dropped : t -> unit
-(** [record_drop] with no recipient and no label. *)
 
 val record_reject : t -> node:int -> label:label -> unit
 (** Count one message turned away by a defense (admission control,
@@ -77,27 +73,20 @@ val label_bytes : t -> string -> int
 (** Bytes attributed to a message label ([0] for unknown labels). *)
 
 val labels : t -> (string * int) list
-(** Labels recorded since the last reset with their byte counts,
-    sorted by label. *)
+(** Labels recorded at least once, with their byte counts, sorted by
+    label. *)
 
 val label_dropped : t -> string -> int
 (** Messages dropped under a label ([0] for unknown labels). *)
 
 val dropped_labels : t -> (string * int) list
-(** Labels with at least one dropped message since the last reset,
-    with their drop counts, sorted by label. *)
+(** Labels with at least one dropped message, with their drop counts,
+    sorted by label. *)
 
 val label_rejected : t -> string -> int
 (** Messages defense-rejected under a label ([0] for unknown
     labels). *)
 
 val rejected_labels : t -> (string * int) list
-(** Labels with at least one defense-rejected message since the last
-    reset, with their reject counts, sorted by label. *)
-
-val copy : t -> t
-(** An independent snapshot: later records or a {!reset} on either
-    side leave the other unchanged.  Interned ids stay valid in both. *)
-
-val reset : t -> unit
-(** Clear every counter.  Interned ids remain valid. *)
+(** Labels with at least one defense-rejected message, with their
+    reject counts, sorted by label. *)

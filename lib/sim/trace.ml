@@ -41,5 +41,3 @@ let dump ?node t =
       if Buffer.length buf > 0 then Buffer.add_char buf '\n';
       Buffer.add_string buf (render r));
   Buffer.contents buf
-
-let clear t = t.records <- []

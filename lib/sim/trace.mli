@@ -38,5 +38,3 @@ val iter : ?node:int -> t -> (record -> unit) -> unit
 
 val dump : ?node:int -> t -> string
 (** All (or one node's) records rendered, newline-separated. *)
-
-val clear : t -> unit

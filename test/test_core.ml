@@ -598,28 +598,19 @@ let test_run_fingerprints () =
   in
   Alcotest.(check (list (pair string string)))
     "fresh environments" expected_fingerprints (fingerprints fresh);
-  (* The same runs through campaign arenas: one context per base spec,
-     so simulators are reset and reused across scenarios, protocols and
-     the telemetry flag. *)
-  let contexts = ref [] in
-  let through_arena spec ~telemetry =
-    let plan = Exec.Campaign.plan_of_spec spec in
+  (* The same runs through campaign contexts: the scenario's variable
+     fields as a plan over its base spec, so a run through a campaign
+     equals a fresh run. *)
+  let through_context spec ~telemetry =
     let base =
       Exec.Campaign.spec_of ~base:spec
         { Exec.Campaign.attacks = []; behaviors = None; fault_plan = None }
     in
-    let ctx =
-      match List.assoc_opt base !contexts with
-      | Some ctx -> ctx
-      | None ->
-          let ctx = Exec.Campaign.create ~votes:(votes base) base in
-          contexts := (base, ctx) :: !contexts;
-          ctx
-    in
-    Exec.Campaign.env_of ~telemetry ctx plan
+    let ctx = Exec.Campaign.create ~votes:(votes base) base in
+    Exec.Campaign.env_of ~telemetry ctx (Exec.Campaign.plan_of_spec spec)
   in
   Alcotest.(check (list (pair string string)))
-    "campaign arenas" expected_fingerprints (fingerprints through_arena)
+    "campaign contexts" expected_fingerprints (fingerprints through_context)
 
 let test_table2_structure () =
   let rows, measured = Torpartial.Experiments.table2 () in
@@ -800,6 +791,16 @@ let test_scenario_errors () =
   ignore (expect_error "behavior 1 crashed:soon:later");
   ignore (expect_error "behavior 1 crashed:30" (* missing stop *));
   ignore (expect_error "attack 0 10 5 1.0" (* stop before start *));
+  (* Malformed specs parse directive by directive but fail
+     [Runenv.of_spec]'s checks. *)
+  ignore (expect_error "bandwidth -3");
+  ignore (expect_error "bandwidth nan");
+  ignore (expect_error "attack 0 nan 5 1.0");
+  ignore (expect_error "attack 0 0 5 nan");
+  ignore (expect_error "behavior 1 crashed:nan:30");
+  ignore (expect_error "horizon nan");
+  ignore (expect_error "horizon -3");
+  ignore (expect_error "horizon inf");
   ignore (expect_error "clients many");
   ignore (expect_error "clients 0");
   ignore (expect_error "caches 0");

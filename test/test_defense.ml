@@ -1,8 +1,7 @@
 (* Defense toolbox: token-bucket admission boundaries, the rotation
    schedule, plan canonicalization and digest participation, and the
    end-to-end invariants — defense-off runs identical to undefended
-   runs, defended runs bit-identical across worker counts and across
-   arena reuse. *)
+   runs, defended runs bit-identical across worker counts. *)
 
 open Tor_sim
 module R = Protocols.Runenv
@@ -223,17 +222,8 @@ let test_stats_rejected_counters () =
   Alcotest.(check int) "rejected at node 1" 2 (Stats.rejected_at s 1);
   Alcotest.(check int) "rejected by label" 2 (Stats.label_rejected s "vote");
   Alcotest.(check int) "dropped untouched" 0 (Stats.dropped s);
-  (* A copy keeps the rejects through a reset of the original. *)
-  let snap = Stats.copy s in
-  Stats.reset s;
-  Alcotest.(check int) "reset total" 0 (Stats.rejected s);
-  Alcotest.(check int) "reset node" 0 (Stats.rejected_at s 1);
-  Alcotest.(check int) "reset label" 0 (Stats.label_rejected s "vote");
-  Alcotest.(check int) "copied total" 3 (Stats.rejected snap);
-  Alcotest.(check int) "copied node" 2 (Stats.rejected_at snap 1);
-  Alcotest.(check int) "copied label" 2 (Stats.label_rejected snap "vote");
-  Alcotest.(check (list (pair string int))) "copied rejected labels"
-    [ ("vote", 2) ] (Stats.rejected_labels snap)
+  Alcotest.(check (list (pair string int))) "rejected labels"
+    [ ("vote", 2) ] (Stats.rejected_labels s)
 
 (* --- End-to-end invariants ------------------------------------------------ *)
 
@@ -288,8 +278,8 @@ let test_defended_run_rejects () =
 
 let test_defended_jobs_invariant () =
   (* A defended campaign gives the same runs on one worker as on two:
-     chunking changes which arena each plan lands on and what ran on it
-     before, never the result. *)
+     which domain runs a plan, and what ran there before, never changes
+     the result. *)
   let defended = { base_spec with R.Spec.defense = Some tight_defense } in
   let plans =
     List.map
@@ -304,25 +294,6 @@ let test_defended_jobs_invariant () =
       Alcotest.(check int) "one result per plan" (List.length plans) (List.length one);
       Alcotest.(check bool) "defended: jobs=2 == jobs=1" true (two = one))
     [ E.Current; E.Ours ]
-
-let test_defended_arena_reuse () =
-  (* Defenses survive Arena reset-on-acquire: a defended plan on a
-     dirty, reused arena reproduces its fresh run bit for bit — and a
-     subsequent undefended plan through the same context is not
-     polluted by the defended one. *)
-  let defended = { base_spec with R.Spec.defense = Some tight_defense } in
-  let ctx = Exec.Campaign.create defended in
-  let warmup =
-    Exec.Campaign.plan_of_spec
-      { defended with R.Spec.attacks = Attack.Ddos.knockout ~n:9 () }
-  in
-  ignore (E.run E.Current (Exec.Campaign.env_of ctx warmup) : R.report);
-  let fresh = summary (E.run E.Current (R.of_spec defended)) in
-  let reused =
-    summary
-      (E.run E.Current (Exec.Campaign.env_of ctx (Exec.Campaign.plan_of_spec defended)))
-  in
-  Alcotest.(check bool) "defended: reused arena == fresh" true (reused = fresh)
 
 let suite =
   [
@@ -341,5 +312,4 @@ let suite =
     ("e2e: defended run rejects, undefended does not", `Quick, test_defended_run_rejects);
     ("e2e: defended run bit-identical across worker counts", `Quick,
       test_defended_jobs_invariant);
-    ("e2e: defended arena reuse bit-identical", `Quick, test_defended_arena_reuse);
   ]

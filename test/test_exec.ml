@@ -1,8 +1,8 @@
-(* Tests for the parallel sweep engine: Spec digest stability, the
-   bounded-queue domain pool, the domain-safe result cache, sweep
+(* Tests for the batch engines: Spec digest stability, the
+   bounded-queue domain pool, the domain-safe vote cache, sweep
    compilation, jobs=1 vs jobs=4 determinism over a Figure 10
-   sub-grid, and campaign arenas whose reuse is bit-identical to fresh
-   construction. *)
+   sub-grid, and campaigns whose results do not depend on the worker
+   count. *)
 
 module R = Protocols.Runenv
 module E = Torpartial.Experiments
@@ -138,10 +138,7 @@ let test_cache_computes_once () =
       (List.init 32 Fun.id)
   in
   checkb "every requester sees the value" true (List.for_all (( = ) 7) hits);
-  checki "k2 computed once under contention" 2 (Atomic.get count);
-  checki "two completed entries" 2 (Exec.Cache.length cache);
-  checkb "find_opt hit" true (Exec.Cache.find_opt cache "k" = Some 42);
-  checkb "find_opt miss" true (Exec.Cache.find_opt cache "absent" = None)
+  checki "k2 computed once under contention" 2 (Atomic.get count)
 
 let test_cache_exception_not_cached () =
   let cache = Exec.Cache.create () in
@@ -165,7 +162,6 @@ let test_sweep_compiles_grid () =
       ~protocols:[ E.Current; E.Ours ]
       ~bandwidths_mbit:[ 10.; 1. ] ~relay_counts:[ 100; 200; 300 ] ()
   in
-  checki "size" 12 (Exec.Sweep.size sweep);
   let cells = Exec.Sweep.cells sweep in
   checki "one cell per grid point" 12 (List.length cells);
   let keys = List.map (fun c -> Exec.Job.key c.Exec.Sweep.job) cells in
@@ -180,39 +176,10 @@ let test_sweep_compiles_grid () =
 
 (* --- Determinism across worker counts ---------------------------------------- *)
 
-(* Summarize without the Experiments result cache, so the jobs=1 and
-   jobs=4 runs both actually simulate. *)
-let summarize (job : Exec.Job.t) =
-  let env = R.of_spec job.Exec.Job.spec in
-  let report = E.run job.Exec.Job.protocol env in
-  ( Exec.Job.key job,
-    report.R.success,
-    report.R.success_latency,
-    report.R.decided_at_latest,
-    report.R.total_bytes )
-
 let test_fig10_subgrid_determinism () =
-  let sweep = Exec.Sweep.make ~bandwidths_mbit:[ 50. ] ~relay_counts:[ 100; 150 ] () in
-  let jobs = Exec.Sweep.jobs sweep in
-  let sequential = Exec.Pool.map ~jobs:1 summarize jobs in
-  let parallel = Exec.Pool.map ~jobs:4 summarize jobs in
-  checkb "jobs=1 and jobs=4 summaries identical" true (sequential = parallel);
   let cells1 = E.fig10 ~bandwidths_mbit:[ 50. ] ~relay_counts:[ 100; 150 ] ~jobs:1 () in
   let cells4 = E.fig10 ~bandwidths_mbit:[ 50. ] ~relay_counts:[ 100; 150 ] ~jobs:4 () in
   checkb "fig10 cells identical across worker counts" true (cells1 = cells4)
-
-let test_run_job_cached () =
-  (* Distinctively-seeded job so this test owns its cache entry. *)
-  let job =
-    {
-      Exec.Job.protocol = E.Ours;
-      spec = { R.Spec.default with R.Spec.seed = "test-run-job-cached"; n_relays = 100 };
-    }
-  in
-  let o1 = E.run_job job in
-  let o2 = E.run_job job in
-  checkb "same outcome object from the cache" true (o1 == o2);
-  checkb "key matches the job" true (o1.Exec.Job.key = Exec.Job.key job)
 
 (* --- Campaign ----------------------------------------------------------------- *)
 
@@ -237,8 +204,8 @@ let test_campaign_plan_roundtrip () =
     (Exec.Campaign.digest ctx plan)
 
 let test_campaign_map_determinism () =
-  (* Same items, same results, for every worker count — each worker
-     builds its own context, so chunking must not leak into results. *)
+  (* Same items, same results, for every worker count: the workers
+     share one context, and every run builds its own environment. *)
   let plans =
     List.init 6 (fun i ->
         Exec.Campaign.plan_of_spec
@@ -257,133 +224,6 @@ let test_campaign_map_determinism () =
   let par = Exec.Campaign.map ~jobs:3 ~base:campaign_base eval plans in
   checki "one result per plan" (List.length plans) (List.length seq);
   checkb "jobs=1 and jobs=3 identical" true (seq = par)
-
-(* --- Arena reuse is bit-identical --------------------------------------------- *)
-
-(* Everything observable about a run: the verdicts, traffic totals,
-   per-label accounting, each authority's document digest / signature
-   count / decision times, and the full trace.  Structural equality on
-   [report] itself would compare hash tables, so flatten to a canonical
-   summary first. *)
-let summary (r : R.report) =
-  let auth (a : R.authority_result) =
-    ( (match a.R.consensus with
-      | Some c -> Crypto.Digest32.hex (Dirdoc.Consensus.digest c)
-      | None -> "none"),
-      a.R.signatures,
-      a.R.decided_at,
-      a.R.network_time )
-  in
-  let stats = r.R.result.R.stats in
-  ( ( r.R.protocol,
-      r.R.success,
-      r.R.agreement,
-      r.R.success_latency,
-      r.R.decided_at_latest ),
-    ( r.R.total_bytes,
-      r.R.dropped,
-      Tor_sim.Stats.labels stats,
-      Tor_sim.Stats.dropped_labels stats ),
-    Array.to_list (Array.map auth r.R.result.R.per_authority),
-    List.map Tor_sim.Trace.render (Tor_sim.Trace.records r.R.result.R.trace) )
-
-let e2e_spec = { R.Spec.default with R.Spec.n_relays = 400; horizon = 600. }
-
-let flood_spec =
-  { e2e_spec with R.Spec.attacks = Attack.Ddos.bandwidth_attack ~n:9 () }
-
-(* Running a plan on a reused (reset) simulator arena must produce
-   exactly the report a fresh construction produces.  [warmup] runs a
-   *different* plan through the context first, so the arena is
-   genuinely dirty — stale heap payloads, interned labels, NIC
-   schedules — when the plan under test acquires it. *)
-let fresh_vs_reused ~name protocol specs =
-  let ctx = Exec.Campaign.create e2e_spec in
-  let warmup =
-    Exec.Campaign.plan_of_spec
-      { e2e_spec with R.Spec.attacks = Attack.Ddos.knockout ~n:9 () }
-  in
-  ignore (E.run protocol (Exec.Campaign.env_of ctx warmup) : R.report);
-  List.iteri
-    (fun i spec ->
-      let fresh = summary (E.run protocol (R.of_spec spec)) in
-      let reused =
-        summary
-          (E.run protocol (Exec.Campaign.env_of ctx (Exec.Campaign.plan_of_spec spec)))
-      in
-      checkb (Printf.sprintf "%s plan %d: reused arena == fresh" name i) true
-        (reused = fresh))
-    specs
-
-let test_arena_reuse_ours () = fresh_vs_reused ~name:"ours" E.Ours [ e2e_spec; flood_spec ]
-
-let test_arena_reuse_current () =
-  fresh_vs_reused ~name:"current" E.Current [ e2e_spec; flood_spec ]
-
-let test_arena_reuse_sync () =
-  fresh_vs_reused ~name:"synchronous" E.Synchronous [ e2e_spec; flood_spec ]
-
-let test_arena_reuse_chaos () =
-  (* 20 seeded chaos plans — faults, partitions, crash windows,
-     misbehaving authorities — streamed through ONE context, each
-     compared against its own fresh run. *)
-  let config =
-    { Exec.Chaos.default_config with Exec.Chaos.n_relays = 120; horizon = 900. }
-  in
-  let ctx = Exec.Campaign.create (Exec.Chaos.base_spec config) in
-  for index = 0 to 19 do
-    let spec = Exec.Chaos.sample_spec config ~index in
-    let fresh = summary (E.run E.Ours (R.of_spec spec)) in
-    let reused =
-      summary (E.run E.Ours (Exec.Campaign.env_of ctx (Exec.Campaign.plan_of_spec spec)))
-    in
-    checkb (Printf.sprintf "chaos plan %d: reused arena == fresh" index) true
-      (reused = fresh)
-  done
-
-let test_arena_reset_after_exception () =
-  (* A run that dies mid-simulation leaves the arena dirty at an
-     arbitrary point; reset-on-acquire must still hand back a simulator
-     that reproduces the fresh result. *)
-  let env = { (R.of_spec e2e_spec) with R.arena = Some (R.Arena.create ()) } in
-  let module S = R.Simulator (struct
-    type msg = unit
-  end) in
-  let engine, _net = S.obtain ~driver:"test-exn" env in
-  ignore
-    (Tor_sim.Engine.schedule engine ~owner:0 ~at:1.0 (fun () -> failwith "mid-run"));
-  Alcotest.check_raises "simulated failure propagates" (Failure "mid-run") (fun () ->
-      Tor_sim.Engine.run engine);
-  (* Same slot, acquired again: reset on acquisition, fully reusable. *)
-  let engine2, net2 = S.obtain ~driver:"test-exn" env in
-  checki "queue empty after reset" 0 (Tor_sim.Engine.pending engine2);
-  let delivered = ref 0 in
-  Tor_sim.Net.set_handler net2 (fun ~dst:_ ~src:_ () -> incr delivered);
-  Tor_sim.Net.send net2 ~src:0 ~dst:1 ~size:100 ();
-  Tor_sim.Engine.run engine2;
-  checki "reused simulator delivers" 1 !delivered;
-  (* And a full protocol run through the same dirtied arena still
-     matches fresh. *)
-  let fresh = summary (E.run E.Ours (R.of_spec e2e_spec)) in
-  let reused = summary (E.run E.Ours env) in
-  checkb "protocol run after exception == fresh" true (reused = fresh)
-
-let test_arena_obs_reset () =
-  (* Telemetry accumulated by one run must not leak into the next
-     run's histograms/spans through the reused network and engine. *)
-  let ctx = Exec.Campaign.create e2e_spec in
-  let plan = Exec.Campaign.plan_of_spec e2e_spec in
-  let fresh = E.run E.Ours { (R.of_spec e2e_spec) with R.telemetry = true } in
-  let first = E.run E.Ours (Exec.Campaign.env_of ~telemetry:true ctx plan) in
-  let second = E.run E.Ours (Exec.Campaign.env_of ~telemetry:true ctx plan) in
-  let counts r =
-    ( Option.map Obs.Metrics.count (R.time_to_decision r),
-      Option.map Obs.Metrics.count (R.delivery_latency r "proposal"),
-      Option.map (fun (o : R.obs) -> List.length o.R.spans) (R.report_obs r) )
-  in
-  checkb "first reused telemetry == fresh" true (counts first = counts fresh);
-  checkb "second reused telemetry == fresh (no accumulation)" true
-    (counts second = counts fresh)
 
 (* --- Chaos ------------------------------------------------------------------ *)
 
@@ -427,16 +267,9 @@ let suite =
     ("cache: exceptions not cached", `Quick, test_cache_exception_not_cached);
     ("campaign: plan/spec roundtrip and digests", `Quick, test_campaign_plan_roundtrip);
     ("campaign: map independent of jobs", `Slow, test_campaign_map_determinism);
-    ("arena reuse bit-identical (ours)", `Quick, test_arena_reuse_ours);
-    ("arena reuse bit-identical (current)", `Quick, test_arena_reuse_current);
-    ("arena reuse bit-identical (synchronous)", `Quick, test_arena_reuse_sync);
-    ("arena reuse across chaos plans", `Slow, test_arena_reuse_chaos);
-    ("arena reusable after mid-run exception", `Quick, test_arena_reset_after_exception);
-    ("arena telemetry does not accumulate", `Quick, test_arena_obs_reset);
     ("sweep: compiles the grid", `Quick, test_sweep_compiles_grid);
     ("sweep: fig10 sub-grid determinism jobs=1 vs jobs=4", `Slow,
       test_fig10_subgrid_determinism);
-    ("sweep: run_job memoizes by spec digest", `Quick, test_run_job_cached);
     ("chaos: verdicts independent of jobs", `Slow, test_chaos_jobs_determinism);
     ("chaos: sampled plan breaks current v3", `Quick, test_chaos_breaks_current);
   ]

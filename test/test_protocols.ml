@@ -19,6 +19,41 @@ let behaviors_with pairs =
   List.iter (fun (i, v) -> b.(i) <- v) pairs;
   b
 
+(* --- Runenv.of_spec validation ---------------------------------------------- *)
+
+(* Each malformed spec is rejected up front with an [of_spec] message,
+   instead of dying inside the workload generator, the NIC model or the
+   event queue; an infinite bandwidth stays legal. *)
+let test_of_spec_rejects () =
+  let rejects name msg spec =
+    Alcotest.check_raises name (Invalid_argument ("Runenv.of_spec: " ^ msg)) (fun () ->
+        ignore (R.of_spec spec : R.t))
+  in
+  let base = { R.Spec.default with R.Spec.n_relays = 10 } in
+  let attack start stop bits_per_sec =
+    { base with R.Spec.attacks = [ { R.node = 0; start; stop; bits_per_sec } ] }
+  in
+  rejects "negative relays" "negative relay count" { base with R.Spec.n_relays = -5 };
+  List.iter
+    (fun bw ->
+      rejects (Printf.sprintf "bandwidth %g" bw) "bandwidth must be a non-negative number"
+        { base with R.Spec.bandwidth_bits_per_sec = bw })
+    [ -1.; nan ];
+  List.iter
+    (fun h ->
+      rejects (Printf.sprintf "horizon %g" h) "horizon must be finite and non-negative"
+        { base with R.Spec.horizon = h })
+    [ nan; infinity; -3. ];
+  rejects "attack NaN start" "attack stops before it starts" (attack nan 5. 1e6);
+  rejects "attack NaN stop" "attack stops before it starts" (attack 0. nan 1e6);
+  rejects "attack NaN rate" "residual bandwidth must be a non-negative number"
+    (attack 0. 5. nan);
+  rejects "crash NaN start" "crash window stops before it starts"
+    { base with
+      R.Spec.behaviors = Some (behaviors_with [ (1, R.Crashed { start = nan; stop = 30. }) ]) };
+  let env = R.of_spec { base with R.Spec.bandwidth_bits_per_sec = infinity } in
+  checkb "infinite bandwidth accepted" true (env.R.bandwidth_bits_per_sec = infinity)
+
 (* --- Siground --------------------------------------------------------------- *)
 
 let sample_consensus () =
@@ -634,4 +669,5 @@ let suite =
     ("pbft: GST recovery", `Quick, test_pbft_gst_recovery);
     ("full protocol over pbft", `Quick, test_full_protocol_over_pbft);
     QCheck_alcotest.to_alcotest qcheck_tendermint_agreement_under_faults;
+    ("runenv: of_spec rejects malformed specs", `Quick, test_of_spec_rejects);
   ]
