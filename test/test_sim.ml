@@ -799,6 +799,81 @@ let test_fault_plan_validate () =
   checkb "equal plans digest equal" true (Fault.digest p1 = Fault.digest p2);
   checkb "prob change changes digest" false (Fault.digest p1 = Fault.digest p3)
 
+(* --- Net delivery rules under faults and defenses --------------------------- *)
+
+(* A duplicated message that admission defers still delivers twice, at
+   its grant instant plus ingress.  1000 B/s NICs, 1000-byte messages,
+   0.5 s latency; one token per 4 s with no burst headroom: "a" arrives
+   at 1.5 and is admitted (ingress done at 2.5), "b" arrives at 2.5 and
+   is granted at 5.5 (ingress done at 6.5). *)
+let test_net_deferred_duplicate () =
+  let engine, net =
+    with_fault ~n:2 ~bits_per_sec:8e3 ~latency:0.5
+      [ { Fault.kind = Fault.Duplicate { src = 0; dst = 1; prob = 1. }; start = 0.; stop = 100. } ]
+  in
+  Net.set_defense net
+    {
+      Defense.Plan.admission = Some { Defense.Admission.rate = 0.25; burst = 1; backlog = 4 };
+      rotation = None;
+    };
+  let log = ref [] in
+  Net.set_handler net (fun ~dst:_ ~src:_ msg -> log := (msg, Engine.now engine) :: !log);
+  Net.send net ~src:0 ~dst:1 ~size:1000 "a";
+  Net.send net ~src:0 ~dst:1 ~size:1000 "b";
+  Engine.run engine;
+  Alcotest.(check (list (pair string (float 0.))))
+    "each message twice, the deferred one at grant + ingress"
+    [ ("a", 2.5); ("a", 2.5); ("b", 6.5); ("b", 6.5) ]
+    (List.rev !log);
+  checki "ingress charged once per message" 2000 (Stats.bytes_received (Net.stats net) 1);
+  checki "nothing rejected" 0 (Stats.rejected (Net.stats net))
+
+(* A self-send to a crashed node is a drop, to a rotated-out node a
+   reject; neither is delivered or charges bytes. *)
+let test_net_self_send_crash_and_rotation () =
+  let engine, net =
+    with_fault [ { Fault.kind = Fault.Crash { node = 0 }; start = 0.; stop = 10. } ]
+  in
+  let delivered = ref 0 in
+  Net.set_handler net (fun ~dst:_ ~src:_ _ -> incr delivered);
+  Net.send net ~src:0 ~dst:0 ~size:100 "crashed";
+  Engine.run engine;
+  let stats = Net.stats net in
+  checki "crashed: not delivered" 0 !delivered;
+  checki "crashed: one drop" 1 (Stats.dropped stats);
+  checki "crashed: no reject" 0 (Stats.rejected stats);
+  checki "crashed: no bytes" 0 (Stats.bytes_sent stats 0 + Stats.bytes_received stats 0);
+  let engine, net = make_net () in
+  let rotation = { Defense.Rotation.seed = "self"; out = 1; epoch = 100. } in
+  Net.set_defense net { Defense.Plan.admission = None; rotation = Some rotation };
+  let quiet = List.hd (Defense.Rotation.out_nodes rotation ~n:3 ~epoch:0) in
+  let delivered = ref 0 in
+  Net.set_handler net (fun ~dst:_ ~src:_ _ -> incr delivered);
+  Net.send net ~src:quiet ~dst:quiet ~size:100 "quiet";
+  Engine.run engine;
+  let stats = Net.stats net in
+  checki "rotated out: not delivered" 0 !delivered;
+  checki "rotated out: one reject" 1 (Stats.rejected stats);
+  checki "rotated out: no drop" 0 (Stats.dropped stats);
+  checki "rotated out: no bytes"
+    0 (Stats.bytes_sent stats quiet + Stats.bytes_received stats quiet)
+
+(* A message past its deadline was still transmitted into the flood:
+   the receiver pays its ingress bytes, then the message counts as one
+   drop. *)
+let test_net_deadline_charges_ingress () =
+  let engine, net = make_net ~bits_per_sec:1e6 ~latency:0.5 () in
+  let delivered = ref 0 in
+  Net.set_handler net (fun ~dst:_ ~src:_ _ -> incr delivered);
+  let label = Net.intern net "doc" in
+  Net.send net ~src:0 ~dst:1 ~size:125_000 ~label ~deadline:1. "late";
+  Engine.run engine;
+  let stats = Net.stats net in
+  checki "not delivered" 0 !delivered;
+  checki "ingress bytes charged" 125_000 (Stats.bytes_received stats 1);
+  checki "one drop" 1 (Stats.dropped stats);
+  checki "dropped under its label" 1 (Stats.label_dropped stats "doc")
+
 (* --- Summary --------------------------------------------------------------- *)
 
 let test_summary_stats () =
@@ -880,6 +955,9 @@ let suite =
     ("fault drop labels", `Quick, test_fault_drop_labels);
     ("fault determinism", `Quick, test_fault_determinism);
     ("fault plan validation + digest", `Quick, test_fault_plan_validate);
+    ("net deferred duplicate delivers twice", `Quick, test_net_deferred_duplicate);
+    ("net self send to crashed or quiet node", `Quick, test_net_self_send_crash_and_rotation);
+    ("net deadline drop charges ingress", `Quick, test_net_deadline_charges_ingress);
     ("summary statistics", `Quick, test_summary_stats);
     ("summary linear fit", `Quick, test_summary_linear_fit);
     ("summary power-law fit", `Quick, test_summary_power_law);
