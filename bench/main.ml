@@ -320,10 +320,10 @@ let micro () =
   let payload_64k = String.make 65536 'x' in
   let serialized = Dirdoc.Vote.serialize votes.(0) in
   let relays = Array.to_list votes.(0).Dirdoc.Vote.relays in
-  (* Broadcast churn: 9 authorities all-to-all through the pooled
-     event/flight machinery, with a rate window on every NIC so egress
+  (* Broadcast churn: 9 authorities all-to-all through the event core
+     and the NICs, with a rate window on every NIC so egress
      reservations cross breakpoints.  One persistent network; each run
-     drains 72 broadcast deliveries through the trampoline. *)
+     drains 72 broadcast deliveries. *)
   let churn_net =
     let engine = Tor_sim.Engine.create () in
     let topology = Tor_sim.Topology.uniform ~n:9 ~latency:0.01 in

@@ -4,13 +4,6 @@
     Protocols never read wall-clock time; everything observable happens
     inside a scheduled event, which makes runs deterministic.
 
-    Events live in a pool of reusable cells (DESIGN.md §7): scheduling
-    in steady state allocates nothing, and a {!handle} is an immediate
-    int carrying the cell's generation, so {!cancel} is O(1) and safe
-    against cell reuse.  Hot paths that would otherwise allocate a
-    closure per event can {!register_callback} once and schedule
-    [(callback, int)] pairs via {!schedule_call}.
-
     Equal-time events pop in ascending (creator, per-creator counter)
     order: the creator is the owner of the event that scheduled them
     ([-1] at setup), and the counter numbers that creator's schedules.
@@ -20,13 +13,7 @@
 type t
 
 type handle
-(** A scheduled event that can still be cancelled.  Stale handles
-    (fired, cancelled, or from another engine's recycled cell) are
-    detected by generation and ignored. *)
-
-type callback
-(** A typed continuation registered once with the engine; scheduling it
-    stores only an [int] argument, no closure. *)
+(** A scheduled event, kept to {!cancel} it. *)
 
 val create : ?nodes:int -> unit -> t
 (** [create ~nodes ()] builds an engine whose events are owned by nodes
@@ -46,17 +33,6 @@ val schedule : t -> ?owner:int -> at:Simtime.t -> (unit -> unit) -> handle
 
 val schedule_in : t -> ?owner:int -> after:Simtime.t -> (unit -> unit) -> handle
 (** [schedule_in t ~after f] runs [f] after a relative delay. *)
-
-val register_callback : t -> (int -> unit) -> callback
-(** Register a continuation for {!schedule_call}.  Meant to be called
-    a handful of times at setup (e.g. once per network); the closure is
-    shared by every event scheduled against it. *)
-
-val schedule_call : t -> ?owner:int -> at:Simtime.t -> callback -> int -> handle
-(** [schedule_call t ~at cb arg] runs the registered continuation [cb]
-    with [arg] at time [at] — the allocation-free counterpart of
-    {!schedule} for pooled payloads addressed by index.  Raises
-    [Invalid_argument] if [at] is in the past. *)
 
 val cancel : t -> handle -> unit
 (** Cancel a pending event; cancelling a fired or already-cancelled

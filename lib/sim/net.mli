@@ -113,8 +113,8 @@ val broadcast :
   'm t -> src:int -> size:int -> ?label:Stats.label -> ?deadline:Simtime.t -> 'm -> unit
 (** [broadcast] sends to every node except [src] (ascending id order,
     one egress reservation each, as n-1 unicasts — Tor has no
-    multicast).  The batch's egress reservations are one monotone sweep
-    of the source NIC's rate schedule. *)
+    multicast).  Raises [Invalid_argument] on a bad source id or a
+    negative size. *)
 
 val limit_node :
   'm t -> node:int -> start:Simtime.t -> stop:Simtime.t -> bits_per_sec:float -> unit

@@ -1,27 +1,14 @@
 (* Breakpoints live in a pair of parallel arrays sorted by time (the
-   append-in-order invariant makes them sorted for free) instead of the
-   previous reversed cons-list, which every rate lookup walked end to
-   end.  The active segment for a time [t] is the HIGHEST index with
-   [times.(i) <= t] — among duplicate times the latest-appended entry
-   wins, exactly the newest-first semantics of the old list.
-
-   [cursor] caches the active segment of the last committed
-   reservation.  Reservation start times are monotone ([start = max now
-   busy_until] and [busy_until] never decreases), so the reserve path
-   only ever scans the array forward from the cursor: a whole attack
-   window's worth of [limit_window] breakpoints is crossed once,
-   amortized O(1) per reserve.  Non-committing lookups ([rate_at],
-   [transfer_time] at planner-chosen times) may look anywhere, so they
-   fall back to binary search and leave the cursor alone.  Appends keep
-   the cursor valid: new breakpoints land strictly at or after every
-   existing one. *)
+   append-in-order invariant makes them sorted for free).  The active
+   segment for a time [t] is the HIGHEST index with [times.(i) <= t] —
+   among duplicate times the latest-appended entry wins.  A NIC holds
+   two breakpoints per attack window, so one forward scan finds it. *)
 
 type t = {
   base_rate : float; (* bytes per second before the first breakpoint *)
   mutable times : float array;
   mutable rates : float array; (* bytes per second *)
   mutable n_bp : int;
-  mutable cursor : int; (* active segment of the last reserve; -1 = base *)
   mutable busy_until : Simtime.t;
 }
 
@@ -34,7 +21,6 @@ let create ~bits_per_sec () =
     times = [||];
     rates = [||];
     n_bp = 0;
-    cursor = -1;
     busy_until = Simtime.zero;
   }
 
@@ -56,30 +42,15 @@ let set_rate t ~from ~bits_per_sec =
   t.rates.(t.n_bp) <- bytes_rate bits_per_sec;
   t.n_bp <- t.n_bp + 1
 
-(* Highest index with [times.(i) <= time], or -1: binary search, no
-   cursor movement. *)
-let seg_search t time =
-  let lo = ref (-1) and hi = ref (t.n_bp - 1) in
-  (* invariant: times.(lo) <= time < times.(hi + 1) conceptually *)
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) / 2 in
-    if t.times.(mid) <= time then lo := mid else hi := mid - 1
-  done;
-  !lo
-
-(* Active segment starting the scan at [hint] when [time] is not
-   behind it. *)
-let seg_from t ~hint time =
-  if t.n_bp = 0 then -1
-  else begin
-    let i = ref (if hint >= 0 && hint < t.n_bp && t.times.(hint) <= time then hint else seg_search t time) in
-    while !i + 1 < t.n_bp && t.times.(!i + 1) <= time do incr i done;
-    !i
-  end
+(* Highest index with [times.(i) <= time], or -1 for the base rate. *)
+let segment t time =
+  let i = ref (-1) in
+  while !i + 1 < t.n_bp && t.times.(!i + 1) <= time do incr i done;
+  !i
 
 let seg_rate t i = if i < 0 then t.base_rate else t.rates.(i)
 
-let byte_rate_at t time = seg_rate t (seg_from t ~hint:(-1) time)
+let byte_rate_at t time = seg_rate t (segment t time)
 let rate_at t time = byte_rate_at t time *. 8.
 
 let limit_window t ~start ~stop ~bits_per_sec =
@@ -88,13 +59,13 @@ let limit_window t ~start ~stop ~bits_per_sec =
   set_rate t ~from:start ~bits_per_sec;
   set_rate t ~from:stop ~bits_per_sec:restored
 
-(* Walk the piecewise-constant schedule consuming [bytes] starting at
-   [start]; returns the completion time and the segment it lands in.
-   The arithmetic (capacity per segment, the final division) matches
-   the old list walk operation for operation, so completion times are
-   bit-identical. *)
-let finish_in_segments t ~seg ~start ~bytes =
-  let i = ref seg in
+(* Walk the piecewise-constant schedule consuming [bytes] from
+   [start]; returns the completion time.  The
+   arithmetic (capacity per segment, the final division) matches the
+   list-walk reference in the tests operation for operation, so
+   completion times are bit-identical. *)
+let finish_at t ~start ~bytes =
+  let i = ref (segment t start) in
   let time = ref start in
   let remaining = ref (float_of_int bytes) in
   let result = ref Simtime.never in
@@ -128,29 +99,22 @@ let finish_in_segments t ~seg ~start ~bytes =
       end
     end
   done;
-  (!result, !i)
+  !result
+
+(* Completion time of [bytes] queued behind everything reserved. *)
+let finish_time t ~now ~bytes =
+  let start = Float.max now t.busy_until in
+  if Simtime.is_infinite start then Simtime.never
+  else finish_at t ~start ~bytes
 
 let transfer_time t ~now ~bytes =
   if bytes < 0 then invalid_arg "Nic.transfer_time: negative size";
-  let start = Float.max now t.busy_until in
-  if Simtime.is_infinite start then Simtime.never
-  else
-    let seg = seg_from t ~hint:(-1) start in
-    fst (finish_in_segments t ~seg ~start ~bytes)
+  finish_time t ~now ~bytes
 
 let reserve t ~now ~bytes =
-  if bytes < 0 then invalid_arg "Nic.transfer_time: negative size";
-  let start = Float.max now t.busy_until in
-  if Simtime.is_infinite start then begin
-    t.busy_until <- Simtime.never;
-    Simtime.never
-  end
-  else begin
-    let seg = seg_from t ~hint:t.cursor start in
-    let finish, seg' = finish_in_segments t ~seg ~start ~bytes in
-    t.cursor <- seg';
-    t.busy_until <- finish;
-    finish
-  end
+  if bytes < 0 then invalid_arg "Nic.reserve: negative size";
+  let finish = finish_time t ~now ~bytes in
+  t.busy_until <- finish;
+  finish
 
 let busy_until t = t.busy_until

@@ -250,7 +250,7 @@ let base_spec = { R.Spec.default with R.Spec.n_relays = 400; horizon = 600. }
 
 (* An admission config tight enough to actually defer and reject
    directory traffic in a 9-authority run, so the defended paths (the
-   backlog, the granted-flight stage, the reject accounting) are the
+   backlog, the granted re-arrival, the reject accounting) are the
    ones under test — the Onion Pass defaults never trip on benign
    load. *)
 let tight_defense =

@@ -79,85 +79,74 @@ let test_rng_errors () =
 
 (* --- Event queue ------------------------------------------------------------ *)
 
+(* Drain [q] through [pop_if_before] with no horizon. *)
+let drain q ~default =
+  let rec go acc =
+    let x = Event_queue.pop_if_before q ~horizon:infinity ~default in
+    if x == default then List.rev acc else go (x :: acc)
+  in
+  go []
+
 let test_queue_order () =
   let q = Event_queue.create () in
-  Event_queue.push q ~time:3. "c";
-  Event_queue.push q ~time:1. "a";
-  Event_queue.push q ~time:2. "b";
-  let pop () = match Event_queue.pop q with Some (_, x) -> x | None -> "-" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] [ first; second; third ];
-  checkb "empty" true (Event_queue.is_empty q)
-
-let test_queue_fifo_ties () =
-  let q = Event_queue.create () in
-  List.iter (fun x -> Event_queue.push q ~time:1. x) [ 1; 2; 3; 4; 5 ];
-  let out = List.init 5 (fun _ -> match Event_queue.pop q with Some (_, x) -> x | None -> -1) in
-  Alcotest.(check (list int)) "insertion order at equal times" [ 1; 2; 3; 4; 5 ] out
+  Event_queue.push_keyed q ~time:3. ~key:0 "c";
+  Event_queue.push_keyed q ~time:1. ~key:1 "a";
+  Event_queue.push_keyed q ~time:2. ~key:2 "b";
+  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (drain q ~default:"-");
+  checki "empty" 0 (Event_queue.size q)
 
 let test_queue_invalid_time () =
   let q = Event_queue.create () in
-  Alcotest.check_raises "infinite" (Invalid_argument "Event_queue.push: time must be finite")
-    (fun () -> Event_queue.push q ~time:infinity ())
+  let invalid = Invalid_argument "Event_queue.push_keyed: time must be finite" in
+  Alcotest.check_raises "infinite" invalid (fun () ->
+      Event_queue.push_keyed q ~time:infinity ~key:0 ());
+  Alcotest.check_raises "nan" invalid (fun () -> Event_queue.push_keyed q ~time:nan ~key:0 ())
 
 let qcheck_queue_sorted =
   QCheck.Test.make ~name:"event queue pops sorted" ~count:100
     QCheck.(list_of_size (Gen.int_range 0 100) (float_range 0. 1000.))
     (fun times ->
       let q = Event_queue.create () in
-      List.iter (fun t -> Event_queue.push q ~time:t ()) times;
-      let rec drain acc =
-        match Event_queue.pop q with
-        | None -> List.rev acc
-        | Some (t, ()) -> drain (t :: acc)
-      in
-      let out = drain [] in
+      List.iteri (fun key t -> Event_queue.push_keyed q ~time:t ~key (Some t)) times;
+      let out = List.map Option.get (drain q ~default:None) in
       out = List.sort Float.compare times)
 
 (* Interleaved push/pop stress against a sorted-list model: exercises
-   the vacated-slot handling in [pop] (the popped root is parked in the
-   freed slot) under repeated fill/drain cycles, including FIFO ties. *)
+   the vacated-slot handling in [pop_if_before] under repeated
+   fill/drain cycles, with coarse times forcing ties that the
+   (scrambled, distinct) keys must order. *)
 let qcheck_queue_interleaved =
   QCheck.Test.make ~name:"event queue interleaved push/pop matches model"
     ~count:100
-    QCheck.(
-      list_of_size (Gen.int_range 0 300)
-        (pair bool (int_range 0 20) (* coarse times force FIFO ties *)))
+    QCheck.(list_of_size (Gen.int_range 0 300) (pair bool (int_range 0 20)))
     (fun ops ->
       let q = Event_queue.create () in
       let model = ref [] in
       let seq = ref 0 in
       let ok = ref true in
+      let none = (nan, -1) in
       let pop_both () =
-        match (Event_queue.pop q, !model) with
-        | None, [] -> ()
-        | Some (time, s), (mt, ms) :: rest ->
-            if not (Float.equal time mt && s = ms) then ok := false;
-            model := rest
-        | Some _, [] -> ok := false
-        | None, _ :: _ ->
-            ok := false;
-            model := []
+        let got = Event_queue.pop_if_before q ~horizon:infinity ~default:none in
+        match !model with
+        | [] -> if got != none then ok := false
+        | expected :: rest ->
+            if got != none && got = expected then model := rest
+            else begin
+              ok := false;
+              model := []
+            end
       in
       List.iter
         (fun (is_pop, t) ->
           if is_pop then pop_both ()
           else begin
-            let t = float_of_int t in
-            Event_queue.push q ~time:t !seq;
-            (* insert after every entry at an earlier-or-equal time, so
-               the model pops FIFO within equal times *)
-            let rec ins = function
-              | ((mt, _) as hd) :: rest when mt <= t -> hd :: ins rest
-              | rest -> (t, !seq) :: rest
-            in
-            model := ins !model;
+            let t = float_of_int t and key = !seq * 7919 mod 10007 in
+            Event_queue.push_keyed q ~time:t ~key (t, key);
+            model := List.merge compare [ (t, key) ] !model;
             incr seq
           end)
         ops;
-      while not (Event_queue.is_empty q) || !model <> [] do
+      while Event_queue.size q > 0 || !model <> [] do
         pop_both ()
       done;
       !ok)
@@ -209,22 +198,20 @@ let test_engine_past_raises () =
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: time is in the past")
     (fun () -> ignore (Engine.schedule e ~at:1. (fun () -> ())))
 
-(* Event cells are pooled and recycled; a handle carries the cell's
-   generation, so a handle kept across the cell's reuse must become
-   inert instead of cancelling the NEW occupant. *)
-let test_engine_pool_reuse_and_stale_cancel () =
+(* Cancelling a handle whose event already fired, or cancelling twice,
+   does nothing: later events still fire. *)
+let test_engine_stale_cancel () =
   let e = Engine.create () in
   let fired = ref 0 in
   (* Fire one event, keep its (now stale) handle. *)
   let stale = Engine.schedule e ~at:1. (fun () -> incr fired) in
   Engine.run e;
   checki "first fired" 1 !fired;
-  (* The freed cell is recycled for the next event. *)
   let fresh = Engine.schedule e ~at:2. (fun () -> incr fired) in
   Engine.cancel e stale;
   (* stale: must be a no-op *)
   Engine.run e;
-  checki "stale cancel did not kill the recycled cell" 2 !fired;
+  checki "stale cancel did not kill the next event" 2 !fired;
   Engine.cancel e fresh;
   (* fired: also a no-op *)
   (* Cancelling twice is a no-op too. *)
@@ -234,10 +221,10 @@ let test_engine_pool_reuse_and_stale_cancel () =
   Engine.run e;
   checki "double cancel" 2 !fired
 
-(* Schedule/cancel churn: the pool must recycle cells without leaking
-   (pending drains to zero) and cancelled events must never fire even
-   when their cells are reused many times over. *)
-let test_engine_pool_stress () =
+(* Schedule/cancel churn: every non-cancelled event fires exactly once,
+   cancelled ones never do (cancelling twice included), and the queue
+   drains to zero. *)
+let test_engine_churn () =
   let e = Engine.create () in
   let rng = Rng.create 3L in
   let fired = ref 0 in
@@ -278,9 +265,8 @@ let test_queue_push_keyed_order () =
   Event_queue.push_keyed q ~time:1. ~key:10 "a";
   Event_queue.push_keyed q ~time:0.5 ~key:99 "first";
   Event_queue.push_keyed q ~time:1. ~key:20 "b";
-  let popped = List.init 4 (fun _ -> snd (Option.get (Event_queue.pop q))) in
   Alcotest.(check (list string)) "key order at equal times"
-    [ "first"; "a"; "b"; "c" ] popped
+    [ "first"; "a"; "b"; "c" ] (drain q ~default:"-")
 
 (* Same-instant events pop in ascending (creator, per-creator counter)
    order, where the creator is the owner of the event that scheduled
@@ -305,9 +291,9 @@ let test_engine_creator_tie_break () =
 let test_queue_pop_if_before () =
   let q = Event_queue.create () in
   checki "empty yields default" (-1) (Event_queue.pop_if_before q ~horizon:10. ~default:(-1));
-  Event_queue.push q ~time:1. 100;
-  Event_queue.push q ~time:5. 200;
-  Event_queue.push q ~time:9. 300;
+  Event_queue.push_keyed q ~time:1. ~key:0 100;
+  Event_queue.push_keyed q ~time:5. ~key:1 200;
+  Event_queue.push_keyed q ~time:9. ~key:2 300;
   checki "pops earliest" 100 (Event_queue.pop_if_before q ~horizon:10. ~default:(-1));
   checki "pops next" 200 (Event_queue.pop_if_before q ~horizon:5. ~default:(-1));
   checki "beyond horizon stays queued" (-1)
@@ -360,10 +346,10 @@ let test_nic_breakpoint_order () =
     (Invalid_argument "Nic.set_rate: breakpoints must be appended in time order")
     (fun () -> Nic.set_rate nic ~from:5. ~bits_per_sec:1e6)
 
-(* Reference list-walk model of the rate schedule, written the way the
-   pre-indexed NIC worked: a newest-first association of breakpoints,
-   scanned end to end per lookup.  The arithmetic per segment matches
-   the NIC op for op, so results must be EXACTLY equal (float 0.). *)
+(* Reference list-walk model of the rate schedule: a newest-first
+   association of breakpoints, scanned end to end per lookup.  The
+   arithmetic per segment matches the NIC op for op, so results must be
+   EXACTLY equal (float 0.). *)
 module Nic_reference = struct
   type t = {
     base : float; (* bytes/s *)
@@ -423,11 +409,11 @@ end
 
 let exactf = Alcotest.check (Alcotest.float 0.)
 
-(* Drive the indexed NIC and the list-walk reference through the same
+(* Drive the NIC and the list-walk reference through the same
    randomized schedule-and-reserve history; every reservation and every
    planner lookup must agree bit for bit.  Covers duplicate breakpoint
    times (newest wins), zero-rate windows, boundary-sharing windows, and
-   out-of-cursor-order [transfer_time] probes. *)
+   [transfer_time] probes at earlier times than the last reservation. *)
 let test_nic_matches_reference () =
   let rng = Rng.create 77L in
   for _trial = 1 to 50 do
@@ -449,7 +435,7 @@ let test_nic_matches_reference () =
       now := !now +. float_of_int (Rng.int rng 15);
       let bytes = Rng.int rng 2_000_000 in
       (* A planner probe at an arbitrary (possibly earlier) time first:
-         must not disturb the committed cursor. *)
+         must not disturb the committed reservations. *)
       let probe_at = float_of_int (Rng.int rng 200) in
       let expected_probe =
         let start = Float.max probe_at (Nic_reference.(reference.busy_until)) in
@@ -913,7 +899,6 @@ let suite =
     ("rng gaussian mean", `Slow, test_rng_gaussian);
     ("rng errors", `Quick, test_rng_errors);
     ("event queue ordering", `Quick, test_queue_order);
-    ("event queue FIFO ties", `Quick, test_queue_fifo_ties);
     ("event queue invalid time", `Quick, test_queue_invalid_time);
     QCheck_alcotest.to_alcotest qcheck_queue_sorted;
     QCheck_alcotest.to_alcotest qcheck_queue_interleaved;
@@ -922,8 +907,8 @@ let suite =
     ("engine horizon", `Quick, test_engine_horizon);
     ("engine nested scheduling", `Quick, test_engine_nested_schedule);
     ("engine rejects past events", `Quick, test_engine_past_raises);
-    ("engine pool reuse + stale cancel", `Quick, test_engine_pool_reuse_and_stale_cancel);
-    ("engine pool churn stress", `Quick, test_engine_pool_stress);
+    ("engine stale cancel is a no-op", `Quick, test_engine_stale_cancel);
+    ("engine schedule/cancel churn", `Quick, test_engine_churn);
     ("engine cancelled event advances clock", `Quick, test_engine_cancelled_advances_clock);
     ("event queue pop_if_before", `Quick, test_queue_pop_if_before);
     ("event queue keyed push order", `Quick, test_queue_push_keyed_order);
