@@ -1,5 +1,7 @@
 let authority_link_bits_per_sec = 250e6
 let ddos_residual_bits_per_sec = 0.5e6
+(* 300 s — the first two rounds, during which votes travel; the only
+   window the attacker must cover. *)
 let vote_window_seconds = 300.
 
 let majority_targets ~n = List.init ((n / 2) + 1) Fun.id

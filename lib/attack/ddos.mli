@@ -15,10 +15,6 @@ val ddos_residual_bits_per_sec : float
 (** 0.5 Mbit/s — bandwidth left to a node under a stressor flood
     (Jansen et al., the dashed line of Figure 7). *)
 
-val vote_window_seconds : float
-(** 300 s — the first two rounds, during which votes travel; the only
-    window the attacker must cover. *)
-
 val majority_targets : n:int -> int list
 (** The smallest majority of authorities ([⌊n/2⌋ + 1] of them —
     5 of 9), lowest ids first. *)

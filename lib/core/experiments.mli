@@ -79,8 +79,8 @@ val fig7 :
 (** For each relay count, binary-search the minimum bandwidth
     (Mbit/s) the 5 attacked authorities need for the current protocol
     to still succeed.  Default counts: 1000-10000 in steps of 1000.
-    [jobs] parallelizes across relay counts; each search's probes are
-    cached by spec digest, so re-probed bandwidths cost nothing. *)
+    [jobs] parallelizes across relay counts; each probe is one fresh
+    run, and a binary search never probes a bandwidth twice. *)
 
 (** {1 Figure 10 — latency under bandwidth constraints} *)
 

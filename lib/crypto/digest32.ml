@@ -14,5 +14,3 @@ let equal = String.equal
 let compare = String.compare
 let pp ppf t = Format.pp_print_string ppf (short_hex t)
 let wire_size = size
-let zero = String.make size '\x00'
-let pair a b = Sha256.digest_string (a ^ b)

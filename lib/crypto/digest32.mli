@@ -31,10 +31,3 @@ val pp : Format.formatter -> t -> unit
 
 val wire_size : int
 (** Bytes a digest occupies on the simulated wire (32). *)
-
-val zero : t
-(** The all-zero digest; used as a placeholder commitment. *)
-
-val pair : t -> t -> t
-(** [pair a b] is the digest of the concatenation [raw a ^ raw b];
-    the Merkle interior-node combiner. *)

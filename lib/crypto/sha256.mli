@@ -1,9 +1,9 @@
 (** Pure-OCaml SHA-256 (FIPS 180-4).
 
     This is the digest primitive underneath every commitment in the
-    reproduction: vote digests, Merkle nodes, HMAC, and the simulated
-    signature scheme.  The implementation processes 64-byte blocks with
-    the standard compression function and is validated against the NIST
+    reproduction: vote digests, HMAC, and the simulated signature
+    scheme.  The implementation processes 64-byte blocks with the
+    standard compression function and is validated against the NIST
     short-message vectors in the test suite.
 
     The message schedule and compression run on untagged native [int]

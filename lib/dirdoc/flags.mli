@@ -40,9 +40,6 @@ val compare : t -> t -> int
 val all : flag list
 (** Every known flag, in dir-spec order. *)
 
-val flag_to_string : flag -> string
-val flag_of_string : string -> flag option
-
 val to_string : t -> string
 (** Space-separated dir-spec rendering, e.g. ["Fast Running Valid"]. *)
 

@@ -70,7 +70,6 @@ val canonical : plan -> string
 val digest : plan -> string
 (** SHA-256 of {!canonical}, 64 hex characters. *)
 
-val pp_fault : Format.formatter -> fault -> unit
 val pp : Format.formatter -> plan -> unit
 (** One-line rendering, e.g.
     [drop[2>*,0..30,p=0.40] crash[1,10..60]] — the repro line chaos

@@ -1,6 +1,6 @@
 (* Tests for the crypto substrate: SHA-256 against the NIST vectors,
-   HMAC against RFC 4231, the simulated signature scheme's soundness,
-   and Merkle proofs. *)
+   HMAC against RFC 4231, and the simulated signature scheme's
+   soundness. *)
 
 open Crypto
 
@@ -189,11 +189,6 @@ let test_digest32 () =
   check str "hex" (Sha256.digest_hex "hello") (Digest32.hex d);
   check str "short hex" (String.sub (Sha256.digest_hex "hello") 0 10) (Digest32.short_hex d);
   checkb "roundtrip raw" true (Digest32.equal d (Digest32.of_raw (Digest32.raw d)));
-  checkb "pair differs from parts" false (Digest32.equal (Digest32.pair d d) d);
-  checkb "pair not commutative" false
-    (Digest32.equal
-       (Digest32.pair d (Digest32.of_string "x"))
-       (Digest32.pair (Digest32.of_string "x") d));
   Alcotest.(check int) "wire size" 32 Digest32.wire_size;
   Alcotest.check_raises "bad raw" (Invalid_argument "Digest32.of_raw: need 32 bytes")
     (fun () -> ignore (Digest32.of_raw "short"))
@@ -234,51 +229,6 @@ let test_signature () =
   Alcotest.(check int) "kappa" 64 Signature.wire_size;
   checkb "equal" true (Signature.equal s (Signature.sign ring ~signer:2 "message"))
 
-(* --- Merkle ---------------------------------------------------------------- *)
-
-let leaves k = List.init k (fun i -> Digest32.of_string (Printf.sprintf "leaf-%d" i))
-
-let test_merkle_roundtrip () =
-  List.iter
-    (fun k ->
-      let ls = leaves k in
-      let root = Merkle.root ls in
-      List.iteri
-        (fun index leaf ->
-          let proof = Merkle.prove ls ~index in
-          checkb
-            (Printf.sprintf "verify k=%d i=%d" k index)
-            true
-            (Merkle.verify ~root ~leaf ~index proof))
-        ls)
-    [ 1; 2; 3; 4; 5; 7; 8; 16; 33 ]
-
-let test_merkle_tamper () =
-  let ls = leaves 8 in
-  let root = Merkle.root ls in
-  let proof = Merkle.prove ls ~index:3 in
-  checkb "wrong leaf" false
-    (Merkle.verify ~root ~leaf:(Digest32.of_string "evil") ~index:3 proof);
-  checkb "wrong root" false
-    (Merkle.verify ~root:(Digest32.of_string "evil") ~leaf:(List.nth ls 3) ~index:3 proof);
-  Alcotest.(check int) "proof size" (3 * 33) (Merkle.proof_wire_size proof)
-
-let test_merkle_errors () =
-  Alcotest.check_raises "empty root" (Invalid_argument "Merkle.root: empty leaf list")
-    (fun () -> ignore (Merkle.root []));
-  Alcotest.check_raises "bad index" (Invalid_argument "Merkle.prove: index out of range")
-    (fun () -> ignore (Merkle.prove (leaves 4) ~index:4))
-
-let qcheck_merkle =
-  QCheck.Test.make ~name:"merkle proofs verify for random sizes" ~count:40
-    QCheck.(int_range 1 64)
-    (fun k ->
-      let ls = leaves k in
-      let root = Merkle.root ls in
-      List.for_all
-        (fun index -> Merkle.verify ~root ~leaf:(List.nth ls index) ~index (Merkle.prove ls ~index))
-        (List.init k Fun.id))
-
 let suite =
   [
     ("sha256 NIST vectors", `Quick, test_nist);
@@ -296,8 +246,4 @@ let suite =
     ("digest32", `Quick, test_digest32);
     ("keyring", `Quick, test_keyring);
     ("signature scheme", `Quick, test_signature);
-    ("merkle roundtrip", `Quick, test_merkle_roundtrip);
-    ("merkle tamper detection", `Quick, test_merkle_tamper);
-    ("merkle errors", `Quick, test_merkle_errors);
-    QCheck_alcotest.to_alcotest qcheck_merkle;
   ]
