@@ -29,7 +29,7 @@ val schedule : t -> ?owner:int -> at:Simtime.t -> (unit -> unit) -> handle
     node the event belongs to — the creator of whatever it schedules in
     turn; it defaults to the owner of the currently executing event
     ([-1] at setup).  Raises [Invalid_argument] if [at] is in the past
-    or [owner] is outside [[-1, nodes)]. *)
+    or not finite, or [owner] is outside [[-1, nodes)]. *)
 
 val schedule_in : t -> ?owner:int -> after:Simtime.t -> (unit -> unit) -> handle
 (** [schedule_in t ~after f] runs [f] after a relative delay. *)

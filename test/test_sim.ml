@@ -196,7 +196,14 @@ let test_engine_past_raises () =
   ignore (Engine.schedule e ~at:5. (fun () -> ()));
   Engine.run e;
   Alcotest.check_raises "past" (Invalid_argument "Engine.schedule: time is in the past")
-    (fun () -> ignore (Engine.schedule e ~at:1. (fun () -> ())))
+    (fun () -> ignore (Engine.schedule e ~at:1. (fun () -> ())));
+  Alcotest.check_raises "not finite"
+    (Invalid_argument "Event_queue.push_keyed: time must be finite") (fun () ->
+      ignore (Engine.schedule e ~at:infinity (fun () -> ())));
+  let bounded = Engine.create ~nodes:2 () in
+  Alcotest.check_raises "owner out of range"
+    (Invalid_argument "Engine.schedule: owner out of range") (fun () ->
+      ignore (Engine.schedule bounded ~owner:2 ~at:1. (fun () -> ())))
 
 (* Cancelling a handle whose event already fired, or cancelling twice,
    does nothing: later events still fire. *)
@@ -255,6 +262,7 @@ let test_engine_cancelled_advances_clock () =
   let e = Engine.create () in
   let h = Engine.schedule e ~at:7. (fun () -> ()) in
   Engine.cancel e h;
+  checki "the cancelled husk still counts as pending" 1 (Engine.pending e);
   Engine.run e;
   checkf "clock reaches the cancelled event's time" 7. (Engine.now e)
 
