@@ -1,6 +1,6 @@
-(* A message in flight is one immutable record; each stage of its
-   egress -> arrival -> ingress chain is an ordinary engine event owned
-   by the receiver. *)
+(* A message in flight is one immutable record.  Egress is reserved at
+   send time; the arrival, the ingress finish and a self-send's local
+   delivery are ordinary engine events owned by the receiver. *)
 
 type 'm flight = {
   src : int;
