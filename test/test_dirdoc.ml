@@ -450,6 +450,126 @@ let test_workload_aggregatable () =
   let c = Aggregate.consensus ~valid_after:3600. ~votes:(Array.to_list votes) in
   checkb "most relays survive aggregation" true (Consensus.n_entries c > 280)
 
+(* The population layer's output, pinned: the nine vote digests of one
+   seeded 2,000-relay population with default divergence.  Any change to
+   the ground truth, the views, their RNG stream or the vote encoding
+   moves these. *)
+let test_workload_pinned_digests () =
+  let keyring = Crypto.Keyring.create ~n:9 () in
+  let votes =
+    Workload.votes ~rng:(Tor_sim.Rng.of_string_seed "population-pin") ~keyring
+      ~n_authorities:9 ~n_relays:2000 ~valid_after:1700007200. ()
+  in
+  let expected =
+    [ "65c93d7ce7734d56d73f7abe69ef4a7c91644649dc801d7655ede9315b3c7c57";
+      "654346b050a47c7a37238cf39197d27696de4bea029fc8c95da27bedaf88d28a";
+      "8041dda9f480577e2cc31ae767ffa10aefc9ccd0b58a7d7e2f347565ed6bc1b2";
+      "6739fec2e017ee8aa81df9a40e702ed43bbda7746b96f3c6daf7c48da620bc42";
+      "5f262593ef2ae39b279ba4d847b9ec924a967788b090678619a15e37f16ed09f";
+      "e79dadd27a8728c9f6ae516f035383e373efc458cad005128b8b8403d48f90b8";
+      "cda2180711717a40c7fa146689fdb5acf01429133dc985c0b57edbc3b2572447";
+      "de8603effe0736621bdd7f6bb63baee21e98479c58059e7fc0db60fdce0865c5";
+      "b19531382b446ed0760c14f097f0ff224e2f9b362018796b2f6f96a5a9a7d644" ]
+  in
+  List.iteri
+    (fun i hex ->
+      checks (Printf.sprintf "vote %d" i) hex (Crypto.Digest32.hex (Vote.digest votes.(i))))
+    expected
+
+(* Reference model of one authority's view: every ground-truth relay,
+   in ground-truth order, is missed or perturbed and rebuilt through
+   [Relay.make], which recomputes the descriptor digest. *)
+let reference_view ~rng ~(divergence : Workload.divergence) truth =
+  let module Rng = Tor_sim.Rng in
+  let flippable = [ Flags.Fast; Flags.Stable; Flags.Guard; Flags.HSDir ] in
+  List.filter_map
+    (fun (r : Relay.t) ->
+      if Rng.float rng 1.0 < divergence.missing_prob then None
+      else
+        let flags =
+          if Rng.float rng 1.0 < divergence.flag_flip_prob then
+            let flag = List.nth flippable (Rng.int rng (List.length flippable)) in
+            if Flags.mem flag r.flags then Flags.remove flag r.flags
+            else Flags.add flag r.flags
+          else r.flags
+        in
+        let measured =
+          if Rng.float rng 1.0 < divergence.unmeasured_prob then None
+          else
+            Option.map
+              (fun m ->
+                let jitter = Rng.gaussian rng ~mean:1.0 ~stddev:divergence.bw_jitter in
+                Stdlib.max 1 (int_of_float (float_of_int m *. Float.max 0.1 jitter)))
+              r.measured
+        in
+        Some
+          (Relay.make ~fingerprint:r.fingerprint ~nickname:r.nickname ~address:r.address
+             ~or_port:r.or_port ~dir_port:r.dir_port ~published:r.published ~flags
+             ~version:r.version ~protocols:r.protocols ~bandwidth:r.bandwidth ?measured
+             ~exit_policy:r.exit_policy ()))
+    truth
+
+(* [authority_view] against the model, fed the same RNG: the same relays
+   (compared by fingerprint order), every field and descriptor digest
+   equal, and the stream left at the same point.  Every third relay has
+   no measurement, and one divergence is heavy, so each branch runs. *)
+let qcheck_authority_view_model =
+  let divergences =
+    [| Workload.default_divergence;
+       Workload.no_divergence;
+       { Workload.missing_prob = 0.3; bw_jitter = 0.5; flag_flip_prob = 0.5;
+         unmeasured_prob = 0.3 } |]
+  in
+  QCheck.Test.make ~name:"authority view matches the reference model" ~count:40
+    QCheck.(triple small_nat (int_range 0 80) (int_bound (Array.length divergences - 1)))
+    (fun (seed, n, d) ->
+      let divergence = divergences.(d) in
+      let truth =
+        Workload.relays ~rng:(Tor_sim.Rng.create (Int64.of_int seed)) ~n ~published:3000.
+        |> List.mapi (fun i (r : Relay.t) ->
+               if i mod 3 = 0 then { r with Relay.measured = None } else r)
+      in
+      let rng_a = Tor_sim.Rng.of_string_seed (string_of_int seed) in
+      let rng_b = Tor_sim.Rng.of_string_seed (string_of_int seed) in
+      let by_fp = List.sort Relay.compare_fingerprint in
+      let view = by_fp (Workload.authority_view ~rng:rng_a ~divergence truth) in
+      let model = by_fp (reference_view ~rng:rng_b ~divergence truth) in
+      List.length view = List.length model
+      && List.for_all2
+           (fun (a : Relay.t) (b : Relay.t) ->
+             Relay.equal a b && Crypto.Digest32.equal a.descriptor_digest b.descriptor_digest)
+           view model
+      && Tor_sim.Rng.next_int64 rng_a = Tor_sim.Rng.next_int64 rng_b)
+
+(* [votes] is [relays] followed by one [authority_view] + [Vote.create]
+   per authority on the same RNG, with votes published ten minutes
+   before [valid_after]; a caller that times the layers one at a time
+   rebuilds the same votes this way. *)
+let test_workload_votes_are_views () =
+  let keyring = Crypto.Keyring.create ~n:9 () in
+  let valid_after = 3600. in
+  let published = valid_after -. 600. in
+  let votes =
+    Workload.votes ~rng:(Tor_sim.Rng.of_string_seed "views") ~keyring ~n_authorities:9
+      ~n_relays:500 ~valid_after ()
+  in
+  let rng = Tor_sim.Rng.of_string_seed "views" in
+  let truth = Workload.relays ~rng ~n:500 ~published in
+  Array.iteri
+    (fun authority vote ->
+      let view = Workload.authority_view ~rng ~divergence:Workload.default_divergence truth in
+      let rebuilt =
+        Vote.create ~authority
+          ~authority_fingerprint:(Crypto.Keyring.fingerprint keyring authority)
+          ~nickname:(Workload.authority_nickname authority) ~published ~valid_after
+          ~relays:view
+      in
+      checks
+        (Printf.sprintf "authority %d" authority)
+        (Crypto.Digest32.hex (Vote.digest vote))
+        (Crypto.Digest32.hex (Vote.digest rebuilt)))
+    votes
+
 let test_authority_nicknames () =
   checks "first" "moria1" (Workload.authority_nickname 0);
   checks "ninth" "faravahar" (Workload.authority_nickname 8);
@@ -689,6 +809,9 @@ let suite =
     ("workload determinism", `Quick, test_workload_determinism);
     ("workload divergence", `Quick, test_workload_divergence);
     ("workload aggregatable", `Quick, test_workload_aggregatable);
+    ("workload pinned vote digests", `Quick, test_workload_pinned_digests);
+    QCheck_alcotest.to_alcotest qcheck_authority_view_model;
+    ("workload votes = views + Vote.create", `Quick, test_workload_votes_are_views);
     ("authority nicknames", `Quick, test_authority_nicknames);
     ("metrics trace", `Quick, test_metrics_trace);
     ("workload churn", `Quick, test_workload_churn);
