@@ -53,10 +53,163 @@ let init () =
   reset ctx;
   ctx
 
-(* Compress the 64-byte block at [b.(off)..].  Rotations are written
-   out by hand (the classic compiler does not reliably inline through a
+(* The 64 rounds of one compression, added into [ctx.h].  The working
+   state lives in the arguments of a tail-recursive loop, so the eight
+   words stay in registers.  Eight rounds are unrolled per step in the
+   in-place formulation (each round rewrites exactly two words; the
+   register roles rotate through the unrolled body and return to their
+   starting positions after eight rounds).  Rotations are written out
+   by hand (the classic compiler does not reliably inline through a
    helper); Ch and Maj use the 3/4-op forms
-   [Ch = g ^ (e & (f ^ g))] and [Maj = a ^ ((a ^ b) & (a ^ c))]. *)
+    [Ch = g ^ (e & (f ^ g))] and [Maj = a ^ ((a ^ b) & (a ^ c))].  The
+   loop is top-level and reaches the schedule and chaining words
+   through [ctx], so compressing a block allocates no closure. *)
+let rec rounds ctx a b c d e f g hh t =
+  if t = 64 then begin
+    let h = ctx.h in
+    h.(0) <- (h.(0) + a) land mask32;
+    h.(1) <- (h.(1) + b) land mask32;
+    h.(2) <- (h.(2) + c) land mask32;
+    h.(3) <- (h.(3) + d) land mask32;
+    h.(4) <- (h.(4) + e) land mask32;
+    h.(5) <- (h.(5) + f) land mask32;
+    h.(6) <- (h.(6) + g) land mask32;
+    h.(7) <- (h.(7) + hh) land mask32
+  end
+  else begin
+    let w = ctx.w in
+    (* round t: A=a B=b C=c D=d E=e F=f G=g H=hh *)
+    let t1 =
+      hh
+      + (((e lsr 6) lor (e lsl 26)) lxor ((e lsr 11) lor (e lsl 21))
+         lxor ((e lsr 25) lor (e lsl 7)))
+      + (g lxor (e land (f lxor g)))
+      + Array.unsafe_get k t + Array.unsafe_get w t
+    in
+    let d = (d + t1) land mask32
+    and hh =
+      (t1
+       + (((a lsr 2) lor (a lsl 30)) lxor ((a lsr 13) lor (a lsl 19))
+          lxor ((a lsr 22) lor (a lsl 10)))
+       + (a lxor ((a lxor b) land (a lxor c))))
+      land mask32
+    in
+    (* round t+1: A=hh B=a C=b D=c E=d F=e G=f H=g *)
+    let t1 =
+      g
+      + (((d lsr 6) lor (d lsl 26)) lxor ((d lsr 11) lor (d lsl 21))
+         lxor ((d lsr 25) lor (d lsl 7)))
+      + (f lxor (d land (e lxor f)))
+      + Array.unsafe_get k (t + 1) + Array.unsafe_get w (t + 1)
+    in
+    let c = (c + t1) land mask32
+    and g =
+      (t1
+       + (((hh lsr 2) lor (hh lsl 30)) lxor ((hh lsr 13) lor (hh lsl 19))
+          lxor ((hh lsr 22) lor (hh lsl 10)))
+       + (hh lxor ((hh lxor a) land (hh lxor b))))
+      land mask32
+    in
+    (* round t+2: A=g B=hh C=a D=b E=c F=d G=e H=f *)
+    let t1 =
+      f
+      + (((c lsr 6) lor (c lsl 26)) lxor ((c lsr 11) lor (c lsl 21))
+         lxor ((c lsr 25) lor (c lsl 7)))
+      + (e lxor (c land (d lxor e)))
+      + Array.unsafe_get k (t + 2) + Array.unsafe_get w (t + 2)
+    in
+    let b = (b + t1) land mask32
+    and f =
+      (t1
+       + (((g lsr 2) lor (g lsl 30)) lxor ((g lsr 13) lor (g lsl 19))
+          lxor ((g lsr 22) lor (g lsl 10)))
+       + (g lxor ((g lxor hh) land (g lxor a))))
+      land mask32
+    in
+    (* round t+3: A=f B=g C=hh D=a E=b F=c G=d H=e *)
+    let t1 =
+      e
+      + (((b lsr 6) lor (b lsl 26)) lxor ((b lsr 11) lor (b lsl 21))
+         lxor ((b lsr 25) lor (b lsl 7)))
+      + (d lxor (b land (c lxor d)))
+      + Array.unsafe_get k (t + 3) + Array.unsafe_get w (t + 3)
+    in
+    let a = (a + t1) land mask32
+    and e =
+      (t1
+       + (((f lsr 2) lor (f lsl 30)) lxor ((f lsr 13) lor (f lsl 19))
+          lxor ((f lsr 22) lor (f lsl 10)))
+       + (f lxor ((f lxor g) land (f lxor hh))))
+      land mask32
+    in
+    (* round t+4: A=e B=f C=g D=hh E=a F=b G=c H=d *)
+    let t1 =
+      d
+      + (((a lsr 6) lor (a lsl 26)) lxor ((a lsr 11) lor (a lsl 21))
+         lxor ((a lsr 25) lor (a lsl 7)))
+      + (c lxor (a land (b lxor c)))
+      + Array.unsafe_get k (t + 4) + Array.unsafe_get w (t + 4)
+    in
+    let hh = (hh + t1) land mask32
+    and d =
+      (t1
+       + (((e lsr 2) lor (e lsl 30)) lxor ((e lsr 13) lor (e lsl 19))
+          lxor ((e lsr 22) lor (e lsl 10)))
+       + (e lxor ((e lxor f) land (e lxor g))))
+      land mask32
+    in
+    (* round t+5: A=d B=e C=f D=g E=hh F=a G=b H=c *)
+    let t1 =
+      c
+      + (((hh lsr 6) lor (hh lsl 26)) lxor ((hh lsr 11) lor (hh lsl 21))
+         lxor ((hh lsr 25) lor (hh lsl 7)))
+      + (b lxor (hh land (a lxor b)))
+      + Array.unsafe_get k (t + 5) + Array.unsafe_get w (t + 5)
+    in
+    let g = (g + t1) land mask32
+    and c =
+      (t1
+       + (((d lsr 2) lor (d lsl 30)) lxor ((d lsr 13) lor (d lsl 19))
+          lxor ((d lsr 22) lor (d lsl 10)))
+       + (d lxor ((d lxor e) land (d lxor f))))
+      land mask32
+    in
+    (* round t+6: A=c B=d C=e D=f E=g F=hh G=a H=b *)
+    let t1 =
+      b
+      + (((g lsr 6) lor (g lsl 26)) lxor ((g lsr 11) lor (g lsl 21))
+         lxor ((g lsr 25) lor (g lsl 7)))
+      + (a lxor (g land (hh lxor a)))
+      + Array.unsafe_get k (t + 6) + Array.unsafe_get w (t + 6)
+    in
+    let f = (f + t1) land mask32
+    and b =
+      (t1
+       + (((c lsr 2) lor (c lsl 30)) lxor ((c lsr 13) lor (c lsl 19))
+          lxor ((c lsr 22) lor (c lsl 10)))
+       + (c lxor ((c lxor d) land (c lxor e))))
+      land mask32
+    in
+    (* round t+7: A=b B=c C=d D=e E=f F=g G=hh H=a *)
+    let t1 =
+      a
+      + (((f lsr 6) lor (f lsl 26)) lxor ((f lsr 11) lor (f lsl 21))
+         lxor ((f lsr 25) lor (f lsl 7)))
+      + (hh lxor (f land (g lxor hh)))
+      + Array.unsafe_get k (t + 7) + Array.unsafe_get w (t + 7)
+    in
+    let e = (e + t1) land mask32
+    and a =
+      (t1
+       + (((b lsr 2) lor (b lsl 30)) lxor ((b lsr 13) lor (b lsl 19))
+          lxor ((b lsr 22) lor (b lsl 10)))
+       + (b lxor ((b lxor c) land (b lxor d))))
+      land mask32
+    in
+    rounds ctx a b c d e f g hh (t + 8)
+  end
+
+(* Compress the 64-byte block at [b.(off)..]. *)
 let compress ctx b off =
   let w = ctx.w in
   for t = 0 to 15 do
@@ -77,155 +230,7 @@ let compress ctx b off =
        land mask32)
   done;
   let h = ctx.h in
-  (* The working state lives in the arguments of a tail-recursive loop,
-     so the eight words stay in registers.  Eight rounds are unrolled
-     per step in the in-place formulation (each round rewrites exactly
-     two words; the register roles rotate through the unrolled body and
-     return to their starting positions after eight rounds). *)
-  let rec rounds a b c d e f g hh t =
-    if t = 64 then begin
-      h.(0) <- (h.(0) + a) land mask32;
-      h.(1) <- (h.(1) + b) land mask32;
-      h.(2) <- (h.(2) + c) land mask32;
-      h.(3) <- (h.(3) + d) land mask32;
-      h.(4) <- (h.(4) + e) land mask32;
-      h.(5) <- (h.(5) + f) land mask32;
-      h.(6) <- (h.(6) + g) land mask32;
-      h.(7) <- (h.(7) + hh) land mask32
-    end
-    else begin
-      (* round t: A=a B=b C=c D=d E=e F=f G=g H=hh *)
-      let t1 =
-        hh
-        + (((e lsr 6) lor (e lsl 26)) lxor ((e lsr 11) lor (e lsl 21))
-           lxor ((e lsr 25) lor (e lsl 7)))
-        + (g lxor (e land (f lxor g)))
-        + Array.unsafe_get k t + Array.unsafe_get w t
-      in
-      let d = (d + t1) land mask32
-      and hh =
-        (t1
-         + (((a lsr 2) lor (a lsl 30)) lxor ((a lsr 13) lor (a lsl 19))
-            lxor ((a lsr 22) lor (a lsl 10)))
-         + (a lxor ((a lxor b) land (a lxor c))))
-        land mask32
-      in
-      (* round t+1: A=hh B=a C=b D=c E=d F=e G=f H=g *)
-      let t1 =
-        g
-        + (((d lsr 6) lor (d lsl 26)) lxor ((d lsr 11) lor (d lsl 21))
-           lxor ((d lsr 25) lor (d lsl 7)))
-        + (f lxor (d land (e lxor f)))
-        + Array.unsafe_get k (t + 1) + Array.unsafe_get w (t + 1)
-      in
-      let c = (c + t1) land mask32
-      and g =
-        (t1
-         + (((hh lsr 2) lor (hh lsl 30)) lxor ((hh lsr 13) lor (hh lsl 19))
-            lxor ((hh lsr 22) lor (hh lsl 10)))
-         + (hh lxor ((hh lxor a) land (hh lxor b))))
-        land mask32
-      in
-      (* round t+2: A=g B=hh C=a D=b E=c F=d G=e H=f *)
-      let t1 =
-        f
-        + (((c lsr 6) lor (c lsl 26)) lxor ((c lsr 11) lor (c lsl 21))
-           lxor ((c lsr 25) lor (c lsl 7)))
-        + (e lxor (c land (d lxor e)))
-        + Array.unsafe_get k (t + 2) + Array.unsafe_get w (t + 2)
-      in
-      let b = (b + t1) land mask32
-      and f =
-        (t1
-         + (((g lsr 2) lor (g lsl 30)) lxor ((g lsr 13) lor (g lsl 19))
-            lxor ((g lsr 22) lor (g lsl 10)))
-         + (g lxor ((g lxor hh) land (g lxor a))))
-        land mask32
-      in
-      (* round t+3: A=f B=g C=hh D=a E=b F=c G=d H=e *)
-      let t1 =
-        e
-        + (((b lsr 6) lor (b lsl 26)) lxor ((b lsr 11) lor (b lsl 21))
-           lxor ((b lsr 25) lor (b lsl 7)))
-        + (d lxor (b land (c lxor d)))
-        + Array.unsafe_get k (t + 3) + Array.unsafe_get w (t + 3)
-      in
-      let a = (a + t1) land mask32
-      and e =
-        (t1
-         + (((f lsr 2) lor (f lsl 30)) lxor ((f lsr 13) lor (f lsl 19))
-            lxor ((f lsr 22) lor (f lsl 10)))
-         + (f lxor ((f lxor g) land (f lxor hh))))
-        land mask32
-      in
-      (* round t+4: A=e B=f C=g D=hh E=a F=b G=c H=d *)
-      let t1 =
-        d
-        + (((a lsr 6) lor (a lsl 26)) lxor ((a lsr 11) lor (a lsl 21))
-           lxor ((a lsr 25) lor (a lsl 7)))
-        + (c lxor (a land (b lxor c)))
-        + Array.unsafe_get k (t + 4) + Array.unsafe_get w (t + 4)
-      in
-      let hh = (hh + t1) land mask32
-      and d =
-        (t1
-         + (((e lsr 2) lor (e lsl 30)) lxor ((e lsr 13) lor (e lsl 19))
-            lxor ((e lsr 22) lor (e lsl 10)))
-         + (e lxor ((e lxor f) land (e lxor g))))
-        land mask32
-      in
-      (* round t+5: A=d B=e C=f D=g E=hh F=a G=b H=c *)
-      let t1 =
-        c
-        + (((hh lsr 6) lor (hh lsl 26)) lxor ((hh lsr 11) lor (hh lsl 21))
-           lxor ((hh lsr 25) lor (hh lsl 7)))
-        + (b lxor (hh land (a lxor b)))
-        + Array.unsafe_get k (t + 5) + Array.unsafe_get w (t + 5)
-      in
-      let g = (g + t1) land mask32
-      and c =
-        (t1
-         + (((d lsr 2) lor (d lsl 30)) lxor ((d lsr 13) lor (d lsl 19))
-            lxor ((d lsr 22) lor (d lsl 10)))
-         + (d lxor ((d lxor e) land (d lxor f))))
-        land mask32
-      in
-      (* round t+6: A=c B=d C=e D=f E=g F=hh G=a H=b *)
-      let t1 =
-        b
-        + (((g lsr 6) lor (g lsl 26)) lxor ((g lsr 11) lor (g lsl 21))
-           lxor ((g lsr 25) lor (g lsl 7)))
-        + (a lxor (g land (hh lxor a)))
-        + Array.unsafe_get k (t + 6) + Array.unsafe_get w (t + 6)
-      in
-      let f = (f + t1) land mask32
-      and b =
-        (t1
-         + (((c lsr 2) lor (c lsl 30)) lxor ((c lsr 13) lor (c lsl 19))
-            lxor ((c lsr 22) lor (c lsl 10)))
-         + (c lxor ((c lxor d) land (c lxor e))))
-        land mask32
-      in
-      (* round t+7: A=b B=c C=d D=e E=f F=g G=hh H=a *)
-      let t1 =
-        a
-        + (((f lsr 6) lor (f lsl 26)) lxor ((f lsr 11) lor (f lsl 21))
-           lxor ((f lsr 25) lor (f lsl 7)))
-        + (hh lxor (f land (g lxor hh)))
-        + Array.unsafe_get k (t + 7) + Array.unsafe_get w (t + 7)
-      in
-      let e = (e + t1) land mask32
-      and a =
-        (t1
-         + (((b lsr 2) lor (b lsl 30)) lxor ((b lsr 13) lor (b lsl 19))
-            lxor ((b lsr 22) lor (b lsl 10)))
-         + (b lxor ((b lxor c) land (b lxor d))))
-        land mask32
-      in
-      rounds a b c d e f g hh (t + 8)
-    end
-  in
-  rounds h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7) 0
+  rounds ctx h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7) 0
 
 let feed_bytes ctx src ~pos ~len =
   if pos < 0 || len < 0 || pos + len > Bytes.length src then

@@ -52,6 +52,17 @@ let test_feed_bounds () =
   Alcotest.check_raises "overflow" (Invalid_argument "Sha256.feed_bytes") (fun () ->
       Sha256.feed_bytes ctx (Bytes.create 4) ~pos:2 ~len:3)
 
+(* Hashing allocates nothing per block: 64 KiB (1,024 blocks) fed into an
+   existing context stays under 64 minor words, which leaves room only
+   for the boxed floats [Gc.minor_words] itself returns. *)
+let test_feed_allocates_nothing () =
+  let ctx = Sha256.init () in
+  let data = Bytes.make 65_536 'x' in
+  let before = Gc.minor_words () in
+  Sha256.feed_bytes ctx data ~pos:0 ~len:65_536;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "%.0f minor words for 64 KiB" words) true (words < 64.)
+
 let qcheck_streaming =
   QCheck.Test.make ~name:"sha256 chunked = one-shot" ~count:50
     QCheck.(pair (string_of_size (Gen.int_range 0 500)) (int_range 1 64))
@@ -235,6 +246,7 @@ let suite =
     ("sha256 one million a's", `Slow, test_million_a);
     ("sha256 streaming", `Quick, test_streaming_matches_oneshot);
     ("sha256 feed bounds", `Quick, test_feed_bounds);
+    ("sha256 feed allocates nothing per block", `Quick, test_feed_allocates_nothing);
     QCheck_alcotest.to_alcotest qcheck_streaming;
     ("sha256 chunk boundaries", `Quick, test_chunk_boundaries);
     QCheck_alcotest.to_alcotest qcheck_random_splits;
