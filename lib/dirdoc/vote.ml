@@ -62,9 +62,9 @@ let compute_digest ~authority ~authority_fingerprint ~published ~valid_after rel
 let create ~authority ~authority_fingerprint ~nickname ~published ~valid_after ~relays =
   if authority < 0 then invalid_arg "Vote.create: negative authority id";
   let arr = Array.of_list relays in
-  (* Callers routinely rebuild votes from an already-ordered population
-     (sweep reruns, aggregation benches), so check before paying for a
-     full sort. *)
+  (* Most callers pass relays already in fingerprint order
+     ([Workload.votes] sorts each population once; parsing reads a
+     serialized vote), so check before paying for a full sort. *)
   let sorted = ref true in
   for i = 1 to Array.length arr - 1 do
     if Relay.compare_fingerprint arr.(i - 1) arr.(i) > 0 then sorted := false

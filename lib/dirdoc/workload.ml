@@ -100,6 +100,10 @@ let relays ~rng ~n ~published =
    stay put so inclusion itself is stable under small divergence. *)
 let flippable_flags = [ Flags.Fast; Flags.Stable; Flags.Guard; Flags.HSDir ]
 
+(* Perturbation touches only [flags] and [measured], so the view's relay
+   shares every other field with the ground truth, the descriptor digest
+   included: none of its inputs change.  No [Relay.make] check can fail
+   either, because [measured] stays at least 1. *)
 let perturb_relay rng divergence (r : Relay.t) =
   let flags =
     if Rng.float rng 1.0 < divergence.flag_flip_prob then
@@ -116,24 +120,38 @@ let perturb_relay rng divergence (r : Relay.t) =
           let jitter = Rng.gaussian rng ~mean:1.0 ~stddev:divergence.bw_jitter in
           Some (Stdlib.max 1 (int_of_float (float_of_int m *. Float.max 0.1 jitter)))
   in
-  Relay.make ~fingerprint:r.fingerprint ~nickname:r.nickname ~address:r.address
-    ~or_port:r.or_port ~dir_port:r.dir_port ~published:r.published ~flags
-    ~version:r.version ~protocols:r.protocols ~bandwidth:r.bandwidth ?measured
-    ~exit_policy:r.exit_policy ()
+  { r with flags; measured }
+
+(* Indices of [truth] in fingerprint order. *)
+let fingerprint_order truth =
+  let order = Array.init (Array.length truth) Fun.id in
+  Array.stable_sort (fun i j -> Relay.compare_fingerprint truth.(i) truth.(j)) order;
+  order
+
+(* One authority's view.  The RNG draws run over [truth] in ground-truth
+   order, which pins the stream; the relays come out in [order], so
+   [Vote.create] finds them sorted. *)
+let sorted_view ~rng ~divergence truth order =
+  let observed =
+    Array.init (Array.length truth) (fun i ->
+        if Rng.float rng 1.0 < divergence.missing_prob then None
+        else Some (perturb_relay rng divergence truth.(i)))
+  in
+  Array.fold_right
+    (fun i view -> match observed.(i) with Some r -> r :: view | None -> view)
+    order []
 
 let authority_view ~rng ~divergence ground_truth =
-  List.filter_map
-    (fun r ->
-      if Rng.float rng 1.0 < divergence.missing_prob then None
-      else Some (perturb_relay rng divergence r))
-    ground_truth
+  let truth = Array.of_list ground_truth in
+  sorted_view ~rng ~divergence truth (fingerprint_order truth)
 
 let votes ~rng ?(divergence = default_divergence) ~keyring ~n_authorities ~n_relays
     ~valid_after () =
   let published = valid_after -. 600. in
-  let ground_truth = relays ~rng ~n:n_relays ~published in
+  let truth = Array.of_list (relays ~rng ~n:n_relays ~published) in
+  let order = fingerprint_order truth in
   Array.init n_authorities (fun authority ->
-      let view = authority_view ~rng ~divergence ground_truth in
+      let view = sorted_view ~rng ~divergence truth order in
       Vote.create ~authority
         ~authority_fingerprint:(Crypto.Keyring.fingerprint keyring authority)
         ~nickname:(authority_nickname authority) ~published ~valid_after ~relays:view)

@@ -30,7 +30,11 @@ val relays : rng:Tor_sim.Rng.t -> n:int -> published:float -> Relay.t list
 
 val authority_view :
   rng:Tor_sim.Rng.t -> divergence:divergence -> Relay.t list -> Relay.t list
-(** One authority's perturbed observation of the ground truth. *)
+(** One authority's perturbed observation of the ground truth, sorted by
+    fingerprint.  The RNG draws run over the ground truth in its given
+    order.  Only [flags] and [measured] are perturbed; every other field
+    of a view relay, the descriptor digest included, is shared with its
+    ground-truth relay. *)
 
 val votes :
   rng:Tor_sim.Rng.t ->
@@ -43,7 +47,11 @@ val votes :
   Vote.t array
 (** Generate one vote per authority over a shared ground truth.
     Authority fingerprints come from [keyring]; vote [i] is indexed by
-    authority [i]. *)
+    authority [i].  The votes are the ones {!relays} followed by one
+    {!authority_view} and [Vote.create] per authority on the same [rng]
+    would give, published 600 s before [valid_after]; but the ground
+    truth is sorted by fingerprint once per population, not once per
+    view. *)
 
 val authority_nickname : int -> string
 (** Stable human-readable names ("moria1", "tor26", ... for the first
