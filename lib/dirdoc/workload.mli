@@ -47,11 +47,11 @@ val votes :
   Vote.t array
 (** Generate one vote per authority over a shared ground truth.
     Authority fingerprints come from [keyring]; vote [i] is indexed by
-    authority [i].  The votes are the ones {!relays} followed by one
-    {!authority_view} and [Vote.create] per authority on the same [rng]
-    would give, published 600 s before [valid_after]; but the ground
-    truth is sorted by fingerprint once per population, not once per
-    view. *)
+    authority [i].  Digest for digest, the votes equal {!relays}
+    followed by one {!authority_view} + [Vote.create] per authority on
+    the same [rng], published 600 s before [valid_after]; but the ground
+    truth is sorted by fingerprint once per population rather than once
+    per view. *)
 
 val authority_nickname : int -> string
 (** Stable human-readable names ("moria1", "tor26", ... for the first
