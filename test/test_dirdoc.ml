@@ -570,6 +570,19 @@ let test_workload_votes_are_views () =
         (Crypto.Digest32.hex (Vote.digest rebuilt)))
     votes
 
+(* A view comes out in fingerprint order, whatever the order of the
+   ground truth, so [Vote.create] finds it sorted. *)
+let test_authority_view_sorted () =
+  let rng = Tor_sim.Rng.of_string_seed "sorted-view" in
+  let truth = Workload.relays ~rng ~n:300 ~published:0. in
+  let view = Workload.authority_view ~rng ~divergence:Workload.default_divergence truth in
+  let sorted relays =
+    let fingerprints = List.map (fun (r : Relay.t) -> r.fingerprint) relays in
+    List.sort String.compare fingerprints = fingerprints
+  in
+  checkb "ground truth unsorted" false (sorted truth);
+  checkb "view sorted" true (sorted view)
+
 let test_authority_nicknames () =
   checks "first" "moria1" (Workload.authority_nickname 0);
   checks "ninth" "faravahar" (Workload.authority_nickname 8);
@@ -812,6 +825,7 @@ let suite =
     ("workload pinned vote digests", `Quick, test_workload_pinned_digests);
     QCheck_alcotest.to_alcotest qcheck_authority_view_model;
     ("workload votes = views + Vote.create", `Quick, test_workload_votes_are_views);
+    ("workload view is fingerprint-sorted", `Quick, test_authority_view_sorted);
     ("authority nicknames", `Quick, test_authority_nicknames);
     ("metrics trace", `Quick, test_metrics_trace);
     ("workload churn", `Quick, test_workload_churn);
