@@ -137,6 +137,48 @@ let test_validate_rejections () =
       let wrong_ring = Crypto.Keyring.create ~seed:"other" ~n () in
       checkb "foreign keyring rejected" false (D.validate wrong_ring ~n ~f value)
 
+(* Present and Absent proofs are (f+1)-signature certificates.  Each
+   forgery breaks exactly one clause of the certificate rule — at least
+   f+1 signatures, no signer twice, every signature verifying — and
+   [validate] must reject every one of them. *)
+let test_validate_certificate_forgeries () =
+  let check_proof what ~j value rebuild sigs =
+    checkb (what ^ ": genuine validates") true (D.validate keyring ~n ~f value);
+    let payload = D.doc_payload ~sender:j value.D.vector.(j) in
+    let first = List.hd sigs in
+    let forgeries =
+      [
+        ("one signer f+1 times", List.init (f + 1) (fun _ -> first));
+        ("only f signatures", List.tl sigs);
+        ( "one forged signature",
+          Crypto.Signature.forge ~signer:first.Crypto.Signature.signer payload
+          :: List.tl sigs );
+      ]
+    in
+    checki (what ^ ": f+1 genuine signatures") (f + 1) (List.length sigs);
+    List.iter
+      (fun (how, forged) ->
+        let proofs = Array.copy value.D.proofs in
+        proofs.(j) <- rebuild forged;
+        checkb
+          (Printf.sprintf "%s: %s rejected" what how)
+          false
+          (D.validate keyring ~n ~f { value with D.proofs }))
+      forgeries
+  in
+  let proof ~missing j =
+    match build_with (List.init (n - f) (fun i -> proposal_from i ~missing)) with
+    | Some value -> (value, value.D.proofs.(j))
+    | None -> Alcotest.fail "should build"
+  in
+  (match proof ~missing:[] 0 with
+  | value, D.Present (sender_sig, sigs) ->
+      check_proof "present" ~j:0 value (fun forged -> D.Present (sender_sig, forged)) sigs
+  | _ -> Alcotest.fail "expected a Present proof for entry 0");
+  match proof ~missing:[ 8 ] 8 with
+  | value, D.Absent sigs -> check_proof "absent" ~j:8 value (fun forged -> D.Absent forged) sigs
+  | _ -> Alcotest.fail "expected an Absent proof for entry 8"
+
 let test_value_digest_binding () =
   let proposals = List.init (n - f) (fun i -> proposal_from i ~missing:[]) in
   let with8 = List.init (n - f) (fun i -> proposal_from i ~missing:[ 8 ]) in
@@ -890,6 +932,7 @@ let suite =
     ("dissemination absent proofs", `Quick, test_collector_absent_entries);
     ("dissemination equivocation proofs", `Quick, test_collector_equivocation);
     ("dissemination validate rejections", `Quick, test_validate_rejections);
+    ("dissemination certificate forgeries", `Quick, test_validate_certificate_forgeries);
     ("dissemination value digest binding", `Quick, test_value_digest_binding);
     ("protocol: happy path (GST=0 value validity)", `Quick, test_protocol_happy_gst_zero);
     ("protocol: DDoS knockout recovery", `Slow, test_protocol_ddos_recovery);
