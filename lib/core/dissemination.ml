@@ -153,29 +153,20 @@ module Collector = struct
     end
 end
 
-let distinct_signers sigs =
-  let signers = List.map (fun s -> s.Signature.signer) sigs in
-  List.length (List.sort_uniq Int.compare signers) = List.length sigs
-
 let proof_valid keyring ~f ~j ~digest proof =
   match (digest, proof) with
   | Some d, Present (sender_sig, proposer_sigs) ->
       let payload = doc_payload ~sender:j (Some d) in
       sender_sig.Signature.signer = j
       && Signature.verify keyring sender_sig payload
-      && List.length proposer_sigs >= f + 1
-      && distinct_signers proposer_sigs
-      && List.for_all (fun s -> Signature.verify keyring s payload) proposer_sigs
+      && Signature.certifies keyring ~quorum:(f + 1) payload proposer_sigs
   | None, Equivocation ((d1, s1), (d2, s2)) ->
       (not (Digest32.equal d1 d2))
       && s1.Signature.signer = j && s2.Signature.signer = j
       && Signature.verify keyring s1 (doc_payload ~sender:j (Some d1))
       && Signature.verify keyring s2 (doc_payload ~sender:j (Some d2))
   | None, Absent sigs ->
-      let payload = doc_payload ~sender:j None in
-      List.length sigs >= f + 1
-      && distinct_signers sigs
-      && List.for_all (fun s -> Signature.verify keyring s payload) sigs
+      Signature.certifies keyring ~quorum:(f + 1) (doc_payload ~sender:j None) sigs
   | Some _, (Equivocation _ | Absent _) | None, Present _ -> false
 
 let validate keyring ~n ~f value =

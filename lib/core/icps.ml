@@ -28,5 +28,3 @@ let value_validity_gst_zero ~equal ~inputs ~who v =
   match v.(who) with None -> false | Some x -> equal x inputs.(who)
 
 let common_set_validity ~f v = non_bot v >= Array.length v - f
-
-let fault_bound ~n = (n - 1) / 3

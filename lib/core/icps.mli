@@ -32,6 +32,3 @@ val value_validity_gst_zero :
 
 val common_set_validity : f:int -> 'a vector -> bool
 (** [non_bot v >= Array.length v - f]. *)
-
-val fault_bound : n:int -> int
-(** Largest [f] with [n >= 3f + 1]. *)

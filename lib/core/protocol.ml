@@ -78,7 +78,7 @@ type node = {
 
 let run_detailed ?(params = default_params) (env : Runenv.t) =
   let n = env.n in
-  let f = Icps.fault_bound ~n in
+  let f = Protocols.Agreement.fault_bound ~n in
   let r =
     D.setup env ~labels:[| "document"; "proposal"; "agreement"; "fetch"; "fetch-reply" |]
   in
@@ -133,7 +133,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
       let proposal =
         Dissemination.make_proposal env.keyring ~proposer:node.id ~digests
       in
-      let leader = A.leader ~n ~view in
+      let leader = Protocols.Agreement.leader ~n ~view in
       D.send r ~src:node.id ~dst:leader ~label:lbl_proposal (Proposal proposal)
     end
   in
@@ -232,7 +232,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let make_hotstuff node =
     let cb =
       {
-        A.now;
+        Protocols.Agreement.now;
         schedule = (fun after fn -> Sim.Engine.schedule_in engine ~after fn);
         cancel = (fun h -> Sim.Engine.cancel engine h);
         send =

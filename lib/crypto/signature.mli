@@ -19,6 +19,12 @@ val verify : Keyring.t -> t -> string -> bool
     [msg] by [sg.signer].  Returns [false] (never raises) for unknown
     signers or corrupted tags. *)
 
+val certifies : Keyring.t -> quorum:int -> string -> t list -> bool
+(** [certifies ring ~quorum msg sigs] is the certificate rule every
+    multi-signature proof is checked with: at least [quorum]
+    signatures, no signer twice, and every signature verifying on
+    [msg]. *)
+
 val forge : signer:int -> string -> t
 (** [forge ~signer msg] builds a syntactically well-formed but invalid
     signature; used by Byzantine-behaviour tests. *)

@@ -25,8 +25,6 @@ let default_config =
     defense = None;
   }
 
-let fault_bound ~n = (n - 1) / 3
-
 let base_spec config =
   {
     Runenv.Spec.default with
@@ -90,7 +88,7 @@ let sample_case config ~index =
   let faults = List.init n_faults (fun _ -> sample_fault config rng) in
   let plan = { Fault.seed = "plan-" ^ string_of_int index; faults } in
   let behaviors = Array.make config.n Runenv.Honest in
-  let n_misbehave = Rng.int rng (fault_bound ~n:config.n + 2) in
+  let n_misbehave = Rng.int rng (Protocols.Agreement.fault_bound ~n:config.n + 2) in
   for _ = 1 to n_misbehave do
     let node = Rng.int rng config.n in
     behaviors.(node) <-
@@ -193,7 +191,7 @@ let report_of ~run_protocol protocol env =
    of the partial-synchrony protocol alone.  Shared by the main verdict
    and by every shrink step. *)
 let judge config ~plan ~behaviors ours =
-  let f = fault_bound ~n:config.n in
+  let f = Protocols.Agreement.fault_bound ~n:config.n in
   let node_faults, permanent_faults = faulty_node_sets ~plan ~behaviors in
   let clears = case_clears_at ~plan ~behaviors in
   let safety_applicable = node_faults <= f in

@@ -11,7 +11,8 @@
     {ul
     {- {e safety}: {!Protocols.Runenv.agreement_holds} must hold
        whenever the number of faulty nodes (silent, equivocating, or
-       crash-faulted) is at most ⌊(n−1)/3⌋;}
+       crash-faulted) is at most ⌊(n−1)/3⌋
+       ({!Protocols.Agreement.fault_bound});}
     {- {e liveness}: when every fault window clears before the
        horizon and at most ⌊(n−1)/3⌋ nodes are permanently faulty,
        a majority must decide within [liveness_bound] seconds of the
@@ -42,9 +43,6 @@ type config = {
 val default_config : config
 (** seed ["chaos"], 20 plans, 9 authorities, 1000 relays, 250 Mbit/s,
     7200 s horizon, 900 s liveness bound, no defense. *)
-
-val fault_bound : n:int -> int
-(** ⌊(n−1)/3⌋ — the BFT tolerance the invariants are scoped to. *)
 
 val base_spec : config -> Protocols.Runenv.Spec.t
 (** The run spec every chaos case of this configuration is a variation

@@ -1,21 +1,38 @@
 (* See agreement.mli for the interface documentation. *)
 
+type ('v, 'm) callbacks = {
+  now : unit -> Tor_sim.Simtime.t;
+  schedule : Tor_sim.Simtime.t -> (unit -> unit) -> Tor_sim.Engine.handle;
+  cancel : Tor_sim.Engine.handle -> unit;
+  send : dst:int -> 'm -> unit;
+  validate : 'v -> bool;
+  value_digest : 'v -> Crypto.Digest32.t;
+  proposal : unit -> 'v option;
+  decide : view:int -> 'v -> unit;
+  on_view : view:int -> unit;
+  log : string -> unit;
+}
+
+let fault_bound ~n = (n - 1) / 3
+let quorum ~n = n - fault_bound ~n
+let leader ~n ~view = view mod n
+
+let broadcast cb ~n msg =
+  for dst = 0 to n - 1 do
+    cb.send ~dst msg
+  done
+
+let signers table key =
+  match Hashtbl.find_opt table key with
+  | Some h -> h
+  | None ->
+      let h = Hashtbl.create 8 in
+      Hashtbl.add table key h;
+      h
+
 module type S = sig
   type 'v t
   type 'v msg
-
-  type 'v callbacks = {
-    now : unit -> Tor_sim.Simtime.t;
-    schedule : Tor_sim.Simtime.t -> (unit -> unit) -> Tor_sim.Engine.handle;
-    cancel : Tor_sim.Engine.handle -> unit;
-    send : dst:int -> 'v msg -> unit;
-    validate : 'v -> bool;
-    value_digest : 'v -> Crypto.Digest32.t;
-    proposal : unit -> 'v option;
-    decide : view:int -> 'v -> unit;
-    on_view : view:int -> unit;
-    log : string -> unit;
-  }
 
   val name : string
 
@@ -24,7 +41,7 @@ module type S = sig
     n:int ->
     id:int ->
     ?view_timeout:Tor_sim.Simtime.t ->
-    'v callbacks ->
+    ('v, 'v msg) callbacks ->
     'v t
 
   val start : 'v t -> unit
@@ -32,6 +49,5 @@ module type S = sig
   val notify_ready : 'v t -> unit
   val decided : 'v t -> 'v option
   val current_view : 'v t -> int
-  val leader : n:int -> view:int -> int
   val msg_size : value_size:('v -> int) -> 'v msg -> int
 end

@@ -20,27 +20,13 @@ type 'v msg =
       signature : Signature.t;
     }
 
-type 'v callbacks = {
-  now : unit -> Sim.Simtime.t;
-  schedule : Sim.Simtime.t -> (unit -> unit) -> Sim.Engine.handle;
-  cancel : Sim.Engine.handle -> unit;
-  send : dst:int -> 'v msg -> unit;
-  validate : 'v -> bool;
-  value_digest : 'v -> Digest32.t;
-  proposal : unit -> 'v option;
-  decide : view:int -> 'v -> unit;
-  on_view : view:int -> unit;
-  log : string -> unit;
-}
-
 type 'v t = {
   keyring : Crypto.Keyring.t;
   n : int;
   id : int;
-  f : int;
   quorum : int;
   view_timeout : Sim.Simtime.t;
-  cb : 'v callbacks;
+  cb : ('v, 'v msg) Agreement.callbacks;
   mutable view : int;
   mutable timer : Sim.Engine.handle option;
   mutable proposed_in : int; (* last view in which this node proposed, -1 if none *)
@@ -58,17 +44,13 @@ type 'v t = {
   timeouts : (int, (int, qc option * 'v option) Hashtbl.t) Hashtbl.t;
 }
 
-let quorum ~n = n - ((n - 1) / 3)
-let leader ~n ~view = view mod n
-
 let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
   if n < 4 then invalid_arg "Hotstuff.create: need n >= 4";
   {
     keyring;
     n;
     id;
-    f = (n - 1) / 3;
-    quorum = quorum ~n;
+    quorum = Agreement.quorum ~n;
     view_timeout;
     cb;
     view = -1;
@@ -88,7 +70,7 @@ let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
     timeouts = Hashtbl.create 16;
   }
 
-let leader_of t view = view mod t.n
+let leader_of t view = Agreement.leader ~n:t.n ~view
 let decided t = t.decided
 let current_view t = t.view
 
@@ -102,12 +84,9 @@ let vote_payload ~phase ~view digest =
 let timeout_payload ~view = Printf.sprintf "hs|timeout|%d" view
 
 let qc_valid t (qc : qc) =
-  List.length qc.sigs >= t.quorum
-  && (let signers = List.map (fun s -> s.Signature.signer) qc.sigs in
-      List.length (List.sort_uniq Int.compare signers) = List.length qc.sigs)
-  &&
-  let payload = vote_payload ~phase:qc.phase ~view:qc.view qc.digest in
-  List.for_all (fun s -> Signature.verify t.keyring s payload) qc.sigs
+  Signature.certifies t.keyring ~quorum:t.quorum
+    (vote_payload ~phase:qc.phase ~view:qc.view qc.digest)
+    qc.sigs
 
 let qc_view = function None -> -1 | Some (qc : qc) -> qc.view
 
@@ -130,10 +109,7 @@ let msg_size ~value_size = function
 
 (* --- view machinery ---------------------------------------------------- *)
 
-let broadcast t msg =
-  for dst = 0 to t.n - 1 do
-    t.cb.send ~dst msg
-  done
+let broadcast t msg = Agreement.broadcast t.cb ~n:t.n msg
 
 let update_high_qc t (qc : qc) value =
   if qc.phase = One && qc.view > qc_view t.high_qc then begin
@@ -186,21 +162,6 @@ and on_timer t =
     t.timer <- Some (t.cb.schedule t.view_timeout (fun () -> on_timer t))
   end
 
-let record_vote table ~view ~signer signature =
-  let per_view =
-    match Hashtbl.find_opt table view with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 8 in
-        Hashtbl.add table view h;
-        h
-  in
-  if Hashtbl.mem per_view signer then false
-  else begin
-    Hashtbl.replace per_view signer signature;
-    true
-  end
-
 (* --- handlers ----------------------------------------------------------- *)
 
 let decide_once t ~view value qc =
@@ -251,25 +212,28 @@ let on_propose t ~src ~view ~value ~justify =
         end)
   end
 
-let quorum_sigs per_view = Hashtbl.fold (fun _ signature acc -> signature :: acc) per_view []
-
 let on_vote t ~view ~phase ~digest ~signature =
   let payload = vote_payload ~phase ~view digest in
   if
     view >= 0 && leader_of t view = t.id
     && Signature.verify t.keyring signature payload
   then begin
-    let table = match phase with One -> t.votes1 | Two -> t.votes2 in
-    let fresh = record_vote table ~view ~signer:signature.Signature.signer signature in
-    let per_view = Hashtbl.find table view in
-    if fresh && Hashtbl.length per_view = t.quorum then begin
-      let qc = { view; digest; phase; sigs = quorum_sigs per_view } in
-      match phase with
-      | One -> broadcast t (Qc_announce { qc })
-      | Two -> (
-          match Hashtbl.find_opt t.proposals view with
-          | Some value -> broadcast t (Commit { qc; value })
-          | None -> ())
+    let per_view =
+      Agreement.signers (match phase with One -> t.votes1 | Two -> t.votes2) view
+    in
+    let signer = signature.Signature.signer in
+    if not (Hashtbl.mem per_view signer) then begin
+      Hashtbl.replace per_view signer signature;
+      if Hashtbl.length per_view = t.quorum then begin
+        let sigs = Hashtbl.fold (fun _ s acc -> s :: acc) per_view [] in
+        let qc = { view; digest; phase; sigs } in
+        match phase with
+        | One -> broadcast t (Qc_announce { qc })
+        | Two -> (
+            match Hashtbl.find_opt t.proposals view with
+            | Some value -> broadcast t (Commit { qc; value })
+            | None -> ())
+      end
     end
   end
 
@@ -307,14 +271,7 @@ let on_timeout t ~src ~view ~high_qc ~value ~signature =
         (match high_qc with
         | Some qc when qc_valid t qc -> update_high_qc t qc value
         | _ -> ());
-        let per_view =
-          match Hashtbl.find_opt t.timeouts view with
-          | Some h -> h
-          | None ->
-              let h = Hashtbl.create 8 in
-              Hashtbl.add t.timeouts view h;
-              h
-        in
+        let per_view = Agreement.signers t.timeouts view in
         if not (Hashtbl.mem per_view src) then begin
           Hashtbl.replace per_view src (high_qc, value);
           (* Adopt higher views so the pacemaker converges after GST. *)

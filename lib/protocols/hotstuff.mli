@@ -23,87 +23,11 @@
       adopt the highest view they hear a timeout for, which keeps
       views synchronized after GST.
 
-    The module is transport-agnostic: the host wires {!callbacks} to
-    its network and clock, calls {!handle} on every delivered message,
-    and learns the decision through [decide].  Nodes that already
-    decided re-send the commit certificate to any node they still hear
-    timeouts from, so a decision propagates even if the deciding
-    leader crashed mid-broadcast. *)
+    The module is transport-agnostic: the host wires
+    {!Agreement.callbacks} to its network and clock, calls [handle] on
+    every delivered message, and learns the decision through [decide].
+    Nodes that already decided re-send the commit certificate to any
+    node they still hear timeouts from, so a decision propagates even
+    if the deciding leader crashed mid-broadcast. *)
 
-val name : string
-(** ["hotstuff"]. *)
-
-type phase = One | Two
-
-type qc = {
-  view : int;
-  digest : Crypto.Digest32.t;
-  phase : phase;
-  sigs : Crypto.Signature.t list; (** quorum of distinct signers *)
-}
-
-type 'v msg =
-  | Propose of { view : int; value : 'v; justify : qc option }
-  | Vote of { view : int; phase : phase; digest : Crypto.Digest32.t; signature : Crypto.Signature.t }
-  | Qc_announce of { qc : qc }
-  | Commit of { qc : qc; value : 'v }
-  | Timeout of {
-      view : int;
-      high_qc : qc option;
-      value : 'v option; (** value of [high_qc], for re-proposal *)
-      signature : Crypto.Signature.t;
-    }
-
-type 'v callbacks = {
-  now : unit -> Tor_sim.Simtime.t;
-  schedule : Tor_sim.Simtime.t -> (unit -> unit) -> Tor_sim.Engine.handle;
-      (** [schedule delay f] — relative delay *)
-  cancel : Tor_sim.Engine.handle -> unit;
-      (** cancel a pending timer from {!schedule} *)
-  send : dst:int -> 'v msg -> unit;
-      (** unicast; [dst] may equal the node itself *)
-  validate : 'v -> bool;  (** external validity (Section 5.2.1 proofs) *)
-  value_digest : 'v -> Crypto.Digest32.t;
-  proposal : unit -> 'v option;
-      (** the node's own input, once dissemination is ready *)
-  decide : view:int -> 'v -> unit;  (** fired exactly once *)
-  on_view : view:int -> unit;
-      (** fired on entering each view; the dissemination sub-protocol
-          hooks this to send its PROPOSAL to the view's leader *)
-  log : string -> unit;
-}
-
-type 'v t
-
-val create :
-  keyring:Crypto.Keyring.t ->
-  n:int ->
-  id:int ->
-  ?view_timeout:Tor_sim.Simtime.t ->
-  'v callbacks ->
-  'v t
-(** [view_timeout] defaults to 5 s.  Raises [Invalid_argument] if
-    [n < 4] (partial synchrony needs n >= 3f + 1 with f >= 1). *)
-
-val start : 'v t -> unit
-(** Enter view 0 and start the pacemaker. *)
-
-val handle : 'v t -> src:int -> 'v msg -> unit
-(** Process a delivered message.  Malformed or stale messages are
-    ignored. *)
-
-val notify_ready : 'v t -> unit
-(** Tell the node its [proposal] callback may now return a value; a
-    leader waiting to propose retries. *)
-
-val decided : 'v t -> 'v option
-val current_view : 'v t -> int
-
-val quorum : n:int -> int
-(** [n - (n-1)/3]. *)
-
-val leader : n:int -> view:int -> int
-(** Round-robin leader schedule: [view mod n]. *)
-
-val msg_size : value_size:('v -> int) -> 'v msg -> int
-(** Modelled wire size of a message, given the value's size. *)
+include Agreement.S

@@ -20,27 +20,13 @@ type 'v msg =
   | View_change of { view : int; certificate : 'v certificate option; signature : Signature.t }
   | Decision of { view : int; value : 'v; commits : Signature.t list }
 
-type 'v callbacks = {
-  now : unit -> Sim.Simtime.t;
-  schedule : Sim.Simtime.t -> (unit -> unit) -> Sim.Engine.handle;
-  cancel : Sim.Engine.handle -> unit;
-  send : dst:int -> 'v msg -> unit;
-  validate : 'v -> bool;
-  value_digest : 'v -> Digest32.t;
-  proposal : unit -> 'v option;
-  decide : view:int -> 'v -> unit;
-  on_view : view:int -> unit;
-  log : string -> unit;
-}
-
 type 'v t = {
   keyring : Crypto.Keyring.t;
   n : int;
   id : int;
-  f : int;
   quorum : int;
   view_timeout : Sim.Simtime.t;
-  cb : 'v callbacks;
+  cb : ('v, 'v msg) Agreement.callbacks;
   mutable view : int;
   mutable timer : Sim.Engine.handle option;
   mutable proposed_in : int;
@@ -55,17 +41,13 @@ type 'v t = {
   view_changes : (int, (int, 'v certificate option) Hashtbl.t) Hashtbl.t;
 }
 
-let quorum ~n = n - ((n - 1) / 3)
-let leader ~n ~view = view mod n
-
 let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
   if n < 4 then invalid_arg "Pbft.create: need n >= 4";
   {
     keyring;
     n;
     id;
-    f = (n - 1) / 3;
-    quorum = quorum ~n;
+    quorum = Agreement.quorum ~n;
     view_timeout;
     cb;
     view = -1;
@@ -84,24 +66,18 @@ let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
 
 let decided t = t.decided
 let current_view t = t.view
-let primary_of t view = view mod t.n
+let primary_of t view = Agreement.leader ~n:t.n ~view
 
 let phase_payload ~kind ~view digest =
   Printf.sprintf "pbft|%s|%d|%s" kind view (Digest32.raw digest)
 
 let view_change_payload ~view = Printf.sprintf "pbft|view-change|%d" view
 
-let distinct_signers sigs =
-  let signers = List.map (fun s -> s.Signature.signer) sigs in
-  List.length (List.sort_uniq Int.compare signers) = List.length sigs
-
 let certificate_valid t (c : 'v certificate) ~digest_of =
   Digest32.equal c.cert_digest (digest_of c.cert_value)
-  && List.length c.cert_sigs >= t.quorum
-  && distinct_signers c.cert_sigs
-  &&
-  let payload = phase_payload ~kind:"prepare" ~view:c.cert_view c.cert_digest in
-  List.for_all (fun s -> Signature.verify t.keyring s payload) c.cert_sigs
+  && Signature.certifies t.keyring ~quorum:t.quorum
+       (phase_payload ~kind:"prepare" ~view:c.cert_view c.cert_digest)
+       c.cert_sigs
 
 (* --- message sizes ------------------------------------------------------- *)
 
@@ -121,18 +97,7 @@ let msg_size ~value_size = function
 
 (* --- plumbing ----------------------------------------------------------------- *)
 
-let broadcast t msg =
-  for dst = 0 to t.n - 1 do
-    t.cb.send ~dst msg
-  done
-
-let tally table key =
-  match Hashtbl.find_opt table key with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add table key h;
-      h
+let broadcast t msg = Agreement.broadcast t.cb ~n:t.n msg
 
 let sigs_of per = Hashtbl.fold (fun _ s acc -> s :: acc) per []
 
@@ -229,7 +194,7 @@ and on_prepare t ~src ~view ~digest ~signature =
   then
     if t.decided <> None then help_straggler t ~src
     else begin
-      let per = tally t.prepares (view, Digest32.raw digest) in
+      let per = Agreement.signers t.prepares (view, Digest32.raw digest) in
       if not (Hashtbl.mem per src) then begin
         Hashtbl.replace per src signature;
         if Hashtbl.length per >= t.quorum && t.committed_in < view then begin
@@ -262,7 +227,7 @@ and on_commit t ~src ~view ~digest ~signature =
   then
     if t.decided <> None then help_straggler t ~src
     else begin
-      let per = tally t.commits (view, Digest32.raw digest) in
+      let per = Agreement.signers t.commits (view, Digest32.raw digest) in
       if not (Hashtbl.mem per src) then begin
         Hashtbl.replace per src signature;
         if Hashtbl.length per >= t.quorum then
@@ -290,7 +255,7 @@ and on_view_change t ~src ~view ~certificate ~signature =
         | Some c -> certificate_valid t c ~digest_of:t.cb.value_digest
       in
       if cert_ok && view > t.view then begin
-        let per = tally t.view_changes view in
+        let per = Agreement.signers t.view_changes view in
         if not (Hashtbl.mem per src) then begin
           Hashtbl.replace per src certificate;
           (match certificate with
@@ -321,13 +286,8 @@ and help_straggler t ~src =
 
 let on_decision t ~view ~value ~commits =
   if t.decided = None then begin
-    let digest = t.cb.value_digest value in
-    let payload = phase_payload ~kind:"commit" ~view digest in
-    if
-      List.length commits >= t.quorum
-      && distinct_signers commits
-      && List.for_all (fun s -> Signature.verify t.keyring s payload) commits
-      && t.cb.validate value
+    let payload = phase_payload ~kind:"commit" ~view (t.cb.value_digest value) in
+    if Signature.certifies t.keyring ~quorum:t.quorum payload commits && t.cb.validate value
     then decide_once t ~view value commits
   end
 

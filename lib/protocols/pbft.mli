@@ -20,6 +20,3 @@
     unchanged over this engine. *)
 
 include Agreement.S
-
-val quorum : n:int -> int
-(** [n - (n-1)/3]. *)

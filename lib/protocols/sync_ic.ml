@@ -55,15 +55,8 @@ let chain_payload ~origin digest =
 (* A chain is valid when the first signer is the origin, signers are
    distinct, and every signature covers the origin/digest payload. *)
 let chain_valid keyring ~origin ~digest chain =
-  match chain with
-  | [] -> false
-  | first :: _ ->
-      first.Signature.signer = origin
-      &&
-      let payload = chain_payload ~origin digest in
-      let signers = List.map (fun s -> s.Signature.signer) chain in
-      List.length (List.sort_uniq Int.compare signers) = List.length chain
-      && List.for_all (fun s -> Signature.verify keyring s payload) chain
+  (match chain with first :: _ -> first.Signature.signer = origin | [] -> false)
+  && Signature.certifies keyring ~quorum:1 (chain_payload ~origin digest) chain
 
 let run (env : Runenv.t) =
   let n = env.n in

@@ -12,29 +12,15 @@ type 'v msg =
   | Precommit of { round : int; digest : Digest32.t option; signature : Signature.t }
   | Decided of { round : int; value : 'v; precommits : Signature.t list }
 
-type 'v callbacks = {
-  now : unit -> Sim.Simtime.t;
-  schedule : Sim.Simtime.t -> (unit -> unit) -> Sim.Engine.handle;
-  cancel : Sim.Engine.handle -> unit;
-  send : dst:int -> 'v msg -> unit;
-  validate : 'v -> bool;
-  value_digest : 'v -> Digest32.t;
-  proposal : unit -> 'v option;
-  decide : view:int -> 'v -> unit;
-  on_view : view:int -> unit;
-  log : string -> unit;
-}
-
 type step = Propose_step | Prevote_step | Precommit_step
 
 type 'v t = {
   keyring : Crypto.Keyring.t;
   n : int;
   id : int;
-  f : int;
   quorum : int;
   view_timeout : Sim.Simtime.t;
-  cb : 'v callbacks;
+  cb : ('v, 'v msg) Agreement.callbacks;
   mutable round : int;
   mutable step : step;
   mutable timer : Sim.Engine.handle option;
@@ -56,17 +42,13 @@ type 'v t = {
   future : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* round -> signers heard from *)
 }
 
-let quorum ~n = n - ((n - 1) / 3)
-let leader ~n ~view = view mod n
-
 let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
   if n < 4 then invalid_arg "Tendermint.create: need n >= 4";
   {
     keyring;
     n;
     id;
-    f = (n - 1) / 3;
-    quorum = quorum ~n;
+    quorum = Agreement.quorum ~n;
     view_timeout;
     cb;
     round = -1;
@@ -91,24 +73,18 @@ let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
 
 let decided t = t.decided
 let current_view t = t.round
-let leader_of t round = round mod t.n
+let leader_of t round = Agreement.leader ~n:t.n ~view:round
 
 let digest_tag = function None -> "nil" | Some d -> Digest32.raw d
 
 let vote_payload ~kind ~round digest =
   Printf.sprintf "tm|%s|%d|%s" kind round (digest_tag digest)
 
-let distinct_signers sigs =
-  let signers = List.map (fun s -> s.Signature.signer) sigs in
-  List.length (List.sort_uniq Int.compare signers) = List.length sigs
-
 let polka_valid t ~digest (p : polka) =
   Digest32.equal p.polka_digest digest
-  && List.length p.polka_sigs >= t.quorum
-  && distinct_signers p.polka_sigs
-  &&
-  let payload = vote_payload ~kind:"prevote" ~round:p.polka_round (Some digest) in
-  List.for_all (fun s -> Signature.verify t.keyring s payload) p.polka_sigs
+  && Signature.certifies t.keyring ~quorum:t.quorum
+       (vote_payload ~kind:"prevote" ~round:p.polka_round (Some digest))
+       p.polka_sigs
 
 (* --- message sizes ------------------------------------------------------- *)
 
@@ -126,18 +102,7 @@ let msg_size ~value_size = function
 
 (* --- vote bookkeeping -------------------------------------------------------- *)
 
-let broadcast t msg =
-  for dst = 0 to t.n - 1 do
-    t.cb.send ~dst msg
-  done
-
-let per_round table round =
-  match Hashtbl.find_opt table round with
-  | Some h -> h
-  | None ->
-      let h = Hashtbl.create 8 in
-      Hashtbl.add table round h;
-      h
+let broadcast t msg = Agreement.broadcast t.cb ~n:t.n msg
 
 let append_sig table key signature =
   match Hashtbl.find_opt table key with
@@ -153,7 +118,7 @@ let quorum_digest t votes round =
       let key = digest_tag d in
       let count, _ = Option.value (Hashtbl.find_opt counts key) ~default:(0, d) in
       Hashtbl.replace counts key (count + 1, d))
-    (per_round votes round);
+    (Agreement.signers votes round);
   Hashtbl.fold
     (fun _ (count, d) acc ->
       if count >= t.quorum then Some d else acc)
@@ -327,9 +292,9 @@ let help_straggler t ~src =
 
 let note_future t ~src ~round =
   if round > t.round then begin
-    let signers = per_round t.future round in
+    let signers = Agreement.signers t.future round in
     Hashtbl.replace signers src ();
-    if Hashtbl.length signers > t.f then enter_round t round
+    if Hashtbl.length signers > Agreement.fault_bound ~n:t.n then enter_round t round
   end
 
 let on_proposal t ~src ~round ~value ~valid_round ~evidence =
@@ -364,7 +329,7 @@ let on_vote t ~src ~kind ~round ~digest ~signature =
         | "prevote" -> (t.prevotes, t.prevote_sigs)
         | _ -> (t.precommits, t.precommit_sigs)
       in
-      let per = per_round votes round in
+      let per = Agreement.signers votes round in
       if not (Hashtbl.mem per src) then begin
         Hashtbl.replace per src digest;
         (match digest with
@@ -377,13 +342,8 @@ let on_vote t ~src ~kind ~round ~digest ~signature =
 
 let on_decided t ~round ~value ~precommits =
   if t.decided = None then begin
-    let digest = t.cb.value_digest value in
-    let payload = vote_payload ~kind:"precommit" ~round (Some digest) in
-    if
-      List.length precommits >= t.quorum
-      && distinct_signers precommits
-      && List.for_all (fun s -> Signature.verify t.keyring s payload) precommits
-      && t.cb.validate value
+    let payload = vote_payload ~kind:"precommit" ~round (Some (t.cb.value_digest value)) in
+    if Signature.certifies t.keyring ~quorum:t.quorum payload precommits && t.cb.validate value
     then decide_once t ~round value precommits
   end
 

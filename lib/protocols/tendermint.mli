@@ -18,6 +18,3 @@
     over this engine unchanged. *)
 
 include Agreement.S
-
-val quorum : n:int -> int
-(** [n - (n-1)/3], same threshold as HotStuff. *)

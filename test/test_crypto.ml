@@ -240,6 +240,39 @@ let test_signature () =
   Alcotest.(check int) "kappa" 64 Signature.wire_size;
   checkb "equal" true (Signature.equal s (Signature.sign ring ~signer:2 "message"))
 
+let qcheck_certifies_model =
+  let ring = Keyring.create ~seed:"certifies" ~n:5 () in
+  (* An entry is (claimed signer, kind): kind 0 signs the message, 1 is
+     a forgery, 2 signs another message.  Signer 5 is outside the ring;
+     its entry is made by signer 4 and relabelled. *)
+  let signature (signer, kind) =
+    let by = min signer 4 in
+    let s =
+      match kind with
+      | 0 -> Signature.sign ring ~signer:by "cert"
+      | 1 -> Signature.forge ~signer:by "cert"
+      | _ -> Signature.sign ring ~signer:by "other"
+    in
+    { s with Signature.signer }
+  in
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 0 6)
+        (list_size (int_range 0 7)
+           (pair (int_range 0 5) (frequency [ (4, return 0); (1, return 1); (1, return 2) ]))))
+  in
+  QCheck.Test.make ~name:"signature certificate rule matches a model" ~count:500
+    (QCheck.make gen ~print:QCheck.Print.(pair int (list (pair int int))))
+    (fun (quorum, entries) ->
+      (* The rule restated over the entries: enough of them, each signer
+         once, each a ring member's signature on the message. *)
+      let once signer = List.length (List.filter (fun (s, _) -> s = signer) entries) = 1 in
+      let expected =
+        List.length entries >= quorum
+        && List.for_all (fun (signer, kind) -> kind = 0 && signer < 5 && once signer) entries
+      in
+      Signature.certifies ring ~quorum "cert" (List.map signature entries) = expected)
+
 let suite =
   [
     ("sha256 NIST vectors", `Quick, test_nist);
@@ -258,4 +291,5 @@ let suite =
     ("digest32", `Quick, test_digest32);
     ("keyring", `Quick, test_keyring);
     ("signature scheme", `Quick, test_signature);
+    QCheck_alcotest.to_alcotest qcheck_certifies_model;
   ]

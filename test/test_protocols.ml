@@ -1,9 +1,8 @@
-(* Tests for the baseline protocols and the HotStuff agreement engine:
+(* Tests for the baseline protocols and the three agreement engines:
    happy paths, the Figure 1 attack, equivocation (in)security, silent
-   authorities, and HotStuff's agreement/liveness under faults. *)
+   authorities, and each engine's agreement/liveness under faults. *)
 
 module R = Protocols.Runenv
-module HS = Protocols.Hotstuff
 module Sim = Tor_sim
 
 let checkb = Alcotest.check Alcotest.bool
@@ -171,17 +170,15 @@ let test_sync_more_traffic_than_current () =
     (Sim.Stats.total_bytes_sent sync.stats
     > 3 * Sim.Stats.total_bytes_sent current.stats)
 
-(* --- HotStuff --------------------------------------------------------------- *)
+(* --- Agreement engines ------------------------------------------------------- *)
 
-(* A direct harness over the simulator with string values. *)
-type hs_world = {
-  engine : Sim.Engine.t;
-  decided : (string * float) option array;
-  views : int array;
-}
+(* A direct harness over the simulator with string values, for any
+   engine behind [Agreement.S]: each node's decided value, decision
+   time and decision view. *)
+type world = { decided : (string * float) option array; views : int array }
 
-let run_hotstuff ?(n = 9) ?(silent = []) ?(attacks = []) ?(validate = fun _ -> true)
-    ?(horizon = 3600.) () =
+let run_engine (module A : Protocols.Agreement.S) ?(n = 9) ?(silent = []) ?(attacks = [])
+    ?(validate = fun _ -> true) ?(horizon = 3600.) () =
   let keyring = Crypto.Keyring.create ~n () in
   let engine = Sim.Engine.create () in
   let topology = Sim.Topology.uniform ~n ~latency:0.03 in
@@ -191,18 +188,18 @@ let run_hotstuff ?(n = 9) ?(silent = []) ?(attacks = []) ?(validate = fun _ -> t
       Sim.Net.limit_node net ~node:a.node ~start:a.start ~stop:a.stop
         ~bits_per_sec:a.bits_per_sec)
     attacks;
-  let world = { engine; decided = Array.make n None; views = Array.make n 0 } in
+  let world = { decided = Array.make n None; views = Array.make n 0 } in
   let value_size (s : string) = String.length s in
   let nodes = Array.make n None in
   for id = 0 to n - 1 do
     let cb =
       {
-        HS.now = (fun () -> Sim.Engine.now engine);
+        Protocols.Agreement.now = (fun () -> Sim.Engine.now engine);
         schedule = (fun d f -> Sim.Engine.schedule_in engine ~after:d f);
         cancel = (fun h -> Sim.Engine.cancel engine h);
         send =
           (fun ~dst m ->
-            Sim.Net.send net ~src:id ~dst ~size:(HS.msg_size ~value_size m) m);
+            Sim.Net.send net ~src:id ~dst ~size:(A.msg_size ~value_size m) m);
         validate;
         value_digest = (fun s -> Crypto.Digest32.of_string s);
         proposal = (fun () -> Some (Printf.sprintf "value-from-%d" id));
@@ -214,21 +211,23 @@ let run_hotstuff ?(n = 9) ?(silent = []) ?(attacks = []) ?(validate = fun _ -> t
         log = (fun _ -> ());
       }
     in
-    nodes.(id) <- Some (HS.create ~keyring ~n ~id cb)
+    nodes.(id) <- Some (A.create ~keyring ~n ~id cb)
   done;
   Sim.Net.set_handler net (fun ~dst ~src m ->
       match nodes.(dst) with
-      | Some node when not (List.mem dst silent) -> HS.handle node ~src m
+      | Some node when not (List.mem dst silent) -> A.handle node ~src m
       | _ -> ());
   Array.iteri
     (fun id node ->
       match node with
       | Some node when not (List.mem id silent) ->
-          ignore (Sim.Engine.schedule engine ~at:0. (fun () -> HS.start node))
+          ignore (Sim.Engine.schedule engine ~at:0. (fun () -> A.start node))
       | _ -> ())
     nodes;
   Sim.Engine.run ~until:horizon engine;
   world
+
+let run_hotstuff = run_engine (module Protocols.Hotstuff)
 
 let decided_values world =
   Array.to_list world.decided |> List.filter_map (Option.map fst)
@@ -279,10 +278,13 @@ let test_hotstuff_external_validity () =
   checki "nothing decided" 0 (List.length (decided_values w))
 
 let test_hotstuff_quorum () =
-  checki "n=9" 7 (HS.quorum ~n:9);
-  checki "n=4" 3 (HS.quorum ~n:4);
-  checki "n=13" 9 (HS.quorum ~n:13);
-  checki "leader rotation" 2 (HS.leader ~n:9 ~view:11)
+  let module A = Protocols.Agreement in
+  checki "fault bound 9" 2 (A.fault_bound ~n:9);
+  checki "fault bound 4" 1 (A.fault_bound ~n:4);
+  checki "n=9" 7 (A.quorum ~n:9);
+  checki "n=4" 3 (A.quorum ~n:4);
+  checki "n=13" 9 (A.quorum ~n:13);
+  checki "leader rotation" 2 (A.leader ~n:9 ~view:11)
 
 let qcheck_hotstuff_agreement_under_faults =
   QCheck.Test.make ~name:"hotstuff agreement under random silent sets" ~count:15
@@ -297,101 +299,6 @@ let qcheck_hotstuff_agreement_under_faults =
       List.length values = 9 - List.length silent
       && List.length (List.sort_uniq compare values) <= 1)
 
-
-(* --- Dolev-Strong broadcast --------------------------------------------------- *)
-
-module DS = Protocols.Dolev_strong
-
-let ds_digest (s : string) = Crypto.Digest32.of_string s
-
-(* Drive a full synchronous execution by hand: deliver every pending
-   relay to every node each round. *)
-let run_dolev_strong ~n ~f ~sender ~deliver_to ?(byzantine_second = None) value =
-  let keyring = Crypto.Keyring.create ~seed:"ds" ~n () in
-  let nodes =
-    Array.init n (fun id -> DS.create ~keyring ~n ~f ~id ~sender ~digest:ds_digest)
-  in
-  let initial = DS.initial_broadcast nodes.(sender) value in
-  let pending = ref [] in
-  (* Round 1: the sender's broadcast reaches [deliver_to]. *)
-  List.iter
-    (fun id ->
-      if id <> sender then
-        match DS.receive nodes.(id) ~round:1 initial with
-        | Some fwd -> pending := (id, fwd) :: !pending
-        | None -> ())
-    deliver_to;
-  (match byzantine_second with
-  | Some (other_value, victims) ->
-      let second = DS.initial_broadcast nodes.(sender) other_value in
-      List.iter
-        (fun id ->
-          match DS.receive nodes.(id) ~round:1 second with
-          | Some fwd -> pending := (id, fwd) :: !pending
-          | None -> ())
-        victims
-  | None -> ());
-  (* Remaining rounds: flood every forwarded relay to everyone. *)
-  for round = 2 to DS.rounds ~f do
-    let batch = !pending in
-    pending := [];
-    List.iter
-      (fun (from, relay) ->
-        for id = 0 to n - 1 do
-          if id <> from then
-            match DS.receive nodes.(id) ~round relay with
-            | Some fwd -> pending := (id, fwd) :: !pending
-            | None -> ()
-        done)
-      batch
-  done;
-  Array.map DS.output nodes
-
-let test_ds_honest_sender () =
-  let outputs = run_dolev_strong ~n:7 ~f:3 ~sender:0 ~deliver_to:[ 1; 2; 3; 4; 5; 6 ] "v" in
-  Array.iter
-    (fun o -> checkb "everyone outputs v" true (o = DS.Value "v"))
-    outputs
-
-let test_ds_partial_round1_delivery () =
-  (* The sender reaches only node 1 in round 1; echoes must carry the
-     value to everyone else. *)
-  let outputs = run_dolev_strong ~n:7 ~f:3 ~sender:0 ~deliver_to:[ 1 ] "v" in
-  Array.iter (fun o -> checkb "echo propagates" true (o = DS.Value "v")) outputs
-
-let test_ds_equivocating_sender () =
-  (* The sender signs two values for disjoint victim sets: every
-     correct node must converge on the same output (here Bottom). *)
-  let outputs =
-    run_dolev_strong ~n:7 ~f:3 ~sender:0 ~deliver_to:[ 1; 2; 3 ]
-      ~byzantine_second:(Some ("w", [ 4; 5; 6 ]))
-      "v"
-  in
-  let correct = Array.to_list outputs |> List.filteri (fun i _ -> i <> 0) in
-  (match correct with
-  | first :: rest -> List.iter (fun o -> checkb "agreement" true (o = first)) rest
-  | [] -> Alcotest.fail "no outputs");
-  checkb "equivocation yields bottom" true (List.hd correct = DS.Bottom)
-
-let test_ds_silent_sender () =
-  let keyring = Crypto.Keyring.create ~seed:"ds" ~n:4 () in
-  let node = DS.create ~keyring ~n:4 ~f:1 ~id:1 ~sender:0 ~digest:ds_digest in
-  checkb "silent sender -> bottom" true (DS.output node = DS.Bottom)
-
-let test_ds_chain_rules () =
-  let keyring = Crypto.Keyring.create ~seed:"ds" ~n:4 () in
-  let sender = DS.create ~keyring ~n:4 ~f:1 ~id:0 ~sender:0 ~digest:ds_digest in
-  let receiver = DS.create ~keyring ~n:4 ~f:1 ~id:1 ~sender:0 ~digest:ds_digest in
-  let relay = DS.initial_broadcast sender "v" in
-  (* A 1-signature chain is not acceptable in round 2. *)
-  checkb "short chain rejected in round 2" true (DS.receive receiver ~round:2 relay = None);
-  checkb "nothing extracted" true (DS.extracted receiver = []);
-  (* Valid in round 1, and the receiver forwards with its signature. *)
-  (match DS.receive receiver ~round:1 relay with
-  | Some fwd -> checki "chain grew" 2 (List.length fwd.DS.chain)
-  | None -> Alcotest.fail "round-1 relay should extract");
-  (* Duplicate delivery extracts nothing new. *)
-  checkb "duplicate ignored" true (DS.receive receiver ~round:1 relay = None)
 
 (* --- Naive retry (paper 2.2 strawman) ------------------------------------------ *)
 
@@ -437,89 +344,40 @@ let test_ours_safe_under_split_attack () =
 
 (* --- Tendermint ---------------------------------------------------------------- *)
 
-module TM = Protocols.Tendermint
-
-let run_tendermint ?(n = 9) ?(silent = []) ?(attacks = []) ?(validate = fun _ -> true)
-    ?(horizon = 3600.) () =
-  let keyring = Crypto.Keyring.create ~n () in
-  let engine = Sim.Engine.create () in
-  let topology = Sim.Topology.uniform ~n ~latency:0.03 in
-  let net = Sim.Net.create ~engine ~topology ~bits_per_sec:250e6 () in
-  List.iter
-    (fun (a : R.attack) ->
-      Sim.Net.limit_node net ~node:a.node ~start:a.start ~stop:a.stop
-        ~bits_per_sec:a.bits_per_sec)
-    attacks;
-  let decided = Array.make n None in
-  let value_size (s : string) = String.length s in
-  let nodes = Array.make n None in
-  for id = 0 to n - 1 do
-    let cb =
-      {
-        TM.now = (fun () -> Sim.Engine.now engine);
-        schedule = (fun d f -> Sim.Engine.schedule_in engine ~after:d f);
-        cancel = (fun h -> Sim.Engine.cancel engine h);
-        send =
-          (fun ~dst m ->
-            Sim.Net.send net ~src:id ~dst ~size:(TM.msg_size ~value_size m) m);
-        validate;
-        value_digest = (fun s -> Crypto.Digest32.of_string s);
-        proposal = (fun () -> Some (Printf.sprintf "value-from-%d" id));
-        decide = (fun ~view:_ v -> decided.(id) <- Some (v, Sim.Engine.now engine));
-        on_view = (fun ~view:_ -> ());
-        log = (fun _ -> ());
-      }
-    in
-    nodes.(id) <- Some (TM.create ~keyring ~n ~id cb)
-  done;
-  Sim.Net.set_handler net (fun ~dst ~src m ->
-      match nodes.(dst) with
-      | Some node when not (List.mem dst silent) -> TM.handle node ~src m
-      | _ -> ());
-  Array.iteri
-    (fun id node ->
-      match node with
-      | Some node when not (List.mem id silent) ->
-          ignore (Sim.Engine.schedule engine ~at:0. (fun () -> TM.start node))
-      | _ -> ())
-    nodes;
-  Sim.Engine.run ~until:horizon engine;
-  decided
-
-let tm_values decided = Array.to_list decided |> List.filter_map (Option.map fst)
+let run_tendermint = run_engine (module Protocols.Tendermint)
 
 let test_tendermint_happy () =
   let d = run_tendermint () in
-  checki "all decide" 9 (List.length (tm_values d));
-  checki "one value" 1 (List.length (List.sort_uniq compare (tm_values d)))
+  checki "all decide" 9 (List.length (decided_values d));
+  checki "one value" 1 (List.length (List.sort_uniq compare (decided_values d)))
 
 let test_tendermint_leader_failure () =
   let d = run_tendermint ~silent:[ 0 ] () in
-  checki "8 decide" 8 (List.length (tm_values d));
-  checki "agreement" 1 (List.length (List.sort_uniq compare (tm_values d)))
+  checki "8 decide" 8 (List.length (decided_values d));
+  checki "agreement" 1 (List.length (List.sort_uniq compare (decided_values d)))
 
 let test_tendermint_f_silent () =
   let d = run_tendermint ~silent:[ 2; 6 ] () in
-  checki "7 decide" 7 (List.length (tm_values d))
+  checki "7 decide" 7 (List.length (decided_values d))
 
 let test_tendermint_no_quorum () =
   let d = run_tendermint ~silent:[ 0; 1; 2 ] ~horizon:120. () in
-  checki "no decision below quorum" 0 (List.length (tm_values d))
+  checki "no decision below quorum" 0 (List.length (decided_values d))
 
 let test_tendermint_gst_recovery () =
   let attacks = Attack.Ddos.knockout ~n:9 () in
   let d = run_tendermint ~attacks () in
-  checki "all decide after GST" 9 (List.length (tm_values d));
+  checki "all decide after GST" 9 (List.length (decided_values d));
   Array.iter
     (fun entry ->
       match entry with
       | Some (_, t) -> checkb "shortly after GST" true (t >= 300. && t < 330.)
       | None -> Alcotest.fail "missing decision")
-    d
+    d.decided
 
 let test_tendermint_external_validity () =
   let d = run_tendermint ~validate:(fun _ -> false) ~horizon:60. () in
-  checki "nothing invalid decided" 0 (List.length (tm_values d))
+  checki "nothing invalid decided" 0 (List.length (decided_values d))
 
 let test_full_protocol_over_tendermint () =
   let env = R.of_spec { R.Spec.default with n_relays = 300 } in
@@ -543,53 +401,8 @@ let test_full_protocol_over_tendermint () =
 
 (* --- PBFT ---------------------------------------------------------------- *)
 
-module PB = Protocols.Pbft
-
-let run_pbft ?(n = 9) ?(silent = []) ?(attacks = []) ?(horizon = 3600.) () =
-  let keyring = Crypto.Keyring.create ~n () in
-  let engine = Sim.Engine.create () in
-  let topology = Sim.Topology.uniform ~n ~latency:0.03 in
-  let net = Sim.Net.create ~engine ~topology ~bits_per_sec:250e6 () in
-  List.iter
-    (fun (a : R.attack) ->
-      Sim.Net.limit_node net ~node:a.node ~start:a.start ~stop:a.stop
-        ~bits_per_sec:a.bits_per_sec)
-    attacks;
-  let decided = Array.make n None in
-  let value_size (s : string) = String.length s in
-  let nodes = Array.make n None in
-  for id = 0 to n - 1 do
-    let cb =
-      {
-        PB.now = (fun () -> Sim.Engine.now engine);
-        schedule = (fun d f -> Sim.Engine.schedule_in engine ~after:d f);
-        cancel = (fun h -> Sim.Engine.cancel engine h);
-        send =
-          (fun ~dst m ->
-            Sim.Net.send net ~src:id ~dst ~size:(PB.msg_size ~value_size m) m);
-        validate = (fun _ -> true);
-        value_digest = (fun s -> Crypto.Digest32.of_string s);
-        proposal = (fun () -> Some (Printf.sprintf "value-from-%d" id));
-        decide = (fun ~view:_ v -> decided.(id) <- Some v);
-        on_view = (fun ~view:_ -> ());
-        log = (fun _ -> ());
-      }
-    in
-    nodes.(id) <- Some (PB.create ~keyring ~n ~id cb)
-  done;
-  Sim.Net.set_handler net (fun ~dst ~src m ->
-      match nodes.(dst) with
-      | Some node when not (List.mem dst silent) -> PB.handle node ~src m
-      | _ -> ());
-  Array.iteri
-    (fun id node ->
-      match node with
-      | Some node when not (List.mem id silent) ->
-          ignore (Sim.Engine.schedule engine ~at:0. (fun () -> PB.start node))
-      | _ -> ())
-    nodes;
-  Sim.Engine.run ~until:horizon engine;
-  Array.to_list decided |> List.filter_map Fun.id
+let run_pbft ?silent ?attacks ?horizon () =
+  decided_values (run_engine (module Protocols.Pbft) ?silent ?attacks ?horizon ())
 
 let test_pbft_happy () =
   let vals = run_pbft () in
@@ -624,7 +437,7 @@ let qcheck_tendermint_agreement_under_faults =
         List.sort_uniq Int.compare (List.init n_silent (fun _ -> Tor_sim.Rng.int rng 9))
       in
       let d = run_tendermint ~silent () in
-      let values = tm_values d in
+      let values = decided_values d in
       List.length values = 9 - List.length silent
       && List.length (List.sort_uniq compare values) <= 1)
 
@@ -648,11 +461,6 @@ let suite =
     ("hotstuff: external validity", `Quick, test_hotstuff_external_validity);
     ("hotstuff: quorum arithmetic", `Quick, test_hotstuff_quorum);
     QCheck_alcotest.to_alcotest qcheck_hotstuff_agreement_under_faults;
-    ("dolev-strong: honest sender", `Quick, test_ds_honest_sender);
-    ("dolev-strong: echo propagation", `Quick, test_ds_partial_round1_delivery);
-    ("dolev-strong: equivocating sender", `Quick, test_ds_equivocating_sender);
-    ("dolev-strong: silent sender", `Quick, test_ds_silent_sender);
-    ("dolev-strong: chain rules", `Quick, test_ds_chain_rules);
     ("naive retry violates agreement", `Quick, test_naive_retry_violates_agreement);
     ("naive retry fine when healthy", `Quick, test_naive_retry_healthy_is_fine);
     ("ours safe under the split attack", `Quick, test_ours_safe_under_split_attack);
