@@ -930,7 +930,6 @@ let suite =
     ("dissemination absent proofs", `Quick, test_collector_absent_entries);
     ("dissemination equivocation proofs", `Quick, test_collector_equivocation);
     ("dissemination validate rejections", `Quick, test_validate_rejections);
-    ("dissemination certificate forgeries", `Quick, test_validate_certificate_forgeries);
     ("dissemination value digest binding", `Quick, test_value_digest_binding);
     ("protocol: happy path (GST=0 value validity)", `Quick, test_protocol_happy_gst_zero);
     ("protocol: DDoS knockout recovery", `Slow, test_protocol_ddos_recovery);
@@ -958,4 +957,5 @@ let suite =
     ("distribution: steady-state diff savings >= 5x", `Slow,
       test_distribution_steady_state_savings);
     ("distribution: skipped on failed runs", `Slow, test_distribution_skipped_on_failure);
+    ("dissemination certificate forgeries", `Quick, test_validate_certificate_forgeries);
   ]
