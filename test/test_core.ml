@@ -922,6 +922,73 @@ let test_scenario_defense_directives () =
   | Error e -> Alcotest.fail e
   | Ok sc -> checkb "defense none is undefended" true (sc.Torpartial.Scenario.env.R.defense = None)
 
+(* Every directive kind in one file, against the same spec written as
+   record updates.  The two majority directives both hit nodes 0-4, in
+   disjoint windows. *)
+let test_scenario_equals_hand_built_spec () =
+  let text =
+    "protocol ours\n\
+     relays 300\n\
+     bandwidth 100\n\
+     seed every-directive\n\
+     horizon 5000\n\
+     behavior 2 silent\n\
+     behavior 8 crashed:30:120\n\
+     knockout-majority 400 500\n\
+     flood-majority 0 300 0.5\n\
+     attack 7 100 200 1.5\n\
+     defense admission\n\
+     defense rotate:1:100\n\
+     clients 50000\n\
+     caches 4\n\
+     halt 3600\n\
+     diffs off\n"
+  in
+  let spec =
+    {
+      R.Spec.default with
+      seed = "every-directive";
+      n_relays = 300;
+      bandwidth_bits_per_sec = 100e6;
+      horizon = 5000.;
+      behaviors =
+        Some (behaviors_with [ (2, R.Silent); (8, R.Crashed { start = 30.; stop = 120. }) ]);
+      attacks =
+        Attack.Ddos.bandwidth_attack ~n:9 ~start:0. ~stop:300. ~residual_bits_per_sec:0.5e6 ()
+        @ Attack.Ddos.knockout ~n:9 ~start:400. ~stop:500. ()
+        @ [ { R.node = 7; start = 100.; stop = 200.; bits_per_sec = 1.5e6 } ];
+      defense =
+        Some
+          {
+            Defense.Plan.admission_only with
+            Defense.Plan.rotation =
+              Some { Defense.Rotation.default with Defense.Rotation.out = 1; epoch = 100. };
+          };
+      distribution =
+        Some
+          {
+            Torclient.Distribution.default_config with
+            Torclient.Distribution.clients = 50_000;
+            caches = 4;
+            halt = 3600.;
+            diffs = false;
+          };
+    }
+  in
+  let summary (r : R.report) =
+    (r.R.success, r.R.success_latency, r.R.total_bytes, r.R.dropped, r.R.rejected,
+     r.R.distribution)
+  in
+  match Torpartial.Scenario.parse text with
+  | Error e -> Alcotest.fail e
+  | Ok sc ->
+      let parsed = Torpartial.Scenario.run sc in
+      let built = Torpartial.Experiments.run Torpartial.Experiments.Ours (R.of_spec spec) in
+      checkb "the run decides" true parsed.R.success;
+      checkb "distribution ran" true (parsed.R.distribution <> None);
+      checkb "defense turned traffic away" true (parsed.R.rejected > 0);
+      checkb "same report" true (summary parsed = summary built)
+
 let suite =
   [
     ("icps checkers", `Quick, test_icps_checkers);
@@ -958,4 +1025,6 @@ let suite =
       test_distribution_steady_state_savings);
     ("distribution: skipped on failed runs", `Slow, test_distribution_skipped_on_failure);
     ("dissemination certificate forgeries", `Quick, test_validate_certificate_forgeries);
+    ("scenario: every directive equals a hand-built spec", `Quick,
+      test_scenario_equals_hand_built_spec);
   ]
