@@ -45,52 +45,41 @@ let seed_arg =
     & opt string "torda-sim"
     & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic simulation seed.")
 
-type attack_kind = No_attack | Flood | Knockout
-
 let attack_arg =
-  let parse = function
-    | "none" -> Ok No_attack
-    | "flood" -> Ok Flood
-    | "knockout" -> Ok Knockout
-    | s -> Error (`Msg (Printf.sprintf "unknown attack %S" s))
-  in
-  let print ppf = function
-    | No_attack -> Format.pp_print_string ppf "none"
-    | Flood -> Format.pp_print_string ppf "flood"
-    | Knockout -> Format.pp_print_string ppf "knockout"
-  in
   Arg.(
     value
-    & opt (conv (parse, print)) No_attack
+    & opt
+        (enum
+           [
+             ("none", []);
+             ("flood", [ [ "flood-majority"; "0"; "300"; "0.5" ] ]);
+             ("knockout", [ [ "knockout-majority"; "0"; "300" ] ]);
+           ])
+        []
     & info [ "a"; "attack" ] ~docv:"KIND"
         ~doc:
           "DDoS on 5 of 9 authorities for the first 300 s: $(b,none), $(b,flood) \
            (0.5 Mbit/s residual), or $(b,knockout) (fully offline).")
 
-(* The environment of a [run]/[log]/[distribute] invocation, handed to
-   [k]; a spec [Runenv.of_spec] rejects is a usage error (exit 2). *)
-let with_env cmd ?distribution ~seed ~relays ~bandwidth ~attack k =
-  let attacks =
-    match attack with
-    | No_attack -> []
-    | Flood -> Attack.Ddos.bandwidth_attack ~n:9 ()
-    | Knockout -> Attack.Ddos.knockout ~n:9 ()
-  in
-  match
-    R.of_spec
-      {
-        R.Spec.default with
-        seed;
-        n_relays = relays;
-        bandwidth_bits_per_sec = bandwidth *. 1e6;
-        attacks;
-        distribution;
-      }
-  with
-  | exception Invalid_argument e ->
+(* The scenario directives the shared [run]/[log]/[distribute] flags
+   stand for.  Floats go as lossless hex words. *)
+let flag_directives protocol relays bandwidth seed attack =
+  [
+    [ "protocol"; E.protocol_name protocol ];
+    [ "relays"; string_of_int relays ];
+    [ "bandwidth"; Printf.sprintf "%h" bandwidth ];
+    [ "seed"; seed ];
+  ]
+  @ attack
+
+(* Fold [directives] into a scenario for [k]; a rejected spec is a
+   usage error (exit 2). *)
+let with_scenario cmd directives k =
+  match Torpartial.Scenario.of_directives directives with
+  | Error e ->
       Printf.eprintf "%s: %s\n" cmd e;
       2
-  | env -> k env
+  | Ok scenario -> k scenario
 
 let print_distribution (o : Torclient.Distribution.outcome) =
   let time = function
@@ -164,7 +153,9 @@ let write_trace path (o : R.obs) =
 
 let run_cmd =
   let action protocol relays bandwidth seed attack trace metrics =
-    with_env "run" ~seed ~relays ~bandwidth ~attack @@ fun env ->
+    with_scenario "run" (flag_directives protocol relays bandwidth seed attack)
+    @@ fun { Torpartial.Scenario.protocol; spec } ->
+    let env = R.of_spec spec in
     let env =
       if trace <> None || metrics then { env with R.telemetry = true } else env
     in
@@ -231,17 +222,16 @@ let distribute_cmd =
           ~doc:"Serve full documents instead of consensus diffs.")
   in
   let action protocol relays bandwidth seed attack clients caches halt no_diffs =
-    let distribution =
-      {
-        Torclient.Distribution.default_config with
-        Torclient.Distribution.clients;
-        caches;
-        halt;
-        diffs = not no_diffs;
-      }
-    in
-    with_env "distribute" ~distribution ~seed ~relays ~bandwidth ~attack @@ fun env ->
-    let report = E.run protocol env in
+    with_scenario "distribute"
+      (flag_directives protocol relays bandwidth seed attack
+      @ [
+          [ "clients"; string_of_int clients ];
+          [ "caches"; string_of_int caches ];
+          [ "halt"; Printf.sprintf "%h" halt ];
+        ]
+      @ if no_diffs then [ [ "diffs"; "off" ] ] else [])
+    @@ fun scenario ->
+    let report = Torpartial.Scenario.run scenario in
     Printf.printf "protocol:       %s\n" report.R.protocol;
     Printf.printf "relays:         %d\n" relays;
     Printf.printf "consensus:      %s\n"
@@ -283,8 +273,9 @@ let log_cmd =
       & info [ "node" ] ~docv:"ID" ~doc:"Authority whose log to print (default 8).")
   in
   let action protocol relays bandwidth seed attack node =
-    with_env "log" ~seed ~relays ~bandwidth ~attack @@ fun env ->
-    let report = E.run protocol env in
+    with_scenario "log" (flag_directives protocol relays bandwidth seed attack)
+    @@ fun scenario ->
+    let report = Torpartial.Scenario.run scenario in
     (* Stream the merged log one record at a time instead of
        materializing the full merged list and a joined string. *)
     Tor_sim.Trace.iter ~node report.R.result.R.trace (fun r ->

@@ -1,36 +1,10 @@
 module Runenv = Protocols.Runenv
+module Dist = Torclient.Distribution
 
-type t = { protocol : Experiments.protocol; env : Runenv.t }
+type t = { protocol : Experiments.protocol; spec : Runenv.Spec.t }
 
-type draft = {
-  mutable protocol : Experiments.protocol;
-  mutable relays : int;
-  mutable bandwidth_mbit : float;
-  mutable seed : string;
-  mutable horizon : float;
-  mutable behaviors : (int * Runenv.behavior) list;
-  mutable attacks : Runenv.attack list;
-  mutable distribution : Torclient.Distribution.config option;
-  mutable defense : Defense.Plan.t option;
-}
-
-let fresh_draft () =
-  {
-    protocol = Experiments.Ours;
-    relays = 1000;
-    bandwidth_mbit = 250.;
-    seed = "scenario";
-    horizon = 7200.;
-    behaviors = [];
-    attacks = [];
-    distribution = None;
-    defense = None;
-  }
-
-(* Any distribution directive switches the tier on; later directives
-   refine the same config. *)
-let dist_config draft =
-  Option.value draft.distribution ~default:Torclient.Distribution.default_config
+let initial =
+  { protocol = Experiments.Ours; spec = { Runenv.Spec.default with seed = "scenario" } }
 
 let ( let* ) = Result.bind
 
@@ -44,16 +18,24 @@ let float_arg s = Option.to_result ~none:(Printf.sprintf "bad number %S" s) (flo
 
 (* Directives are space-split, so the crash window rides inside one
    word: [crashed:<start>:<stop>]. *)
+let parse_behavior s =
+  match String.split_on_char ':' s with
+  | [ "silent" ] -> Ok Runenv.Silent
+  | [ "equivocating" ] -> Ok Runenv.Equivocating
+  | [ "honest" ] -> Ok Runenv.Honest
+  | [ "crashed"; start; stop ] ->
+      let* start = float_arg start in
+      let* stop = float_arg stop in
+      Ok (Runenv.Crashed { start; stop })
+  | _ -> Error (Printf.sprintf "unknown behavior %S" s)
+
 (* Defense members ride inside one word, like crash windows:
    [admission:<rate>:<burst>:<backlog>] and [rotate:<out>:<epoch>]
    (optionally [rotate:<out>:<epoch>:<seed>]).  Bare preset names pick
-   the committed defaults.  Later directives merge member-wise, so
-   [defense admission:…] followed by [defense rotate:…] composes
-   both. *)
-let parse_defense draft s =
-  let current =
-    Option.value draft.defense ~default:Defense.Plan.none
-  in
+   the committed defaults.  A member replaces the same member of
+   [current], so [defense admission:…] followed by [defense rotate:…]
+   composes both. *)
+let parse_defense current s =
   match String.split_on_char ':' s with
   | [ preset ] when Defense.Plan.preset preset <> None ->
       Ok (Option.get (Defense.Plan.preset preset))
@@ -82,97 +64,78 @@ let parse_defense draft s =
         }
   | _ -> Error (Printf.sprintf "unknown defense %S" s)
 
-let parse_behavior s =
-  match String.split_on_char ':' s with
-  | [ "silent" ] -> Ok Runenv.Silent
-  | [ "equivocating" ] -> Ok Runenv.Equivocating
-  | [ "honest" ] -> Ok Runenv.Honest
-  | [ "crashed"; start; stop ] ->
-      let ( let* ) = Result.bind in
-      let* start = float_arg start in
-      let* stop = float_arg stop in
-      if stop < start then Error (Printf.sprintf "crash window %S stops before it starts" s)
-      else Ok (Runenv.Crashed { start; stop })
-  | _ -> Error (Printf.sprintf "unknown behavior %S" s)
+let with_spec t spec = Ok { t with spec }
 
-let apply_directive draft = function
+(* Attack windows keep directive order. *)
+let add_attacks t windows = with_spec t { t.spec with attacks = t.spec.attacks @ windows }
+
+(* Any distribution directive switches the tier on; later directives
+   refine the same config. *)
+let with_distribution t f =
+  let d = Option.value t.spec.distribution ~default:Dist.default_config in
+  with_spec t { t.spec with distribution = Some (f d) }
+
+(* One directive, one pure step.  Range checks the whole spec needs
+   anyway are left to [Runenv.Spec.validate]. *)
+let step t = function
+  | [] -> Ok t
   | [ "protocol"; p ] ->
-      let* p = parse_protocol p in
-      draft.protocol <- p;
-      Ok ()
+      let* protocol = parse_protocol p in
+      Ok { t with protocol }
   | [ "relays"; n ] ->
-      let* n = int_arg n in
-      if n < 0 then Error "relays must be non-negative"
-      else begin
-        draft.relays <- n;
-        Ok ()
-      end
+      let* n_relays = int_arg n in
+      with_spec t { t.spec with n_relays }
   | [ "bandwidth"; b ] ->
       let* b = float_arg b in
-      draft.bandwidth_mbit <- b;
-      Ok ()
-  | [ "seed"; s ] ->
-      draft.seed <- s;
-      Ok ()
+      with_spec t { t.spec with bandwidth_bits_per_sec = b *. 1e6 }
+  | [ "seed"; seed ] -> with_spec t { t.spec with seed }
   | [ "horizon"; h ] ->
-      let* h = float_arg h in
-      draft.horizon <- h;
-      Ok ()
+      let* horizon = float_arg h in
+      with_spec t { t.spec with horizon }
   | [ "behavior"; node; b ] ->
       let* node = int_arg node in
       let* b = parse_behavior b in
-      draft.behaviors <- (node, b) :: draft.behaviors;
-      Ok ()
+      let n = t.spec.n in
+      if node < 0 || node >= n then Error (Printf.sprintf "behavior node %d out of range" node)
+      else begin
+        let behaviors =
+          match t.spec.behaviors with
+          | Some bs -> Array.copy bs
+          | None -> Array.make n Runenv.Honest
+        in
+        behaviors.(node) <- b;
+        with_spec t { t.spec with behaviors = Some behaviors }
+      end
   | [ "attack"; node; start; stop; residual ] ->
       let* node = int_arg node in
       let* start = float_arg start in
       let* stop = float_arg stop in
       let* residual = float_arg residual in
-      draft.attacks <-
-        { Runenv.node; start; stop; bits_per_sec = residual *. 1e6 } :: draft.attacks;
-      Ok ()
+      add_attacks t [ { Runenv.node; start; stop; bits_per_sec = residual *. 1e6 } ]
   | [ "flood-majority"; start; stop; residual ] ->
       let* start = float_arg start in
       let* stop = float_arg stop in
       let* residual = float_arg residual in
-      draft.attacks <-
-        Attack.Ddos.bandwidth_attack ~n:9 ~start ~stop
-          ~residual_bits_per_sec:(residual *. 1e6) ()
-        @ draft.attacks;
-      Ok ()
+      add_attacks t
+        (Attack.Ddos.bandwidth_attack ~n:t.spec.n ~start ~stop
+           ~residual_bits_per_sec:(residual *. 1e6) ())
   | [ "knockout-majority"; start; stop ] ->
       let* start = float_arg start in
       let* stop = float_arg stop in
-      draft.attacks <- Attack.Ddos.knockout ~n:9 ~start ~stop () @ draft.attacks;
-      Ok ()
+      add_attacks t (Attack.Ddos.knockout ~n:t.spec.n ~start ~stop ())
   | [ "defense"; d ] ->
-      let* plan = parse_defense draft d in
-      draft.defense <- Some plan;
-      Ok ()
+      let* plan = parse_defense (Option.value t.spec.defense ~default:Defense.Plan.none) d in
+      with_spec t
+        { t.spec with defense = (if Defense.Plan.is_empty plan then None else Some plan) }
   | [ "clients"; n ] ->
-      let* n = int_arg n in
-      if n <= 0 then Error "clients must be positive"
-      else begin
-        draft.distribution <-
-          Some { (dist_config draft) with Torclient.Distribution.clients = n };
-        Ok ()
-      end
+      let* clients = int_arg n in
+      with_distribution t (fun d -> { d with Dist.clients })
   | [ "caches"; n ] ->
-      let* n = int_arg n in
-      if n <= 0 then Error "caches must be positive"
-      else begin
-        draft.distribution <-
-          Some { (dist_config draft) with Torclient.Distribution.caches = n };
-        Ok ()
-      end
+      let* caches = int_arg n in
+      with_distribution t (fun d -> { d with Dist.caches })
   | [ "halt"; seconds ] ->
       let* halt = float_arg seconds in
-      if halt < 0. then Error "halt must be non-negative"
-      else begin
-        draft.distribution <-
-          Some { (dist_config draft) with Torclient.Distribution.halt };
-        Ok ()
-      end
+      with_distribution t (fun d -> { d with Dist.halt })
   | [ "diffs"; flag ] ->
       let* diffs =
         match flag with
@@ -180,67 +143,40 @@ let apply_directive draft = function
         | "off" -> Ok false
         | s -> Error (Printf.sprintf "diffs must be on or off, not %S" s)
       in
-      draft.distribution <-
-        Some { (dist_config draft) with Torclient.Distribution.diffs };
-      Ok ()
+      with_distribution t (fun d -> { d with Dist.diffs })
   | words -> Error (Printf.sprintf "unknown directive %S" (String.concat " " words))
 
-let parse text =
-  let draft = fresh_draft () in
-  let lines = String.split_on_char '\n' text in
-  let rec go line_no = function
-    | [] -> Ok ()
-    | line :: rest -> (
-        let content =
-          match String.index_opt line '#' with
-          | Some i -> String.sub line 0 i
-          | None -> line
-        in
-        let words =
-          String.split_on_char ' ' (String.trim content)
-          |> List.filter (fun w -> w <> "")
-        in
-        match words with
-        | [] -> go (line_no + 1) rest
-        | directive -> (
-            match apply_directive draft directive with
-            | Ok () -> go (line_no + 1) rest
-            | Error e -> Error (Printf.sprintf "line %d: %s" line_no e)))
+(* The one way directives become a scenario: each applied in order
+   from [initial], then the finished spec checked.  [where i] names
+   directive [i] in its error; the attack helpers raise on a window
+   that stops before it starts. *)
+let fold ~where directives =
+  let rec go t i = function
+    | [] -> (
+        match Runenv.Spec.validate t.spec with
+        | () -> Ok t
+        | exception Invalid_argument e -> Error e)
+    | d :: rest -> (
+        match step t d with
+        | Ok t -> go t (i + 1) rest
+        | Error e | (exception Invalid_argument e) -> Error (where i ^ e))
   in
-  let* () = go 1 lines in
-  let behaviors = Array.make 9 Runenv.Honest in
-  let* () =
-    List.fold_left
-      (fun acc (node, b) ->
-        let* () = acc in
-        if node < 0 || node >= 9 then Error (Printf.sprintf "behavior node %d out of range" node)
-        else begin
-          behaviors.(node) <- b;
-          Ok ()
-        end)
-      (Ok ()) draft.behaviors
-  in
-  match
-    Runenv.of_spec
-      {
-        Runenv.Spec.default with
-        seed = draft.seed;
-        n_relays = draft.relays;
-        bandwidth_bits_per_sec = draft.bandwidth_mbit *. 1e6;
-        attacks = draft.attacks;
-        behaviors = Some behaviors;
-        distribution = draft.distribution;
-        horizon = draft.horizon;
-        defense =
-          (match draft.defense with
-          | Some p when not (Defense.Plan.is_empty p) -> Some p
-          | Some _ | None -> None);
-      }
-  with
-  | env -> Ok { protocol = draft.protocol; env }
-  | exception Invalid_argument e -> Error e
+  go initial 0 directives
 
-let run (t : t) = Experiments.run t.protocol t.env
+let of_directives = fold ~where:(fun _ -> "")
+
+let words line =
+  let content =
+    match String.index_opt line '#' with Some i -> String.sub line 0 i | None -> line
+  in
+  String.split_on_char ' ' (String.trim content) |> List.filter (fun w -> w <> "")
+
+let parse text =
+  fold
+    ~where:(fun i -> Printf.sprintf "line %d: " (i + 1))
+    (List.map words (String.split_on_char '\n' text))
+
+let run t = Experiments.run t.protocol (Runenv.of_spec t.spec)
 
 let default_text =
   "# The paper's Figure 1 scenario: the deployed protocol, the live\n\

@@ -30,22 +30,33 @@
       deferred before rejects) and [defense rotate:OUT:EPOCH[:SEED]]
       (OUT authorities rotated out per EPOCH-second epoch).  Later
       [defense] directives merge member-wise, so an [admission:…]
-      line composes with a [rotate:…] line *)
+      line composes with a [rotate:…] line
+
+    Each directive is one step over the scenario: a later setting
+    replaces an earlier one, and attack windows accumulate in
+    directive order.  The [torda-sim run], [log] and [distribute]
+    flags are directives too ({!of_directives}). *)
 
 type t = {
   protocol : Experiments.protocol;
-  env : Protocols.Runenv.t;
+  spec : Protocols.Runenv.Spec.t;
 }
 
 val parse : string -> (t, string) result
-(** Parse scenario text.  Errors carry the offending line number and
-    content. *)
+(** Parse scenario text and check the spec with
+    {!Protocols.Runenv.Spec.validate}; builds nothing.  An error in a
+    directive carries its line number. *)
+
+val of_directives : string list list -> (t, string) result
+(** The same fold over directives given as word lists, e.g.
+    [[["relays"; "2000"]; ["flood-majority"; "0"; "300"; "0.5"]]].
+    A word may contain spaces. *)
 
 val run : t -> Protocols.Runenv.report
-(** Execute the scenario's protocol on its environment via
-    {!Experiments.run}, the same path the CLI, benches, and sweep
-    pool use; the report carries distribution metrics when the
-    scenario enabled the client tier. *)
+(** Build the scenario's environment with {!Protocols.Runenv.of_spec}
+    and execute its protocol via {!Experiments.run}, the same path the
+    CLI, benches, and sweep pool use; the report carries distribution
+    metrics when the scenario enabled the client tier. *)
 
 val default_text : string
 (** A commented example scenario (the Figure 1 attack), used by the

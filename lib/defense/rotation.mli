@@ -14,7 +14,7 @@
     nodes are ranked by a seeded digest and the [out] smallest ranks
     form the epoch's quiet set.  No RNG stream, no mutable global
     state, so every consumer computes the same schedule; protocol
-    drivers honor it through the {!Runenv.awake} guard, the network
+    drivers honor it through the [Driver.Make.awake] guard, the network
     through {!Net.set_defense}. *)
 
 type config = {

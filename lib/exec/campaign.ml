@@ -25,8 +25,6 @@ let spec_of ~base plan =
     fault_plan = plan.fault_plan;
   }
 
-(* Only immutable data: a [Runenv.t] carries a mutable rotation memo,
-   so the context keeps the spec and votes, never an environment. *)
 type ctx = { base : Runenv.Spec.t; votes : Dirdoc.Vote.t array }
 
 let create ?votes (base : Runenv.Spec.t) =

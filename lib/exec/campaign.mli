@@ -43,8 +43,8 @@ val digest : ctx -> plan -> string
 
 val env_of : ?telemetry:bool -> ctx -> plan -> Protocols.Runenv.t
 (** The plan's run environment: [of_spec] of [spec_of ~base plan] with
-    the context's votes.  Every call builds a new environment; never
-    hand one to two domains.  [telemetry] (default [false]) sets
+    the context's votes.  Every call builds a new environment.
+    [telemetry] (default [false]) sets
     {!Protocols.Runenv.t.telemetry} on the result.  Raises
     [Invalid_argument] on a plan [of_spec] rejects. *)
 

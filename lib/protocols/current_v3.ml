@@ -102,7 +102,7 @@ let run (env : Runenv.t) =
             ~odd:(Vote_push variant));
   (* Round 2: fetch missing votes (with one mid-round retry). ------------ *)
   let fetch_missing node ~retry =
-    if not (Runenv.awake env node.id ~now:(now ())) then ()
+    if not (D.awake r node.id) then ()
     else begin
       let missing =
         List.filter (fun j -> node.votes.(j) = None) (List.init n Fun.id)

@@ -13,18 +13,22 @@ module type PROTOCOL = sig
 end
 
 (* Install the attack windows on the NICs, the fault injector and the
-   defenses.  Crash-window behaviors compile to [Fault.Crash] entries
-   so the network suppresses the node's sends and deliveries during
-   the window, whatever the protocol on top; the driver only has to
-   time the node's own actions (see [Runenv.awake]).  The merged plan
-   is a pure function of the spec, so the injector's RNG stream is
-   too. *)
+   defenses.  A NIC appends breakpoints in time order, so each node's
+   windows go in start order ([Spec.validate] keeps them disjoint).
+   Crash-window behaviors compile to [Fault.Crash] entries so the
+   network suppresses the node's sends and deliveries during the
+   window, whatever the protocol on top; the driver only has to time
+   the node's own actions (see [awake]).  The merged plan is a pure
+   function of the spec, so the injector's RNG stream is too. *)
 let apply_attacks (env : Runenv.t) net =
   List.iter
     (fun (a : Runenv.attack) ->
       Sim.Net.limit_node net ~node:a.node ~start:a.start ~stop:a.stop
         ~bits_per_sec:a.bits_per_sec)
-    env.attacks;
+    (List.stable_sort
+       (fun (a : Runenv.attack) (b : Runenv.attack) ->
+         compare (a.start, a.stop) (b.start, b.stop))
+       env.attacks);
   let behavior_crashes =
     List.concat_map
       (fun i ->
@@ -107,6 +111,13 @@ module Make (P : PROTOCOL) = struct
 
   let now t = Sim.Engine.now t.engine
 
+  let awake t id =
+    (match t.env.behaviors.(id) with
+    | Runenv.Honest | Runenv.Equivocating -> true
+    | Runenv.Silent -> false
+    | Runenv.Crashed { start; stop } -> not (now t >= start && now t < stop))
+    && not (Sim.Net.quiet t.net id)
+
   let send t ~src ~dst ~label m =
     Sim.Net.send t.net ~src ~dst ~size:(P.msg_size m) ~label ?deadline:(P.deadline m) m
 
@@ -120,7 +131,7 @@ module Make (P : PROTOCOL) = struct
 
   let handle t f =
     Sim.Net.set_handler t.net (fun ~dst ~src msg ->
-        if Runenv.awake t.env dst ~now:(now t) then f ~dst ~src msg)
+        if awake t dst then f ~dst ~src msg)
 
   let start t f =
     for id = 0 to t.env.n - 1 do
@@ -194,7 +205,7 @@ module Make (P : PROTOCOL) = struct
       for id = 0 to t.env.n - 1 do
         ignore
           (Sim.Engine.schedule t.engine ~owner:id ~at:(round k) (fun () ->
-               if Runenv.awake t.env id ~now:(now t) then f id))
+               if awake t id then f id))
       done
     in
     at_round 2 (fun id ->

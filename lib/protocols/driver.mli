@@ -61,6 +61,13 @@ module Make (P : PROTOCOL) : sig
 
   val now : t -> Tor_sim.Simtime.t
 
+  val awake : t -> int -> bool
+  (** Whether the node processes events now: [false] for [Silent]
+      always, for [Crashed] inside its window, and for a node the
+      rotation defense has rotated out ({!Tor_sim.Net.quiet}).  The
+      handler guard, the lock-step round actions and v3's fetch
+      retries ask it. *)
+
   val send : t -> src:int -> dst:int -> label:Tor_sim.Stats.label -> P.msg -> unit
   val broadcast : t -> src:int -> label:Tor_sim.Stats.label -> P.msg -> unit
 
@@ -71,7 +78,7 @@ module Make (P : PROTOCOL) : sig
 
   val handle : t -> (dst:int -> src:int -> P.msg -> unit) -> unit
   (** Install the delivery handler; it sees only messages reaching an
-      {!Runenv.awake} node. *)
+      {!awake} node. *)
 
   val start : t -> (int -> Dirdoc.Vote.t option -> unit) -> unit
   (** Schedule every node's start at t = 0: [f id None] for an honest

@@ -28,24 +28,7 @@ type t = {
   horizon : Sim.Simtime.t;
   telemetry : bool;
       (* record spans/histograms; NOT part of Spec (see mli) *)
-  rotation : Defense.Rotation.t option;
-      (* mutable rotation membership memo derived from [defense] *)
 }
-
-(* MPTC-style rotation: a rotated-out authority sits the epoch out —
-   drivers treat it like a node that is not serving, exactly as they
-   treat a crash window. *)
-let rotated_out t id ~now =
-  match t.rotation with
-  | None -> false
-  | Some r -> Defense.Rotation.quiet r ~node:id ~now
-
-let awake t id ~now =
-  (match t.behaviors.(id) with
-  | Honest | Equivocating -> true
-  | Silent -> false
-  | Crashed { start; stop } -> not (now >= start && now < stop))
-  && not (rotated_out t id ~now)
 
 let participates = function
   | Honest | Equivocating | Crashed _ -> true
@@ -163,43 +146,53 @@ module Spec = struct
     Buffer.contents buf
 
   let digest t = Crypto.Digest32.hex (Crypto.Digest32.of_string (canonical t))
+
+  (* Every check runs before anything is built, so a malformed spec is
+     rejected before it costs a vote population.  The comparisons are
+     written so that NaN fails them — [not (start <= stop)],
+     [not (rate >= 0.)] — while an infinite bandwidth stays legal. *)
+  let validate (spec : t) =
+    let fail msg = invalid_arg ("Runenv.of_spec: " ^ msg) in
+    let n = spec.n in
+    if spec.n_relays < 0 then fail "negative relay count";
+    if not (spec.bandwidth_bits_per_sec >= 0.) then
+      fail "bandwidth must be a non-negative number";
+    if not (Float.is_finite spec.horizon && spec.horizon >= 0.) then
+      fail "horizon must be finite and non-negative";
+    Option.iter
+      (fun b ->
+        if Array.length b <> n then fail "behaviors length mismatch";
+        Array.iter
+          (function
+            | Crashed { start; stop } when not (start <= stop) ->
+                fail "crash window stops before it starts"
+            | _ -> ())
+          b)
+      spec.behaviors;
+    List.iter
+      (fun a ->
+        if a.node < 0 || a.node >= n then fail "attack node out of range";
+        if not (a.start <= a.stop) then fail "attack stops before it starts";
+        if not (a.bits_per_sec >= 0.) then
+          fail "residual bandwidth must be a non-negative number")
+      spec.attacks;
+    (* A NIC takes one node's windows in start order, so they must not
+       overlap; touching windows are fine. *)
+    let rec disjoint = function
+      | [] -> ()
+      | a :: rest ->
+          if List.exists (fun b -> b.node = a.node && a.start < b.stop && b.start < a.stop) rest
+          then fail (Printf.sprintf "attack windows overlap on node %d" a.node);
+          disjoint rest
+    in
+    disjoint spec.attacks;
+    Option.iter (Sim.Fault.validate ~n) spec.fault_plan;
+    Option.iter (Defense.Plan.validate ~n) spec.defense;
+    Option.iter Torclient.Distribution.validate_config spec.distribution
 end
 
-(* Every check runs before anything is built, so a malformed spec is
-   rejected before it costs a vote population.  The comparisons are
-   written so that NaN fails them — [not (start <= stop)],
-   [not (rate >= 0.)] — while an infinite bandwidth stays legal. *)
-let validate (spec : Spec.t) =
-  let fail msg = invalid_arg ("Runenv.of_spec: " ^ msg) in
-  let n = spec.n in
-  if spec.n_relays < 0 then fail "negative relay count";
-  if not (spec.bandwidth_bits_per_sec >= 0.) then
-    fail "bandwidth must be a non-negative number";
-  if not (Float.is_finite spec.horizon && spec.horizon >= 0.) then
-    fail "horizon must be finite and non-negative";
-  Option.iter
-    (fun b ->
-      if Array.length b <> n then fail "behaviors length mismatch";
-      Array.iter
-        (function
-          | Crashed { start; stop } when not (start <= stop) ->
-              fail "crash window stops before it starts"
-          | _ -> ())
-        b)
-    spec.behaviors;
-  List.iter
-    (fun a ->
-      if a.node < 0 || a.node >= n then fail "attack node out of range";
-      if not (a.start <= a.stop) then fail "attack stops before it starts";
-      if not (a.bits_per_sec >= 0.) then
-        fail "residual bandwidth must be a non-negative number")
-    spec.attacks;
-  Option.iter (Sim.Fault.validate ~n) spec.fault_plan;
-  Option.iter (Defense.Plan.validate ~n) spec.defense;
-  Option.iter Torclient.Distribution.validate_config spec.distribution
-
 let of_spec ?votes (spec : Spec.t) =
-  validate spec;
+  Spec.validate spec;
   let { Spec.seed; valid_after; n; n_relays; bandwidth_bits_per_sec; attacks;
         behaviors; divergence; fault_plan; defense; distribution; horizon } =
     spec
@@ -230,11 +223,6 @@ let of_spec ?votes (spec : Spec.t) =
     distribution;
     horizon;
     telemetry = false;
-    rotation =
-      Option.bind defense (fun p ->
-          Option.map
-            (fun c -> Defense.Rotation.instantiate c ~n)
-            p.Defense.Plan.rotation);
   }
 
 type authority_result = {

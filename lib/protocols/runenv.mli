@@ -35,7 +35,7 @@ type t = {
   defense : Defense.Plan.t option;
       (** installed defenses (admission control, rotation); [None] =
           undefended.  Installed on the network by {!Driver.Make.setup},
-          honored by the drivers through {!awake}. *)
+          honored by the drivers through {!Driver.Make.awake}. *)
   distribution : Torclient.Distribution.config option;
       (** downstream cache/client tier; [None] = agreement core only *)
   horizon : Tor_sim.Simtime.t;       (** stop simulating at this time *)
@@ -47,19 +47,7 @@ type t = {
           {!Spec.t}: flipping it cannot invalidate existing spec
           digests.  Enable it with a record update:
           [{ env with Runenv.telemetry = true }]. *)
-  rotation : Defense.Rotation.t option;
-      (** rotation membership cache derived from [defense] ([None] when
-          rotation is off) — internal plumbing for {!awake}, built by
-          {!of_spec}.  The cache is mutable, so a [t] must never be
-          shared across domains: build one per run. *)
 }
-
-val awake : t -> int -> now:Tor_sim.Simtime.t -> bool
-(** Whether authority [id] processes events at [now]: [false] for
-    [Silent] always, for [Crashed] inside its window, and for a node
-    the rotation defense has rotated out of the active subset.  The
-    drivers guard message handlers and scheduled round actions with
-    this instead of hard-coding [Silent]'s permanence. *)
 
 val participates : behavior -> bool
 (** [false] only for [Silent] — the node never takes part. *)
@@ -111,6 +99,17 @@ module Spec : sig
   (** SHA-256 of {!canonical} as 64 hex characters.  Structurally
       equal specs always digest identically; any field change changes
       the digest.  This is the job key of the sweep engine. *)
+
+  val validate : t -> unit
+  (** Raises [Invalid_argument] ["Runenv.of_spec: ..."] on a malformed
+      spec: a negative relay count, a NaN or negative bandwidth
+      (infinite is legal), a NaN, infinite or negative horizon, an
+      attack or crash window that is NaN or stops before it starts, a
+      NaN or negative residual attack rate, an attack node out of
+      range, two attack windows that overlap on one node (touching
+      windows are fine), or a behaviors array of the wrong length.
+      Invalid fault plans, defenses and distribution configs raise
+      their own modules' errors.  Builds nothing. *)
 end
 
 val of_spec : ?votes:Dirdoc.Vote.t array -> Spec.t -> t
@@ -120,14 +119,9 @@ val of_spec : ?votes:Dirdoc.Vote.t array -> Spec.t -> t
     only on [seed], [n], [n_relays], [valid_after], and
     [divergence], so a cached population is exactly what would have
     been generated; with votes given, building takes about 0.1 ms).
-    Raises [Invalid_argument] ["Runenv.of_spec: ..."] before building
-    anything on a malformed spec: a negative relay count, a NaN or
-    negative bandwidth (infinite is legal), a NaN, infinite or negative
-    horizon, an attack or crash window that is NaN or stops before it
-    starts, a NaN or negative residual attack rate, an attack node out
-    of range, or a behaviors or votes array of the wrong length.
-    Invalid fault plans, defenses and distribution configs raise their
-    own modules' errors. *)
+    Runs {!Spec.validate} before building anything, and raises
+    [Invalid_argument] ["Runenv.of_spec: ..."] on a votes array of the
+    wrong length. *)
 
 (** Outcome of one authority at the end of a run. *)
 type authority_result = {

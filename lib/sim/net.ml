@@ -111,8 +111,7 @@ let set_defense t plan =
       (fun c -> Defense.Rotation.instantiate c ~n:(n t))
       plan.Defense.Plan.rotation
 
-(* Whether [node] is rotated out (quiet) right now. *)
-let quiet_now t node =
+let quiet t node =
   match t.rotation with
   | None -> false
   | Some r -> Defense.Rotation.quiet r ~node ~now:(Engine.now t.engine)
@@ -133,7 +132,7 @@ let crashed_now t node =
 let deliver_self t fl =
   let dst = fl.dst in
   if crashed_now t dst then Stats.record_drop t.stats ~node:dst ~label:fl.label
-  else if quiet_now t dst then Stats.record_reject t.stats ~node:dst ~label:fl.label
+  else if quiet t dst then Stats.record_reject t.stats ~node:dst ~label:fl.label
   else begin
     if t.obs_on then observe_latency t ~dst ~label:fl.label ~sent_at:fl.sent_at;
     deliver t ~dst ~src:fl.src fl.msg
@@ -149,7 +148,7 @@ let finish t fl ~expired =
     (* The receiver is inside a crash window when ingress completes:
        the message reached a dead node. *)
     Stats.record_drop t.stats ~node:dst ~label
-  else if quiet_now t dst then
+  else if quiet t dst then
     (* The receiver rotated out while ingress was in progress: the
        bytes were spent (the attacker's budget is wasted on a quiet
        target) but nothing is served. *)
@@ -224,7 +223,7 @@ let send_msg t ~src ~dst ~size ~label ~deadline msg =
     (* A down node transmits nothing: no bytes charged, the message
        simply never existed on the wire. *)
     Stats.record_drop t.stats ~node:dst ~label
-  else if quiet_now t src then
+  else if quiet t src then
     (* A rotated-out authority goes quiet: nothing transmitted, no
        bytes charged, accounted as a defense reject rather than a
        fault drop. *)

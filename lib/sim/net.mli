@@ -91,6 +91,10 @@ val set_defense : 'm t -> Defense.Plan.t -> unit
     counters.  Raises [Invalid_argument] on a plan invalid for this
     network's size. *)
 
+val quiet : 'm t -> int -> bool
+(** Whether the installed rotation defense has rotated the node out
+    now; [false] without one. *)
+
 val send :
   'm t ->
   src:int ->

@@ -775,11 +775,10 @@ let test_scenario_parse_default () =
   match Torpartial.Scenario.parse Torpartial.Scenario.default_text with
   | Error e -> Alcotest.fail e
   | Ok sc ->
+      let spec = sc.Torpartial.Scenario.spec in
       checkb "protocol" true (sc.Torpartial.Scenario.protocol = Torpartial.Experiments.Current);
-      (* vote sizes sit just below the ground truth: ~1% divergence *)
-      let relays = Dirdoc.Vote.n_relays sc.Torpartial.Scenario.env.R.votes.(0) in
-      checkb "relays near 8000" true (relays > 7800 && relays <= 8000);
-      checki "five attack windows" 5 (List.length sc.Torpartial.Scenario.env.R.attacks)
+      checki "relays" 8000 spec.R.Spec.n_relays;
+      checki "five attack windows" 5 (List.length spec.R.Spec.attacks)
 
 let test_scenario_directives () =
   let text =
@@ -789,18 +788,23 @@ let test_scenario_directives () =
      seed my-seed\n\
      behavior 2 silent\n\
      behavior 4 crashed:30:120\n\
+     behavior 5 equivocating\n\
+     behavior 5 honest\n\
      attack 7 10 20 1.5\n\
      knockout-majority 0 300\n"
   in
   match Torpartial.Scenario.parse text with
   | Error e -> Alcotest.fail e
   | Ok sc ->
-      let env = sc.Torpartial.Scenario.env in
-      checkb "behavior applied" true (env.R.behaviors.(2) = R.Silent);
+      let spec = sc.Torpartial.Scenario.spec in
+      let behaviors = Option.get spec.R.Spec.behaviors in
+      checkb "behavior applied" true (behaviors.(2) = R.Silent);
       checkb "crash window parsed" true
-        (env.R.behaviors.(4) = R.Crashed { start = 30.; stop = 120. });
-      checki "six windows" 6 (List.length env.R.attacks);
-      checkb "bandwidth" true (env.R.bandwidth_bits_per_sec = 10e6);
+        (behaviors.(4) = R.Crashed { start = 30.; stop = 120. });
+      checkb "the later behavior wins" true (behaviors.(5) = R.Honest);
+      checki "six windows" 6 (List.length spec.R.Spec.attacks);
+      checki "windows in directive order" 7 (List.hd spec.R.Spec.attacks).R.node;
+      checkb "bandwidth" true (spec.R.Spec.bandwidth_bits_per_sec = 10e6);
       List.iter
         (fun (word, protocol) ->
           match Torpartial.Scenario.parse ("protocol " ^ word) with
@@ -831,8 +835,10 @@ let test_scenario_errors () =
   ignore (expect_error "behavior 1 crashed:soon:later");
   ignore (expect_error "behavior 1 crashed:30" (* missing stop *));
   ignore (expect_error "attack 0 10 5 1.0" (* stop before start *));
+  ignore (expect_error "flood-majority 10 5 0.5" (* stop before start *));
+  ignore (expect_error "knockout-majority 10 5");
   (* Malformed specs parse directive by directive but fail
-     [Runenv.of_spec]'s checks. *)
+     [Runenv.Spec.validate]'s checks. *)
   ignore (expect_error "bandwidth -3");
   ignore (expect_error "bandwidth nan");
   ignore (expect_error "attack 0 nan 5 1.0");
@@ -873,7 +879,7 @@ let test_scenario_distribution_directives () =
   match Torpartial.Scenario.parse text with
   | Error e -> Alcotest.fail e
   | Ok sc -> (
-      match sc.Torpartial.Scenario.env.R.distribution with
+      match sc.Torpartial.Scenario.spec.R.Spec.distribution with
       | None -> Alcotest.fail "expected a distribution config"
       | Some d ->
           checki "clients" 50_000 d.Torclient.Distribution.clients;
@@ -899,7 +905,7 @@ let test_scenario_defense_directives () =
   match Torpartial.Scenario.parse text with
   | Error e -> Alcotest.fail e
   | Ok sc -> (
-      match sc.Torpartial.Scenario.env.R.defense with
+      match sc.Torpartial.Scenario.spec.R.Spec.defense with
       | None -> Alcotest.fail "expected a defense plan"
       | Some plan ->
           (match plan.Defense.Plan.admission with
@@ -920,7 +926,9 @@ let test_scenario_defense_directives () =
   (* [defense none] on its own leaves the spec undefended. *)
   match Torpartial.Scenario.parse "protocol ours\nrelays 100\ndefense none\n" with
   | Error e -> Alcotest.fail e
-  | Ok sc -> checkb "defense none is undefended" true (sc.Torpartial.Scenario.env.R.defense = None)
+  | Ok sc ->
+      checkb "defense none is undefended" true
+        (sc.Torpartial.Scenario.spec.R.Spec.defense = None)
 
 (* Every directive kind in one file, against the same spec written as
    record updates.  The two majority directives both hit nodes 0-4, in
@@ -989,6 +997,32 @@ let test_scenario_equals_hand_built_spec () =
       checkb "defense turned traffic away" true (parsed.R.rejected > 0);
       checkb "same report" true (summary parsed = summary built)
 
+(* Two windows on one node run the same in either directive order,
+   and touching windows are fine; overlapping ones are rejected before
+   anything is built. *)
+let test_scenario_windows_on_one_node () =
+  let base = "relays 200\nseed windows\n" in
+  let first = "attack 0 0 100 1.0\n" and second = "attack 0 200 300 1.0\n" in
+  let report text =
+    match Torpartial.Scenario.parse (base ^ text) with
+    | Error e -> Alcotest.fail e
+    | Ok sc ->
+        let r = Torpartial.Scenario.run sc in
+        (r.R.success, r.R.success_latency, r.R.total_bytes, r.R.dropped)
+  in
+  checkb "either order" true (report (first ^ second) = report (second ^ first));
+  checkb "touching windows" true
+    (Result.is_ok (Torpartial.Scenario.parse (base ^ first ^ "attack 0 100 200 0.5\n" ^ second)));
+  checkb "overlapping windows rejected" true
+    (Result.is_error
+       (Torpartial.Scenario.parse (base ^ "attack 0 0 200 1.0\nattack 0 100 300 1.0\n")));
+  let window start stop = { R.node = 0; start; stop; bits_per_sec = 1e6 } in
+  Alcotest.check_raises "of_spec rejects overlapping windows"
+    (Invalid_argument "Runenv.of_spec: attack windows overlap on node 0") (fun () ->
+      ignore
+        (R.of_spec
+           { R.Spec.default with n_relays = 10; attacks = [ window 0. 200.; window 100. 300. ] }))
+
 let suite =
   [
     ("icps checkers", `Quick, test_icps_checkers);
@@ -1027,4 +1061,5 @@ let suite =
     ("dissemination certificate forgeries", `Quick, test_validate_certificate_forgeries);
     ("scenario: every directive equals a hand-built spec", `Quick,
       test_scenario_equals_hand_built_spec);
+    ("scenario: attack windows on one node", `Quick, test_scenario_windows_on_one_node);
   ]
