@@ -460,7 +460,6 @@ let chaos_cmd =
       let jobs = if jobs = 0 then Exec.Pool.default_jobs () else jobs in
       let config =
         {
-          Exec.Chaos.default_config with
           Exec.Chaos.seed;
           plans;
           n_relays = relays;

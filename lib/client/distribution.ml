@@ -11,52 +11,27 @@
 module Engine = Tor_sim.Engine
 module Rng = Tor_sim.Rng
 
-type config = {
-  clients : int;
-  caches : int;
-  cohorts_per_cache : int;
-  halt : float;
-  fetch_spread : float;
-  retry_initial : float;
-  retry_multiplier : float;
-  retry_max : float;
-  client_timeout : float;
-  cache_bandwidth_bits_per_sec : float;
-  diffs : bool;
-}
+type config = { clients : int; caches : int; halt : float; diffs : bool }
 
-let default_config =
-  {
-    clients = 1_000_000;
-    caches = 16;
-    cohorts_per_cache = 64;
-    halt = 0.;
-    fetch_spread = 1800.;
-    retry_initial = 60.;
-    retry_multiplier = 2.;
-    retry_max = 600.;
-    client_timeout = 30.;
-    cache_bandwidth_bits_per_sec = 1e9;
-    diffs = true;
-  }
+let default_config = { clients = 1_000_000; caches = 16; halt = 0.; diffs = true }
+
+(* Fixed parameters: client aggregates per cache; the window (s) over
+   which cohorts spread their first fetch; the first retry delay (s),
+   its backoff factor and cap; the queue delay (s) after which a client
+   abandons an attempt; each cache's egress rate.  [canonical_config]
+   writes them too, so they take part in the RNG seed. *)
+let cohorts_per_cache = 64
+let fetch_spread = 1800.
+let retry_initial = 60.
+let retry_multiplier = 2.
+let retry_max = 600.
+let client_timeout = 30.
+let cache_bandwidth_bits_per_sec = 1e9
 
 let validate_config c =
   if c.clients <= 0 then invalid_arg "Distribution: clients must be positive";
   if c.caches <= 0 then invalid_arg "Distribution: caches must be positive";
-  if c.cohorts_per_cache <= 0 then
-    invalid_arg "Distribution: cohorts_per_cache must be positive";
-  if c.halt < 0. then invalid_arg "Distribution: negative halt";
-  if c.fetch_spread < 0. then invalid_arg "Distribution: negative fetch_spread";
-  if c.retry_initial <= 0. then
-    invalid_arg "Distribution: retry_initial must be positive";
-  if c.retry_multiplier < 1. then
-    invalid_arg "Distribution: retry_multiplier must be >= 1";
-  if c.retry_max < c.retry_initial then
-    invalid_arg "Distribution: retry_max below retry_initial";
-  if c.client_timeout <= 0. then
-    invalid_arg "Distribution: client_timeout must be positive";
-  if c.cache_bandwidth_bits_per_sec <= 0. then
-    invalid_arg "Distribution: cache bandwidth must be positive"
+  if c.halt < 0. then invalid_arg "Distribution: negative halt"
 
 (* Same conventions as [Runenv.Spec.canonical]: %d for ints, %h for a
    lossless float image.  Embedded whole into the spec's canonical
@@ -67,14 +42,14 @@ let canonical_config c =
   let d x = Buffer.add_string b (Printf.sprintf "%d;" x) in
   d c.clients;
   d c.caches;
-  d c.cohorts_per_cache;
+  d cohorts_per_cache;
   f c.halt;
-  f c.fetch_spread;
-  f c.retry_initial;
-  f c.retry_multiplier;
-  f c.retry_max;
-  f c.client_timeout;
-  f c.cache_bandwidth_bits_per_sec;
+  f fetch_spread;
+  f retry_initial;
+  f retry_multiplier;
+  f retry_max;
+  f client_timeout;
+  f cache_bandwidth_bits_per_sec;
   Buffer.add_string b (if c.diffs then "diffs;" else "full;");
   Buffer.contents b
 
@@ -93,24 +68,20 @@ type outcome = {
   failed_attempts : int;
 }
 
-let run ?rng (c : config) ~available_at ~full_bytes ~diff_bytes ~horizon =
+let run (c : config) ~available_at ~full_bytes ~diff_bytes ~horizon =
   validate_config c;
   if full_bytes <= 0 then invalid_arg "Distribution.run: full_bytes must be positive";
   if available_at < 0. then invalid_arg "Distribution.run: negative available_at";
-  let rng =
-    match rng with
-    | Some r -> r
-    | None -> Rng.of_string_seed ("distribution|" ^ canonical_config c)
-  in
+  let rng = Rng.of_string_seed ("distribution|" ^ canonical_config c) in
   let eng = Engine.create () in
-  let n_cohorts = c.caches * c.cohorts_per_cache in
+  let n_cohorts = c.caches * cohorts_per_cache in
   (* Remainder clients go one-per-cohort to the first few cohorts so
      sizes sum exactly to [c.clients]. *)
   let base = c.clients / n_cohorts and rem = c.clients mod n_cohorts in
   let cohort_size i = base + if i < rem then 1 else 0 in
   (* Caches mirror the document from upstream: fetchable once their
      own full-document download completes, with a little jitter. *)
-  let upstream = 8. *. float_of_int full_bytes /. c.cache_bandwidth_bits_per_sec in
+  let upstream = 8. *. float_of_int full_bytes /. cache_bandwidth_bits_per_sec in
   let ready =
     Array.init c.caches (fun _ -> available_at +. Rng.float rng 5. +. upstream)
   in
@@ -133,17 +104,17 @@ let run ?rng (c : config) ~available_at ~full_bytes ~diff_bytes ~horizon =
       (* Jittered backoff (x0.75..1.25) keeps cohorts from
          re-synchronizing on the exact same retry slot. *)
       let delay = backoff *. (0.75 +. Rng.float rng 0.5) in
-      let backoff = Float.min c.retry_max (backoff *. c.retry_multiplier) in
+      let backoff = Float.min retry_max (backoff *. retry_multiplier) in
       if now +. delay <= horizon then
         ignore (Engine.schedule eng ~at:(now +. delay) (attempt cohort ~backoff))
     in
     if now < ready.(cache) then retry ()
     else begin
       let start = Float.max now busy_until.(cache) in
-      if start -. now > c.client_timeout then retry ()
+      if start -. now > client_timeout then retry ()
       else begin
         let bytes = size * per_client_bytes in
-        let transfer = 8. *. float_of_int bytes /. c.cache_bandwidth_bits_per_sec in
+        let transfer = 8. *. float_of_int bytes /. cache_bandwidth_bits_per_sec in
         busy_until.(cache) <- start +. transfer;
         bytes_cache.(cache) <- bytes_cache.(cache) + bytes;
         if serving_diffs then diff_fetches := !diff_fetches + size
@@ -165,9 +136,9 @@ let run ?rng (c : config) ~available_at ~full_bytes ~diff_bytes ~horizon =
   let window_open = Float.max 0. (available_at -. c.halt) in
   for cohort = 0 to n_cohorts - 1 do
     if cohort_size cohort > 0 then begin
-      let at = window_open +. Rng.float rng (Float.max c.fetch_spread 1e-9) in
+      let at = window_open +. Rng.float rng (Float.max fetch_spread 1e-9) in
       if at <= horizon then
-        ignore (Engine.schedule eng ~at (attempt cohort ~backoff:c.retry_initial))
+        ignore (Engine.schedule eng ~at (attempt cohort ~backoff:retry_initial))
     end
   done;
   Engine.run eng ~until:horizon;

@@ -24,40 +24,31 @@
 type config = {
   clients : int;              (** total client population *)
   caches : int;               (** directory-cache nodes *)
-  cohorts_per_cache : int;    (** client aggregates per cache *)
   halt : float;
       (** seconds the directory protocol had been down before the
           consensus finally appeared: clients have been retrying this
           long and their backoff is already wound up.  [0.] models
           steady state (an ordinary hourly refresh). *)
-  fetch_spread : float;
-      (** width (s) of the uniform window over which cohorts schedule
-          their first fetch — dir-spec clients stagger inside the
-          valid-after interval *)
-  retry_initial : float;      (** first retry delay (s) after a failure *)
-  retry_multiplier : float;   (** exponential backoff factor *)
-  retry_max : float;          (** backoff cap (s) *)
-  client_timeout : float;
-      (** a client abandons an attempt when the cache's queue delay
-          exceeds this (s) and retries later — the timeout that turns
-          a flash crowd into a retry storm *)
-  cache_bandwidth_bits_per_sec : float;  (** egress rate of each cache *)
   diffs : bool;               (** serve consensus diffs when possible *)
 }
+(** The rest of the tier is fixed: 64 cohorts (client aggregates) per
+    cache; first fetches spread uniformly over 1800 s (dir-spec clients
+    stagger inside the valid-after interval); a failed attempt retries
+    after 60 s, doubling up to 600 s; a client abandons an attempt when
+    the cache's queue delay exceeds 30 s (the timeout that turns a
+    flash crowd into a retry storm); each cache serves at 1 Gbit/s. *)
 
 val default_config : config
-(** 1M clients on 16 caches x 64 cohorts, steady state ([halt = 0]),
-    30 min fetch spread, 60 s initial retry doubling up to 600 s,
-    30 s client timeout, 1 Gbit/s per cache, diffs on. *)
+(** 1M clients on 16 caches, steady state ([halt = 0]), diffs on. *)
 
 val validate_config : config -> unit
-(** Raises [Invalid_argument] on non-positive populations, rates, or
-    timeouts, a multiplier below 1, or a negative [halt]/[fetch_spread]. *)
+(** Raises [Invalid_argument] on a non-positive client or cache count
+    or a negative [halt]. *)
 
 val canonical_config : config -> string
-(** Canonical serialization (lossless floats), embedded in
-    {!Protocols.Runenv.Spec.canonical} so distribution settings
-    participate in spec digests. *)
+(** Canonical serialization (lossless floats, the fixed parameters
+    included), embedded in {!Protocols.Runenv.Spec.canonical} so
+    distribution settings participate in spec digests. *)
 
 (** Metrics of one distribution run.  Times are in seconds {e after}
     [available_at] (the instant the signed consensus reached the
@@ -82,7 +73,6 @@ type outcome = {
 }
 
 val run :
-  ?rng:Tor_sim.Rng.t ->
   config ->
   available_at:float ->
   full_bytes:int ->
@@ -91,12 +81,12 @@ val run :
   outcome
 (** Simulate the distribution of one consensus.  The document becomes
     fetchable at [available_at]; cohorts start attempting at
-    [available_at -. halt] (clamped to 0), spread over
-    [fetch_spread], so a halt arrives with backoff already wound up —
+    [available_at -. halt] (clamped to 0), spread over the fetch
+    window, so a halt arrives with backoff already wound up —
     the flash crowd.  [full_bytes] is the serialized document size;
     [diff_bytes = Some d] (with [config.diffs]) serves [d]-byte diffs
     instead.  Events past [horizon] do not run; cohorts still fetching
-    then are reported as not recovered.  Deterministic: the RNG
-    defaults to one seeded from {!canonical_config}.  Raises
+    then are reported as not recovered.  Deterministic: the RNG is
+    seeded from {!canonical_config}.  Raises
     [Invalid_argument] on an invalid config or non-positive
     [full_bytes]. *)

@@ -19,7 +19,7 @@ let default_seed = "torpartial"
    document, hand it to the cache/client tier.  The "previous hour"
    document a diff would be computed against is synthesized from the
    produced consensus by undoing plausible churn (per-hour rates from
-   Workload.default_churn), seeded from the document digest so the
+   Workload.evolve), seeded from the document digest so the
    diff size is a pure function of the run. *)
 let previous_consensus ~rng ~hours (c : Dirdoc.Consensus.t) =
   (* Hourly consensus changes come from relay churn alone (measured
@@ -156,9 +156,9 @@ let fig6 () =
 
 let default_relay_counts = [ 1000; 2000; 3000; 4000; 5000; 6000; 7000; 8000; 9000; 10000 ]
 
-let min_bandwidth_for_success ~n_relays ~precision =
+let min_bandwidth_for_success ~n_relays =
   (* Each probe is one job; a binary search never probes a bandwidth
-     twice. *)
+     twice.  It stops at 0.1 Mbit/s precision. *)
   let ok mbit =
     let attacks =
       Attack.Ddos.bandwidth_attack ~n:9 ~residual_bits_per_sec:(mbit *. 1e6) ()
@@ -167,19 +167,18 @@ let min_bandwidth_for_success ~n_relays ~precision =
     (run_job job).Job.success
   in
   let rec search lo hi =
-    if hi -. lo < precision then hi
+    if hi -. lo < 0.1 then hi
     else
       let mid = (lo +. hi) /. 2. in
       if ok mid then search lo mid else search mid hi
   in
   if ok 0.05 then 0.05 else search 0.05 100.
 
-let fig7 ?(relay_counts = default_relay_counts) ?(precision_mbit = 0.1) ?(jobs = 1) () =
+let fig7 ?(relay_counts = default_relay_counts) ?(jobs = 1) () =
   (* The binary searches are sequential per relay count but
      independent across counts, so that is the parallel axis. *)
   Exec.Pool.map ~jobs
-    (fun n_relays ->
-      (n_relays, min_bandwidth_for_success ~n_relays ~precision:precision_mbit))
+    (fun n_relays -> (n_relays, min_bandwidth_for_success ~n_relays))
     relay_counts
 
 (* --- Figure 10 ----------------------------------------------------------- *)
@@ -256,10 +255,10 @@ let table1_row protocol ~n ~n_relays =
     bytes_by_label = Tor_sim.Stats.labels stats;
   }
 
-let table1 ?(n_values = [ 5; 7; 9; 13 ]) ?(relay_counts = [ 1000; 2000; 4000 ]) () =
+let table1 ?(relay_counts = [ 1000; 2000; 4000 ]) () =
   List.concat_map
     (fun protocol ->
-      List.map (fun n -> table1_row protocol ~n ~n_relays:1000) n_values
+      List.map (fun n -> table1_row protocol ~n ~n_relays:1000) [ 5; 7; 9; 13 ]
       @ List.map (fun n_relays -> table1_row protocol ~n:9 ~n_relays) relay_counts)
     all_protocols
 

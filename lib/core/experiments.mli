@@ -72,13 +72,13 @@ val fig6 : unit -> (string * float) list * float
 
 val fig7 :
   ?relay_counts:int list ->
-  ?precision_mbit:float ->
   ?jobs:int ->
   unit ->
   (int * float) list
 (** For each relay count, binary-search the minimum bandwidth
-    (Mbit/s) the 5 attacked authorities need for the current protocol
-    to still succeed.  Default counts: 1000-10000 in steps of 1000.
+    (Mbit/s, to 0.1 Mbit/s precision) the 5 attacked authorities need
+    for the current protocol to still succeed.  Default counts:
+    1000-10000 in steps of 1000.
     [jobs] parallelizes across relay counts; each probe is one fresh
     run, and a binary search never probes a bandwidth twice. *)
 
@@ -126,11 +126,10 @@ type table1_row = {
   bytes_by_label : (string * int) list;
 }
 
-val table1 :
-  ?n_values:int list -> ?relay_counts:int list -> unit -> table1_row list
-(** Measured traffic for each protocol while sweeping [n] at fixed
-    document size and the document size at fixed [n = 9]; the bench
-    prints these next to the asymptotic formulas of Table 1. *)
+val table1 : ?relay_counts:int list -> unit -> table1_row list
+(** Measured traffic for each protocol while sweeping [n] over 5, 7, 9
+    and 13 at 1000 relays, and the document size at fixed [n = 9]; the
+    bench prints these next to the asymptotic formulas of Table 1. *)
 
 (** {1 Table 2 — round complexity} *)
 

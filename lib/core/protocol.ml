@@ -7,13 +7,12 @@ module Wire = Protocols.Wire
 
 let name = "ours"
 
-type params = {
-  doc_timeout : Sim.Simtime.t;
-  view_timeout : Sim.Simtime.t;
-  fetch_retry : Sim.Simtime.t;
-}
+type params = { doc_timeout : Sim.Simtime.t; view_timeout : Sim.Simtime.t }
 
-let default_params = { doc_timeout = 150.; view_timeout = 5.; fetch_retry = 10. }
+let default_params = { doc_timeout = 150.; view_timeout = 5. }
+
+(* Seconds between re-requests of missing documents and signatures. *)
+let fetch_retry = 10.
 
 type detailed = {
   result : Runenv.run_result;
@@ -146,7 +145,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let rec ensure_signatures node =
     if D.request_signatures r ~node:node.id then
       ignore
-        (Sim.Engine.schedule_in engine ~after:params.fetch_retry (fun () ->
+        (Sim.Engine.schedule_in engine ~after:fetch_retry (fun () ->
              ensure_signatures node))
   in
   (* Documents the agreed vector names that this node lacks, or holds
@@ -190,7 +189,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
               "Aggregated %d votes into a consensus document; broadcasting signature."
               (List.length votes);
             ignore
-              (Sim.Engine.schedule_in engine ~after:params.fetch_retry (fun () ->
+              (Sim.Engine.schedule_in engine ~after:fetch_retry (fun () ->
                    ensure_signatures node))
           end
         end
@@ -205,7 +204,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
             D.broadcast r ~src:node.id ~label:lbl_fetch (Fetch { wanted });
             node.fetch_timer <-
               Some
-                (Sim.Engine.schedule_in engine ~after:params.fetch_retry (fun () ->
+                (Sim.Engine.schedule_in engine ~after:fetch_retry (fun () ->
                      start_fetching node)))
   in
   (* --- document intake --------------------------------------------------- *)

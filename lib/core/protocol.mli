@@ -28,8 +28,9 @@ type params = {
       (** Δ of the dissemination wait rule: after this, [n - f]
           documents suffice to propose (default 150 s). *)
   view_timeout : Tor_sim.Simtime.t;  (** pacemaker timeout (default 5 s) *)
-  fetch_retry : Tor_sim.Simtime.t;   (** aggregation fetch retry (default 10 s) *)
 }
+(** During aggregation a node re-requests missing documents, and then
+    missing signatures, every 10 s. *)
 
 val default_params : params
 

@@ -156,18 +156,21 @@ let votes ~rng ?(divergence = default_divergence) ~keyring ~n_authorities ~n_rel
         ~authority_fingerprint:(Crypto.Keyring.fingerprint keyring authority)
         ~nickname:(authority_nickname authority) ~published ~valid_after ~relays:view)
 
-type churn = { leave_prob : float; join_frac : float; rekey_prob : float }
+(* Hourly churn: the chance an existing relay disappears, new relays
+   as a fraction of the population, the chance a relay publishes a new
+   descriptor. *)
+let leave_prob = 0.015
+let join_frac = 0.015
+let rekey_prob = 0.30
 
-let default_churn = { leave_prob = 0.015; join_frac = 0.015; rekey_prob = 0.30 }
-
-let evolve ~rng ?(churn = default_churn) ~published ground_truth =
+let evolve ~rng ~published ground_truth =
   let survivors =
-    List.filter (fun _ -> Rng.float rng 1.0 >= churn.leave_prob) ground_truth
+    List.filter (fun _ -> Rng.float rng 1.0 >= leave_prob) ground_truth
   in
   let republished =
     List.map
       (fun (r : Relay.t) ->
-        if Rng.float rng 1.0 < churn.rekey_prob then
+        if Rng.float rng 1.0 < rekey_prob then
           let jitter = Float.max 0.5 (Rng.gaussian rng ~mean:1.0 ~stddev:0.05) in
           let bandwidth = Stdlib.max 1 (int_of_float (float_of_int r.bandwidth *. jitter)) in
           Relay.make ~fingerprint:r.fingerprint ~nickname:r.nickname ~address:r.address
@@ -179,7 +182,7 @@ let evolve ~rng ?(churn = default_churn) ~published ground_truth =
       survivors
   in
   let n_joining =
-    int_of_float (Float.round (float_of_int (List.length ground_truth) *. churn.join_frac))
+    int_of_float (Float.round (float_of_int (List.length ground_truth) *. join_frac))
   in
   let fresh = relays ~rng ~n:n_joining ~published in
   (* Joining relays could collide with survivors only if the RNG

@@ -57,20 +57,10 @@ val authority_nickname : int -> string
 (** Stable human-readable names ("moria1", "tor26", ... for the first
     nine, then "auth9", ...). *)
 
-type churn = {
-  leave_prob : float;    (** chance an existing relay disappears *)
-  join_frac : float;     (** new relays as a fraction of the population *)
-  rekey_prob : float;    (** chance a relay publishes a new descriptor *)
-}
-
-val default_churn : churn
-(** ~1.5% leave, ~1.5% join, 30% republish per hour — the live
-    network's hourly churn scale. *)
-
-val evolve :
-  rng:Tor_sim.Rng.t -> ?churn:churn -> published:float -> Relay.t list -> Relay.t list
-(** One hour of relay churn over a ground-truth population: some
-    relays leave, new ones join, and some republish their descriptor
-    (fresh published time and jittered bandwidth).  Feeding the result
+val evolve : rng:Tor_sim.Rng.t -> published:float -> Relay.t list -> Relay.t list
+(** One hour of relay churn over a ground-truth population, at the
+    live network's hourly scale: ~1.5% of relays leave, ~1.5% join, and
+    30% republish their descriptor (fresh published time and jittered
+    bandwidth).  Feeding the result
     back in simulates a live network across consensus hours; the
     consdiff savings measurements use exactly this. *)

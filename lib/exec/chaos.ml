@@ -5,34 +5,26 @@ module Rng = Tor_sim.Rng
 type config = {
   seed : string;
   plans : int;
-  n : int;
   n_relays : int;
-  bandwidth_bits_per_sec : float;
-  horizon : float;
-  liveness_bound : float;
   defense : Defense.Plan.t option;
 }
 
-let default_config =
-  {
-    seed = "chaos";
-    plans = 20;
-    n = 9;
-    n_relays = 1000;
-    bandwidth_bits_per_sec = 250e6;
-    horizon = 7200.;
-    liveness_bound = 900.;
-    defense = None;
-  }
+let default_config = { seed = "chaos"; plans = 20; n_relays = 1000; defense = None }
+
+(* Every case runs [Runenv.Spec.default]'s authorities, bandwidth and
+   horizon. *)
+let n = Runenv.Spec.default.n
+let horizon = Runenv.Spec.default.horizon
+
+(* A majority must decide within this many seconds of the last fault
+   clearing. *)
+let liveness_bound = 900.
 
 let base_spec config =
   {
     Runenv.Spec.default with
     Runenv.Spec.seed = config.seed;
-    n = config.n;
     n_relays = config.n_relays;
-    bandwidth_bits_per_sec = config.bandwidth_bits_per_sec;
-    horizon = config.horizon;
     defense = config.defense;
   }
 
@@ -41,62 +33,61 @@ let base_spec config =
 (* Every fault and crash window must clear well before the horizon,
    otherwise the liveness invariant ("decide within [liveness_bound] of
    the last fault clearing") would be vacuous for most cases. *)
-let clear_by config = Float.min (config.horizon /. 2.) 1800.
+let clear_by = Float.min (horizon /. 2.) 1800.
 
-let sample_window config rng =
-  let bound = clear_by config in
-  let start = Rng.float rng (bound /. 2.) in
-  let stop = start +. 15. +. Rng.float rng ((bound /. 2.) -. 15.) in
+let sample_window rng =
+  let start = Rng.float rng (clear_by /. 2.) in
+  let stop = start +. 15. +. Rng.float rng ((clear_by /. 2.) -. 15.) in
   (start, stop)
 
-let sample_endpoint config rng =
-  if Rng.int rng 3 = 0 then Fault.any else Rng.int rng config.n
+let sample_endpoint rng =
+  if Rng.int rng 3 = 0 then Fault.any else Rng.int rng n
 
-let sample_fault config rng =
-  let start, stop = sample_window config rng in
+let sample_fault rng =
+  let start, stop = sample_window rng in
   let kind =
     match Rng.int rng 5 with
     | 0 ->
         Fault.Drop
           {
-            src = sample_endpoint config rng;
-            dst = sample_endpoint config rng;
+            src = sample_endpoint rng;
+            dst = sample_endpoint rng;
             prob = 0.25 +. Rng.float rng 0.75;
           }
-    | 1 -> Fault.Partition { a = Rng.int rng config.n; b = Rng.int rng config.n }
+    | 1 -> Fault.Partition { a = Rng.int rng n; b = Rng.int rng n }
     | 2 ->
         Fault.Delay
           {
-            src = sample_endpoint config rng;
-            dst = sample_endpoint config rng;
+            src = sample_endpoint rng;
+            dst = sample_endpoint rng;
             max_extra = 1. +. Rng.float rng 30.;
           }
     | 3 ->
         Fault.Duplicate
           {
-            src = sample_endpoint config rng;
-            dst = sample_endpoint config rng;
+            src = sample_endpoint rng;
+            dst = sample_endpoint rng;
             prob = 0.25 +. Rng.float rng 0.75;
           }
-    | _ -> Fault.Crash { node = Rng.int rng config.n }
+    | _ -> Fault.Crash { node = Rng.int rng n }
   in
   { Fault.kind; start; stop }
 
 let sample_case config ~index =
   let rng = Rng.of_string_seed (config.seed ^ "/plan-" ^ string_of_int index) in
   let n_faults = 1 + Rng.int rng 5 in
-  let faults = List.init n_faults (fun _ -> sample_fault config rng) in
+  let faults = List.init n_faults (fun _ -> sample_fault rng) in
   let plan = { Fault.seed = "plan-" ^ string_of_int index; faults } in
-  let behaviors = Array.make config.n Runenv.Honest in
-  let n_misbehave = Rng.int rng (Protocols.Agreement.fault_bound ~n:config.n + 2) in
+  let behaviors = Array.make n Runenv.Honest in
+  let n_misbehave = Rng.int rng (Protocols.Agreement.fault_bound ~n + 2) in
   for _ = 1 to n_misbehave do
-    let node = Rng.int rng config.n in
+    let node = Rng.int rng n in
     behaviors.(node) <-
       (match Rng.int rng 3 with
       | 0 -> Runenv.Silent
       | 1 -> Runenv.Equivocating
       | _ ->
-          let start, stop = sample_window config rng in
+          let start, stop = sample_window rng in
           Runenv.Crashed { start; stop })
   done;
   (plan, behaviors)
@@ -190,21 +181,21 @@ let report_of ~run_protocol protocol env =
 (* Safety and liveness of one (plan, behaviors) case, judged from a run
    of the partial-synchrony protocol alone.  Shared by the main verdict
    and by every shrink step. *)
-let judge config ~plan ~behaviors ours =
-  let f = Protocols.Agreement.fault_bound ~n:config.n in
+let judge ~plan ~behaviors ours =
+  let f = Protocols.Agreement.fault_bound ~n in
   let node_faults, permanent_faults = faulty_node_sets ~plan ~behaviors in
   let clears = case_clears_at ~plan ~behaviors in
   let safety_applicable = node_faults <= f in
   let safety_ok = (not safety_applicable) || ours.agreement in
   let liveness_applicable =
-    permanent_faults <= f && clears +. config.liveness_bound <= config.horizon
+    permanent_faults <= f && clears +. liveness_bound <= horizon
   in
   let liveness_ok =
     (not liveness_applicable)
     || ours.success
        &&
        match ours.decided_at_latest with
-       | Some d -> d <= clears +. config.liveness_bound
+       | Some d -> d <= clears +. liveness_bound
        | None -> false
   in
   ( node_faults,
@@ -223,7 +214,7 @@ let campaign_plan config ~plan ~behaviors =
 let case_fails config ~ctx ~run_protocol ~plan ~behaviors =
   let env = Campaign.env_of ctx (campaign_plan config ~plan ~behaviors) in
   let ours = report_of ~run_protocol Job.Ours env in
-  let _, _, _, _, safety_ok, _, liveness_ok = judge config ~plan ~behaviors ours in
+  let _, _, _, _, safety_ok, _, liveness_ok = judge ~plan ~behaviors ours in
   not (safety_ok && liveness_ok)
 
 (* Greedy shrink: while the failure still reproduces, drop one plan
@@ -280,7 +271,7 @@ let verdict_of_case config ~ctx ~run_protocol ~index =
         safety_ok,
         liveness_applicable,
         liveness_ok ) =
-    judge config ~plan ~behaviors ours
+    judge ~plan ~behaviors ours
   in
   (* Diagnose a liveness failure: replay the same case with telemetry
      on (telemetry never changes outcomes, so the replay reproduces the

@@ -15,8 +15,8 @@
        ({!Protocols.Agreement.fault_bound});}
     {- {e liveness}: when every fault window clears before the
        horizon and at most ⌊(n−1)/3⌋ nodes are permanently faulty,
-       a majority must decide within [liveness_bound] seconds of the
-       last fault clearing.}}
+       a majority must decide within 900 seconds of the last fault
+       clearing.}}
 
     Sampling is keyed off [(seed, case index)] alone and the runs
     replay deterministically, so verdicts are identical for every
@@ -28,27 +28,23 @@
 type config = {
   seed : string;
   plans : int;                     (** chaos cases to sample *)
-  n : int;                         (** authorities *)
   n_relays : int;
-  bandwidth_bits_per_sec : float;
-  horizon : float;
-  liveness_bound : float;
-      (** decide within this many seconds of the last fault clearing *)
   defense : Defense.Plan.t option;
       (** defense toolbox applied to every case ([None] = undefended);
           flows into {!base_spec} so it participates in every case's
           spec digest *)
 }
+(** Every case runs {!Protocols.Runenv.Spec.default}'s 9 authorities at
+    250 Mbit/s to a 7200 s horizon, and the liveness bound is 900 s. *)
 
 val default_config : config
-(** seed ["chaos"], 20 plans, 9 authorities, 1000 relays, 250 Mbit/s,
-    7200 s horizon, 900 s liveness bound, no defense. *)
+(** seed ["chaos"], 20 plans, 1000 relays, no defense. *)
 
 val base_spec : config -> Protocols.Runenv.Spec.t
 (** The run spec every chaos case of this configuration is a variation
-    of: the config's population/bandwidth/horizon with no behaviors
-    and no fault plan — the campaign base the harness (and the bench)
-    hand to {!Campaign.map}. *)
+    of: {!Protocols.Runenv.Spec.default} with the config's seed, relay
+    count and defense, no behaviors and no fault plan — the campaign
+    base the harness (and the bench) hand to {!Campaign.map}. *)
 
 val sample_spec : config -> index:int -> Protocols.Runenv.Spec.t
 (** The [index]-th chaos case of a configuration: a run spec whose

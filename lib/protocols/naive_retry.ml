@@ -13,7 +13,9 @@ let split_attack () =
     (fun node -> { Runenv.node; start = 300.; stop = 600.; bits_per_sec = 0. })
     [ 5; 6; 7; 8 ]
 
-let run ?(iterations = 3) (env : Runenv.t) =
+let iterations = 3
+
+let run (env : Runenv.t) =
   let n = env.n in
   let need = Runenv.majority ~n in
   let outputs = Array.make n None in

@@ -25,8 +25,8 @@ type result = {
           iteration — more than one is a safety violation *)
 }
 
-val run : ?iterations:int -> Runenv.t -> result
-(** Run up to [iterations] (default 3) rounds of retry.  The
+val run : Runenv.t -> result
+(** Run up to 3 rounds of retry.  The
     environment's attack windows apply to iteration 0 only (the attack
     that caused the initial failure); votes are re-generated between
     iterations. *)

@@ -365,7 +365,6 @@ let dist_config =
     Dist.default_config with
     Dist.clients = 100_000;
     caches = 8;
-    cohorts_per_cache = 32;
     halt = 10800.;
   }
 
@@ -380,7 +379,7 @@ let test_distribution_deterministic () =
 let test_distribution_metrics () =
   let o = run_dist () in
   checki "every client counted" 100_000 o.Dist.clients;
-  checki "cohort count" (8 * 32) o.Dist.cohorts;
+  checki "cohort count" (8 * 64) o.Dist.cohorts;
   (match (o.Dist.time_to_90pct_fresh, o.Dist.time_to_full_recovery) with
   | Some t90, Some tfull ->
       checkb "t90 positive" true (t90 > 0.);
@@ -409,8 +408,6 @@ let test_distribution_validation () =
   reject "Distribution: clients must be positive" { dist_config with Dist.clients = 0 };
   reject "Distribution: caches must be positive" { dist_config with Dist.caches = 0 };
   reject "Distribution: negative halt" { dist_config with Dist.halt = -1. };
-  reject "Distribution: retry_max below retry_initial"
-    { dist_config with Dist.retry_initial = 60.; retry_max = 30. };
   Alcotest.check_raises "bad full_bytes"
     (Invalid_argument "Distribution.run: full_bytes must be positive") (fun () ->
       ignore

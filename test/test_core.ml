@@ -724,7 +724,6 @@ let dist_report ~diffs =
               Torclient.Distribution.default_config with
               Torclient.Distribution.clients = 100_000;
               caches = 8;
-              cohorts_per_cache = 32;
               diffs;
             };
       }
@@ -973,14 +972,7 @@ let test_scenario_equals_hand_built_spec () =
               Some { Defense.Rotation.default with Defense.Rotation.out = 1; epoch = 100. };
           };
       distribution =
-        Some
-          {
-            Torclient.Distribution.default_config with
-            Torclient.Distribution.clients = 50_000;
-            caches = 4;
-            halt = 3600.;
-            diffs = false;
-          };
+        Some { Torclient.Distribution.clients = 50_000; caches = 4; halt = 3600.; diffs = false };
     }
   in
   let summary (r : R.report) =
