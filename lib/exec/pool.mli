@@ -1,8 +1,9 @@
-(** Bounded-queue domain pool.
+(** Domain pool.
 
     [map ~jobs f items] applies [f] to every item across [jobs]
     OCaml 5 domains and returns the results in input order, so the
-    output is independent of worker count and scheduling.  [jobs = 1]
+    output is independent of worker count and scheduling.  Workers
+    claim items one at a time from a shared atomic index.  [jobs = 1]
     is a strict sequential fallback ([List.map] — no domains are
     spawned); at most [List.length items] domains are spawned however
     large [jobs] is.
