@@ -136,7 +136,7 @@ let run (c : config) ~available_at ~full_bytes ~diff_bytes ~horizon =
   let window_open = Float.max 0. (available_at -. c.halt) in
   for cohort = 0 to n_cohorts - 1 do
     if cohort_size cohort > 0 then begin
-      let at = window_open +. Rng.float rng (Float.max fetch_spread 1e-9) in
+      let at = window_open +. Rng.float rng fetch_spread in
       if at <= horizon then
         ignore (Engine.schedule eng ~at (attempt cohort ~backoff:retry_initial))
     end
