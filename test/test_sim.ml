@@ -772,6 +772,32 @@ let test_fault_determinism () =
   in
   checkb "identical faulty runs" true (run () = run ())
 
+let test_fault_per_link_keying () =
+  (* A message's draws are keyed by its place in its own link's send
+     sequence: the payloads each link delivers must not depend on how
+     sends on different links interleave. *)
+  let drop =
+    [ { Fault.kind = Fault.Drop { src = Fault.any; dst = Fault.any; prob = 0.5 }; start = 0.; stop = 100. } ]
+  in
+  let run sends =
+    let engine, net = with_fault ~n:4 drop in
+    let arrived = Array.make 4 [] in
+    Net.set_handler net (fun ~dst ~src:_ msg -> arrived.(dst) <- msg :: arrived.(dst));
+    List.iter (fun (src, dst, msg) -> Net.send net ~src ~dst ~size:10 msg) sends;
+    Engine.run engine;
+    (List.sort compare arrived.(1), List.sort compare arrived.(3))
+  in
+  let link src dst k = (src, dst, k) in
+  let in_turn = run (List.init 20 (link 0 1) @ List.init 20 (link 2 3)) in
+  let alternating =
+    run (List.concat (List.init 20 (fun k -> [ link 0 1 k; link 2 3 k ])))
+  in
+  let on_01, on_23 = in_turn in
+  checkb "each link loses some and delivers some" true
+    (List.for_all (fun l -> l <> [] && List.length l < 20) [ on_01; on_23 ]);
+  checkb "0->1 delivers the same payloads in both orders" true (on_01 = fst alternating);
+  checkb "2->3 delivers the same payloads in both orders" true (on_23 = snd alternating)
+
 let test_fault_plan_validate () =
   let fault kind = { Fault.kind; start = 0.; stop = 1. } in
   Fault.validate ~n:3 (fault_plan [ fault (Fault.Drop { src = Fault.any; dst = 2; prob = 0.5 }) ]);
@@ -947,6 +973,7 @@ let suite =
     ("fault crash window", `Quick, test_fault_crash);
     ("fault drop labels", `Quick, test_fault_drop_labels);
     ("fault determinism", `Quick, test_fault_determinism);
+    ("fault draws keyed per link", `Quick, test_fault_per_link_keying);
     ("fault plan validation + digest", `Quick, test_fault_plan_validate);
     ("net deferred duplicate delivers twice", `Quick, test_net_deferred_duplicate);
     ("net self send to crashed or quiet node", `Quick, test_net_self_send_crash_and_rotation);
