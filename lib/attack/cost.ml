@@ -12,9 +12,9 @@ type instance = {
   usd : float;
 }
 
-let break_one_run ?(link_mbit_per_sec = 250.) ?(required_mbit_per_sec = 10.)
-    ?(targets = 5) ?(seconds = 300.) () =
-  let flood = link_mbit_per_sec -. required_mbit_per_sec in
+let break_one_run ?(required_mbit_per_sec = 10.) () =
+  let targets = 5 and seconds = 300. in
+  let flood = 250. -. required_mbit_per_sec in
   if flood < 0. then invalid_arg "Cost.break_one_run: required exceeds link";
   {
     targets;

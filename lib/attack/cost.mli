@@ -20,16 +20,11 @@ type instance = {
   usd : float;               (** cost of breaking one run *)
 }
 
-val break_one_run :
-  ?link_mbit_per_sec:float ->
-  ?required_mbit_per_sec:float ->
-  ?targets:int ->
-  ?seconds:float ->
-  unit ->
-  instance
+val break_one_run : ?required_mbit_per_sec:float -> unit -> instance
 (** The paper's attack instance: flood each of 5 authorities with
-    [link - required] = 250 - 10 = 240 Mbit/s for 5 minutes
-    ⇒ $0.074. *)
+    [link - required] for 300 s over a 250 Mbit/s link; the default
+    requirement of 10 Mbit/s gives 240 Mbit/s ⇒ $0.074.  Raises
+    [Invalid_argument] if the requirement exceeds the link. *)
 
 val monthly_usd : instance -> float
 (** Breaking every hourly run for 30 days: [usd × 24 × 30]

@@ -20,24 +20,23 @@ val majority_targets : n:int -> int list
     5 of 9), lowest ids first. *)
 
 val bandwidth_attack :
-  ?targets:int list ->
   ?start:Tor_sim.Simtime.t ->
   ?stop:Tor_sim.Simtime.t ->
   ?residual_bits_per_sec:float ->
   n:int ->
   unit ->
   Protocols.Runenv.attack list
-(** The paper's attack: flood a majority of authorities
-    ([majority_targets] by default) during the vote window
-    ([0, 300 s)), leaving [ddos_residual_bits_per_sec].  Raises
-    [Invalid_argument] on an empty or out-of-range target list. *)
+(** The paper's attack: flood the {!majority_targets} during the
+    window (default the vote window, [0, 300 s)), leaving the residual
+    (default {!ddos_residual_bits_per_sec}).  Raises
+    [Invalid_argument] on a window that stops before it starts. *)
 
 val knockout :
-  ?targets:int list ->
   ?start:Tor_sim.Simtime.t ->
   ?stop:Tor_sim.Simtime.t ->
   n:int ->
   unit ->
   Protocols.Runenv.attack list
-(** The Figure 11 scenario: targets fully offline (zero residual)
-    during the window; their traffic drains when it ends. *)
+(** The Figure 11 scenario: the {!majority_targets} fully offline
+    (zero residual) during the window; their traffic drains when it
+    ends. *)

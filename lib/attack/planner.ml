@@ -6,11 +6,8 @@ type plan = {
   usd_per_month : float;
 }
 
-let make ?(link_mbit_per_sec = 250.) ?(targets = 5) ?(seconds = 300.) ~n_relays
-    ~required_mbit_per_sec () =
-  let instance =
-    Cost.break_one_run ~link_mbit_per_sec ~required_mbit_per_sec ~targets ~seconds ()
-  in
+let make ~n_relays ~required_mbit_per_sec () =
+  let instance = Cost.break_one_run ~required_mbit_per_sec () in
   {
     n_relays;
     required_mbit_per_sec;

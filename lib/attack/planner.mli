@@ -16,16 +16,11 @@ type plan = {
   usd_per_month : float;
 }
 
-val make :
-  ?link_mbit_per_sec:float ->
-  ?targets:int ->
-  ?seconds:float ->
-  n_relays:int ->
-  required_mbit_per_sec:float ->
-  unit ->
-  plan
-(** Raises [Invalid_argument] if the requirement exceeds the link
-    (the protocol could not run at all — no attack needed). *)
+val make : n_relays:int -> required_mbit_per_sec:float -> unit -> plan
+(** The {!Cost.break_one_run} instance for the requirement: 5 targets
+    on 250 Mbit/s links, 300 s per run.  Raises [Invalid_argument] if
+    the requirement exceeds the link (the protocol could not run at
+    all — no attack needed). *)
 
 val hours_to_network_down : float
 (** 3.0 — consensus documents expire 3 h after generation; consecutive

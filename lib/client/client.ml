@@ -23,18 +23,7 @@ let offer t ~now (sc : Directory.signed_consensus) =
             Ok ()
       end
 
-let current t = t.held
-
 let status t ~now = Option.map (fun c -> Directory.freshness ~now c) t.held
 
 let can_build_circuits t ~now =
   match t.held with Some c -> Directory.usable ~now c | None -> false
-
-let build_circuit t ~now ~rng ~port =
-  match t.held with
-  | None -> Error "no consensus document yet"
-  | Some c ->
-      if not (Directory.usable ~now c) then
-        Error "consensus expired; refusing to build circuits"
-      else
-        Result.map_error Circuit.error_to_string (Circuit.build ~rng ~port c)

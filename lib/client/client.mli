@@ -16,16 +16,10 @@ val offer : t -> now:float -> Directory.signed_consensus -> (unit, string) resul
     what the client already holds; otherwise an explanatory error is
     returned and the state is unchanged. *)
 
-val current : t -> Dirdoc.Consensus.t option
-(** The newest adopted document. *)
-
 val status : t -> now:float -> Directory.freshness option
 (** Freshness of the held document ([None] if bootstrapping). *)
 
 val can_build_circuits : t -> now:float -> bool
-(** The client holds a usable (non-expired) consensus. *)
-
-val build_circuit :
-  t -> now:float -> rng:Tor_sim.Rng.t -> port:int -> (Circuit.t, string) result
-(** Build a three-hop circuit to a destination port, failing if the
-    consensus is expired or lacks eligible relays. *)
+(** The client holds a usable (non-expired) consensus: the condition
+    for building circuits at all.  Circuit construction itself is not
+    modelled. *)

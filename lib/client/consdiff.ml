@@ -60,13 +60,6 @@ let split_blocks lines =
 let doc_digest text = Crypto.Digest32.of_string text
 
 let diff ~base ~target =
-  let base_digest = doc_digest base in
-  let target_digest = doc_digest target in
-  if Crypto.Digest32.equal base_digest target_digest then
-    (* Fast path: identical documents need no line scan and serve as a
-       ~100-byte "no change" marker on the wire. *)
-    { base_digest; target_digest; commands = [] }
-  else
   let base_lines = split_lines base in
   let n_base = Array.length base_lines in
   (* Merge both sorted block sequences, emitting edits in ascending
@@ -90,7 +83,7 @@ let diff ~base ~target =
   let commands =
     merge (split_blocks base_lines) (split_blocks (split_lines target)) []
   in
-  { base_digest; target_digest; commands }
+  { base_digest = doc_digest base; target_digest = doc_digest target; commands }
 
 let patch ~base t =
   if not (Crypto.Digest32.equal (doc_digest base) t.base_digest) then

@@ -4,8 +4,9 @@
     ed-style line diff of the new one, cutting directory bandwidth by
     an order of magnitude — which matters here because directory
     bandwidth is exactly what the DDoS attack starves.  This module
-    implements line-based diff computation (an LCS over document
-    lines), the ed-script encoding, and patch application.
+    implements line-based diff computation (a one-pass merge of the two
+    documents' per-relay blocks), the ed-script encoding, and patch
+    application.
 
     [patch base (diff base target) = target] for any two documents. *)
 
@@ -20,13 +21,12 @@ type command =
 type t = {
   base_digest : Crypto.Digest32.t;    (** document the diff applies to *)
   target_digest : Crypto.Digest32.t;  (** expected result *)
-  commands : command list;            (** in descending line order, as in ed *)
+  commands : command list;            (** in ascending base-line order *)
 }
 
 val diff : base:string -> target:string -> t
-(** Compute a line diff between two serialized documents.  Identical
-    documents (equal digests) take a fast path that skips the line
-    scan entirely and return an empty command list. *)
+(** Compute a line diff between two serialized documents; identical
+    documents give an empty command list. *)
 
 val patch : base:string -> t -> (string, string) result
 (** Apply a diff.  Fails with an explanation if the base digest does

@@ -121,15 +121,12 @@ let votes_for_spec (s : Runenv.Spec.t) =
   Exec.Cache.find_or_compute votes_cache ~key:(Runenv.Spec.digest vs) (fun () ->
       (Runenv.of_spec vs).Runenv.votes)
 
-let spec ?(attacks = []) ?(bandwidth_bits_per_sec = 250e6) ?(horizon = 7200.)
-    ~n_relays () =
-  { Runenv.Spec.default with n_relays; attacks; bandwidth_bits_per_sec; horizon }
+let spec ?(attacks = []) ~n_relays () = { Runenv.Spec.default with n_relays; attacks }
 
 let env_of_spec (s : Runenv.Spec.t) =
   Runenv.of_spec ~votes:(votes_for_spec s) s
 
-let env ?attacks ?bandwidth_bits_per_sec ?horizon ~n_relays () =
-  env_of_spec (spec ?attacks ?bandwidth_bits_per_sec ?horizon ~n_relays ())
+let env ?attacks ~n_relays () = env_of_spec (spec ?attacks ~n_relays ())
 
 let run_job (job : Job.t) =
   Job.outcome job (run job.Job.protocol (env_of_spec job.Job.spec))
@@ -138,9 +135,9 @@ let run_jobs ?(jobs = 1) job_list = Exec.Pool.map ~jobs run_job job_list
 
 (* --- Figure 1 ----------------------------------------------------------- *)
 
-let fig1 ?(n_relays = 8000) () =
+let fig1 () =
   let attacks = Attack.Ddos.bandwidth_attack ~n:9 () in
-  let e = env ~attacks ~n_relays () in
+  let e = env ~attacks ~n_relays:8000 () in
   let result = Protocols.Current_v3.run e in
   (* Show the log of an unattacked authority, like the paper. *)
   Tor_sim.Trace.dump ~node:8 result.Runenv.trace
@@ -174,12 +171,12 @@ let min_bandwidth_for_success ~n_relays =
   in
   if ok 0.05 then 0.05 else search 0.05 100.
 
-let fig7 ?(relay_counts = default_relay_counts) ?(jobs = 1) () =
+let fig7 ?(jobs = 1) () =
   (* The binary searches are sequential per relay count but
      independent across counts, so that is the parallel axis. *)
   Exec.Pool.map ~jobs
     (fun n_relays -> (n_relays, min_bandwidth_for_success ~n_relays))
-    relay_counts
+    default_relay_counts
 
 (* --- Figure 10 ----------------------------------------------------------- *)
 
@@ -192,12 +189,12 @@ type fig10_cell = {
 
 let default_bandwidths = [ 50.; 20.; 10.; 1.; 0.5 ]
 
-let fig10_sweep ~bandwidths_mbit ~relay_counts =
-  Exec.Sweep.make ~protocols:all_protocols ~bandwidths_mbit ~relay_counts ()
-
-let fig10 ?(bandwidths_mbit = default_bandwidths) ?(relay_counts = default_relay_counts)
-    ?(jobs = 1) () =
-  let cells = Exec.Sweep.cells (fig10_sweep ~bandwidths_mbit ~relay_counts) in
+let fig10 ?(jobs = 1) () =
+  let cells =
+    Exec.Sweep.cells
+      (Exec.Sweep.make ~protocols:all_protocols ~bandwidths_mbit:default_bandwidths
+         ~relay_counts:default_relay_counts ())
+  in
   let outcomes = run_jobs ~jobs (List.map (fun c -> c.Exec.Sweep.job) cells) in
   List.map2
     (fun (c : Exec.Sweep.cell) (o : Job.outcome) ->
@@ -217,9 +214,9 @@ type fig11_row = { protocol : protocol; total_latency : float option }
    the 5-minute attack, plus the 10-minute protocol (paper §6.2). *)
 let baseline_fallback_seconds = 2100.
 
-let fig11 ?(n_relays = 8000) ?(jobs = 1) () =
+let fig11 ?(jobs = 1) () =
   let attacks = Attack.Ddos.knockout ~n:9 () in
-  let job_of protocol = { Job.protocol; spec = spec ~attacks ~n_relays () } in
+  let job_of protocol = { Job.protocol; spec = spec ~attacks ~n_relays:8000 () } in
   let outcomes = run_jobs ~jobs (List.map job_of all_protocols) in
   List.map2
     (fun protocol (o : Job.outcome) ->
@@ -255,11 +252,11 @@ let table1_row protocol ~n ~n_relays =
     bytes_by_label = Tor_sim.Stats.labels stats;
   }
 
-let table1 ?(relay_counts = [ 1000; 2000; 4000 ]) () =
+let table1 () =
   List.concat_map
     (fun protocol ->
       List.map (fun n -> table1_row protocol ~n ~n_relays:1000) [ 5; 7; 9; 13 ]
-      @ List.map (fun n_relays -> table1_row protocol ~n:9 ~n_relays) relay_counts)
+      @ List.map (fun n_relays -> table1_row protocol ~n:9 ~n_relays) [ 1000; 2000; 4000 ])
     all_protocols
 
 (* --- Table 2 ------------------------------------------------------------- *)
@@ -332,11 +329,11 @@ let table1_fits rows =
 
 (* --- Ablations ----------------------------------------------------------------- *)
 
-let recovery_vs_view_timeout ?(timeouts = [ 1.; 5.; 15.; 30. ]) ?(n_relays = 2000) () =
+let recovery_vs_view_timeout () =
   let attacks = Attack.Ddos.knockout ~n:9 () in
   List.map
     (fun view_timeout ->
-      let e = env ~attacks ~n_relays () in
+      let e = env ~attacks ~n_relays:2000 () in
       let params = { Protocol.default_params with Protocol.view_timeout } in
       let result = Protocol.run ~params e in
       let recovery =
@@ -345,25 +342,22 @@ let recovery_vs_view_timeout ?(timeouts = [ 1.; 5.; 15.; 30. ]) ?(n_relays = 200
         else None
       in
       (view_timeout, recovery))
-    timeouts
+    [ 1.; 5.; 15.; 30. ]
 
-let latency_vs_doc_timeout ?(timeouts = [ 30.; 150.; 300. ]) ?(n_relays = 1000) () =
+let latency_vs_doc_timeout () =
   let behaviors = Array.make 9 Runenv.Honest in
   behaviors.(1) <- Runenv.Silent;
   behaviors.(7) <- Runenv.Silent;
   List.map
     (fun doc_timeout ->
-      let e =
-        Runenv.of_spec
-          { Runenv.Spec.default with n_relays; behaviors = Some behaviors }
-      in
+      let e = Runenv.of_spec { Runenv.Spec.default with behaviors = Some behaviors } in
       let params = { Protocol.default_params with Protocol.doc_timeout } in
       let result = Protocol.run ~params e in
       let latency =
         if Runenv.success e result then Runenv.success_latency result else None
       in
       (doc_timeout, latency))
-    timeouts
+    [ 30.; 150.; 300. ]
 
 type engine_row = {
   engine : string;
@@ -372,7 +366,7 @@ type engine_row = {
   agreement_bytes : int;
 }
 
-let agreement_engines ?(n_relays = 1000) () =
+let agreement_engines () =
   let engines =
     [
       ("hotstuff", fun e -> Protocol.Over_hotstuff.run e);
@@ -390,7 +384,7 @@ let agreement_engines ?(n_relays = 1000) () =
     (fun (engine, run) ->
       List.map
         (fun (scenario, attacks) ->
-          let e = env ~attacks ~n_relays () in
+          let e = env ~attacks ~n_relays:1000 () in
           let result = run e in
           {
             engine;
@@ -405,7 +399,7 @@ let agreement_engines ?(n_relays = 1000) () =
 (* Hourly consdiff savings over a churning network: how much client
    download the diff path avoids, using the live network's churn
    scale. *)
-let consdiff_savings ?(n_relays = 2000) ?(hours = 4) () =
+let consdiff_savings () =
   let rng = Rng.of_string_seed (default_seed ^ "-churn") in
   let keyring = Crypto.Keyring.create ~seed:default_seed ~n:9 () in
   (* Bandwidth measurements are stable hour-over-hour in practice
@@ -422,9 +416,9 @@ let consdiff_savings ?(n_relays = 2000) ?(hours = 4) () =
     in
     Dirdoc.Aggregate.consensus ~valid_after ~votes:(Array.to_list votes)
   in
-  let relays0 = Dirdoc.Workload.relays ~rng ~n:n_relays ~published:0. in
+  let relays0 = Dirdoc.Workload.relays ~rng ~n:2000 ~published:0. in
   let rec hours_loop hour relays previous acc =
-    if hour > hours then List.rev acc
+    if hour > 4 then List.rev acc
     else begin
       let valid_after = 3600. *. float_of_int hour in
       let c = consensus_of ~valid_after relays in

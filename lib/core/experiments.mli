@@ -57,10 +57,10 @@ val default_bandwidths : float list
 
 (** {1 Figure 1 — authority log under attack} *)
 
-val fig1 : ?n_relays:int -> unit -> string
-(** Run the current protocol with 5 authorities flooded during the
-    vote window and return an unattacked authority's Tor-style log —
-    the Figure 1 reproduction. *)
+val fig1 : unit -> string
+(** Run the current protocol at 8,000 relays with 5 authorities
+    flooded during the vote window and return an unattacked
+    authority's Tor-style log — the Figure 1 reproduction. *)
 
 (** {1 Figure 6 — relay census} *)
 
@@ -70,15 +70,10 @@ val fig6 : unit -> (string * float) list * float
 
 (** {1 Figure 7 — bandwidth requirement} *)
 
-val fig7 :
-  ?relay_counts:int list ->
-  ?jobs:int ->
-  unit ->
-  (int * float) list
-(** For each relay count, binary-search the minimum bandwidth
-    (Mbit/s, to 0.1 Mbit/s precision) the 5 attacked authorities need
-    for the current protocol to still succeed.  Default counts:
-    1000-10000 in steps of 1000.
+val fig7 : ?jobs:int -> unit -> (int * float) list
+(** For each of {!default_relay_counts}, binary-search the minimum
+    bandwidth (Mbit/s, to 0.1 Mbit/s precision) the 5 attacked
+    authorities need for the current protocol to still succeed.
     [jobs] parallelizes across relay counts; each probe is one fresh
     run, and a binary search never probes a bandwidth twice. *)
 
@@ -91,25 +86,20 @@ type fig10_cell = {
   latency : float option; (** None = failed to produce a consensus *)
 }
 
-val fig10 :
-  ?bandwidths_mbit:float list ->
-  ?relay_counts:int list ->
-  ?jobs:int ->
-  unit ->
-  fig10_cell list
+val fig10 : ?jobs:int -> unit -> fig10_cell list
 (** The full grid of Figure 10: all three protocols at every
-    bandwidth x relay-count combination (defaults: 50, 20, 10, 1,
-    0.5 Mbit/s x 1000-10000 — 150 independent cells).  The grid is
-    compiled to an {!Exec.Sweep} job list and executed on [jobs]
-    domains; cell order and values are identical for every [jobs]. *)
+    {!default_bandwidths} x {!default_relay_counts} combination (150
+    independent cells).  The grid is compiled to an {!Exec.Sweep} job
+    list and executed on [jobs] domains through {!run_jobs}; cell
+    order and values are identical for every [jobs]. *)
 
 (** {1 Figure 11 — recovery from a 5-minute knockout} *)
 
 type fig11_row = { protocol : protocol; total_latency : float option }
 
-val fig11 : ?n_relays:int -> ?jobs:int -> unit -> fig11_row list
-(** 5 authorities fully offline for the first 300 s, 250 Mbit/s
-    otherwise.  For the lock-step baselines the run fails and the
+val fig11 : ?jobs:int -> unit -> fig11_row list
+(** 8,000 relays; 5 authorities fully offline for the first 300 s,
+    250 Mbit/s otherwise.  For the lock-step baselines the run fails and the
     fallback applies: 2100 s (25 min wait for the next scheduled run
     plus the 10-minute protocol), the constant the paper reports. *)
 
@@ -126,10 +116,11 @@ type table1_row = {
   bytes_by_label : (string * int) list;
 }
 
-val table1 : ?relay_counts:int list -> unit -> table1_row list
+val table1 : unit -> table1_row list
 (** Measured traffic for each protocol while sweeping [n] over 5, 7, 9
-    and 13 at 1000 relays, and the document size at fixed [n = 9]; the
-    bench prints these next to the asymptotic formulas of Table 1. *)
+    and 13 at 1000 relays, and the document size over 1000, 2000 and
+    4000 relays at fixed [n = 9]; the bench prints these next to the
+    asymptotic formulas of Table 1. *)
 
 (** {1 Table 2 — round complexity} *)
 
@@ -160,17 +151,16 @@ val table1_fits : table1_row list -> (protocol * Tor_sim.Summary.fit) list
 
 (** {1 Ablations (design-choice sweeps from DESIGN.md §5)} *)
 
-val recovery_vs_view_timeout :
-  ?timeouts:float list -> ?n_relays:int -> unit -> (float * float option) list
-(** Figure 11 scenario swept over the HotStuff pacemaker timeout:
-    recovery latency after the attack ends, per timeout setting. *)
+val recovery_vs_view_timeout : unit -> (float * float option) list
+(** Figure 11 scenario at 2,000 relays swept over the HotStuff
+    pacemaker timeout (1, 5, 15 and 30 s): recovery latency after the
+    attack ends, per timeout setting. *)
 
-val latency_vs_doc_timeout :
-  ?timeouts:float list -> ?n_relays:int -> unit -> (float * float option) list
-(** Happy-path-with-2-silent-authorities latency swept over the
-    dissemination wait Δ: with silent authorities, a node may not see
-    all n documents and must wait Δ before proposing with n - f, so Δ
-    bounds the latency directly. *)
+val latency_vs_doc_timeout : unit -> (float * float option) list
+(** Happy-path-with-2-silent-authorities latency at 1,000 relays swept
+    over the dissemination wait Δ (30, 150 and 300 s): with silent
+    authorities, a node may not see all n documents and must wait Δ
+    before proposing with n - f, so Δ bounds the latency directly. *)
 
 type engine_row = {
   engine : string;         (** agreement engine name *)
@@ -179,13 +169,14 @@ type engine_row = {
   agreement_bytes : int;   (** bytes attributed to agreement messages *)
 }
 
-val agreement_engines : ?n_relays:int -> unit -> engine_row list
-(** The paper's §5.2.2 pluggability claim, measured: the same
-    dissemination/aggregation sub-protocols over HotStuff (linear,
-    leader-relayed votes), Tendermint, and PBFT (both all-to-all), in
-    the healthy and 300 s-knockout scenarios. *)
+val agreement_engines : unit -> engine_row list
+(** The paper's §5.2.2 pluggability claim, measured at 1,000 relays:
+    the same dissemination/aggregation sub-protocols over HotStuff
+    (linear, leader-relayed votes), Tendermint, and PBFT (both
+    all-to-all), in the healthy and 300 s-knockout scenarios. *)
 
-val consdiff_savings : ?n_relays:int -> ?hours:int -> unit -> (int * float) list
-(** Per consensus hour over a churning relay population: the fraction
-    of client download saved by fetching a consensus diff instead of
-    the full document (Tor's consdiff mechanism). *)
+val consdiff_savings : unit -> (int * float) list
+(** Per consensus hour (hours 1-4) over a churning population of
+    2,000 relays: the fraction of client download saved by fetching a
+    consensus diff instead of the full document (Tor's consdiff
+    mechanism). *)

@@ -41,7 +41,7 @@ let signed_consensus_of_run keyring ~n (result : Runenv.run_result) =
       in
       Some (Directory.make keyring consensus ~signers)
 
-let run ?(hours = 12) ?(n_relays = 2000) ~protocol ~policy () =
+let run ?(hours = 12) ~protocol ~policy () =
   let n = 9 in
   let base = Runenv.default_valid_after in
   let keyring = Crypto.Keyring.create ~seed:"outage" ~n () in
@@ -60,7 +60,7 @@ let run ?(hours = 12) ?(n_relays = 2000) ~protocol ~policy () =
               Runenv.Spec.default with
               seed = Printf.sprintf "outage-h%d" index;
               valid_after;
-              n_relays;
+              n_relays = 2000;
               attacks;
               horizon = 3000.;
             }

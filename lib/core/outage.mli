@@ -36,14 +36,14 @@ type timeline = {
 
 val run :
   ?hours:int ->
-  ?n_relays:int ->
   protocol:Experiments.protocol ->
   policy:attack_policy ->
   unit ->
   timeline
-(** Default: 12 hours, 2,000 relays.  Every hour re-runs the directory
-    protocol in its own simulation (fresh votes, same seed lineage)
-    and feeds any produced consensus to a client. *)
+(** [hours] defaults to 12; every hour runs at 2,000 relays.  Every
+    hour re-runs the directory protocol in its own simulation (fresh
+    votes, same seed lineage) and feeds any produced consensus to a
+    client. *)
 
 val first_dark_hour : timeline -> int option
 (** The first hour at whose end clients could no longer build

@@ -12,5 +12,4 @@ let hex t = Sha256.hex_of_raw t
 let short_hex t = String.sub (hex t) 0 10
 let equal = String.equal
 let compare = String.compare
-let pp ppf t = Format.pp_print_string ppf (short_hex t)
 let wire_size = size

@@ -27,7 +27,6 @@ val short_hex : t -> string
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit
 
 val wire_size : int
 (** Bytes a digest occupies on the simulated wire (32). *)

@@ -282,11 +282,6 @@ let finalize ctx =
   done;
   Bytes.unsafe_to_string out
 
-let digest_bytes b =
-  let ctx = init () in
-  feed_bytes ctx b ~pos:0 ~len:(Bytes.length b);
-  finalize ctx
-
 let digest_string s =
   let ctx = init () in
   feed_string ctx s;

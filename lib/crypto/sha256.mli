@@ -35,9 +35,6 @@ val finalize : ctx -> string
 val digest_string : string -> string
 (** [digest_string s] is the 32-byte raw SHA-256 digest of [s]. *)
 
-val digest_bytes : bytes -> string
-(** [digest_bytes b] is the 32-byte raw SHA-256 digest of [b]. *)
-
 val hex_of_raw : string -> string
 (** [hex_of_raw d] renders a raw digest as lowercase hex. *)
 

@@ -23,7 +23,3 @@ let forge ~signer msg =
 let wire_size = 64
 
 let equal a b = a.signer = b.signer && String.equal a.tag b.tag
-
-let pp ppf t =
-  Format.fprintf ppf "sig[%d:%s]" t.signer
-    (String.sub (Sha256.hex_of_raw t.tag) 0 8)

@@ -33,4 +33,3 @@ val wire_size : int
 (** Modelled size on the simulated wire: 64 bytes (κ in the paper). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

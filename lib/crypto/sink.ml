@@ -3,9 +3,7 @@ type t = {
   mutable len : int;
 }
 
-let create ?(size = 256) () =
-  let size = if size < 16 then 16 else size in
-  { buf = Bytes.create size; len = 0 }
+let create () = { buf = Bytes.create 256; len = 0 }
 
 let clear t = t.len <- 0
 

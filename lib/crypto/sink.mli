@@ -12,9 +12,9 @@
 
 type t
 
-val create : ?size:int -> unit -> t
-(** [create ?size ()] is an empty sink with [size] bytes of initial
-    capacity (default 256).  The buffer grows by doubling. *)
+val create : unit -> t
+(** [create ()] is an empty sink with 256 bytes of initial capacity.
+    The buffer grows by doubling. *)
 
 val clear : t -> unit
 (** [clear t] empties the sink, keeping its capacity. *)

@@ -35,8 +35,6 @@ let canonical p =
   | Some r -> Buffer.add_string buf (Rotation.canonical r));
   Buffer.contents buf
 
-let digest p = Crypto.Digest32.hex (Crypto.Digest32.of_string (canonical p))
-
 let pp ppf p =
   if is_empty p then Format.pp_print_string ppf "(no defenses)"
   else begin

@@ -37,9 +37,6 @@ val canonical : t -> string
     identically.  Feeds [Runenv.Spec.canonical] so defenses
     participate in job digests. *)
 
-val digest : t -> string
-(** SHA-256 of {!canonical}, 64 hex characters. *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line rendering, e.g.
     [admission[rate=2/s,burst=32,backlog=64] rotate[out=1,epoch=150s,seed=mptc]]. *)

@@ -18,9 +18,6 @@ type t = {
   signing_payload : string;
 }
 
-let header_wire_bytes = 1536
-let entry_wire_bytes = 220
-
 (* Same scheme as [Vote.compute_digest]: one reused [Sink] scratch per
    record, flushed into the streaming hash — no per-entry [sprintf].
    The encoding is pinned byte-for-byte by the digest regression
@@ -101,7 +98,6 @@ let digest t = t.digest
 let equal a b = Crypto.Digest32.equal a.digest b.digest
 let is_fresh t ~now = now < t.fresh_until
 let is_valid t ~now = now < t.valid_until
-let wire_size t = header_wire_bytes + (entry_wire_bytes * n_entries t)
 
 let serialize t =
   let buf = Buffer.create (2048 + (n_entries t * 256)) in
@@ -127,123 +123,3 @@ let serialize t =
   Buffer.contents buf
 
 let signing_payload t = t.signing_payload
-
-(* --- parsing ------------------------------------------------------------- *)
-
-let ( let* ) = Result.bind
-
-type parser_state = {
-  mutable meta : (string * string) list;
-  mutable entries_rev : entry list;
-  mutable r_line : string list option;
-  mutable r_flags : Flags.t option;
-  mutable r_version : Version.t option;
-  mutable r_protocols : string option;
-  mutable r_bandwidth : int option;
-  mutable r_policy : Exit_policy.t option;
-}
-
-let flush_entry st =
-  match st.r_line with
-  | None -> Ok ()
-  | Some [ nickname; fingerprint ] -> (
-      match (st.r_flags, st.r_version, st.r_bandwidth, st.r_policy) with
-      | Some flags, Some version, Some bandwidth, Some exit_policy ->
-          let protocols = Option.value st.r_protocols ~default:"" in
-          st.entries_rev <-
-            { fingerprint; nickname; flags; version; protocols; bandwidth; exit_policy }
-            :: st.entries_rev;
-          st.r_line <- None;
-          st.r_flags <- None;
-          st.r_version <- None;
-          st.r_protocols <- None;
-          st.r_bandwidth <- None;
-          st.r_policy <- None;
-          Ok ()
-      | _ -> Error (Printf.sprintf "incomplete consensus entry for %s" fingerprint))
-  | Some _ -> Error "malformed consensus r line"
-
-let parse text =
-  let st =
-    {
-      meta = [];
-      entries_rev = [];
-      r_line = None;
-      r_flags = None;
-      r_version = None;
-      r_protocols = None;
-      r_bandwidth = None;
-      r_policy = None;
-    }
-  in
-  let rec consume = function
-    | [] -> Ok ()
-    | "" :: rest -> consume rest
-    | line :: rest ->
-        let keyword, payload =
-          match String.index_opt line ' ' with
-          | None -> (line, "")
-          | Some i -> (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-        in
-        let* () =
-          match keyword with
-          | "r" ->
-              let* () = flush_entry st in
-              st.r_line <- Some (String.split_on_char ' ' payload);
-              Ok ()
-          | "s" ->
-              let* flags = Flags.of_string payload in
-              st.r_flags <- Some flags;
-              Ok ()
-          | "v" ->
-              let version_text =
-                match String.index_opt payload ' ' with
-                | Some i -> String.sub payload (i + 1) (String.length payload - i - 1)
-                | None -> payload
-              in
-              let* v = Version.of_string version_text in
-              st.r_version <- Some v;
-              Ok ()
-          | "pr" ->
-              st.r_protocols <- Some payload;
-              Ok ()
-          | "w" -> (
-              match String.split_on_char '=' payload with
-              | [ "Bandwidth"; bw ] -> (
-                  match int_of_string_opt bw with
-                  | Some bw ->
-                      st.r_bandwidth <- Some bw;
-                      Ok ()
-                  | None -> Error (Printf.sprintf "bad bandwidth %S" payload))
-              | _ -> Error (Printf.sprintf "bad w line %S" payload))
-          | "p" ->
-              let* policy = Exit_policy.of_string payload in
-              st.r_policy <- Some policy;
-              Ok ()
-          | "directory-footer" -> flush_entry st
-          | "network-status-version" | "vote-status" | "consensus-method"
-          | "voting-delay" ->
-              Ok ()
-          | key ->
-              st.meta <- (key, payload) :: st.meta;
-              Ok ()
-        in
-        consume rest
-  in
-  let* () = consume (String.split_on_char '\n' text) in
-  let* () = flush_entry st in
-  let* valid_after =
-    match List.assoc_opt "valid-after" st.meta with
-    | None -> Error "missing valid-after"
-    | Some raw -> Timefmt.of_string raw
-  in
-  let* n_votes =
-    match List.assoc_opt "vote-count" st.meta with
-    | None -> Error "missing vote-count"
-    | Some raw ->
-        Option.to_result ~none:(Printf.sprintf "bad vote-count %S" raw)
-          (int_of_string_opt raw)
-  in
-  match create ~valid_after ~n_votes ~entries:(List.rev st.entries_rev) with
-  | c -> Ok c
-  | exception Invalid_argument e -> Error e

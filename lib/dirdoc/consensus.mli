@@ -42,15 +42,8 @@ val is_fresh : t -> now:float -> bool
 val is_valid : t -> now:float -> bool
 (** Document not yet past the 3-hour hard deadline. *)
 
-val wire_size : t -> int
-(** Modelled serialized size (header + 220 bytes per entry). *)
-
 val serialize : t -> string
 (** Dir-spec-style text rendering. *)
-
-val parse : string -> (t, string) result
-(** Parse text produced by {!serialize}; [parse (serialize c)] equals
-    [c] content-wise. *)
 
 val signing_payload : t -> string
 (** The byte string authorities sign: the digest prefixed with a

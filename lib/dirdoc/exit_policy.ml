@@ -28,11 +28,6 @@ let reject_all = { policy = Reject; ranges = [ (1, 65535) ] }
 let policy t = t.policy
 let ranges t = t.ranges
 
-let in_ranges t port = List.exists (fun (lo, hi) -> port >= lo && port <= hi) t.ranges
-
-let allows_port t port =
-  match t.policy with Accept -> in_ranges t port | Reject -> not (in_ranges t port)
-
 let range_to_string (lo, hi) =
   if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi
 

@@ -22,9 +22,6 @@ val reject_all : t
 val policy : t -> policy
 val ranges : t -> (int * int) list
 
-val allows_port : t -> int -> bool
-(** Whether the summary permits exiting to a port. *)
-
 val to_string : t -> string
 
 val feed : Crypto.Sink.t -> t -> unit

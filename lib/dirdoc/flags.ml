@@ -36,12 +36,9 @@ let all =
     Running; Stable; StaleDesc; V2Dir; Valid ]
 
 let empty = 0
-let singleton f = bit f
 let add f t = t lor bit f
 let remove f t = t land lnot (bit f)
 let mem f t = t land bit f <> 0
-let union = ( lor )
-let inter = ( land )
 let of_list flags = List.fold_left (fun acc f -> add f acc) empty flags
 let to_list t = List.filter (fun f -> mem f t) all
 
@@ -50,7 +47,6 @@ let cardinal t =
   count 0 t
 
 let equal = Int.equal
-let compare = Int.compare
 
 let flag_to_string = function
   | Authority -> "Authority"

@@ -23,7 +23,6 @@ type t
 (** An immutable set of flags. *)
 
 val empty : t
-val singleton : flag -> t
 val of_list : flag list -> t
 val to_list : t -> flag list
 (** In dir-spec order (alphabetical). *)
@@ -31,11 +30,8 @@ val to_list : t -> flag list
 val add : flag -> t -> t
 val remove : flag -> t -> t
 val mem : flag -> t -> bool
-val union : t -> t -> t
-val inter : t -> t -> t
 val cardinal : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val all : flag list
 (** Every known flag, in dir-spec order. *)

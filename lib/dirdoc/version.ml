@@ -63,4 +63,3 @@ let compare a b =
 
 let equal a b = compare a b = 0
 let max a b = if compare a b >= 0 then a else b
-let pp ppf v = Format.pp_print_string ppf (to_string v)

@@ -24,4 +24,3 @@ val feed : Crypto.Sink.t -> t -> unit
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val max : t -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -40,7 +40,7 @@ module type S = sig
     keyring:Crypto.Keyring.t ->
     n:int ->
     id:int ->
-    ?view_timeout:Tor_sim.Simtime.t ->
+    view_timeout:Tor_sim.Simtime.t ->
     ('v, 'v msg) callbacks ->
     'v t
 

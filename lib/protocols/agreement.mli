@@ -66,11 +66,12 @@ module type S = sig
     keyring:Crypto.Keyring.t ->
     n:int ->
     id:int ->
-    ?view_timeout:Tor_sim.Simtime.t ->
+    view_timeout:Tor_sim.Simtime.t ->
     ('v, 'v msg) callbacks ->
     'v t
-  (** [view_timeout] defaults to 5 s.  Raises [Invalid_argument] if
-      [n < 4] (partial synchrony needs n >= 3f + 1 with f >= 1). *)
+  (** [view_timeout] is the pacemaker's per-view timer.  Raises
+      [Invalid_argument] if [n < 4] (partial synchrony needs
+      n >= 3f + 1 with f >= 1). *)
 
   val start : 'v t -> unit
   (** Begin view 0.  Call once, after the transport is wired. *)

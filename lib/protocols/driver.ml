@@ -41,7 +41,7 @@ let apply_attacks (env : Runenv.t) net =
   let base = Option.value env.fault_plan ~default:Sim.Fault.empty in
   let merged = { base with Sim.Fault.faults = base.Sim.Fault.faults @ behavior_crashes } in
   if merged.Sim.Fault.faults <> [] then
-    Sim.Net.set_fault net (Sim.Fault.instantiate merged);
+    Sim.Net.set_fault net merged;
   match env.defense with
   | Some p when not (Defense.Plan.is_empty p) -> Sim.Net.set_defense net p
   | Some _ | None -> ()

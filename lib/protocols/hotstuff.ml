@@ -44,7 +44,7 @@ type 'v t = {
   timeouts : (int, (int, qc option * 'v option) Hashtbl.t) Hashtbl.t;
 }
 
-let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
+let create ~keyring ~n ~id ~view_timeout cb =
   if n < 4 then invalid_arg "Hotstuff.create: need n >= 4";
   {
     keyring;
@@ -95,12 +95,12 @@ let qc_view = function None -> -1 | Some (qc : qc) -> qc.view
 let qc_size = function
   | None -> 8
   | Some (qc : qc) ->
-      Wire.digest_bytes + 16 + (List.length qc.sigs * Signature.wire_size)
+      Digest32.wire_size + 16 + (List.length qc.sigs * Signature.wire_size)
 
 let msg_size ~value_size = function
   | Propose { value; justify; _ } ->
       Wire.control_bytes + value_size value + qc_size justify
-  | Vote _ -> Wire.control_bytes + Wire.digest_bytes + Signature.wire_size
+  | Vote _ -> Wire.control_bytes + Digest32.wire_size + Signature.wire_size
   | Qc_announce { qc } -> Wire.control_bytes + qc_size (Some qc)
   | Commit { qc; value } -> Wire.control_bytes + qc_size (Some qc) + value_size value
   | Timeout { high_qc; value; _ } ->

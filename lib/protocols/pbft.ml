@@ -41,7 +41,7 @@ type 'v t = {
   view_changes : (int, (int, 'v certificate option) Hashtbl.t) Hashtbl.t;
 }
 
-let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
+let create ~keyring ~n ~id ~view_timeout cb =
   if n < 4 then invalid_arg "Pbft.create: need n >= 4";
   {
     keyring;
@@ -83,13 +83,13 @@ let certificate_valid t (c : 'v certificate) ~digest_of =
 
 let msg_size ~value_size = function
   | Pre_prepare { value; _ } -> Wire.control_bytes + value_size value
-  | Prepare _ | Commit _ -> Wire.control_bytes + Wire.digest_bytes + Signature.wire_size
+  | Prepare _ | Commit _ -> Wire.control_bytes + Digest32.wire_size + Signature.wire_size
   | View_change { certificate; _ } ->
       Wire.control_bytes + Signature.wire_size
       + (match certificate with
         | None -> 8
         | Some c ->
-            Wire.digest_bytes + value_size c.cert_value
+            Digest32.wire_size + value_size c.cert_value
             + (List.length c.cert_sigs * Signature.wire_size))
   | Decision { value; commits; _ } ->
       Wire.control_bytes + value_size value

@@ -42,7 +42,7 @@ type 'v t = {
   future : (int, (int, unit) Hashtbl.t) Hashtbl.t; (* round -> signers heard from *)
 }
 
-let create ~keyring ~n ~id ?(view_timeout = 5.) cb =
+let create ~keyring ~n ~id ~view_timeout cb =
   if n < 4 then invalid_arg "Tendermint.create: need n >= 4";
   {
     keyring;
@@ -90,12 +90,12 @@ let polka_valid t ~digest (p : polka) =
 
 let polka_size = function
   | None -> 8
-  | Some p -> Wire.digest_bytes + 16 + (List.length p.polka_sigs * Signature.wire_size)
+  | Some p -> Digest32.wire_size + 16 + (List.length p.polka_sigs * Signature.wire_size)
 
 let msg_size ~value_size = function
   | Proposal { value; evidence; _ } ->
       Wire.control_bytes + value_size value + polka_size evidence
-  | Prevote _ | Precommit _ -> Wire.control_bytes + Wire.digest_bytes + Signature.wire_size
+  | Prevote _ | Precommit _ -> Wire.control_bytes + Digest32.wire_size + Signature.wire_size
   | Decided { value; precommits; _ } ->
       Wire.control_bytes + value_size value
       + (List.length precommits * Signature.wire_size)

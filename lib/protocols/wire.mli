@@ -15,9 +15,6 @@ val signature_bytes : int
 (** One detached signature on the wire: κ = 64 plus identity and
     framing. *)
 
-val digest_bytes : int
-(** One digest on the wire. *)
-
 val vote_push_bytes : n_relays:int -> int
 (** A full vote document plus envelope. *)
 

@@ -112,12 +112,12 @@ type t = {
   plan : plan;
   base : int64; (* plan-keyed seed for per-message streams *)
   has_prob : bool; (* any fault kind that consumes draws? *)
-  mutable n : int; (* bound node count; 0 until [bind] *)
-  mutable counters : int array; (* n*n per-(src,dst) message counters *)
-  mutable fallback : int; (* message counter when unbound *)
+  n : int;
+  counters : int array; (* n*n per-(src,dst) message counters *)
 }
 
-let instantiate plan =
+let instantiate plan ~n =
+  if n <= 0 then invalid_arg "Fault.instantiate: n must be positive";
   let has_prob =
     List.exists
       (fun f ->
@@ -130,18 +130,9 @@ let instantiate plan =
     plan;
     base = Rng.seed_of_string ("fault:" ^ digest plan);
     has_prob;
-    n = 0;
-    counters = [||];
-    fallback = 0;
+    n;
+    counters = Array.make (n * n) 0;
   }
-
-let bind t ~n =
-  if n <= 0 then invalid_arg "Fault.bind: n must be positive";
-  t.n <- n;
-  t.counters <- Array.make (n * n) 0;
-  t.fallback <- 0
-
-let plan t = t.plan
 
 type decision = { drop : bool; extra_delay : float; duplicate : bool }
 
@@ -152,22 +143,9 @@ let matches pat v = pat = any || pat = v
 let active flt ~now = now >= flt.start && now < flt.stop
 
 let message_stream t ~src ~dst =
-  let k =
-    if t.n > 0 then begin
-      let i = (src * t.n) + dst in
-      let c = t.counters.(i) in
-      t.counters.(i) <- c + 1;
-      c
-    end
-    else begin
-      (* Unbound injector (plain [decide] callers outside a [Net]):
-         fall back to a global message counter, deterministic in call
-         order. *)
-      let c = t.fallback in
-      t.fallback <- c + 1;
-      c
-    end
-  in
+  let i = (src * t.n) + dst in
+  let k = t.counters.(i) in
+  t.counters.(i) <- k + 1;
   let s = Rng.mix64 (Int64.add t.base (Int64.of_int (src + 1))) in
   let s = Rng.mix64 (Int64.add s (Int64.of_int (dst + 1))) in
   Rng.create (Rng.mix64 (Int64.add s (Int64.of_int k)))

@@ -78,20 +78,14 @@ val pp : Format.formatter -> plan -> unit
 (** {1 Runtime injector} *)
 
 type t
-(** An instantiated plan: the fault list plus the plan-keyed RNG
-    stream.  One injector serves exactly one run; instantiate a fresh
-    one per simulation so streams never leak across runs. *)
+(** An instantiated plan: the fault list, the plan-keyed RNG seed and
+    one message counter per link.  One injector serves exactly one
+    run; {!Net.set_fault} instantiates a fresh one per network so
+    streams never leak across runs. *)
 
-val instantiate : plan -> t
-val plan : t -> plan
-
-val bind : t -> n:int -> unit
-(** [bind t ~n] sizes the injector's per-link message counters for an
-    [n]-node network and resets them; {!Net.set_fault} calls it.  An
-    unbound injector still works (a single global message counter,
-    deterministic in call order) but its draws then depend on how sends
-    on different links interleave.  Raises [Invalid_argument] if
-    [n <= 0]. *)
+val instantiate : plan -> n:int -> t
+(** [instantiate plan ~n] sizes the per-link message counters for an
+    [n]-node network.  Raises [Invalid_argument] if [n <= 0]. *)
 
 type decision = {
   drop : bool;

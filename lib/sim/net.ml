@@ -86,17 +86,9 @@ let observe_latency t ~dst ~label ~sent_at =
 let check_node t id name =
   if id < 0 || id >= n t then invalid_arg ("Net." ^ name ^ ": node out of range")
 
-let nic t id =
-  check_node t id "nic";
-  t.nics.(id)
-
 let set_handler t f = t.handler <- Some f
 
-let set_fault t fault =
-  Fault.bind fault ~n:(n t);
-  t.fault <- Some fault
-
-let fault t = t.fault
+let set_fault t plan = t.fault <- Some (Fault.instantiate plan ~n:(n t))
 
 let set_defense t plan =
   Defense.Plan.validate ~n:(n t) plan;

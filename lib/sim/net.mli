@@ -27,7 +27,7 @@ val create :
   unit ->
   'm t
 (** All NICs start at the given uniform rate; per-node adjustments go
-    through {!nic}. *)
+    through {!limit_node}. *)
 
 val n : 'm t -> int
 val engine : 'm t -> Engine.t
@@ -43,16 +43,14 @@ val intern : 'm t -> string -> Stats.label
     id.  Call at setup, before the run; [Stats.intern (Net.stats net)]
     would hide the label from the delivery-latency histograms. *)
 
-val nic : 'm t -> int -> Nic.t
-(** The node's shared NIC. *)
-
 val set_handler : 'm t -> (dst:int -> src:int -> 'm -> unit) -> unit
 (** Install the delivery callback.  Must be set before any delivery
     fires; the last installed handler wins. *)
 
-val set_fault : 'm t -> Fault.t -> unit
-(** Install a fault injector; install before the first send so the
-    injector's RNG stream covers the whole run.  Semantics per message
+val set_fault : 'm t -> Fault.plan -> unit
+(** Install a fault injector for the plan, sized for this network;
+    install before the first send so the injector's per-link RNG
+    streams cover the whole run.  Semantics per message
     (fault windows are checked against the send instant for link
     faults, the delivery instant for receiver crashes):
     {ul
@@ -65,9 +63,6 @@ val set_fault : 'm t -> Fault.t -> unit
        discarded.}}
     Every loss is counted via {!Stats.record_drop} under the message's
     label. *)
-
-val fault : 'm t -> Fault.t option
-(** The installed injector, if any. *)
 
 val set_defense : 'm t -> Defense.Plan.t -> unit
 (** Install a defense plan through the same interposition seam as

@@ -1,7 +1,6 @@
 type t = float
 
 let zero = 0.
-let seconds s = s
 let minutes m = m *. 60.
 let ms m = m /. 1000.
 let add = Stdlib.( +. )

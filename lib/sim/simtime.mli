@@ -8,7 +8,6 @@
 type t = float
 
 val zero : t
-val seconds : float -> t
 val minutes : float -> t
 val ms : float -> t
 

@@ -79,8 +79,8 @@ let intern t name =
       Hashtbl.replace t.intern_table name id;
       id
 
-(* Allocation-free variant for the network hot path: [label] is either
-   an interned id or [no_label]. *)
+(* Allocation-free, for the network hot path: [label] is either an
+   interned id or [no_label]. *)
 let record_send t ~node ~bytes ~label =
   t.bytes_sent.(node) <- t.bytes_sent.(node) + bytes;
   t.messages_sent.(node) <- t.messages_sent.(node) + 1;
@@ -88,9 +88,6 @@ let record_send t ~node ~bytes ~label =
     t.label_counts.(label) <- t.label_counts.(label) + bytes;
     t.label_used.(label) <- true
   end
-
-let record_sent t ~node ~bytes ?(label = no_label) () =
-  record_send t ~node ~bytes ~label
 
 let record_received t ~node ~bytes =
   t.bytes_received.(node) <- t.bytes_received.(node) + bytes

@@ -32,9 +32,6 @@ val label_id : label -> int
 val record_send : t -> node:int -> bytes:int -> label:label -> unit
 (** Allocation-free accounting for the network hot path. *)
 
-val record_sent : t -> node:int -> bytes:int -> ?label:label -> unit -> unit
-(** Optional-argument convenience over {!record_send}. *)
-
 val record_received : t -> node:int -> bytes:int -> unit
 
 val record_drop : t -> node:int -> label:label -> unit

@@ -1,27 +1,3 @@
-let require_nonempty name = function
-  | [] -> invalid_arg ("Summary." ^ name ^ ": empty list")
-  | values -> values
-
-let mean values =
-  let values = require_nonempty "mean" values in
-  List.fold_left ( +. ) 0. values /. float_of_int (List.length values)
-
-let stddev values =
-  let values = require_nonempty "stddev" values in
-  let m = mean values in
-  let sq = List.fold_left (fun acc v -> acc +. ((v -. m) ** 2.)) 0. values in
-  sqrt (sq /. float_of_int (List.length values))
-
-let percentile values ~p =
-  let values = require_nonempty "percentile" values in
-  if p < 0. || p > 100. then invalid_arg "Summary.percentile: p out of range";
-  let sorted = List.sort Float.compare values in
-  let k = List.length sorted in
-  let rank = int_of_float (ceil (p /. 100. *. float_of_int k)) in
-  List.nth sorted (max 0 (min (k - 1) (rank - 1)))
-
-let median values = percentile values ~p:50.
-
 type fit = { slope : float; intercept : float; r_squared : float }
 
 let linear_fit points =

@@ -1,21 +1,8 @@
-(** Summary statistics for experiment results.
+(** Least-squares fits for experiment results.
 
-    Used by the benches to report more than raw rows: percentile
-    latencies, and log-log power-law fits that check the measured
-    communication complexity against the paper's Table 1 exponents
+    The Table 1 bench fits a power law in log-log space to check the
+    measured communication complexity against the paper's exponents
     (e.g. the synchronous protocol's bytes should grow as ~n³). *)
-
-val mean : float list -> float
-(** Raises [Invalid_argument] on an empty list. *)
-
-val stddev : float list -> float
-(** Population standard deviation.  Raises on empty. *)
-
-val percentile : float list -> p:float -> float
-(** Nearest-rank percentile, [p] in [\[0, 100\]].  Raises on an empty
-    list or out-of-range [p]. *)
-
-val median : float list -> float
 
 type fit = {
   slope : float;      (** exponent of the fitted power law *)

@@ -20,19 +20,22 @@ let test_bandwidth_attack_defaults () =
     attacks
 
 let test_knockout () =
-  let attacks = Attack.Ddos.knockout ~n:9 ~targets:[ 2; 5 ] () in
-  checki "two windows" 2 (List.length attacks);
+  let attacks = Attack.Ddos.knockout ~n:9 ~start:400. ~stop:500. () in
+  Alcotest.(check (list int))
+    "the majority targets" [ 0; 1; 2; 3; 4 ]
+    (List.map (fun (a : Protocols.Runenv.attack) -> a.node) attacks);
   List.iter
-    (fun (a : Protocols.Runenv.attack) -> checkf 0. "zero residual" 0. a.bits_per_sec)
+    (fun (a : Protocols.Runenv.attack) ->
+      checkf 0. "window start" 400. a.start;
+      checkf 0. "window stop" 500. a.stop;
+      checkf 0. "zero residual" 0. a.bits_per_sec)
     attacks
 
 let test_ddos_validation () =
-  Alcotest.check_raises "empty" (Invalid_argument "Ddos: empty target list") (fun () ->
-      ignore (Attack.Ddos.bandwidth_attack ~n:9 ~targets:[] ()));
-  Alcotest.check_raises "out of range" (Invalid_argument "Ddos: target out of range")
-    (fun () -> ignore (Attack.Ddos.knockout ~n:9 ~targets:[ 9 ] ()));
   Alcotest.check_raises "bad window" (Invalid_argument "Ddos: stop before start")
-    (fun () -> ignore (Attack.Ddos.knockout ~n:9 ~targets:[ 0 ] ~start:10. ~stop:5. ()))
+    (fun () -> ignore (Attack.Ddos.knockout ~n:9 ~start:10. ~stop:5. ()));
+  Alcotest.check_raises "bad flood window" (Invalid_argument "Ddos: stop before start")
+    (fun () -> ignore (Attack.Ddos.bandwidth_attack ~n:9 ~start:10. ~stop:5. ()))
 
 let test_flood_cost_linearity () =
   let one = Attack.Cost.flood_usd ~mbit_per_sec:1. ~targets:1 ~seconds:3600. in

@@ -123,7 +123,11 @@ let qcheck_random_splits =
 (* --- Sink ------------------------------------------------------------------ *)
 
 let test_sink_feeders () =
-  let sink = Sink.create ~size:4 () in
+  let sink = Sink.create () in
+  (* 600 bytes in one feed: past the 256-byte initial capacity by more
+     than one doubling, so the growth loop runs. *)
+  let pad = String.make 600 'p' in
+  Sink.feed_str sink pad;
   Sink.feed_str sink "x=";
   Sink.feed_int sink (-42);
   Sink.feed_char sink '|';
@@ -133,7 +137,7 @@ let test_sink_feeders () =
   Sink.feed_char sink '|';
   Sink.feed_int sink min_int;
   check str "ints and growth"
-    (Printf.sprintf "x=-42|0|%d|%d" max_int min_int)
+    (Printf.sprintf "%sx=-42|0|%d|%d" pad max_int min_int)
     (Sink.contents sink);
   Alcotest.(check int) "length" (String.length (Sink.contents sink)) (Sink.length sink);
   check str "digest = digest of contents"

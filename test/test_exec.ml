@@ -177,9 +177,14 @@ let test_sweep_compiles_grid () =
 (* --- Determinism across worker counts ---------------------------------------- *)
 
 let test_fig10_subgrid_determinism () =
-  let cells1 = E.fig10 ~bandwidths_mbit:[ 50. ] ~relay_counts:[ 100; 150 ] ~jobs:1 () in
-  let cells4 = E.fig10 ~bandwidths_mbit:[ 50. ] ~relay_counts:[ 100; 150 ] ~jobs:4 () in
-  checkb "fig10 cells identical across worker counts" true (cells1 = cells4)
+  (* The path [E.fig10] takes: an [Exec.Sweep] grid through [run_jobs]. *)
+  let jobs =
+    Exec.Sweep.jobs (Exec.Sweep.make ~bandwidths_mbit:[ 50. ] ~relay_counts:[ 100; 150 ] ())
+  in
+  let outcomes1 = E.run_jobs ~jobs:1 jobs in
+  let outcomes4 = E.run_jobs ~jobs:4 jobs in
+  checki "one outcome per cell" 6 (List.length outcomes1);
+  checkb "fig10 cells identical across worker counts" true (outcomes1 = outcomes4)
 
 (* --- Campaign ----------------------------------------------------------------- *)
 

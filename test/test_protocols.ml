@@ -211,7 +211,7 @@ let run_engine (module A : Protocols.Agreement.S) ?(n = 9) ?(silent = []) ?(atta
         log = (fun _ -> ());
       }
     in
-    nodes.(id) <- Some (A.create ~keyring ~n ~id cb)
+    nodes.(id) <- Some (A.create ~keyring ~n ~id ~view_timeout:5. cb)
   done;
   Sim.Net.set_handler net (fun ~dst ~src m ->
       match nodes.(dst) with
