@@ -36,17 +36,9 @@ let previous_consensus ~rng ~hours (c : Dirdoc.Consensus.t) =
     ~valid_after:(c.Dirdoc.Consensus.valid_after -. (3600. *. float_of_int hours))
     ~n_votes:c.Dirdoc.Consensus.n_votes ~entries
 
-let majority_signed_consensus (env : Runenv.t) (result : Runenv.run_result) =
-  let need = Runenv.majority ~n:env.Runenv.n in
-  Array.to_list result.Runenv.per_authority
-  |> List.find_map (fun (a : Runenv.authority_result) ->
-         match a.Runenv.consensus with
-         | Some c when a.Runenv.signatures >= need -> Some c
-         | _ -> None)
-
 let distribution_outcome (env : Runenv.t) (result : Runenv.run_result)
     (cfg : Torclient.Distribution.config) =
-  match majority_signed_consensus env result with
+  match Runenv.majority_signed ~n:env.Runenv.n result with
   | None -> None
   | Some c ->
       let target = Dirdoc.Consensus.serialize c in

@@ -22,16 +22,9 @@ type timeline = {
    hold enough signatures: the authorities a client could download the
    signed consensus from. *)
 let signed_consensus_of_run keyring ~n (result : Runenv.run_result) =
-  let documents =
-    Array.to_list result.Runenv.per_authority
-    |> List.filter_map (fun (a : Runenv.authority_result) ->
-           match a.Runenv.consensus with
-           | Some c when a.Runenv.signatures >= Runenv.majority ~n -> Some c
-           | _ -> None)
-  in
-  match documents with
-  | [] -> None
-  | consensus :: _ ->
+  match Runenv.majority_signed ~n result with
+  | None -> None
+  | Some consensus ->
       let signers =
         List.init n Fun.id
         |> List.filter (fun i ->

@@ -329,6 +329,15 @@ end
 
 let majority ~n = (n / 2) + 1
 
+let majority_signed ~n result =
+  let need = majority ~n in
+  Array.find_map
+    (fun (r : authority_result) ->
+      match r.consensus with
+      | Some c when r.signatures >= need -> Some c
+      | _ -> None)
+    result.per_authority
+
 (* Crash faults are benign: a crashed-and-recovered authority is held
    to the same agreement obligations as an always-up honest one. *)
 let correct_behavior = function

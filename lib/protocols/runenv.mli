@@ -203,6 +203,11 @@ end
 val majority : n:int -> int
 (** [n / 2 + 1] — signatures needed for a valid consensus document. *)
 
+val majority_signed : n:int -> run_result -> Dirdoc.Consensus.t option
+(** The document of the lowest-id authority holding one with at least
+    {!majority} signatures — what a client can download after the run;
+    [None] when no authority holds one. *)
+
 val success : t -> run_result -> bool
 (** A run succeeds when at least a majority of honest authorities
     produced the same consensus document carrying at least a majority
