@@ -72,13 +72,17 @@ let flag_directives protocol relays bandwidth seed attack =
   ]
   @ attack
 
+(* Every subcommand reports rejected input the same way: [CMD: message]
+   on stderr and exit status 2. *)
+let usage_error cmd msg =
+  Printf.eprintf "%s: %s\n" cmd msg;
+  2
+
 (* Fold [directives] into a scenario for [k]; a rejected spec is a
-   usage error (exit 2). *)
+   usage error. *)
 let with_scenario cmd directives k =
   match Torpartial.Scenario.of_directives directives with
-  | Error e ->
-      Printf.eprintf "%s: %s\n" cmd e;
-      2
+  | Error e -> usage_error cmd e
   | Ok scenario -> k scenario
 
 let print_distribution (o : Torclient.Distribution.outcome) =
@@ -275,12 +279,17 @@ let log_cmd =
   let action protocol relays bandwidth seed attack node =
     with_scenario "log" (flag_directives protocol relays bandwidth seed attack)
     @@ fun scenario ->
-    let report = Torpartial.Scenario.run scenario in
-    (* Stream the merged log one record at a time instead of
-       materializing the full merged list and a joined string. *)
-    Tor_sim.Trace.iter ~node report.R.result.R.trace (fun r ->
-        print_endline (Tor_sim.Trace.render r));
-    0
+    let n = scenario.Torpartial.Scenario.spec.R.Spec.n in
+    if node < 0 || node >= n then
+      usage_error "log" (Printf.sprintf "--node %d is not an authority in [0, %d)" node n)
+    else begin
+      let report = Torpartial.Scenario.run scenario in
+      (* Stream the merged log one record at a time instead of
+         materializing the full merged list and a joined string. *)
+      Tor_sim.Trace.iter ~node report.R.result.R.trace (fun r ->
+          print_endline (Tor_sim.Trace.render r));
+      0
+    end
   in
   let term =
     Term.(
@@ -302,9 +311,14 @@ let cost_cmd =
           ~doc:"Bandwidth the protocol needs per authority (Figure 7).")
   in
   let action relays required =
-    let plan = Attack.Planner.make ~n_relays:relays ~required_mbit_per_sec:required () in
-    Format.printf "%a@." Attack.Planner.pp plan;
-    0
+    if relays < 0 then usage_error "cost" "--relays must be >= 0"
+    else if not (required >= 0.) then usage_error "cost" "--required must be >= 0"
+    else
+      match Attack.Planner.make ~n_relays:relays ~required_mbit_per_sec:required () with
+      | exception Invalid_argument e -> usage_error "cost" e
+      | plan ->
+          Format.printf "%a@." Attack.Planner.pp plan;
+          0
   in
   let term = Term.(const action $ relays_arg $ required_arg) in
   Cmd.v (Cmd.info "cost" ~doc:"Price the DDoS attack for a given network size.") term
@@ -353,36 +367,39 @@ let sweep_cmd =
              whose shared vote populations are cached).")
   in
   let action jobs protocols bandwidths relay_counts seed =
-    if jobs < 0 then begin
-      prerr_endline "sweep: --jobs must be >= 0";
-      2
-    end
-    else begin
-      let jobs = if jobs = 0 then Exec.Pool.default_jobs () else jobs in
-      let base = { R.Spec.default with R.Spec.seed } in
-      let sweep =
-        Exec.Sweep.make ~protocols ~bandwidths_mbit:bandwidths ~relay_counts ~base ()
-      in
-      let cells = Exec.Sweep.cells sweep in
-      let started = Unix.gettimeofday () in
-      let outcomes =
-        E.run_jobs ~jobs (List.map (fun c -> c.Exec.Sweep.job) cells)
-      in
-      let elapsed = Unix.gettimeofday () -. started in
-      Printf.printf "%-12s %10s %8s %10s\n" "protocol" "mbit/s" "relays" "latency";
-      List.iter2
-        (fun (c : Exec.Sweep.cell) (o : Exec.Job.outcome) ->
-          Printf.printf "%-12s %10.1f %8d %10s\n"
-            (E.protocol_name c.Exec.Sweep.protocol)
-            c.Exec.Sweep.bandwidth_mbit c.Exec.Sweep.n_relays
-            (match (o.Exec.Job.success, o.Exec.Job.success_latency) with
-            | true, Some t -> Printf.sprintf "%.1f s" t
-            | true, None | false, _ -> "fail"))
-        cells outcomes;
-      Printf.eprintf "sweep: %d cells on %d domain(s) in %.1f s\n%!"
-        (List.length cells) jobs elapsed;
-      0
-    end
+    let base = { R.Spec.default with R.Spec.seed } in
+    let cells =
+      Exec.Sweep.cells
+        (Exec.Sweep.make ~protocols ~bandwidths_mbit:bandwidths ~relay_counts ~base ())
+    in
+    if jobs < 0 then usage_error "sweep" "--jobs must be >= 0"
+    else
+      match
+        List.iter
+          (fun (c : Exec.Sweep.cell) -> R.Spec.validate c.Exec.Sweep.job.Exec.Job.spec)
+          cells
+      with
+      | exception Invalid_argument e -> usage_error "sweep" e
+      | () ->
+        let jobs = if jobs = 0 then Exec.Pool.default_jobs () else jobs in
+        let started = Unix.gettimeofday () in
+        let outcomes =
+          E.run_jobs ~jobs (List.map (fun c -> c.Exec.Sweep.job) cells)
+        in
+        let elapsed = Unix.gettimeofday () -. started in
+        Printf.printf "%-12s %10s %8s %10s\n" "protocol" "mbit/s" "relays" "latency";
+        List.iter2
+          (fun (c : Exec.Sweep.cell) (o : Exec.Job.outcome) ->
+            Printf.printf "%-12s %10.1f %8d %10s\n"
+              (E.protocol_name c.Exec.Sweep.protocol)
+              c.Exec.Sweep.bandwidth_mbit c.Exec.Sweep.n_relays
+              (match (o.Exec.Job.success, o.Exec.Job.success_latency) with
+              | true, Some t -> Printf.sprintf "%.1f s" t
+              | true, None | false, _ -> "fail"))
+          cells outcomes;
+        Printf.eprintf "sweep: %d cells on %d domain(s) in %.1f s\n%!"
+          (List.length cells) jobs elapsed;
+        0
   in
   let term =
     Term.(
@@ -448,45 +465,40 @@ let chaos_cmd =
              $(b,both).")
   in
   let action jobs plans seed relays defense =
-    if jobs < 0 then begin
-      prerr_endline "chaos: --jobs must be >= 0";
-      2
-    end
-    else if plans < 0 then begin
-      prerr_endline "chaos: --plans must be >= 0";
-      2
-    end
-    else begin
-      let jobs = if jobs = 0 then Exec.Pool.default_jobs () else jobs in
-      let config =
-        {
-          Exec.Chaos.seed;
-          plans;
-          n_relays = relays;
-          defense =
-            (if Defense.Plan.is_empty defense then None else Some defense);
-        }
-      in
-      let started = Unix.gettimeofday () in
-      let report = Exec.Chaos.check ~config ~run_protocol:E.run ~jobs () in
-      let elapsed = Unix.gettimeofday () -. started in
-      List.iter
-        (fun v -> Format.printf "@[<v>%a@]@." Exec.Chaos.pp_verdict v)
-        report.Exec.Chaos.verdicts;
-      Printf.printf "chaos: %d plan(s), %d safety violation(s), %d liveness violation(s)\n"
-        plans report.Exec.Chaos.safety_violations report.Exec.Chaos.liveness_violations;
-      (* Tiny --plans runs can finish inside the clock's resolution;
-         reporting a rate from a near-zero denominator is noise, so the
-         throughput clause only appears when the run was measurable. *)
-      let rate =
-        if elapsed >= 0.001 then
-          Printf.sprintf " (%.2f plans/s)" (float_of_int plans /. elapsed)
-        else ""
-      in
-      Printf.eprintf "chaos: %d plan(s) on %d domain(s) in %.1f s%s\n%!"
-        plans jobs elapsed rate;
-      if report.Exec.Chaos.safety_violations > 0 then 1 else 0
-    end
+    let config =
+      {
+        Exec.Chaos.seed;
+        plans;
+        n_relays = relays;
+        defense = (if Defense.Plan.is_empty defense then None else Some defense);
+      }
+    in
+    if jobs < 0 then usage_error "chaos" "--jobs must be >= 0"
+    else if plans < 0 then usage_error "chaos" "--plans must be >= 0"
+    else
+      match R.Spec.validate (Exec.Chaos.base_spec config) with
+      | exception Invalid_argument e -> usage_error "chaos" e
+      | () ->
+        let jobs = if jobs = 0 then Exec.Pool.default_jobs () else jobs in
+        let started = Unix.gettimeofday () in
+        let report = Exec.Chaos.check ~config ~run_protocol:E.run ~jobs () in
+        let elapsed = Unix.gettimeofday () -. started in
+        List.iter
+          (fun v -> Format.printf "@[<v>%a@]@." Exec.Chaos.pp_verdict v)
+          report.Exec.Chaos.verdicts;
+        Printf.printf "chaos: %d plan(s), %d safety violation(s), %d liveness violation(s)\n"
+          plans report.Exec.Chaos.safety_violations report.Exec.Chaos.liveness_violations;
+        (* Tiny --plans runs can finish inside the clock's resolution;
+           reporting a rate from a near-zero denominator is noise, so the
+           throughput clause only appears when the run was measurable. *)
+        let rate =
+          if elapsed >= 0.001 then
+            Printf.sprintf " (%.2f plans/s)" (float_of_int plans /. elapsed)
+          else ""
+        in
+        Printf.eprintf "chaos: %d plan(s) on %d domain(s) in %.1f s%s\n%!"
+          plans jobs elapsed rate;
+        if report.Exec.Chaos.safety_violations > 0 then 1 else 0
   in
   let term =
     Term.(
@@ -524,18 +536,14 @@ let scenario_cmd =
     end
     else
       match file with
-      | None ->
-          prerr_endline "scenario: FILE required (or --example)";
-          2
+      | None -> usage_error "scenario" "FILE required (or --example)"
       | Some path -> (
           let ic = open_in path in
           let len = in_channel_length ic in
           let text = really_input_string ic len in
           close_in ic;
           match Torpartial.Scenario.parse text with
-          | Error e ->
-              Printf.eprintf "scenario: %s\n" e;
-              2
+          | Error e -> usage_error "scenario" e
           | Ok scenario ->
               let report = Torpartial.Scenario.run scenario in
               Printf.printf "protocol: %s\n" report.R.protocol;
