@@ -113,12 +113,12 @@ let votes_for_spec (s : Runenv.Spec.t) =
   Exec.Cache.find_or_compute votes_cache ~key:(Runenv.Spec.digest vs) (fun () ->
       (Runenv.of_spec vs).Runenv.votes)
 
-let spec ?(attacks = []) ~n_relays () = { Runenv.Spec.default with n_relays; attacks }
+let spec ~attacks ~n_relays = { Runenv.Spec.default with n_relays; attacks }
 
 let env_of_spec (s : Runenv.Spec.t) =
   Runenv.of_spec ~votes:(votes_for_spec s) s
 
-let env ?attacks ~n_relays () = env_of_spec (spec ?attacks ~n_relays ())
+let env ~attacks ~n_relays = env_of_spec (spec ~attacks ~n_relays)
 
 let run_job (job : Job.t) =
   Job.outcome job (run job.Job.protocol (env_of_spec job.Job.spec))
@@ -129,7 +129,7 @@ let run_jobs ?(jobs = 1) job_list = Exec.Pool.map ~jobs run_job job_list
 
 let fig1 () =
   let attacks = Attack.Ddos.bandwidth_attack ~n:9 () in
-  let e = env ~attacks ~n_relays:8000 () in
+  let e = env ~attacks ~n_relays:8000 in
   let result = Protocols.Current_v3.run e in
   (* Show the log of an unattacked authority, like the paper. *)
   Tor_sim.Trace.dump ~node:8 result.Runenv.trace
@@ -152,7 +152,7 @@ let min_bandwidth_for_success ~n_relays =
     let attacks =
       Attack.Ddos.bandwidth_attack ~n:9 ~residual_bits_per_sec:(mbit *. 1e6) ()
     in
-    let job = { Job.protocol = Current; spec = spec ~attacks ~n_relays () } in
+    let job = { Job.protocol = Current; spec = spec ~attacks ~n_relays } in
     (run_job job).Job.success
   in
   let rec search lo hi =
@@ -208,7 +208,7 @@ let baseline_fallback_seconds = 2100.
 
 let fig11 ?(jobs = 1) () =
   let attacks = Attack.Ddos.knockout ~n:9 () in
-  let job_of protocol = { Job.protocol; spec = spec ~attacks ~n_relays:8000 () } in
+  let job_of protocol = { Job.protocol; spec = spec ~attacks ~n_relays:8000 } in
   let outcomes = run_jobs ~jobs (List.map job_of all_protocols) in
   List.map2
     (fun protocol (o : Job.outcome) ->
@@ -325,7 +325,7 @@ let recovery_vs_view_timeout () =
   let attacks = Attack.Ddos.knockout ~n:9 () in
   List.map
     (fun view_timeout ->
-      let e = env ~attacks ~n_relays:2000 () in
+      let e = env ~attacks ~n_relays:2000 in
       let params = { Protocol.default_params with Protocol.view_timeout } in
       let result = Protocol.run ~params e in
       let recovery =
@@ -376,7 +376,7 @@ let agreement_engines () =
     (fun (engine, run) ->
       List.map
         (fun (scenario, attacks) ->
-          let e = env ~attacks ~n_relays:1000 () in
+          let e = env ~attacks ~n_relays:1000 in
           let result = run e in
           {
             engine;
