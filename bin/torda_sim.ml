@@ -314,10 +314,10 @@ let cost_cmd =
     if relays < 0 then usage_error "cost" "--relays must be >= 0"
     else if not (required >= 0.) then usage_error "cost" "--required must be >= 0"
     else
-      match Attack.Planner.make ~n_relays:relays ~required_mbit_per_sec:required () with
+      match Attack.Cost.break_one_run ~required_mbit_per_sec:required () with
       | exception Invalid_argument e -> usage_error "cost" e
-      | plan ->
-          Format.printf "%a@." Attack.Planner.pp plan;
+      | instance ->
+          Format.printf "%a@." (Attack.Cost.pp ~n_relays:relays) instance;
           0
   in
   let term = Term.(const action $ relays_arg $ required_arg) in

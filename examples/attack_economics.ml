@@ -34,13 +34,13 @@ let () =
   List.iter
     (fun n_relays ->
       let required = required_mbit ~n_relays in
-      let plan = Attack.Planner.make ~n_relays ~required_mbit_per_sec:required () in
-      Format.printf "%a@." Attack.Planner.pp plan)
+      let instance = Attack.Cost.break_one_run ~required_mbit_per_sec:required () in
+      Format.printf "%a@." (Attack.Cost.pp ~n_relays) instance)
     [ 1000; 4000; 8000 ];
   Printf.printf
     "\nAfter %.0f hours without a fresh consensus the documents expire and the\n\
      whole Tor network stops building circuits.\n"
-    Attack.Planner.hours_to_network_down;
+    Attack.Cost.hours_to_network_down;
   Printf.printf
     "For scale: Jansen et al. priced attacks on Tor bridges at $%.0f/month and\n\
      on the bandwidth scanners at $%.0f/month — the directory authorities are\n\

@@ -14,6 +14,7 @@ val flood_usd : mbit_per_sec:float -> targets:int -> seconds:float -> float
     duration.  Raises [Invalid_argument] on negative inputs. *)
 
 type instance = {
+  required_mbit_per_sec : float;  (** protocol's need per authority *)
   targets : int;             (** authorities attacked (5 of 9) *)
   flood_mbit_per_sec : float;(** per-target attack traffic *)
   seconds : float;           (** attack duration per consensus run *)
@@ -29,6 +30,15 @@ val break_one_run : ?required_mbit_per_sec:float -> unit -> instance
 val monthly_usd : instance -> float
 (** Breaking every hourly run for 30 days: [usd × 24 × 30]
     ⇒ $53.28/month for the default instance. *)
+
+val hours_to_network_down : float
+(** 3.0 — consensus documents expire 3 h after generation, so a
+    sustained attack takes the whole network down after three failed
+    runs. *)
+
+val pp : n_relays:int -> Format.formatter -> instance -> unit
+(** One line for a network of [n_relays]: the requirement, the flood
+    that denies it, and the per-run and monthly costs. *)
 
 val jansen_bridges_monthly_usd : float
 (** $17,000/month — Jansen et al.'s estimate for attacking Tor's

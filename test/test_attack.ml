@@ -58,11 +58,11 @@ let test_paper_numbers () =
     && Attack.Cost.monthly_usd instance < Attack.Cost.jansen_bridges_monthly_usd)
 
 let test_planner () =
-  let plan = Attack.Planner.make ~n_relays:8000 ~required_mbit_per_sec:10. () in
-  checkf 1e-9 "flood is link minus requirement" 240. plan.Attack.Planner.flood_mbit_per_sec;
-  checkf 1e-6 "monthly" 53.28 plan.Attack.Planner.usd_per_month;
-  checkf 0. "3 hours to outage" 3. Attack.Planner.hours_to_network_down;
-  let rendered = Format.asprintf "%a" Attack.Planner.pp plan in
+  let instance = Attack.Cost.break_one_run ~required_mbit_per_sec:10. () in
+  checkf 1e-9 "flood is link minus requirement" 240. instance.Attack.Cost.flood_mbit_per_sec;
+  checkf 1e-6 "monthly" 53.28 (Attack.Cost.monthly_usd instance);
+  checkf 0. "3 hours to outage" 3. Attack.Cost.hours_to_network_down;
+  let rendered = Format.asprintf "%a" (Attack.Cost.pp ~n_relays:8000) instance in
   checkb "pp mentions monthly cost" true
     (let needle = "$53.28/month" in
      let nl = String.length needle and hl = String.length rendered in
@@ -70,7 +70,7 @@ let test_planner () =
      go 0);
   Alcotest.check_raises "requirement exceeds link"
     (Invalid_argument "Cost.break_one_run: required exceeds link") (fun () ->
-      ignore (Attack.Planner.make ~n_relays:1 ~required_mbit_per_sec:500. ()))
+      ignore (Attack.Cost.break_one_run ~required_mbit_per_sec:500. ()))
 
 
 let test_monitor_verdicts () =
