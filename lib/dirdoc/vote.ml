@@ -134,243 +134,139 @@ let serialize t =
 
 (* --- parsing ------------------------------------------------------- *)
 
-(* The parser is an index-based scanner over the input: each line is a
-   [start, stop) span, keywords are matched in place, and ports and
-   bandwidth weights are decoded by a direct decimal scan.  The only
-   substrings taken are the ones that survive into the result (names,
-   addresses, protocol lists) or that sub-parsers genuinely require
-   (flag/version/policy/timestamp text) — the old line/field
-   tokenization via [String.split_on_char] allocated a list of strings
-   for every line of a megabyte-sized document. *)
-
-type parser_state = {
-  mutable meta : (string * string) list;
-  mutable relays_rev : Relay.t list;
-  (* fields of the relay entry being assembled; [r_have] guards them *)
-  mutable r_have : bool;
-  mutable r_nickname : string;
-  mutable r_fingerprint : string;
-  mutable r_published : float;
-  mutable r_address : string;
-  mutable r_or_port : int; (* -1: missing/malformed *)
-  mutable r_dir_port : int;
-  mutable r_flags : Flags.t option;
-  mutable r_version : Version.t option;
-  mutable r_protocols : string option;
-  mutable r_bandwidth : (int * int option) option;
-  mutable r_policy : Exit_policy.t option;
-  (* scratch for the r-line field boundaries, reused across lines *)
-  field_starts : int array;
-  field_stops : int array;
+(* The relay entry an [r] line opened: its fields so far.  [s], [v],
+   [pr], [w] and [p] lines fill it in; the next [r] line,
+   [directory-footer] or the end of the text closes it. *)
+type entry = {
+  nickname : string;
+  fingerprint : string;
+  published : float;
+  address : string;
+  or_port : int;
+  dir_port : int;
+  flags : Flags.t option;
+  version : Version.t option;
+  protocols : string option;
+  weights : (int * int option) option;
+  policy : Exit_policy.t option;
 }
 
 let ( let* ) = Result.bind
+
+(* A non-negative decimal of at most 18 digits, so it fits an int. *)
+let decimal s =
+  if s = "" || String.length s > 18 || not (String.for_all (fun c -> c >= '0' && c <= '9') s)
+  then None
+  else Some (int_of_string s)
+
+(* "r nickname fingerprint date time address or_port dir_port". *)
+let open_entry payload =
+  match String.split_on_char ' ' payload with
+  | [ nickname; fingerprint; date; time; address; or_port; dir_port ] -> (
+      let* published = Timefmt.of_string (date ^ " " ^ time) in
+      match (decimal or_port, decimal dir_port) with
+      | Some or_port, Some dir_port ->
+          Ok
+            { nickname; fingerprint; published; address; or_port; dir_port; flags = None;
+              version = None; protocols = None; weights = None; policy = None }
+      | _ -> Error "malformed r line")
+  | _ -> Error "malformed r line"
+
+(* "w Bandwidth=<int> [Measured=<int>]": the first well-formed token
+   carrying each prefix wins. *)
+let weights payload =
+  let words = String.split_on_char ' ' payload in
+  let value prefix =
+    let n = String.length prefix in
+    List.find_map
+      (fun w ->
+        if String.starts_with ~prefix w then decimal (String.sub w n (String.length w - n))
+        else None)
+      words
+  in
+  match value "Bandwidth=" with
+  | None -> Error "w line missing Bandwidth="
+  | Some bandwidth -> Ok (bandwidth, value "Measured=")
+
+let fill e keyword payload =
+  match keyword with
+  | "s" ->
+      let* flags = Flags.of_string payload in
+      Ok { e with flags = Some flags }
+  | "v" ->
+      (* skip the implementation name ("Tor") if present *)
+      let v =
+        match String.index_opt payload ' ' with
+        | Some i -> String.sub payload (i + 1) (String.length payload - i - 1)
+        | None -> payload
+      in
+      let* version = Version.of_string v in
+      Ok { e with version = Some version }
+  | "pr" -> Ok { e with protocols = Some payload }
+  | "w" ->
+      let* w = weights payload in
+      Ok { e with weights = Some w }
+  | _ ->
+      let* policy = Exit_policy.of_string payload in
+      Ok { e with policy = Some policy }
+
+let close relays = function
+  | None -> Ok relays
+  | Some e -> (
+      match (e.flags, e.version, e.weights, e.policy) with
+      | Some flags, Some version, Some (bandwidth, measured), Some exit_policy -> (
+          match
+            Relay.make ~fingerprint:e.fingerprint ~nickname:e.nickname ~address:e.address
+              ~or_port:e.or_port ~dir_port:e.dir_port ~published:e.published ~flags
+              ~version ?protocols:e.protocols ~bandwidth ?measured ~exit_policy ()
+          with
+          | relay -> Ok (relay :: relays)
+          | exception Invalid_argument msg -> Error msg)
+      | _ -> Error (Printf.sprintf "incomplete relay entry for %s" e.fingerprint))
+
+(* One line's step over [(meta, relays, entry)]: the header fields
+   and the closed relays, both newest first, and the open entry. *)
+let step ((meta, relays, entry) as state) line =
+  let keyword, payload =
+    match String.index_opt line ' ' with
+    | Some i -> (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+    | None -> (line, "")
+  in
+  match keyword with
+  | "r" ->
+      let* relays = close relays entry in
+      let* e = open_entry payload in
+      Ok (meta, relays, Some e)
+  | "s" | "v" | "pr" | "w" | "p" -> (
+      match entry with
+      | None -> Error (Printf.sprintf "%s line outside a relay entry" keyword)
+      | Some e ->
+          let* e = fill e keyword payload in
+          Ok (meta, relays, Some e))
+  | "directory-footer" ->
+      let* relays = close relays entry in
+      Ok (meta, relays, None)
+  | "m" | "network-status-version" | "vote-status" | "consensus-method" -> Ok state
+  | _ -> Ok ((keyword, payload) :: meta, relays, entry)
+
+(* Tail-recursive: a 32k-relay vote has about 224,000 lines. *)
+let rec read state = function
+  | [] -> Ok state
+  | "" :: lines -> read state lines
+  | line :: lines -> (
+      match step state line with Ok state -> read state lines | Error _ as e -> e)
 
 let parse_timestamp meta key =
   match List.assoc_opt key meta with
   | None -> Error (Printf.sprintf "missing %s" key)
   | Some raw -> Timefmt.of_string raw
 
-(* Do the bytes [i, j) of [text] spell [s]? *)
-let span_eq text i j s =
-  let n = String.length s in
-  j - i = n
-  &&
-  let rec go k = k = n || (String.unsafe_get text (i + k) = s.[k] && go (k + 1)) in
-  go 0
-
-(* Non-negative decimal over [i, j); [-1] on empty, non-digit, or
-   overflow — the sentinel keeps the per-field result unboxed. *)
-let parse_int_span text i j =
-  if i >= j || j - i > 18 then -1
-  else begin
-    let v = ref 0 in
-    let ok = ref true in
-    for k = i to j - 1 do
-      let c = Char.code (String.unsafe_get text k) - Char.code '0' in
-      if c < 0 || c > 9 then ok := false else v := (!v * 10) + c
-    done;
-    if !ok then !v else -1
-  end
-
-let flush_relay st =
-  if not st.r_have then Ok ()
-  else
-    match (st.r_flags, st.r_version, st.r_bandwidth, st.r_policy) with
-    | Some flags, Some version, Some (bandwidth, measured), Some policy
-      when st.r_or_port >= 0 && st.r_dir_port >= 0 -> (
-        match
-          Relay.make ~fingerprint:st.r_fingerprint ~nickname:st.r_nickname
-            ~address:st.r_address ~or_port:st.r_or_port ~dir_port:st.r_dir_port
-            ~published:st.r_published ~flags ~version ?protocols:st.r_protocols
-            ~bandwidth ?measured ~exit_policy:policy ()
-        with
-        | exception Invalid_argument e -> Error e
-        | relay ->
-            st.relays_rev <- relay :: st.relays_rev;
-            st.r_have <- false;
-            st.r_flags <- None;
-            st.r_version <- None;
-            st.r_protocols <- None;
-            st.r_bandwidth <- None;
-            st.r_policy <- None;
-            Ok ())
-    | _ -> Error (Printf.sprintf "incomplete relay entry for %s" st.r_fingerprint)
-
-(* "r nickname fingerprint date time address or_port dir_port": exactly
-   seven space-separated fields.  The date and time fields are adjacent,
-   so the timestamp is one substring of the original line. *)
-let parse_r_line st text i j =
-  (* Field boundaries: starts.(k) .. stops.(k), in the reused scratch. *)
-  let starts = st.field_starts and stops = st.field_stops in
-  let field = ref 0 in
-  let start = ref i in
-  let ok = ref true in
-  for k = i to j - 1 do
-    if String.unsafe_get text k = ' ' then begin
-      if !field >= 6 then ok := false
-      else begin
-        starts.(!field) <- !start;
-        stops.(!field) <- k;
-        incr field;
-        start := k + 1
-      end
-    end
-  done;
-  if (not !ok) || !field <> 6 then Error "malformed r line"
-  else begin
-    starts.(6) <- !start;
-    stops.(6) <- j;
-    let sub k = String.sub text starts.(k) (stops.(k) - starts.(k)) in
-    (* date and time, rejoined as the span covering both fields *)
-    let* published =
-      Timefmt.of_string (String.sub text starts.(2) (stops.(3) - starts.(2)))
-    in
-    st.r_have <- true;
-    st.r_nickname <- sub 0;
-    st.r_fingerprint <- sub 1;
-    st.r_published <- published;
-    st.r_address <- sub 4;
-    st.r_or_port <- parse_int_span text starts.(5) stops.(5);
-    st.r_dir_port <- parse_int_span text starts.(6) stops.(6);
-    Ok ()
-  end
-
-(* "w Bandwidth=<int> [Measured=<int>]": scan the space-separated
-   tokens in place, first token carrying each prefix wins. *)
-let parse_w_line text i j =
-  let bandwidth = ref None and measured = ref None in
-  let tok_start = ref i in
-  let consider ts te =
-    let try_prefix prefix cell =
-      let pl = String.length prefix in
-      if !cell = None && te - ts > pl && span_eq text ts (ts + pl) prefix then
-        let v = parse_int_span text (ts + pl) te in
-        if v >= 0 then cell := Some v
-    in
-    try_prefix "Bandwidth=" bandwidth;
-    try_prefix "Measured=" measured
-  in
-  for k = i to j - 1 do
-    if String.unsafe_get text k = ' ' then begin
-      consider !tok_start k;
-      tok_start := k + 1
-    end
-  done;
-  consider !tok_start j;
-  match !bandwidth with
-  | None -> Error "w line missing Bandwidth="
-  | Some bw -> Ok (bw, !measured)
-
 let parse text =
-  let len = String.length text in
-  let st =
-    {
-      meta = [];
-      relays_rev = [];
-      r_have = false;
-      r_nickname = "";
-      r_fingerprint = "";
-      r_published = 0.;
-      r_address = "";
-      r_or_port = -1;
-      r_dir_port = -1;
-      r_flags = None;
-      r_version = None;
-      r_protocols = None;
-      r_bandwidth = None;
-      r_policy = None;
-      field_starts = Array.make 7 0;
-      field_stops = Array.make 7 0;
-    }
-  in
-  let rec consume ls =
-    if ls >= len then Ok ()
-    else begin
-      let le =
-        let rec find i = if i >= len || String.unsafe_get text i = '\n' then i else find (i + 1) in
-        find ls
-      in
-      if le = ls then consume (le + 1)
-      else begin
-        (* keyword = [ls, ke); payload = [ps, le) *)
-        let ke =
-          let rec find i = if i >= le || text.[i] = ' ' then i else find (i + 1) in
-          find ls
-        in
-        let ps = if ke < le then ke + 1 else le in
-        let* () =
-          if span_eq text ls ke "r" then
-            let* () = flush_relay st in
-            parse_r_line st text ps le
-          else if span_eq text ls ke "s" then
-            let* flags = Flags.of_string (String.sub text ps (le - ps)) in
-            st.r_flags <- Some flags;
-            Ok ()
-          else if span_eq text ls ke "v" then begin
-            (* skip the implementation name ("Tor") if present *)
-            let vs =
-              let rec find i = if i >= le || text.[i] = ' ' then i else find (i + 1) in
-              let sp = find ps in
-              if sp < le then sp + 1 else ps
-            in
-            let* v = Version.of_string (String.sub text vs (le - vs)) in
-            st.r_version <- Some v;
-            Ok ()
-          end
-          else if span_eq text ls ke "pr" then begin
-            st.r_protocols <- Some (String.sub text ps (le - ps));
-            Ok ()
-          end
-          else if span_eq text ls ke "w" then
-            let* bw = parse_w_line text ps le in
-            st.r_bandwidth <- Some bw;
-            Ok ()
-          else if span_eq text ls ke "p" then
-            let* policy = Exit_policy.of_string (String.sub text ps (le - ps)) in
-            st.r_policy <- Some policy;
-            Ok ()
-          else if
-            span_eq text ls ke "m"
-            || span_eq text ls ke "network-status-version"
-            || span_eq text ls ke "vote-status"
-            || span_eq text ls ke "consensus-method"
-          then Ok ()
-          else if span_eq text ls ke "directory-footer" then flush_relay st
-          else begin
-            st.meta <- (String.sub text ls (ke - ls), String.sub text ps (le - ps)) :: st.meta;
-            Ok ()
-          end
-        in
-        consume (le + 1)
-      end
-    end
-  in
-  let* () = consume 0 in
-  let* () = flush_relay st in
-  let* published = parse_timestamp st.meta "published" in
-  let* valid_after = parse_timestamp st.meta "valid-after" in
-  match List.assoc_opt "dir-source" st.meta with
+  let* meta, relays, entry = read ([], [], None) (String.split_on_char '\n' text) in
+  let* relays = close relays entry in
+  let* published = parse_timestamp meta "published" in
+  let* valid_after = parse_timestamp meta "valid-after" in
+  match List.assoc_opt "dir-source" meta with
   | None -> Error "missing dir-source"
   | Some src -> (
       match String.split_on_char ' ' src with
@@ -380,7 +276,7 @@ let parse text =
           | Some authority -> (
               match
                 create ~authority ~authority_fingerprint:fingerprint ~nickname
-                  ~published ~valid_after ~relays:(List.rev st.relays_rev)
+                  ~published ~valid_after ~relays:(List.rev relays)
               with
               | v -> Ok v
               | exception Invalid_argument e -> Error e))

@@ -39,10 +39,12 @@ val find : t -> fingerprint:string -> Relay.t option
 (** Binary search by fingerprint. *)
 
 val wire_size : t -> int
-(** Modelled bytes on the wire: [header + 560 * n_relays]. *)
+(** Modelled bytes on the wire: a 2,048-byte header plus
+    {!Relay.entry_wire_bytes} (600) per relay. *)
 
 val wire_size_for : n_relays:int -> int
-(** The same function without a vote in hand; used by planners. *)
+(** The same function without a vote in hand, for sizing vote
+    pushes. *)
 
 val digest : t -> Crypto.Digest32.t
 

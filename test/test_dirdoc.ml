@@ -200,6 +200,35 @@ let test_vote_parse_garbage () =
   | Error _ -> ());
   match Vote.parse "" with Ok _ -> Alcotest.fail "accepted empty" | Error _ -> ()
 
+(* A field line belongs to the entry its [r] line opened: one before
+   the first entry or after [directory-footer] is rejected, not folded
+   into a neighbouring relay. *)
+let test_vote_parse_outside_entry () =
+  let lines = Array.of_list (String.split_on_char '\n' (Vote.serialize (sample_vote ()))) in
+  let find prefix =
+    let rec go i = if String.starts_with ~prefix lines.(i) then i else go (i + 1) in
+    go 0
+  in
+  let parse lines = Vote.parse (String.concat "\n" (Array.to_list lines)) in
+  (match parse lines with Ok _ -> () | Error e -> Alcotest.fail e);
+  let r0 = find "r " and footer = find "directory-footer" in
+  checks "relay 0's s line follows its r line" "s " (String.sub lines.(r0 + 1) 0 2);
+  let s_above_r = Array.copy lines in
+  s_above_r.(r0) <- lines.(r0 + 1);
+  s_above_r.(r0 + 1) <- lines.(r0);
+  let s_after_footer =
+    Array.concat
+      [
+        Array.sub lines 0 (footer + 1);
+        [| lines.(r0 + 1) |];
+        Array.sub lines (footer + 1) (Array.length lines - footer - 1);
+      ]
+  in
+  List.iter
+    (fun (label, doc) ->
+      match parse doc with Ok _ -> Alcotest.fail (label ^ " accepted") | Error _ -> ())
+    [ ("s line above its r line", s_above_r); ("s line after directory-footer", s_after_footer) ]
+
 let qcheck_vote_roundtrip =
   let gen =
     QCheck.make
@@ -626,24 +655,49 @@ let test_workload_churn () =
   checkb "about 30% republished" true
     (List.length republished > 150 && List.length republished < 500)
 
+(* A serialized 20-relay vote, the seed of the parser fuzzers. *)
+let fuzz_base =
+  let keyring = Crypto.Keyring.create ~n:9 () in
+  let rng = Tor_sim.Rng.of_string_seed "fuzz" in
+  let votes =
+    Workload.votes ~rng ~keyring ~n_authorities:9 ~n_relays:20 ~valid_after:3600. ()
+  in
+  Vote.serialize votes.(0)
+
 (* Fuzz the vote parser: random mutations of a valid document must
    either parse or return Error — never raise. *)
 let qcheck_parser_fuzz =
-  let base =
-    let keyring = Crypto.Keyring.create ~n:9 () in
-    let rng = Tor_sim.Rng.of_string_seed "fuzz" in
-    let votes =
-      Workload.votes ~rng ~keyring ~n_authorities:9 ~n_relays:20 ~valid_after:3600. ()
-    in
-    Vote.serialize votes.(0)
-  in
   QCheck.Test.make ~name:"parsers never raise on mutated input" ~count:100
-    QCheck.(pair (int_bound (String.length base - 1)) (int_bound 255))
+    QCheck.(pair (int_bound (String.length fuzz_base - 1)) (int_bound 255))
     (fun (pos, byte) ->
-      let mutated = Bytes.of_string base in
+      let mutated = Bytes.of_string fuzz_base in
       Bytes.set mutated pos (Char.chr byte);
       let text = Bytes.to_string mutated in
       match Vote.parse text with Ok _ | Error _ -> true)
+
+(* Whole-line mutations, which byte flips rarely produce: drop line
+   [i] (op 0), copy it before line [j] (op 1) or move it there (op 2).
+   [parse] must not raise, and what it accepts must come back equal
+   from another serialize/parse round. *)
+let qcheck_parser_line_fuzz =
+  let lines = String.split_on_char '\n' fuzz_base in
+  let n = List.length lines in
+  let insert j line lines =
+    List.filteri (fun k _ -> k < j) lines @ (line :: List.filteri (fun k _ -> k >= j) lines)
+  in
+  QCheck.Test.make ~name:"vote parse on dropped, copied or moved lines" ~count:300
+    QCheck.(triple (int_bound 2) (int_bound (n - 1)) (int_bound (n - 1)))
+    (fun (op, i, j) ->
+      let line = List.nth lines i and others = List.filteri (fun k _ -> k <> i) lines in
+      let mutated =
+        match op with 0 -> others | 1 -> insert j line lines | _ -> insert j line others
+      in
+      match Vote.parse (String.concat "\n" mutated) with
+      | Error _ -> true
+      | Ok v -> (
+          match Vote.parse (Vote.serialize v) with
+          | Ok back -> Vote.equal v back
+          | Error _ -> false))
 
 (* --- digest encoding regression --------------------------------------------- *)
 
@@ -778,6 +832,7 @@ let suite =
     ("vote digest sensitivity", `Quick, test_vote_digest_sensitivity);
     ("vote serialize roundtrip", `Quick, test_vote_serialize_roundtrip);
     ("vote parse garbage", `Quick, test_vote_parse_garbage);
+    ("vote parse rejects a field line outside an entry", `Quick, test_vote_parse_outside_entry);
     QCheck_alcotest.to_alcotest qcheck_vote_roundtrip;
     ("inclusion threshold", `Quick, test_threshold);
     ("low median", `Quick, test_low_median);
@@ -805,4 +860,5 @@ let suite =
     ("metrics trace", `Quick, test_metrics_trace);
     ("workload churn", `Quick, test_workload_churn);
     QCheck_alcotest.to_alcotest qcheck_parser_fuzz;
+    QCheck_alcotest.to_alcotest qcheck_parser_line_fuzz;
   ]
