@@ -226,12 +226,7 @@ let close relays = function
 
 (* One line's step over [(meta, relays, entry)]: the header fields
    and the closed relays, both newest first, and the open entry. *)
-let step ((meta, relays, entry) as state) line =
-  let keyword, payload =
-    match String.index_opt line ' ' with
-    | Some i -> (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-    | None -> (line, "")
-  in
+let step ((meta, relays, entry) as state) keyword payload =
   match keyword with
   | "r" ->
       let* relays = close relays entry in
@@ -249,35 +244,40 @@ let step ((meta, relays, entry) as state) line =
   | "m" | "network-status-version" | "vote-status" | "consensus-method" -> Ok state
   | _ -> Ok ((keyword, payload) :: meta, relays, entry)
 
-(* Tail-recursive: a 32k-relay vote has about 224,000 lines. *)
-let rec read state = function
-  | [] -> Ok state
-  | "" :: lines -> read state lines
-  | line :: lines -> (
-      match step state line with Ok state -> read state lines | Error _ as e -> e)
-
-let parse_timestamp meta key =
-  match List.assoc_opt key meta with
-  | None -> Error (Printf.sprintf "missing %s" key)
-  | Some raw -> Timefmt.of_string raw
+(* The lines from [pos] on, one at a time and in tail position (a
+   32k-relay vote has about 224,000 lines).  Splitting the whole text
+   first would keep every line alive to the end of the parse. *)
+let rec read text pos state =
+  let len = String.length text in
+  let upto c = Option.value (String.index_from_opt text pos c) ~default:len in
+  if pos >= len then Ok state
+  else
+    let stop = upto '\n' in
+    if stop = pos then read text (stop + 1) state
+    else
+      let sp = min stop (upto ' ') in
+      let keyword = String.sub text pos (sp - pos)
+      and payload = if sp < stop then String.sub text (sp + 1) (stop - sp - 1) else "" in
+      match step state keyword payload with
+      | Ok state -> read text (stop + 1) state
+      | Error _ as e -> e
 
 let parse text =
-  let* meta, relays, entry = read ([], [], None) (String.split_on_char '\n' text) in
+  let* meta, relays, entry = read text 0 ([], [], None) in
   let* relays = close relays entry in
-  let* published = parse_timestamp meta "published" in
-  let* valid_after = parse_timestamp meta "valid-after" in
-  match List.assoc_opt "dir-source" meta with
-  | None -> Error "missing dir-source"
-  | Some src -> (
-      match String.split_on_char ' ' src with
-      | [ nickname; authority; fingerprint ] -> (
-          match int_of_string_opt authority with
-          | None -> Error "bad authority id in dir-source"
-          | Some authority -> (
-              match
-                create ~authority ~authority_fingerprint:fingerprint ~nickname
-                  ~published ~valid_after ~relays:(List.rev relays)
-              with
-              | v -> Ok v
-              | exception Invalid_argument e -> Error e))
-      | _ -> Error "malformed dir-source")
+  let header key = Option.to_result ~none:("missing " ^ key) (List.assoc_opt key meta) in
+  let* published = Result.bind (header "published") Timefmt.of_string in
+  let* valid_after = Result.bind (header "valid-after") Timefmt.of_string in
+  let* source = header "dir-source" in
+  match String.split_on_char ' ' source with
+  | [ nickname; authority; fingerprint ] -> (
+      match int_of_string_opt authority with
+      | None -> Error "bad authority id in dir-source"
+      | Some authority -> (
+          match
+            create ~authority ~authority_fingerprint:fingerprint ~nickname ~published
+              ~valid_after ~relays:(List.rev relays)
+          with
+          | v -> Ok v
+          | exception Invalid_argument e -> Error e))
+  | _ -> Error "malformed dir-source"
