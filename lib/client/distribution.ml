@@ -31,7 +31,8 @@ let cache_bandwidth_bits_per_sec = 1e9
 let validate_config c =
   if c.clients <= 0 then invalid_arg "Distribution: clients must be positive";
   if c.caches <= 0 then invalid_arg "Distribution: caches must be positive";
-  if c.halt < 0. then invalid_arg "Distribution: negative halt"
+  if c.halt < 0. then invalid_arg "Distribution: negative halt";
+  if not (Float.is_finite c.halt) then invalid_arg "Distribution: halt must be finite"
 
 (* Same conventions as [Runenv.Spec.canonical]: %d for ints, %h for a
    lossless float image.  Embedded whole into the spec's canonical

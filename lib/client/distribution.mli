@@ -43,7 +43,7 @@ val default_config : config
 
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on a non-positive client or cache count
-    or a negative [halt]. *)
+    or a negative, NaN or infinite [halt]. *)
 
 val canonical_config : config -> string
 (** Canonical serialization (lossless floats, the fixed parameters

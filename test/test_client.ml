@@ -308,6 +308,8 @@ let test_distribution_validation () =
   reject "Distribution: clients must be positive" { dist_config with Dist.clients = 0 };
   reject "Distribution: caches must be positive" { dist_config with Dist.caches = 0 };
   reject "Distribution: negative halt" { dist_config with Dist.halt = -1. };
+  reject "Distribution: halt must be finite" { dist_config with Dist.halt = nan };
+  reject "Distribution: halt must be finite" { dist_config with Dist.halt = infinity };
   Alcotest.check_raises "bad full_bytes"
     (Invalid_argument "Distribution.run: full_bytes must be positive") (fun () ->
       ignore

@@ -853,6 +853,8 @@ let test_scenario_errors () =
   ignore (expect_error "clients 0");
   ignore (expect_error "caches 0");
   ignore (expect_error "halt -5");
+  ignore (expect_error "halt nan");
+  ignore (expect_error "halt inf");
   ignore (expect_error "diffs maybe");
   ignore (expect_error "defense fortress" (* unknown preset *));
   ignore (expect_error "defense admission:fast:8:16");
