@@ -29,34 +29,28 @@ type t = {
   config : config;
   period : float; (* seconds per token, 1 / rate *)
   tolerance : float; (* burst allowance, (burst - 1) * period *)
-  mutable n : int; (* bound node count; 0 until [bind] *)
-  mutable tat : float array; (* n*n theoretical arrival times *)
-  mutable queued : int array; (* n*n deferred messages holding a slot *)
+  n : int;
+  tat : float array; (* n*n theoretical arrival times *)
+  queued : int array; (* n*n deferred messages holding a slot *)
 }
 
-let instantiate config =
+let instantiate config ~n =
   validate config;
+  if n <= 0 then invalid_arg "Defense.Admission.instantiate: n must be positive";
   {
     config;
     period = 1. /. config.rate;
     tolerance = float_of_int (config.burst - 1) /. config.rate;
-    n = 0;
-    tat = [||];
-    queued = [||];
+    n;
+    tat = Array.make (n * n) 0.;
+    queued = Array.make (n * n) 0;
   }
 
 let config t = t.config
 
-let bind t ~n =
-  if n <= 0 then invalid_arg "Defense.Admission.bind: n must be positive";
-  t.n <- n;
-  t.tat <- Array.make (n * n) 0.;
-  t.queued <- Array.make (n * n) 0
-
 type verdict = Admit | Defer of float | Reject
 
 let decide t ~now ~dst ~src =
-  if t.n = 0 then invalid_arg "Defense.Admission.decide: not bound";
   let i = (dst * t.n) + src in
   let tat = t.tat.(i) in
   if now >= tat -. t.tolerance then begin

@@ -45,17 +45,14 @@ val pp : Format.formatter -> config -> unit
 
 type t
 (** An instantiated bucket array.  One instance serves exactly one
-    run; {!Net.set_defense} creates and binds it. *)
+    run; {!Net.set_defense} creates it. *)
 
-val instantiate : config -> t
-(** Validates and wraps the config; {!bind} sizes the state. *)
+val instantiate : config -> n:int -> t
+(** Validates the config and sizes the per-pair cursors for an
+    [n]-node network (all buckets start full).  Raises
+    [Invalid_argument] on an invalid config or [n <= 0]. *)
 
 val config : t -> config
-
-val bind : t -> n:int -> unit
-(** Size the per-pair cursors for an [n]-node network and reset them
-    (all buckets start full).  Raises [Invalid_argument] if
-    [n <= 0]. *)
 
 type verdict =
   | Admit  (** within budget: proceed to the NIC *)

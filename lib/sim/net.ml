@@ -18,7 +18,6 @@ type 'm t = {
   topology : Topology.t;
   nics : Nic.t array; (* one shared NIC per node: egress and ingress *)
   stats : Stats.t;
-  mutable interned : string list; (* newest first *)
   mutable fault : Fault.t option; (* installed injector, if any *)
   mutable admission : Defense.Admission.t option;
   mutable rotation : Defense.Rotation.t option;
@@ -37,7 +36,7 @@ let engine t = t.engine
 let stats t = t.stats
 
 let ensure_lat t =
-  let nlabels = List.length t.interned in
+  let nlabels = Array.length (Stats.interned t.stats) in
   Array.iteri
     (fun node row ->
       let cur = Array.length row in
@@ -48,7 +47,6 @@ let ensure_lat t =
     t.lat
 
 let intern t name =
-  if not (List.mem name t.interned) then t.interned <- name :: t.interned;
   let id = Stats.intern t.stats name in
   if t.obs_on then ensure_lat t;
   id
@@ -61,9 +59,9 @@ let enable_obs t =
 
 let obs_metrics t =
   let reg = Obs.Metrics.create () in
-  (* Oldest-first replay gives label ids in interning order; merge each
-     id's per-node histograms under the label's name, in node order. *)
-  List.iteri
+  (* Label ids follow interning order; merge each id's per-node
+     histograms under the label's name, in node order. *)
+  Array.iteri
     (fun id name ->
       let h = Obs.Metrics.histogram reg ("delivery-latency/" ^ name) in
       Array.iter
@@ -71,7 +69,7 @@ let obs_metrics t =
           if id < Array.length row then
             Obs.Metrics.merge_histogram ~into:h row.(id))
         t.lat)
-    (List.rev t.interned);
+    (Stats.interned t.stats);
   reg
 
 (* Called at the instant a labelled message reaches its handler. *)
@@ -92,12 +90,10 @@ let set_fault t plan = t.fault <- Some (Fault.instantiate plan ~n:(n t))
 
 let set_defense t plan =
   Defense.Plan.validate ~n:(n t) plan;
-  (match plan.Defense.Plan.admission with
-  | None -> t.admission <- None
-  | Some c ->
-      let a = Defense.Admission.instantiate c in
-      Defense.Admission.bind a ~n:(n t);
-      t.admission <- Some a);
+  t.admission <-
+    Option.map
+      (fun c -> Defense.Admission.instantiate c ~n:(n t))
+      plan.Defense.Plan.admission;
   t.rotation <-
     Option.map
       (fun c -> Defense.Rotation.instantiate c ~n:(n t))
@@ -197,7 +193,6 @@ let create ~engine ~topology ~bits_per_sec () =
     topology;
     nics = Array.init n (fun _ -> Nic.create ~bits_per_sec ());
     stats = Stats.create ~n;
-    interned = [];
     fault = None;
     admission = None;
     rotation = None;

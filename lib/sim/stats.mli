@@ -21,6 +21,9 @@ val intern : t -> string -> label
 (** Intern a label name, returning its dense id; interning the same
     name twice returns the same id. *)
 
+val interned : t -> string array
+(** Every interned label name, indexed by {!label_id}. *)
+
 val no_label : label
 (** Sentinel accepted by {!record_send} for unlabelled traffic. *)
 

@@ -11,12 +11,7 @@ module E = Torpartial.Experiments
 
 (* rate 1 msg/s, burst 4, backlog 2: period 1 s, tolerance 3 s. *)
 let bucket ?(backlog = 2) () =
-  let a =
-    Defense.Admission.instantiate
-      { Defense.Admission.rate = 1.; burst = 4; backlog }
-  in
-  Defense.Admission.bind a ~n:2;
-  a
+  Defense.Admission.instantiate { Defense.Admission.rate = 1.; burst = 4; backlog } ~n:2
 
 let verdict =
   let pp ppf = function
@@ -76,14 +71,15 @@ let test_admission_backlog_drain () =
 
 let test_admission_validate () =
   List.iter
-    (fun config ->
-      match Defense.Admission.instantiate config with
+    (fun (config, n) ->
+      match Defense.Admission.instantiate config ~n with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "expected Invalid_argument")
     [
-      { Defense.Admission.rate = 0.; burst = 1; backlog = 0 };
-      { Defense.Admission.rate = 1.; burst = 0; backlog = 0 };
-      { Defense.Admission.rate = 1.; burst = 1; backlog = -1 };
+      ({ Defense.Admission.rate = 0.; burst = 1; backlog = 0 }, 2);
+      ({ Defense.Admission.rate = 1.; burst = 0; backlog = 0 }, 2);
+      ({ Defense.Admission.rate = 1.; burst = 1; backlog = -1 }, 2);
+      (Defense.Admission.default, 0);
     ]
 
 (* --- Rotation: schedule properties --------------------------------------- *)
