@@ -863,6 +863,42 @@ let test_scenario_errors () =
   ignore (expect_error "defense rotate:2" (* missing epoch *));
   ignore (expect_error "defense rotate:2:450:s:extra")
 
+(* Scenario text is only parsed here, never run, so hostile bytes must
+   come back as [Ok] or [Error]: one to three byte substitutions, half
+   drawn from the characters directives are made of, over a valid
+   scenario that uses every kind of directive. *)
+let qcheck_scenario_parse_total =
+  let base =
+    Torpartial.Scenario.default_text
+    ^ "behavior 3 silent\n\
+       behavior 4 crashed:30:120\n\
+       attack 8 400 500 1.0\n\
+       knockout-majority 600 700\n\
+       defense admission:2:32:64\n\
+       defense rotate:2:600:s\n\
+       clients 1000\n\
+       caches 4\n\
+       halt 10800\n\
+       diffs off\n\
+       horizon 3600\n"
+  in
+  let gen =
+    QCheck.make
+      QCheck.Gen.(
+        list_size (int_range 1 3)
+          (pair
+             (int_bound (String.length base - 1))
+             (oneof [ char; oneofl (List.of_seq (String.to_seq "0123456789-.:e naif#\n")) ])))
+  in
+  QCheck.Test.make ~name:"scenario: parse is total on mutated text" ~count:500 gen
+    (fun edits ->
+      let text = Bytes.of_string base in
+      List.iter (fun (pos, c) -> Bytes.set text pos c) edits;
+      (* the unmutated text is a valid scenario *)
+      Result.is_ok (Torpartial.Scenario.parse base)
+      &&
+      match Torpartial.Scenario.parse (Bytes.to_string text) with Ok _ | Error _ -> true)
+
 let test_scenario_runs () =
   match Torpartial.Scenario.parse "protocol ours\nrelays 100\nseed s\n" with
   | Error e -> Alcotest.fail e
@@ -1049,6 +1085,7 @@ let suite =
     ("scenario: parse default", `Quick, test_scenario_parse_default);
     ("scenario: directives", `Quick, test_scenario_directives);
     ("scenario: errors", `Quick, test_scenario_errors);
+    QCheck_alcotest.to_alcotest qcheck_scenario_parse_total;
     ("scenario: runs", `Quick, test_scenario_runs);
     ("scenario: distribution directives", `Quick, test_scenario_distribution_directives);
     ("scenario: defense directives", `Quick, test_scenario_defense_directives);
