@@ -206,7 +206,7 @@ let fill e keyword payload =
   | "w" ->
       let* w = weights payload in
       Ok { e with weights = Some w }
-  | _ ->
+  | _ (* "p" *) ->
       let* policy = Exit_policy.of_string payload in
       Ok { e with policy = Some policy }
 
