@@ -46,8 +46,6 @@ let instantiate config ~n =
     queued = Array.make (n * n) 0;
   }
 
-let config t = t.config
-
 type verdict = Admit | Defer of float | Reject
 
 let decide t ~now ~dst ~src =

@@ -52,8 +52,6 @@ val instantiate : config -> n:int -> t
     [n]-node network (all buckets start full).  Raises
     [Invalid_argument] on an invalid config or [n <= 0]. *)
 
-val config : t -> config
-
 type verdict =
   | Admit  (** within budget: proceed to the NIC *)
   | Defer of float

@@ -68,8 +68,6 @@ let instantiate config ~n =
   validate ~n config;
   { config; n; epoch = -1; quiet_set = Array.make n false }
 
-let config t = t.config
-
 let quiet t ~node ~now =
   let e = epoch_of t.config ~now in
   if e <> t.epoch then begin

@@ -63,8 +63,6 @@ type t
 val instantiate : config -> n:int -> t
 (** Validates the config and allocates the cache. *)
 
-val config : t -> config
-
 val quiet : t -> node:int -> now:float -> bool
 (** Memoized {!quiet_at}; allocation-free once the epoch's subset is
     cached. *)

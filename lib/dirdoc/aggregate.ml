@@ -248,16 +248,37 @@ let compute_consensus ~valid_after ~votes =
       Consensus.create ~valid_after ~n_votes ~entries:(List.rev !entries)
 
 (* Aggregation is a pure function of the vote SET and [valid_after]
-   (the result is order-independent), so simulated authorities holding
-   identical vote sets can share one computation.  The memo key is the
-   sorted vote digests — content-addressed, so it cannot confuse
-   distinct inputs — plus [valid_after].  A memo is scoped to one run
-   (each run constructs its own), keeping parallel sweeps as
-   deterministic as the unmemoized code. *)
+   (the result is order-independent), so authorities holding identical
+   vote sets share one computation, within a run and across runs.  The
+   key is the sorted vote digests — content-addressed, so it cannot
+   confuse distinct inputs — plus [valid_after], so a shared document
+   is the one a fresh merge would build.  A memo belongs to a vote
+   population and is found by the array's physical identity in an
+   ephemeron table, so it is collected with the array.  Lookups and
+   inserts hold the memo's lock, the merge runs outside it, and the
+   first document stored for a key wins. *)
 module Memo = struct
-  type t = (string, Consensus.t) Hashtbl.t
+  type t = { lock : Mutex.t; documents : (string, Consensus.t) Hashtbl.t }
 
-  let create () = Hashtbl.create 8
+  module Populations = Ephemeron.K1.Make (struct
+    type t = Vote.t array
+
+    let equal = ( == )
+    let hash (votes : t) =
+      if Array.length votes = 0 then 0 else Hashtbl.hash votes.(0).Vote.digest
+  end)
+
+  let populations = Populations.create 16
+  let populations_lock = Mutex.create ()
+
+  let of_population votes =
+    Mutex.protect populations_lock (fun () ->
+        match Populations.find_opt populations votes with
+        | Some memo -> memo
+        | None ->
+            let memo = { lock = Mutex.create (); documents = Hashtbl.create 8 } in
+            Populations.add populations votes memo;
+            memo)
 end
 
 let memo_key ~valid_after ~votes =
@@ -269,11 +290,16 @@ let memo_key ~valid_after ~votes =
 
 let consensus ~valid_after ~votes = compute_consensus ~valid_after ~votes
 
-let consensus_memo ~memo ~valid_after ~votes =
+let consensus_memo ~(memo : Memo.t) ~valid_after ~votes =
   let key = memo_key ~valid_after ~votes in
-  match Hashtbl.find_opt memo key with
+  let find () = Hashtbl.find_opt memo.documents key in
+  match Mutex.protect memo.lock find with
   | Some c -> c
   | None ->
       let c = compute_consensus ~valid_after ~votes in
-      Hashtbl.replace memo key c;
-      c
+      Mutex.protect memo.lock (fun () ->
+          match find () with
+          | Some first -> first
+          | None ->
+              Hashtbl.add memo.documents key c;
+              c)

@@ -32,11 +32,16 @@ val aggregate_relay : (int * Relay.t) list -> Consensus.entry
 module Memo : sig
   type t
   (** A cache of aggregation results, keyed by the (content-addressed)
-      set of vote digests and [valid_after].  Scope one memo to one
-      simulation run: authorities that aggregate the same vote set then
-      share a single computation without any cross-run state. *)
+      set of vote digests and [valid_after].  One memo serves one vote
+      population: every authority of every run over that population
+      that aggregates the same vote set shares one computation.  A
+      memo is domain-safe, and it lives as long as its population. *)
 
-  val create : unit -> t
+  val of_population : Vote.t array -> t
+  (** The memo of a vote population, found by the array's physical
+      identity: every call with one array returns the same memo, and a
+      distinct array (even with equal votes) gets its own.  The memo
+      and its documents are collected with the array. *)
 end
 
 val consensus : valid_after:float -> votes:Vote.t list -> Consensus.t
@@ -47,4 +52,6 @@ val consensus : valid_after:float -> votes:Vote.t list -> Consensus.t
 val consensus_memo : memo:Memo.t -> valid_after:float -> votes:Vote.t list -> Consensus.t
 (** {!consensus} through a cache: a repeated (vote set, [valid_after])
     input returns the previously computed document instead of
-    re-running the merge. *)
+    re-running the merge.  Two domains asking for one new key may both
+    merge, but the first document stored wins, so every caller gets
+    the same physical document for a key. *)

@@ -32,15 +32,27 @@ let to_string epoch =
   Printf.sprintf "%04d-%02d-%02d %02d:%02d:%02d" year month day (secs / 3600)
     (secs mod 3600 / 60) (secs mod 60)
 
+(* Every field is plain decimal digits between fixed separators, and
+   the date must be one the calendar has: [days_from_civil] folds a
+   day or month out of range into a later or earlier date, so the
+   round trip through [civil_from_days] rejects it. *)
 let of_string s =
   let fail () = Error (Printf.sprintf "bad timestamp %S" s) in
-  if String.length s <> 19 then fail ()
+  let digits pos len =
+    let field = String.sub s pos len in
+    if String.for_all (fun c -> c >= '0' && c <= '9') field then Some (int_of_string field)
+    else None
+  in
+  let separated =
+    String.length s = 19
+    && s.[4] = '-' && s.[7] = '-' && s.[10] = ' ' && s.[13] = ':' && s.[16] = ':'
+  in
+  if not separated then fail ()
   else
-    let num pos len = int_of_string_opt (String.sub s pos len) in
-    match (num 0 4, num 5 2, num 8 2, num 11 2, num 14 2, num 17 2) with
+    match (digits 0 4, digits 5 2, digits 8 2, digits 11 2, digits 14 2, digits 17 2) with
     | Some year, Some month, Some day, Some h, Some m, Some sec
-      when month >= 1 && month <= 12 && day >= 1 && day <= 31 && h < 24 && m < 60
-           && sec < 60 ->
+      when h < 24 && m < 60 && sec < 60 ->
         let days = days_from_civil ~year ~month ~day in
-        Ok (float_of_int ((days * 86400) + (h * 3600) + (m * 60) + sec))
+        if civil_from_days days <> (year, month, day) then fail ()
+        else Ok (float_of_int ((days * 86400) + (h * 3600) + (m * 60) + sec))
     | _ -> fail ()

@@ -7,7 +7,9 @@ val to_string : float -> string
     seconds are truncated. *)
 
 val of_string : string -> (float, string) result
-(** Parse ["YYYY-MM-DD HH:MM:SS"] back to POSIX seconds. *)
+(** Parse ["YYYY-MM-DD HH:MM:SS"] back to POSIX seconds.  Every field
+    is plain decimal digits and the date must exist, so whatever parses
+    renders back to the same text through {!to_string}. *)
 
 val days_from_civil : year:int -> month:int -> day:int -> int
 (** Days since 1970-01-01 (proleptic Gregorian); negative before the

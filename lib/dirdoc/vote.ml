@@ -271,7 +271,7 @@ let parse text =
   let* source = header "dir-source" in
   match String.split_on_char ' ' source with
   | [ nickname; authority; fingerprint ] -> (
-      match int_of_string_opt authority with
+      match decimal authority with
       | None -> Error "bad authority id in dir-source"
       | Some authority -> (
           match

@@ -103,7 +103,7 @@ module Make (P : PROTOCOL) = struct
       need;
       round_seconds;
       stop;
-      memo = Dirdoc.Aggregate.Memo.create ();
+      memo = Dirdoc.Aggregate.Memo.of_population env.votes;
       lbl_sig;
       lbl_sig_request;
       lbl_sig_answer;
@@ -158,7 +158,7 @@ module Make (P : PROTOCOL) = struct
     | _ -> ()
 
   (* Authorities holding identical vote sets share one aggregation
-     through the run-local memo. *)
+     through the population's memo, within a run and across runs. *)
   let sign t ~node votes =
     let c =
       Dirdoc.Aggregate.consensus_memo ~memo:t.memo ~valid_after:t.env.valid_after ~votes

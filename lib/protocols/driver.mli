@@ -47,6 +47,7 @@ module Make (P : PROTOCOL) : sig
     round_seconds : Tor_sim.Simtime.t;
     stop : Tor_sim.Simtime.t;
     memo : Dirdoc.Aggregate.Memo.t;
+        (** the memo of [env.votes], shared by every run over that population *)
     lbl_sig : Tor_sim.Stats.label;
     lbl_sig_request : Tor_sim.Stats.label;
     lbl_sig_answer : Tor_sim.Stats.label;

@@ -100,6 +100,31 @@ let test_timefmt_known () =
   checki "leap day" (Timefmt.days_from_civil ~year:2024 ~month:3 ~day:1)
     (Timefmt.days_from_civil ~year:2024 ~month:2 ~day:29 + 1)
 
+(* Only plain decimal fields between the fixed separators, and only
+   dates the calendar has. *)
+let test_timefmt_strict () =
+  let parses s = Result.is_ok (Timefmt.of_string s) in
+  List.iter
+    (fun s -> checkb (s ^ " rejected") false (parses s))
+    [
+      "2026-01-01 -1:00:00";
+      "0x7E-01-01 00:00:00";
+      "+026-01-01 00:00:00";
+      "2026-01-01 0_:00:00";
+      "2026-02-31 00:00:00";
+      "2025-02-29 00:00:00";
+      "2026-04-31 00:00:00";
+      "2026-00-10 00:00:00";
+      "2026-13-01 00:00:00";
+      "2026-01-00 00:00:00";
+      "2026-01-01 24:00:00";
+      "2026x01-01 00:00:00";
+      "2026-01-01T00:00:00";
+    ];
+  List.iter
+    (fun s -> checkb (s ^ " accepted") true (parses s))
+    [ "2024-02-29 00:00:00"; "2000-02-29 23:59:59"; "0000-01-01 00:00:00"; "9999-12-31 23:59:59" ]
+
 let qcheck_timefmt_roundtrip =
   QCheck.Test.make ~name:"timefmt roundtrip" ~count:200
     QCheck.(int_range 0 4102444800 (* year 2100 *))
@@ -108,6 +133,25 @@ let qcheck_timefmt_roundtrip =
       match Timefmt.of_string s with
       | Ok back -> int_of_float back = secs
       | Error _ -> false)
+
+(* A timestamp with one to three bytes replaced: whatever still parses
+   must render back to the same text. *)
+let qcheck_timefmt_mutated =
+  let alphabet = "0123456789-+_: xX" in
+  let gen =
+    QCheck.Gen.(
+      let* secs = int_range 0 4102444800 in
+      let byte =
+        oneof [ map (String.get alphabet) (int_bound (String.length alphabet - 1)); char ]
+      in
+      let* edits = list_size (int_range 1 3) (pair (int_bound 18) byte) in
+      let b = Bytes.of_string (Timefmt.to_string (float_of_int secs)) in
+      List.iter (fun (pos, c) -> Bytes.set b pos c) edits;
+      return (Bytes.to_string b))
+  in
+  QCheck.Test.make ~name:"timefmt: what parses renders back" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun s -> match Timefmt.of_string s with Ok t -> Timefmt.to_string t = s | Error _ -> true)
 
 let qcheck_civil_inverse =
   QCheck.Test.make ~name:"civil_from_days inverse" ~count:200
@@ -198,7 +242,26 @@ let test_vote_parse_garbage () =
   (match Vote.parse "not a vote" with
   | Ok _ -> Alcotest.fail "accepted garbage"
   | Error _ -> ());
-  match Vote.parse "" with Ok _ -> Alcotest.fail "accepted empty" | Error _ -> ()
+  (match Vote.parse "" with Ok _ -> Alcotest.fail "accepted empty" | Error _ -> ());
+  (* The dir-source authority id is a plain decimal. *)
+  let with_authority id =
+    String.split_on_char '\n' (Vote.serialize (sample_vote ()))
+    |> List.map (fun line ->
+           match String.split_on_char ' ' line with
+           | [ "dir-source"; nickname; _; fingerprint ] ->
+               String.concat " " [ "dir-source"; nickname; id; fingerprint ]
+           | _ -> line)
+    |> String.concat "\n" |> Vote.parse
+  in
+  (match with_authority "3" with
+  | Ok v -> checki "decimal authority id" 3 v.Vote.authority
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun id ->
+      match with_authority id with
+      | Ok _ -> Alcotest.fail ("accepted authority id " ^ id)
+      | Error _ -> ())
+    [ "0x3"; "+3"; "3_"; "-3"; "" ]
 
 (* A field line belongs to the entry its [r] line opened: one before
    the first entry or after [directory-footer] is rejected, not folded
@@ -390,6 +453,31 @@ let qcheck_consensus_order_independent =
       Consensus.equal
         (Aggregate.consensus ~valid_after:0. ~votes)
         (Aggregate.consensus ~valid_after:0. ~votes:shuffled))
+
+(* Two domains aggregating the same vote sets through one population's
+   memo: every document equals a fresh merge, and both domains get the
+   one document stored for each key. *)
+let test_memo_across_domains () =
+  let rng = Tor_sim.Rng.of_string_seed "memo-domains" in
+  let keyring = Crypto.Keyring.create ~n:9 () in
+  let votes = Workload.votes ~rng ~keyring ~n_authorities:9 ~n_relays:200 ~valid_after:0. () in
+  let all = Array.to_list votes in
+  let sets = all :: List.map (fun (v : Vote.t) -> List.filter (( != ) v) all) all in
+  let memo = Aggregate.Memo.of_population votes in
+  checkb "one memo per population" true (memo == Aggregate.Memo.of_population votes);
+  let aggregate () =
+    List.map (fun votes -> Aggregate.consensus_memo ~memo ~valid_after:0. ~votes) sets
+  in
+  let other = Domain.spawn aggregate in
+  let here = aggregate () in
+  let there = Domain.join other in
+  List.iteri
+    (fun i (votes, (a, b)) ->
+      let fresh = Aggregate.consensus ~valid_after:0. ~votes in
+      checkb (Printf.sprintf "set %d: equal to a fresh merge" i) true
+        (Consensus.equal fresh a && Consensus.equal fresh b);
+      checkb (Printf.sprintf "set %d: one stored document" i) true (a == b))
+    (List.combine sets (List.combine here there))
 
 (* --- Consensus document --------------------------------------------------------- *)
 
@@ -824,7 +912,9 @@ let suite =
     ("exit policy parse", `Quick, test_exit_policy_parse);
     ("exit policy compare", `Quick, test_exit_policy_compare);
     ("timefmt known values", `Quick, test_timefmt_known);
+    ("timefmt strict fields and dates", `Quick, test_timefmt_strict);
     QCheck_alcotest.to_alcotest qcheck_timefmt_roundtrip;
+    QCheck_alcotest.to_alcotest qcheck_timefmt_mutated;
     QCheck_alcotest.to_alcotest qcheck_civil_inverse;
     ("relay validation", `Quick, test_relay_validation);
     ("vote create", `Quick, test_vote_create);
@@ -847,6 +937,7 @@ let suite =
     ("pinned consensus digest", `Quick, test_pinned_consensus_digest);
     ("aggregate merge equivalence", `Slow, test_aggregate_equivalence);
     QCheck_alcotest.to_alcotest qcheck_consensus_order_independent;
+    ("aggregation memo shared across domains", `Quick, test_memo_across_domains);
     ("consensus validity window", `Quick, test_consensus_validity_window);
     ("consensus serialize", `Quick, test_consensus_serialize);
     ("workload determinism", `Quick, test_workload_determinism);

@@ -230,6 +230,43 @@ let test_campaign_map_determinism () =
   checki "one result per plan" (List.length plans) (List.length seq);
   checkb "jobs=1 and jobs=3 identical" true (seq = par)
 
+(* --- Aggregation memo ---------------------------------------------------------- *)
+
+(* Authority 0's document in a fault-free Ours run. *)
+let ours_document env =
+  Option.get (E.run E.Ours env).R.result.R.per_authority.(0).R.consensus
+
+(* Every run over one vote population aggregates through that
+   population's memo; a population built anew gets a memo of its own. *)
+let test_memo_shared_by_population () =
+  let plan = Exec.Campaign.plan_of_spec campaign_base in
+  let document ctx = ours_document (Exec.Campaign.env_of ctx plan) in
+  let ctx = Exec.Campaign.create campaign_base in
+  checkb "two runs on one context decide one document" true (document ctx == document ctx);
+  let a = document (Exec.Campaign.create campaign_base)
+  and b = document (Exec.Campaign.create campaign_base) in
+  checkb "separate populations decide equal documents" true (Dirdoc.Consensus.equal a b);
+  checkb "separate populations do not share them" false (a == b)
+
+(* Builds a population, runs Ours on it and points [documents] at the
+   decided document; returns the votes if asked to keep them. *)
+let[@inline never] population_document documents ~keep =
+  let votes = (R.of_spec campaign_base).R.votes in
+  Weak.set documents 0 (Some (ours_document (R.of_spec ~votes campaign_base)));
+  if keep then Some votes else None
+
+(* The memo keeps a population's documents exactly as long as the
+   population: the report is dropped in both cases. *)
+let test_memo_lives_with_population () =
+  let documents = Weak.create 1 in
+  let kept = population_document documents ~keep:true in
+  Gc.full_major ();
+  checkb "kept while the population lives" true (Weak.check documents 0);
+  ignore (Sys.opaque_identity kept);
+  ignore (population_document documents ~keep:false : Dirdoc.Vote.t array option);
+  Gc.full_major ();
+  checkb "collected with the population" false (Weak.check documents 0)
+
 (* --- Chaos ------------------------------------------------------------------ *)
 
 let chaos_config =
@@ -272,6 +309,8 @@ let suite =
     ("cache: exceptions not cached", `Quick, test_cache_exception_not_cached);
     ("campaign: plan/spec roundtrip and digests", `Quick, test_campaign_plan_roundtrip);
     ("campaign: map independent of jobs", `Slow, test_campaign_map_determinism);
+    ("memo: shared by every run of one population", `Quick, test_memo_shared_by_population);
+    ("memo: lives as long as its population", `Quick, test_memo_lives_with_population);
     ("sweep: compiles the grid", `Quick, test_sweep_compiles_grid);
     ("sweep: fig10 sub-grid determinism jobs=1 vs jobs=4", `Slow,
       test_fig10_subgrid_determinism);
