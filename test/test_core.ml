@@ -755,6 +755,35 @@ let test_distribution_steady_state_savings () =
         >= 5 * d.Torclient.Distribution.bytes_served)
   | _ -> Alcotest.fail "expected distribution outcomes on both runs"
 
+(* The exact bytes a 2,000-relay run serves, with diffs on and off, in
+   steady state and after the paper's 3 h halt.  A million clients
+   fetch through 16 caches, so [bytes_served] is the client count times
+   the document or diff size: any move in how either size is computed
+   moves these numbers. *)
+let test_distribution_exact_sizes () =
+  let spec = { R.Spec.default with seed = "dist-sizes"; n_relays = 2000 } in
+  let votes = (R.of_spec spec).R.votes in
+  let outcome ~halt ~diffs =
+    let distribution =
+      Some { Torclient.Distribution.default_config with halt; diffs }
+    in
+    let env = R.of_spec ~votes { spec with distribution } in
+    match (Torpartial.Experiments.run Torpartial.Experiments.Ours env).R.distribution with
+    | Some o ->
+        Torclient.Distribution.
+          [ o.bytes_served; o.full_fetches; o.diff_fetches ]
+    | None -> Alcotest.fail "expected a distribution outcome"
+  in
+  List.iter
+    (fun (label, halt, diffs, expected) ->
+      Alcotest.(check (list int)) label expected (outcome ~halt ~diffs))
+    [
+      ("steady state, diffs", 0., true, [ 8_199_000_000; 0; 1_000_000 ]);
+      ("steady state, full", 0., false, [ 545_401_000_000; 1_000_000; 0 ]);
+      ("3 h halt, diffs", 10800., true, [ 33_194_000_000; 0; 1_000_000 ]);
+      ("3 h halt, full", 10800., false, [ 545_401_000_000; 1_000_000; 0 ]);
+    ]
+
 let test_distribution_skipped_on_failure () =
   (* A run that produces no consensus has nothing to distribute. *)
   let env =
@@ -1096,4 +1125,5 @@ let suite =
     ("scenario: every directive equals a hand-built spec", `Quick,
       test_scenario_equals_hand_built_spec);
     ("scenario: attack windows on one node", `Quick, test_scenario_windows_on_one_node);
+    ("distribution: exact sizes at 2,000 relays", `Quick, test_distribution_exact_sizes);
   ]
