@@ -28,8 +28,16 @@ let retry_max = 600.
 let client_timeout = 30.
 let cache_bandwidth_bits_per_sec = 1e9
 
+(* The largest client population a run accepts: 1,000x the paper's
+   million-client crowd.  [run] counts client-weighted bytes and
+   attempts in plain ints (cohort size x per-client bytes, [9 * clients]),
+   and this bound keeps them far inside the 63-bit range. *)
+let max_clients = 1_000_000_000
+
 let validate_config c =
   if c.clients <= 0 then invalid_arg "Distribution: clients must be positive";
+  if c.clients > max_clients then
+    invalid_arg "Distribution: clients must be at most 1000000000";
   if c.caches <= 0 then invalid_arg "Distribution: caches must be positive";
   if c.halt < 0. then invalid_arg "Distribution: negative halt";
   if not (Float.is_finite c.halt) then invalid_arg "Distribution: halt must be finite"

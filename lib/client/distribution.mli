@@ -42,8 +42,10 @@ val default_config : config
 (** 1M clients on 16 caches, steady state ([halt = 0]), diffs on. *)
 
 val validate_config : config -> unit
-(** Raises [Invalid_argument] on a non-positive client or cache count
-    or a negative, NaN or infinite [halt]. *)
+(** Raises [Invalid_argument] on a non-positive client or cache count,
+    more than 10^9 clients (1,000x the paper's crowd; the bound keeps
+    the client-weighted byte and attempt counts inside [int]), or a
+    negative, NaN or infinite [halt]. *)
 
 val canonical_config : config -> string
 (** Canonical serialization (lossless floats, the fixed parameters

@@ -306,6 +306,11 @@ let test_distribution_validation () =
           (Dist.run cfg ~available_at:0. ~full_bytes:1000 ~diff_bytes:None ~horizon:10.))
   in
   reject "Distribution: clients must be positive" { dist_config with Dist.clients = 0 };
+  reject "Distribution: clients must be at most 1000000000"
+    { dist_config with Dist.clients = 1_000_000_001 };
+  reject "Distribution: clients must be at most 1000000000"
+    { dist_config with Dist.clients = max_int };
+  Dist.validate_config { dist_config with Dist.clients = 1_000_000_000 };
   reject "Distribution: caches must be positive" { dist_config with Dist.caches = 0 };
   reject "Distribution: negative halt" { dist_config with Dist.halt = -1. };
   reject "Distribution: halt must be finite" { dist_config with Dist.halt = nan };

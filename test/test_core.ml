@@ -880,6 +880,7 @@ let test_scenario_errors () =
   ignore (expect_error "horizon inf");
   ignore (expect_error "clients many");
   ignore (expect_error "clients 0");
+  ignore (expect_error "clients 1000000001");
   ignore (expect_error "caches 0");
   ignore (expect_error "halt -5");
   ignore (expect_error "halt nan");
