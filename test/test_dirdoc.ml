@@ -513,6 +513,22 @@ let test_consensus_serialize () =
   checkb "has relay" true (contains "r relay1");
   checkb "find" true (Consensus.find c ~fingerprint:(fp 1) <> None)
 
+(* The whole serialized text of an aggregated 300-relay consensus, by
+   length and SHA-256: every header line, flag set, version tag, exit
+   policy range and the footer take part. *)
+let test_consensus_text_pinned () =
+  let keyring = Crypto.Keyring.create ~n:9 () in
+  let votes =
+    Workload.votes ~rng:(Tor_sim.Rng.of_string_seed "consensus-text-pin")
+      ~divergence:Workload.default_divergence ~keyring ~n_authorities:9 ~n_relays:300
+      ~valid_after:1767232800. ()
+  in
+  let c = Aggregate.consensus ~valid_after:1767232800. ~votes:(Array.to_list votes) in
+  let text = Consensus.serialize c in
+  checki "text length" 81731 (String.length text);
+  checks "text digest" "155ab054a3d3f38e01946d9f02fae9d39b424fc011af9aa21ffbe041261ec4e5"
+    (Crypto.Digest32.hex (Crypto.Digest32.of_string text))
+
 (* --- Workload ---------------------------------------------------------------- *)
 
 let test_workload_determinism () =
@@ -952,4 +968,5 @@ let suite =
     ("workload churn", `Quick, test_workload_churn);
     QCheck_alcotest.to_alcotest qcheck_parser_fuzz;
     QCheck_alcotest.to_alcotest qcheck_parser_line_fuzz;
+    ("consensus text pinned", `Quick, test_consensus_text_pinned);
   ]
