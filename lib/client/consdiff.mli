@@ -3,39 +3,31 @@
     Clients that already hold last hour's consensus fetch only an
     ed-style line diff of the new one, cutting directory bandwidth by
     an order of magnitude — which matters here because directory
-    bandwidth is exactly what the DDoS attack starves.  This module
-    implements line-based diff computation (a one-pass merge of the two
-    documents' per-relay blocks), the ed-script encoding, and patch
-    application.
+    bandwidth is exactly what the DDoS attack starves.
 
-    [patch base (diff base target) = target] for any two documents. *)
+    Directory text is structured: a header, one six-line block per
+    relay (sorted by fingerprint), a footer.  The diff merges the two
+    documents' blocks by fingerprint and emits one command per block
+    that changed: the target's header lines when the rendered headers
+    differ, the target's block for a relay that joined or whose
+    rendered block changed, and a line-range delete for a relay that
+    left.  This module computes the diff's transfer size from the two
+    documents' header fields and entries, building neither text. *)
 
-type command =
-  | Delete of { start : int; stop : int }
-      (** delete lines [start..stop] of the base (1-indexed) *)
-  | Replace of { start : int; stop : int; lines : string list }
-      (** replace lines [start..stop] with [lines] *)
-  | Insert of { after : int; lines : string list }
-      (** insert [lines] after base line [after] (0 = at the top) *)
-
-type t = {
-  base_digest : Crypto.Digest32.t;    (** document the diff applies to *)
-  target_digest : Crypto.Digest32.t;  (** expected result *)
-  commands : command list;            (** in ascending base-line order *)
+type document = {
+  valid_after : float;
+  n_votes : int;
+  entries : Dirdoc.Consensus.entry array;
+      (** sorted by fingerprint, no fingerprint twice *)
 }
+(** What a consensus's text is rendered from
+    ({!Dirdoc.Consensus.serialize}): its header fields and entries. *)
 
-val diff : base:string -> target:string -> t
-(** Compute a line diff between two serialized documents; identical
-    documents give an empty command list. *)
+val of_consensus : Dirdoc.Consensus.t -> document
 
-val patch : base:string -> t -> (string, string) result
-(** Apply a diff.  Fails with an explanation if the base digest does
-    not match, a command references lines out of range, or the result
-    does not hash to [target_digest]. *)
-
-val wire_size : t -> int
-(** Modelled transfer size: headers plus the encoded commands. *)
-
-val savings : base:string -> target:string -> float
-(** [1 - wire_size(diff)/|target|]: the fraction of download saved by
-    fetching the diff instead of the full document. *)
+val wire_size : base:document -> target:document -> int
+(** Transfer size of the diff that turns [base]'s text into
+    [target]'s: the two document digests and a 32-byte preamble, then
+    16 bytes per command plus the lines the command carries, each
+    with its newline.  Entries that are physically equal are taken as
+    unchanged without rendering them. *)

@@ -20,29 +20,31 @@ let default_seed = "torpartial"
    document a diff would be computed against is synthesized from the
    produced consensus by undoing plausible churn (per-hour rates from
    Workload.evolve), seeded from the document digest so the
-   diff size is a pure function of the run. *)
-let previous_consensus ~rng ~hours (c : Dirdoc.Consensus.t) =
+   diff size is a pure function of the run.  Both sizes come from the
+   documents' header fields and entries: no text is built or hashed. *)
+let previous_document ~rng ~hours (c : Dirdoc.Consensus.t) =
   (* Hourly consensus changes come from relay churn alone (measured
      bandwidths are smoothed and stable hour-over-hour — see
      [consdiff_savings]), so the previous document is the produced one
      minus the relays that joined in the meantime, at the default
      ~1.5%/hour join rate compounded over the gap. *)
   let keep_prob = 0.985 ** float_of_int hours in
-  let entries =
-    Array.to_list c.Dirdoc.Consensus.entries
-    |> List.filter (fun (_ : Dirdoc.Consensus.entry) -> Rng.float rng 1. <= keep_prob)
-  in
-  Dirdoc.Consensus.create
-    ~valid_after:(c.Dirdoc.Consensus.valid_after -. (3600. *. float_of_int hours))
-    ~n_votes:c.Dirdoc.Consensus.n_votes ~entries
+  {
+    Torclient.Consdiff.valid_after =
+      c.Dirdoc.Consensus.valid_after -. (3600. *. float_of_int hours);
+    n_votes = c.Dirdoc.Consensus.n_votes;
+    entries =
+      Array.to_seq c.Dirdoc.Consensus.entries
+      |> Seq.filter (fun (_ : Dirdoc.Consensus.entry) -> Rng.float rng 1. <= keep_prob)
+      |> Array.of_seq;
+  }
 
 let distribution_outcome (env : Runenv.t) (result : Runenv.run_result)
     (cfg : Torclient.Distribution.config) =
   match Runenv.majority_signed ~n:env.Runenv.n result with
   | None -> None
   | Some c ->
-      let target = Dirdoc.Consensus.serialize c in
-      let full_bytes = String.length target in
+      let full_bytes = Dirdoc.Consensus.text_size c in
       let diff_bytes =
         if cfg.Torclient.Distribution.diffs then begin
           let rng =
@@ -52,10 +54,10 @@ let distribution_outcome (env : Runenv.t) (result : Runenv.run_result)
           let hours =
             1 + int_of_float (cfg.Torclient.Distribution.halt /. 3600.)
           in
-          let base =
-            Dirdoc.Consensus.serialize (previous_consensus ~rng ~hours c)
-          in
-          Some (Torclient.Consdiff.wire_size (Torclient.Consdiff.diff ~base ~target))
+          Some
+            (Torclient.Consdiff.wire_size
+               ~base:(previous_document ~rng ~hours c)
+               ~target:(Torclient.Consdiff.of_consensus c))
         end
         else None
       in
@@ -409,19 +411,27 @@ let consdiff_savings () =
     Dirdoc.Aggregate.consensus ~valid_after ~votes:(Array.to_list votes)
   in
   let relays0 = Dirdoc.Workload.relays ~rng ~n:2000 ~published:0. in
+  (* The diff's share of the full download, both sized from entries. *)
+  let savings ~base ~target =
+    let diff =
+      Torclient.Consdiff.wire_size ~base:(Torclient.Consdiff.of_consensus base)
+        ~target:(Torclient.Consdiff.of_consensus target)
+    in
+    Float.max 0.
+      (1. -. (float_of_int diff /. float_of_int (Dirdoc.Consensus.text_size target)))
+  in
   let rec hours_loop hour relays previous acc =
     if hour > 4 then List.rev acc
     else begin
       let valid_after = 3600. *. float_of_int hour in
       let c = consensus_of ~valid_after relays in
-      let serialized = Dirdoc.Consensus.serialize c in
       let acc =
         match previous with
         | None -> acc
-        | Some prev -> (hour, Torclient.Consdiff.savings ~base:prev ~target:serialized) :: acc
+        | Some prev -> (hour, savings ~base:prev ~target:c) :: acc
       in
       let next = Dirdoc.Workload.evolve ~rng ~published:valid_after relays in
-      hours_loop (hour + 1) next (Some serialized) acc
+      hours_loop (hour + 1) next (Some c) acc
     end
   in
   hours_loop 0 relays0 None []

@@ -18,10 +18,12 @@ val run : protocol -> Protocols.Runenv.t -> Protocols.Runenv.report
     {!Protocols.Runenv.Spec.t.distribution} config and the agreement
     run succeeds, the majority-signed document is handed to the
     {!Torclient.Distribution} tier and the report's [distribution]
-    field carries the client-side metrics (with diff serving, the
-    served delta is computed against a synthesized previous-hour
-    document via {!Torclient.Consdiff}); after a failed run nothing
-    reaches the caches, so the field is [None]. *)
+    field carries the client-side metrics.  The full download is the
+    document's {!Dirdoc.Consensus.text_size}; with diff serving, the
+    served delta is {!Torclient.Consdiff.wire_size} against a
+    synthesized previous-hour document, so neither size builds or
+    hashes text.  After a failed run nothing reaches the caches, so
+    the field is [None]. *)
 
 val run_job : Exec.Job.t -> Exec.Job.outcome
 (** Execute one sweep job through {!run}, on a fresh environment built

@@ -54,6 +54,10 @@ let compute_digest ~valid_after ~n_votes entries =
   Crypto.Sink.feed_sha256 sink ctx;
   Crypto.Digest32.of_raw (Crypto.Sha256.finalize ctx)
 
+(* The validity window clients enforce: fresh for 1 h, valid for 3 h. *)
+let fresh_until_of valid_after = valid_after +. 3600.
+let valid_until_of valid_after = valid_after +. (3. *. 3600.)
+
 let create ~valid_after ~n_votes ~entries =
   let arr = Array.of_list entries in
   (* Aggregation emits entries already in fingerprint order; skip the
@@ -72,8 +76,8 @@ let create ~valid_after ~n_votes ~entries =
   let digest = compute_digest ~valid_after ~n_votes arr in
   {
     valid_after;
-    fresh_until = valid_after +. 3600.;
-    valid_until = valid_after +. (3. *. 3600.);
+    fresh_until = fresh_until_of valid_after;
+    valid_until = valid_until_of valid_after;
     n_votes;
     entries = arr;
     digest;
@@ -99,27 +103,62 @@ let equal a b = Crypto.Digest32.equal a.digest b.digest
 let is_fresh t ~now = now < t.fresh_until
 let is_valid t ~now = now < t.valid_until
 
-let serialize t =
-  let buf = Buffer.create (2048 + (n_entries t * 256)) in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+(* The text is written in three pieces through the [Sink] feeders:
+   the header lines, each entry's six lines, the footer.  [serialize]
+   concatenates them; [text_size] and [Torclient.Consdiff.wire_size]
+   render the same pieces into a scratch sink for their lengths. *)
+let feed_header sink ~valid_after ~n_votes =
+  let line s =
+    Crypto.Sink.feed_str sink s;
+    Crypto.Sink.feed_char sink '\n'
+  in
   line "network-status-version 3";
   line "vote-status consensus";
   line "consensus-method 34";
-  line "valid-after %s" (Timefmt.to_string t.valid_after);
-  line "fresh-until %s" (Timefmt.to_string t.fresh_until);
-  line "valid-until %s" (Timefmt.to_string t.valid_until);
-  line "vote-count %d" t.n_votes;
-  line "voting-delay 300 300";
-  Array.iter
-    (fun e ->
-      line "r %s %s" e.nickname e.fingerprint;
-      line "s %s" (Flags.to_string e.flags);
-      line "v Tor %s" (Version.to_string e.version);
-      line "pr %s" e.protocols;
-      line "w Bandwidth=%d" e.bandwidth;
-      line "p %s" (Exit_policy.to_string e.exit_policy))
-    t.entries;
-  line "directory-footer";
-  Buffer.contents buf
+  line ("valid-after " ^ Timefmt.to_string valid_after);
+  line ("fresh-until " ^ Timefmt.to_string (fresh_until_of valid_after));
+  line ("valid-until " ^ Timefmt.to_string (valid_until_of valid_after));
+  Crypto.Sink.feed_str sink "vote-count ";
+  Crypto.Sink.feed_int sink n_votes;
+  Crypto.Sink.feed_char sink '\n';
+  line "voting-delay 300 300"
+
+let feed_entry sink e =
+  Crypto.Sink.feed_str sink "r ";
+  Crypto.Sink.feed_str sink e.nickname;
+  Crypto.Sink.feed_char sink ' ';
+  Crypto.Sink.feed_str sink e.fingerprint;
+  Crypto.Sink.feed_str sink "\ns ";
+  Flags.feed sink e.flags;
+  Crypto.Sink.feed_str sink "\nv Tor ";
+  Version.feed sink e.version;
+  Crypto.Sink.feed_str sink "\npr ";
+  Crypto.Sink.feed_str sink e.protocols;
+  Crypto.Sink.feed_str sink "\nw Bandwidth=";
+  Crypto.Sink.feed_int sink e.bandwidth;
+  Crypto.Sink.feed_str sink "\np ";
+  Exit_policy.feed sink e.exit_policy;
+  Crypto.Sink.feed_char sink '\n'
+
+let footer = "directory-footer\n"
+
+let serialize t =
+  let sink = Crypto.Sink.create () in
+  feed_header sink ~valid_after:t.valid_after ~n_votes:t.n_votes;
+  Array.iter (feed_entry sink) t.entries;
+  Crypto.Sink.feed_str sink footer;
+  Crypto.Sink.contents sink
+
+(* One scratch sink, cleared per entry: the text is never held whole. *)
+let text_size t =
+  let sink = Crypto.Sink.create () in
+  feed_header sink ~valid_after:t.valid_after ~n_votes:t.n_votes;
+  Array.fold_left
+    (fun size e ->
+      Crypto.Sink.clear sink;
+      feed_entry sink e;
+      size + Crypto.Sink.length sink)
+    (Crypto.Sink.length sink + String.length footer)
+    t.entries
 
 let signing_payload t = t.signing_payload

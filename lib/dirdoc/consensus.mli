@@ -43,7 +43,22 @@ val is_valid : t -> now:float -> bool
 (** Document not yet past the 3-hour hard deadline. *)
 
 val serialize : t -> string
-(** Dir-spec-style text rendering. *)
+(** Dir-spec-style text rendering: {!feed_header}, {!feed_entry} for
+    every entry in order, then ["directory-footer\n"]. *)
+
+val text_size : t -> int
+(** [String.length (serialize t)], rendering one entry at a time into
+    a scratch sink instead of building the text. *)
+
+val feed_header : Crypto.Sink.t -> valid_after:float -> n_votes:int -> unit
+(** Writes the header lines of a document with these fields (the
+    validity window follows from [valid_after]), each ending in a
+    newline, exactly as {!serialize} writes them. *)
+
+val feed_entry : Crypto.Sink.t -> entry -> unit
+(** Writes an entry's six lines (["r"], ["s"], ["v"], ["pr"], ["w"],
+    ["p"]), each ending in a newline, exactly as {!serialize} writes
+    them. *)
 
 val signing_payload : t -> string
 (** The byte string authorities sign: the digest prefixed with a
