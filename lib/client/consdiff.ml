@@ -15,9 +15,8 @@ let preamble = (2 * Crypto.Digest32.wire_size) + 32
 let command = 16
 
 (* One pass over both entry arrays, merged by fingerprint as the line
-   diff merges the documents' relay blocks; the footer never
-   changes, so it costs nothing.  Every size is a rendering's length in
-   one scratch sink. *)
+   diff merges the documents' relay blocks; the footer never changes,
+   so it costs nothing.  Texts are rendered in one scratch sink. *)
 let wire_size ~base ~target =
   let sink = Crypto.Sink.create () in
   let render feed =
@@ -25,27 +24,15 @@ let wire_size ~base ~target =
     feed sink;
     Crypto.Sink.contents sink
   in
-  let size feed =
-    Crypto.Sink.clear sink;
-    feed sink;
-    Crypto.Sink.length sink
-  in
   let header d = render (Consensus.feed_header ~valid_after:d.valid_after ~n_votes:d.n_votes) in
+  let entry e = render (fun sink -> Consensus.feed_entry sink e) in
   let target_header = header target in
   let header_cost =
     if String.equal (header base) target_header then 0
     else command + String.length target_header
   in
-  (* Insert a joined relay's block. *)
-  let carry e = command + size (fun sink -> Consensus.feed_entry sink e) in
-  (* Replace a block whose text changed. *)
-  let replace (b : Consensus.entry) t =
-    if b == t then 0
-    else
-      let text = render (fun sink -> Consensus.feed_entry sink t) in
-      if String.equal (render (fun sink -> Consensus.feed_entry sink b)) text then 0
-      else command + String.length text
-  in
+  let carry e = command + String.length (entry e) in
+  let unchanged b t = b == t || String.equal (entry b) (entry t) in
   let bs = base.entries and ts = target.entries in
   let nb = Array.length bs and nt = Array.length ts in
   let rec merge i j cost =
@@ -53,7 +40,8 @@ let wire_size ~base ~target =
       let c = String.compare bs.(i).fingerprint ts.(j).fingerprint in
       if c < 0 then merge (i + 1) j (cost + command)
       else if c > 0 then merge i (j + 1) (cost + carry ts.(j))
-      else merge (i + 1) (j + 1) (cost + replace bs.(i) ts.(j))
+      else if unchanged bs.(i) ts.(j) then merge (i + 1) (j + 1) cost
+      else merge (i + 1) (j + 1) (cost + carry ts.(j))
     else if i < nb then merge (i + 1) j (cost + command)
     else if j < nt then merge i (j + 1) (cost + carry ts.(j))
     else cost
