@@ -737,8 +737,8 @@ let test_distribution_steady_state_savings () =
   (* Steady state (no halt): clients hold last hour's consensus, so a
      diff fetch replaces the full download.  The paper-motivating bound:
      serving diffs must cut directory bytes by at least 5x — here the
-     sizes come from the real serialized documents and the real
-     consdiff encoding, not fixtures. *)
+     sizes come from the decided document's entries and the consdiff
+     wire encoding, not fixtures. *)
   let with_diffs = dist_report ~diffs:true in
   let full = dist_report ~diffs:false in
   match (with_diffs.R.distribution, full.R.distribution) with
