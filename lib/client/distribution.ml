@@ -37,7 +37,7 @@ let max_clients = 1_000_000_000
 let validate_config c =
   if c.clients <= 0 then invalid_arg "Distribution: clients must be positive";
   if c.clients > max_clients then
-    invalid_arg "Distribution: clients must be at most 1000000000";
+    invalid_arg (Printf.sprintf "Distribution: clients must be at most %d" max_clients);
   if c.caches <= 0 then invalid_arg "Distribution: caches must be positive";
   if c.halt < 0. then invalid_arg "Distribution: negative halt";
   if not (Float.is_finite c.halt) then invalid_arg "Distribution: halt must be finite"
