@@ -120,6 +120,85 @@ let qcheck_random_splits =
       feed cuts;
       String.equal (Sha256.finalize ctx) (Sha256.digest_string s))
 
+(* The reference model: FIPS 180-4 §6.2 written out plainly, one round
+   per loop step and a fresh schedule per block, sharing no code with
+   the library's block kernel. *)
+module Reference = struct
+  let k =
+    [| 0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b; 0x59f111f1;
+       0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01; 0x243185be; 0x550c7dc3;
+       0x72be5d74; 0x80deb1fe; 0x9bdc06a7; 0xc19bf174; 0xe49b69c1; 0xefbe4786;
+       0x0fc19dc6; 0x240ca1cc; 0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da;
+       0x983e5152; 0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+       0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc; 0x53380d13;
+       0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85; 0xa2bfe8a1; 0xa81a664b;
+       0xc24b8b70; 0xc76c51a3; 0xd192e819; 0xd6990624; 0xf40e3585; 0x106aa070;
+       0x19a4c116; 0x1e376c08; 0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a;
+       0x5b9cca4f; 0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+       0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2 |]
+
+  let iv =
+    [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c;
+       0x1f83d9ab; 0x5be0cd19 |]
+
+  let add x y = (x + y) land 0xFFFFFFFF
+  let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land 0xFFFFFFFF
+
+  (* Adds the compression of the block at [b.(off)..] into [h]. *)
+  let compress h b off =
+    let w = Array.make 64 0 in
+    for t = 0 to 15 do
+      w.(t) <- Int32.to_int (Bytes.get_int32_be b (off + (4 * t))) land 0xFFFFFFFF
+    done;
+    for t = 16 to 63 do
+      let s0 = rotr w.(t - 15) 7 lxor rotr w.(t - 15) 18 lxor (w.(t - 15) lsr 3) in
+      let s1 = rotr w.(t - 2) 17 lxor rotr w.(t - 2) 19 lxor (w.(t - 2) lsr 10) in
+      w.(t) <- add (add w.(t - 16) s0) (add w.(t - 7) s1)
+    done;
+    let v = Array.copy h in
+    for t = 0 to 63 do
+      let a = v.(0) and b = v.(1) and c = v.(2) and e = v.(4) and f = v.(5)
+      and g = v.(6) in
+      let ch = (e land f) lxor (lnot e land g) in
+      let maj = (a land b) lxor (a land c) lxor (b land c) in
+      let t1 =
+        add (add v.(7) (rotr e 6 lxor rotr e 11 lxor rotr e 25)) (add ch (add k.(t) w.(t)))
+      in
+      let t2 = add (rotr a 2 lxor rotr a 13 lxor rotr a 22) maj in
+      Array.blit v 0 v 1 7;
+      v.(4) <- add v.(4) t1;
+      v.(0) <- add t1 t2
+    done;
+    Array.iteri (fun i x -> h.(i) <- add h.(i) x) v
+
+  (* The message, 0x80, zeros up to 56 mod 64, then its bit length as a
+     64-bit big-endian integer. *)
+  let pad s =
+    let n = String.length s in
+    let padded = Bytes.make ((n + 9 + 63) / 64 * 64) '\x00' in
+    Bytes.blit_string s 0 padded 0 n;
+    Bytes.set padded n '\x80';
+    Bytes.set_int64_be padded (Bytes.length padded - 8) (Int64.of_int (8 * n));
+    padded
+
+  let serialize h =
+    let out = Bytes.create 32 in
+    Array.iteri (fun i x -> Bytes.set_int32_be out (4 * i) (Int32.of_int x)) h;
+    Bytes.to_string out
+
+  let digest s =
+    let h = Array.copy iv and padded = pad s in
+    for i = 0 to (Bytes.length padded / 64) - 1 do
+      compress h padded (64 * i)
+    done;
+    serialize h
+end
+
+let qcheck_reference =
+  QCheck.Test.make ~name:"sha256 digest = reference model" ~count:200
+    QCheck.(string_of_size (Gen.int_range 0 2000))
+    (fun s -> String.equal (Sha256.digest_string s) (Reference.digest s))
+
 (* --- Sink ------------------------------------------------------------------ *)
 
 let test_sink_feeders () =
@@ -287,6 +366,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_streaming;
     ("sha256 chunk boundaries", `Quick, test_chunk_boundaries);
     QCheck_alcotest.to_alcotest qcheck_random_splits;
+    QCheck_alcotest.to_alcotest qcheck_reference;
     ("sink feeders", `Quick, test_sink_feeders);
     QCheck_alcotest.to_alcotest qcheck_sink_int;
     QCheck_alcotest.to_alcotest qcheck_sink_fixed;
