@@ -233,7 +233,7 @@ let compress ctx b off =
   rounds ctx h.(0) h.(1) h.(2) h.(3) h.(4) h.(5) h.(6) h.(7) 0
 
 let feed_bytes ctx src ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length src then
+  if pos < 0 || len < 0 || len > Bytes.length src - pos then
     invalid_arg "Sha256.feed_bytes";
   ctx.total <- ctx.total + len;
   let remaining = ref len and offset = ref pos in

@@ -50,7 +50,10 @@ let test_feed_bounds () =
   Alcotest.check_raises "negative pos" (Invalid_argument "Sha256.feed_bytes")
     (fun () -> Sha256.feed_bytes ctx (Bytes.create 4) ~pos:(-1) ~len:2);
   Alcotest.check_raises "overflow" (Invalid_argument "Sha256.feed_bytes") (fun () ->
-      Sha256.feed_bytes ctx (Bytes.create 4) ~pos:2 ~len:3)
+      Sha256.feed_bytes ctx (Bytes.create 4) ~pos:2 ~len:3);
+  (* [pos + len] wraps around here, so the range check must not add. *)
+  Alcotest.check_raises "wrapping length" (Invalid_argument "Sha256.feed_bytes")
+    (fun () -> Sha256.feed_bytes ctx (Bytes.create 4) ~pos:1 ~len:max_int)
 
 (* Hashing allocates nothing per block: 64 KiB (1,024 blocks) fed into an
    existing context stays under 64 minor words, which leaves room only
