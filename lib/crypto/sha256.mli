@@ -1,15 +1,14 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4).
 
     This is the digest primitive underneath every commitment in the
     reproduction: vote digests, HMAC, and the simulated signature
-    scheme.  The implementation processes 64-byte blocks with the
-    standard compression function and is validated against the NIST
-    short-message vectors in the test suite.
+    scheme.  It is validated against the NIST short-message vectors and
+    a plain OCaml reference model in the test suite.
 
-    The message schedule and compression run on untagged native [int]
-    words (masked to 32 bits), so hashing allocates nothing beyond the
-    context itself; [Int32] appears only when the final digest is
-    serialized. *)
+    The 64-byte block compression is one C kernel: the x86-64 SHA
+    extensions when CPUID reports them at program start, a portable C
+    loop on every other CPU.  Both give the same digests.  Hashing
+    allocates nothing beyond the context and the returned digest. *)
 
 type ctx
 (** Streaming hash context. *)
