@@ -34,11 +34,19 @@ let cache_bandwidth_bits_per_sec = 1e9
    and this bound keeps them far inside the 63-bit range. *)
 let max_clients = 1_000_000_000
 
+(* The most caches a run accepts: above the live network's mean of
+   7,142 relays, each of which may serve as a directory cache.  [run]
+   sizes per-cache arrays and [caches * cohorts_per_cache] cohorts by
+   the count, and its cost grows with the cohort count. *)
+let max_caches = 10_000
+
 let validate_config c =
   if c.clients <= 0 then invalid_arg "Distribution: clients must be positive";
   if c.clients > max_clients then
     invalid_arg (Printf.sprintf "Distribution: clients must be at most %d" max_clients);
   if c.caches <= 0 then invalid_arg "Distribution: caches must be positive";
+  if c.caches > max_caches then
+    invalid_arg (Printf.sprintf "Distribution: caches must be at most %d" max_caches);
   if c.halt < 0. then invalid_arg "Distribution: negative halt";
   if not (Float.is_finite c.halt) then invalid_arg "Distribution: halt must be finite"
 

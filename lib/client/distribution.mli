@@ -44,8 +44,14 @@ val default_config : config
 val validate_config : config -> unit
 (** Raises [Invalid_argument] on a non-positive client or cache count,
     more than 10^9 clients (1,000x the paper's crowd; the bound keeps
-    the client-weighted byte and attempt counts inside [int]), or a
-    negative, NaN or infinite [halt]. *)
+    the client-weighted byte and attempt counts inside [int]), more than
+    10,000 caches, or a negative, NaN or infinite [halt].
+
+    The cache bound sits above the live network's 7,142 relays (the
+    paper's mean), each a potential directory cache.  A run's cost grows
+    with the count: a 1M-client crowd after a 3 h halt took 0.02 s at
+    16 caches, 1.5 s at 1,000 and 25 s (340 MB) at 10,000, on a 2-core
+    host. *)
 
 val canonical_config : config -> string
 (** Canonical serialization (lossless floats, the fixed parameters

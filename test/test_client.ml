@@ -565,6 +565,9 @@ let test_distribution_validation () =
     { dist_config with Dist.clients = max_int };
   Dist.validate_config { dist_config with Dist.clients = 1_000_000_000 };
   reject "Distribution: caches must be positive" { dist_config with Dist.caches = 0 };
+  reject "Distribution: caches must be at most 10000" { dist_config with Dist.caches = 10_001 };
+  reject "Distribution: caches must be at most 10000" { dist_config with Dist.caches = max_int };
+  Dist.validate_config { dist_config with Dist.caches = 10_000 };
   reject "Distribution: negative halt" { dist_config with Dist.halt = -1. };
   reject "Distribution: halt must be finite" { dist_config with Dist.halt = nan };
   reject "Distribution: halt must be finite" { dist_config with Dist.halt = infinity };

@@ -882,6 +882,7 @@ let test_scenario_errors () =
   ignore (expect_error "clients 0");
   ignore (expect_error "clients 1000000001");
   ignore (expect_error "caches 0");
+  ignore (expect_error "caches 10001");
   ignore (expect_error "halt -5");
   ignore (expect_error "halt nan");
   ignore (expect_error "halt inf");
