@@ -40,6 +40,11 @@ let max_clients = 1_000_000_000
    the count, and its cost grows with the cohort count. *)
 let max_caches = 10_000
 
+(* The longest halt a run accepts: one week, 56x the paper's 3 h.
+   Cohorts retry from the outage start, about [halt / retry_max] times
+   each, so a run's cost grows linearly with [halt]. *)
+let max_halt = 604_800.
+
 let validate_config c =
   if c.clients <= 0 then invalid_arg "Distribution: clients must be positive";
   if c.clients > max_clients then
@@ -48,7 +53,9 @@ let validate_config c =
   if c.caches > max_caches then
     invalid_arg (Printf.sprintf "Distribution: caches must be at most %d" max_caches);
   if c.halt < 0. then invalid_arg "Distribution: negative halt";
-  if not (Float.is_finite c.halt) then invalid_arg "Distribution: halt must be finite"
+  if not (Float.is_finite c.halt) then invalid_arg "Distribution: halt must be finite";
+  if c.halt > max_halt then
+    invalid_arg (Printf.sprintf "Distribution: halt must be at most %.0f s" max_halt)
 
 (* Same conventions as [Runenv.Spec.canonical]: %d for ints, %h for a
    lossless float image.  Embedded whole into the spec's canonical

@@ -45,13 +45,16 @@ val validate_config : config -> unit
 (** Raises [Invalid_argument] on a non-positive client or cache count,
     more than 10^9 clients (1,000x the paper's crowd; the bound keeps
     the client-weighted byte and attempt counts inside [int]), more than
-    10,000 caches, or a negative, NaN or infinite [halt].
+    10,000 caches, or a negative, NaN, infinite or longer than one
+    week (604,800 s, 56x the paper's 3 h) [halt].
 
     The cache bound sits above the live network's 7,142 relays (the
     paper's mean), each a potential directory cache.  A run's cost grows
     with the count: a 1M-client crowd after a 3 h halt took 0.02 s at
     16 caches, 1.5 s at 1,000 and 25 s (340 MB) at 10,000, on a 2-core
-    host. *)
+    host.  It grows linearly with [halt] too, since cohorts retry from
+    the outage start: at 16 caches, 0.03 s after 3 h and 0.44 s after
+    a week; at 1,000 caches, 82 s after a week. *)
 
 val canonical_config : config -> string
 (** Canonical serialization (lossless floats, the fixed parameters

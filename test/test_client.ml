@@ -571,6 +571,10 @@ let test_distribution_validation () =
   reject "Distribution: negative halt" { dist_config with Dist.halt = -1. };
   reject "Distribution: halt must be finite" { dist_config with Dist.halt = nan };
   reject "Distribution: halt must be finite" { dist_config with Dist.halt = infinity };
+  reject "Distribution: halt must be at most 604800 s"
+    { dist_config with Dist.halt = 604_800.5 };
+  reject "Distribution: halt must be at most 604800 s" { dist_config with Dist.halt = 1e9 };
+  Dist.validate_config { dist_config with Dist.halt = 604_800. };
   Alcotest.check_raises "bad full_bytes"
     (Invalid_argument "Distribution.run: full_bytes must be positive") (fun () ->
       ignore

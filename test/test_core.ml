@@ -886,6 +886,7 @@ let test_scenario_errors () =
   ignore (expect_error "halt -5");
   ignore (expect_error "halt nan");
   ignore (expect_error "halt inf");
+  ignore (expect_error "halt 604801");
   ignore (expect_error "diffs maybe");
   ignore (expect_error "defense fortress" (* unknown preset *));
   ignore (expect_error "defense admission:fast:8:16");
