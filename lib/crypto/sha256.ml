@@ -45,11 +45,13 @@ let feed_bytes ctx src ~pos ~len =
   ctx.total <- ctx.total + len;
   (* Top up a partially filled block first. *)
   let topup = if ctx.fill = 0 then 0 else min (64 - ctx.fill) len in
-  Bytes.blit src pos ctx.block ctx.fill topup;
-  ctx.fill <- ctx.fill + topup;
-  if ctx.fill = 64 then begin
-    blocks ctx.h ctx.block 0 1;
-    ctx.fill <- 0
+  if topup > 0 then begin
+    Bytes.blit src pos ctx.block ctx.fill topup;
+    ctx.fill <- ctx.fill + topup;
+    if ctx.fill = 64 then begin
+      blocks ctx.h ctx.block 0 1;
+      ctx.fill <- 0
+    end
   end;
   (* Whole blocks compress straight from the source in one call. *)
   let pos = pos + topup and len = len - topup in

@@ -1,12 +1,13 @@
 /* SHA-256 block compression (FIPS 180-4 §6.2) for Sha256.
 
-   One entry point compresses a run of whole 64-byte blocks into the
+   caml_sha256_blocks compresses a run of whole 64-byte blocks into the
    eight chaining words.  Two kernels sit behind it: the x86-64 SHA
    extensions, compiled with a per-function target attribute so the
-   object still loads on CPUs without them, and a plain C loop that
-   runs everywhere else.  Sha256 calls caml_sha256_select_kernel once
-   while it initializes, before any other domain can exist, so the
-   choice is made from CPUID exactly once and never raced. */
+   object still runs on CPUs without them, and a plain C loop for every
+   other CPU.  Sha256 calls caml_sha256_select_kernel once while it
+   initializes, before any other domain can exist, so CPUID makes the
+   choice exactly once and no call races it.  The tests reach the
+   portable kernel alone through caml_sha256_blocks_portable. */
 
 #define CAML_NAME_SPACE
 #include <caml/mlvalues.h>
@@ -64,14 +65,18 @@ static void blocks_portable(uint32_t h[8], const unsigned char *p, size_t n)
 
 #ifdef SHA256_X86
 /* The SHA extensions keep the state as two vectors, ABEF and CDGH
-   (highest lane first), and sha256rnds2 runs two rounds on a vector
-   holding the next two W[t] + K[t].  Four rounds (one quad) use one
-   message vector m[q % 4] holding W[4q..4q+3]; sha256msg1 and
-   sha256msg2 build W[4q+4..] for later quads from the four vectors in
-   flight.  q is a literal at every use, so the range tests fold. */
+   (highest lane first).  sha256rnds2 runs two rounds on the low two
+   lanes of a W[t] + K[t] vector and returns the new ABEF; the old ABEF
+   is the new CDGH, so the two vectors trade roles and the second call
+   of a quad trades them back.  Quad q (rounds 4q..4q+3) consumes
+   cur = W[4q..4q+3]; meanwhile sha256msg2 finishes next =
+   W[4q+4..4q+7] (from quad 3 on) and sha256msg1 starts W[4q+12..4q+15]
+   in prev (up to quad 12).  q is a literal at every use, so the range
+   tests fold away. */
 #define QUAD(q, prev, cur, next)                                          \
   do {                                                                    \
-    __m128i wk = _mm_add_epi32(cur, _mm_loadu_si128((const __m128i *)(k + 4 * (q)))); \
+    __m128i wk =                                                          \
+      _mm_add_epi32(cur, _mm_loadu_si128((const __m128i *)(k + 4 * (q)))); \
     cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);                         \
     if ((q) >= 3 && (q) <= 14)                                            \
       next = _mm_sha256msg2_epu32(                                        \
