@@ -28,46 +28,20 @@ let quota = ref 0.5
 let meta_commit = ref "unknown"
 let meta_date = ref "unknown"
 
-(* One JSON value type for every report section, so integer sections
-   (dropped-message counts) and float sections flow through the same
-   emitter instead of each section carrying its own formatting. *)
-type jv = I of int | F of float | S of string
-
-(* The JSON report's sections.  A target clears the sections it owns
-   before recording into them; [emit_json] walks {!sections}. *)
-type section =
-  | Micro         (* ns/run *)
-  | Macro_wall    (* wall s *)
-  | Alloc         (* MB allocated per run *)
-  | Dropped       (* messages dropped *)
-  | Obs_profile   (* telemetry pass *)
-  | Campaign      (* plans/s + speedup *)
-  | Defense       (* plans broken *)
-  | Dist_wall     (* wall s *)
-  | Dist_metrics  (* simulated metrics *)
-  | Target_wall   (* wall s per bench target *)
-
-(* Emission order and JSON names. *)
+(* The JSON report's sections in emission order, each holding its
+   entries in recording order.  A target clears the sections it owns
+   before recording into them. *)
 let sections =
-  [
-    (Micro, "micro_ns_per_run");
-    (Macro_wall, "macro_wall_s");
-    (Alloc, "alloc_mb_per_run");
-    (Dropped, "macro_dropped_msgs");
-    (Obs_profile, "obs_profile");
-    (Campaign, "campaign_plans_per_s");
-    (Defense, "defense_break_counts");
-    (Dist_wall, "dist_wall_s");
-    (Dist_metrics, "dist_metrics");
-    (Target_wall, "target_wall_s");
-  ]
+  List.map
+    (fun name -> (name, ref []))
+    [ "micro_ns_per_run"; "macro_wall_s"; "alloc_mb_per_run"; "macro_dropped_msgs";
+      "obs_profile"; "campaign_plans_per_s"; "defense_break_counts"; "dist_wall_s";
+      "dist_metrics"; "target_wall_s" ]
 
-(* Results accumulated for the JSON report, in recording order. *)
-let results = List.map (fun (section, _) -> (section, ref [])) sections
-let clear section = List.assoc section results := []
+let clear section = List.assoc section sections := []
 
-let record section key value =
-  let entries = List.assoc section results in
+let record section key (value : Obs.Json.t) =
+  let entries = List.assoc section sections in
   entries := !entries @ [ (key, value) ]
 
 let header title =
@@ -378,11 +352,11 @@ let micro () =
   let estimates =
     List.sort (fun (a, _) (b, _) -> String.compare a b) !estimates
   in
-  clear Micro;
+  clear "micro_ns_per_run";
   List.iter
     (fun (name, est) ->
       Printf.printf "%-40s %12.0f ns/run\n" name est;
-      record Micro name (F est))
+      record "micro_ns_per_run" name (Float est))
     estimates
 
 (* --- macro benchmark ------------------------------------------------------- *)
@@ -409,13 +383,13 @@ let macro_run name ~env ~protocol =
       Printf.printf "%-28s dropped: %s\n" ""
         (String.concat ", "
            (List.map (fun (l, c) -> Printf.sprintf "%s=%d" l c) by_label)));
-  record Macro_wall name (F wall);
-  record Alloc name (F alloc_mb);
-  record Dropped name (I (Tor_sim.Stats.dropped stats))
+  record "macro_wall_s" name (Float wall);
+  record "alloc_mb_per_run" name (Float alloc_mb);
+  record "macro_dropped_msgs" name (Int (Tor_sim.Stats.dropped stats))
 
 let macro () =
   header "Macro benchmarks: full protocol runs (wall clock + allocation)";
-  List.iter clear [ Macro_wall; Alloc; Dropped; Obs_profile ];
+  List.iter clear [ "macro_wall_s"; "alloc_mb_per_run"; "macro_dropped_msgs"; "obs_profile" ];
   let spec seed n_relays = { Protocols.Runenv.Spec.default with seed; n_relays } in
   (* Figure 10's largest completing configuration. *)
   macro_run "e2e-ours-8k-relays" ~protocol:E.Ours
@@ -455,9 +429,9 @@ let macro () =
         let p50 = Obs.Metrics.percentile h 0.5 and p99 = Obs.Metrics.percentile h 0.99 in
         Printf.printf "%-44s n=%-4d p50 %9.6f s  p99 %9.6f s\n" key
           (Obs.Metrics.count h) p50 p99;
-        record Obs_profile (key ^ "-n") (I (Obs.Metrics.count h));
-        record Obs_profile (key ^ "-p50_s") (F p50);
-        record Obs_profile (key ^ "-p99_s") (F p99)
+        record "obs_profile" (key ^ "-n") (Int (Obs.Metrics.count h));
+        record "obs_profile" (key ^ "-p50_s") (Float p50);
+        record "obs_profile" (key ^ "-p99_s") (Float p99)
   in
   quantiles (name ^ "/time-to-decision") (Protocols.Runenv.time_to_decision report);
   List.iter
@@ -480,7 +454,7 @@ let macro () =
    and is regression-gated (inverted: a halved throughput fails CI). *)
 let campaign () =
   header "Campaign engine: 200 chaos plans, cold rebuild vs shared votes";
-  clear Campaign;
+  clear "campaign_plans_per_s";
   (* 4000 relays: large enough that per-plan reconstruction (dominated
      by vote generation, which scales with the relay count) is the
      honest bottleneck a cold campaign pays, while 200 warm plans stay
@@ -525,9 +499,9 @@ let campaign () =
   Printf.printf
     "%-28s cold %7.2f s (%6.2f plans/s)\n%-28s warm %7.2f s (%6.2f plans/s)  %.2fx\n"
     name cold_s cold_rate name warm_s warm_rate (cold_s /. warm_s);
-  record Campaign (name ^ "/cold") (F cold_rate);
-  record Campaign name (F warm_rate);
-  record Campaign (name ^ "/speedup") (F (cold_s /. warm_s))
+  record "campaign_plans_per_s" (name ^ "/cold") (Float cold_rate);
+  record "campaign_plans_per_s" name (Float warm_rate);
+  record "campaign_plans_per_s" (name ^ "/speedup") (Float (cold_s /. warm_s))
 
 (* --- defense head-to-head --------------------------------------------------- *)
 
@@ -542,7 +516,7 @@ let campaign () =
    configuration. *)
 let defense () =
   header "Defense toolbox: 200 chaos plans x {none, admission, rotation, both}";
-  clear Defense;
+  clear "defense_break_counts";
   let plans = 200 in
   let breaks ~jobs preset =
     let config =
@@ -596,10 +570,10 @@ let defense () =
   Printf.printf "%-28s %8.3f s wall\n" name wall;
   List.iter
     (fun (label, _, (v3, ours)) ->
-      record Defense (Printf.sprintf "%s/%s/v3" name label) (I v3);
-      record Defense (Printf.sprintf "%s/%s/ours" name label) (I ours))
+      record "defense_break_counts" (Printf.sprintf "%s/%s/v3" name label) (Int v3);
+      record "defense_break_counts" (Printf.sprintf "%s/%s/ours" name label) (Int ours))
     table;
-  record Macro_wall name (F wall)
+  record "macro_wall_s" name (Float wall)
 
 (* --- distribution macro bench ---------------------------------------------- *)
 
@@ -611,8 +585,8 @@ let defense () =
    deterministic and land in their own JSON section. *)
 let dist () =
   header "Distribution tier: 1M-client flash crowd after a 3-hour halt";
-  clear Dist_wall;
-  clear Dist_metrics;
+  clear "dist_wall_s";
+  clear "dist_metrics";
   let flash name ~diffs =
     let distribution =
       Some { Torclient.Distribution.default_config with halt = 10800.; diffs }
@@ -629,7 +603,7 @@ let dist () =
     let t0 = Unix.gettimeofday () in
     let report = E.run E.Ours env in
     let wall = Unix.gettimeofday () -. t0 in
-    record Dist_wall name (F wall);
+    record "dist_wall_s" name (Float wall);
     match report.Protocols.Runenv.distribution with
     | None -> failwith (name ^ ": no distribution outcome")
     | Some o ->
@@ -643,9 +617,9 @@ let dist () =
         Printf.printf
           "%-28s %8.3f s wall  t90 %7.1f s  full %7.1f s  %10.1f MB/cache\n" name
           wall t90 tfull mb_per_cache;
-        record Dist_metrics (name ^ "-t90_s") (F t90);
-        record Dist_metrics (name ^ "-tfull_s") (F tfull);
-        record Dist_metrics (name ^ "-mb_per_cache") (F mb_per_cache)
+        record "dist_metrics" (name ^ "-t90_s") (Float t90);
+        record "dist_metrics" (name ^ "-tfull_s") (Float tfull);
+        record "dist_metrics" (name ^ "-mb_per_cache") (Float mb_per_cache)
   in
   flash "dist-flash-crowd-1M" ~diffs:true;
   flash "dist-flash-crowd-1M-full" ~diffs:false;
@@ -655,44 +629,21 @@ let dist () =
 
 (* --- JSON report ----------------------------------------------------------- *)
 
-(* Hand-rolled emitter: the names are plain ASCII identifiers, so
-   OCaml's [%S] escaping is valid JSON for them.  Every section goes
-   through the same {!jv} renderer — integers as integers, floats at a
-   fixed precision, strings escaped — instead of each section hand-
-   formatting its own values. *)
-let jv_to_string = function
-  | I n -> string_of_int n
-  | F x -> Printf.sprintf "%.6f" x
-  | S s -> Printf.sprintf "%S" s
-
 let emit_json path =
-  let buf = Buffer.create 1024 in
-  let section name entries ~last =
-    Buffer.add_string buf (Printf.sprintf "  %S: {" name);
-    List.iteri
-      (fun i (key, value) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\n    %S: %s" key (jv_to_string value)))
-      entries;
-    if entries <> [] then Buffer.add_string buf "\n  ";
-    Buffer.add_string buf (if last then "}\n" else "},\n")
-  in
-  Buffer.add_string buf "{\n  \"schema\": \"torda-bench/2\",\n";
-  section "meta"
+  let open Obs.Json in
+  let meta =
     [
-      ("commit", S !meta_commit);
-      ("date", S !meta_date);
-      ("ocaml", S Sys.ocaml_version);
-      ("cores", I (Domain.recommended_domain_count ()));
+      ("commit", String !meta_commit);
+      ("date", String !meta_date);
+      ("ocaml", String Sys.ocaml_version);
+      ("cores", Int (Domain.recommended_domain_count ()));
     ]
-    ~last:false;
-  List.iteri
-    (fun i (s, name) ->
-      section name !(List.assoc s results) ~last:(i = List.length sections - 1))
-    sections;
-  Buffer.add_string buf "}\n";
+  in
+  let sections = List.map (fun (name, entries) -> (name, Obj !entries)) sections in
   let oc = open_out path in
-  Buffer.output_buffer oc buf;
+  output_string oc
+    (to_string (Obj (("schema", String "torda-bench/2") :: ("meta", Obj meta) :: sections)));
+  output_char oc '\n';
   close_out oc;
   Printf.printf "\nwrote %s\n" path
 
@@ -766,7 +717,7 @@ let rec parse_args = function
 let run_target name f =
   let t0 = Unix.gettimeofday () in
   f ();
-  record Target_wall name (F (Unix.gettimeofday () -. t0))
+  record "target_wall_s" name (Float (Unix.gettimeofday () -. t0))
 
 let () =
   (match parse_args (List.tl (Array.to_list Sys.argv)) with

@@ -143,13 +143,8 @@ let print_metrics (o : R.obs) =
     (Obs.Metrics.histograms o.R.metrics)
 
 let write_trace path (o : R.obs) =
-  let json =
-    Obs.Trace_event.to_string
-      ~node_name:(fun n -> Printf.sprintf "authority %d" n)
-      ~spans:o.R.spans ~samples:o.R.samples ()
-  in
   let oc = open_out path in
-  output_string oc json;
+  output_string oc (Obs.Trace_event.to_string ~spans:o.R.spans ~samples:o.R.samples);
   close_out oc;
   Printf.printf "trace:     %s (%d span(s), %d sample(s))\n" path
     (List.length o.R.spans)

@@ -1,51 +1,37 @@
-(* Hand-rolled like the bench JSON emitter: the format is flat and
-   fixed, and the repo takes no JSON dependency.  OCaml's [%S] escaping
-   is JSON-compatible for the ASCII identifiers used as phase and track
-   names. *)
+open Json
 
-let us t = t *. 1e6
+let us t = Float (t *. 1e6)
 
-let emit ?(node_name = fun n -> Printf.sprintf "node %d" n) ~spans ~samples
-    buf =
-  let first = ref true in
-  let event fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !first then first := false else Buffer.add_string buf ",\n  ";
-        Buffer.add_string buf s)
-      fmt
+let to_string ~spans ~samples =
+  let event ph name ?tid fields args =
+    let tid = Option.fold ~none:[] ~some:(fun n -> [ ("tid", Int n) ]) tid in
+    Obj
+      ((("ph", String ph) :: ("name", String name) :: ("pid", Int 0) :: tid)
+      @ fields @ [ ("args", Obj args) ])
   in
-  Buffer.add_string buf "{\"displayTimeUnit\": \"ms\",\n \"traceEvents\": [\n  ";
-  event {|{"ph": "M", "name": "process_name", "pid": 0, "args": {"name": "torda-sim"}}|};
   (* One named thread per node that appears in either stream. *)
-  let nodes = Hashtbl.create 64 in
-  let see node = if not (Hashtbl.mem nodes node) then Hashtbl.add nodes node () in
-  List.iter (fun (s : Events.span) -> see s.node) spans;
-  List.iter (fun (s : Events.sample) -> see s.node) samples;
-  Hashtbl.fold (fun node () acc -> node :: acc) nodes []
-  |> List.sort Int.compare
-  |> List.iter (fun node ->
-         event
-           {|{"ph": "M", "name": "thread_name", "pid": 0, "tid": %d, "args": {"name": %S}}|}
-           node (node_name node));
-  List.iter
-    (fun (s : Events.span) ->
-      event
-        {|{"ph": "X", "name": %S, "cat": "phase", "pid": 0, "tid": %d, "ts": %.3f, "dur": %.3f, "args": {"complete": %b}}|}
-        s.phase s.node (us s.start)
-        (us (Float.max 0. (s.stop -. s.start)))
-        s.complete)
-    spans;
-  List.iter
-    (fun (s : Events.sample) ->
-      event
-        {|{"ph": "C", "name": %S, "pid": 0, "tid": %d, "ts": %.3f, "args": {"value": %.6f}}|}
-        (Printf.sprintf "%s (node %d)" s.track s.node)
-        s.node (us s.time) s.value)
-    samples;
-  Buffer.add_string buf "\n]}\n"
-
-let to_string ?node_name ~spans ~samples () =
-  let buf = Buffer.create 4096 in
-  emit ?node_name ~spans ~samples buf;
-  Buffer.contents buf
+  let thread node =
+    event "M" "thread_name" ~tid:node []
+      [ ("name", String (Printf.sprintf "authority %d" node)) ]
+  in
+  let nodes =
+    List.sort_uniq Int.compare
+      (List.map (fun (s : Events.span) -> s.node) spans
+      @ List.map (fun (s : Events.sample) -> s.node) samples)
+  in
+  let span (s : Events.span) =
+    event "X" s.phase ~tid:s.node
+      [ ("cat", String "phase"); ("ts", us s.start);
+        ("dur", us (Float.max 0. (s.stop -. s.start))) ]
+      [ ("complete", Bool s.complete) ]
+  in
+  let sample (s : Events.sample) =
+    event "C" (Printf.sprintf "%s (node %d)" s.track s.node) ~tid:s.node
+      [ ("ts", us s.time) ]
+      [ ("value", Float s.value) ]
+  in
+  let events =
+    (event "M" "process_name" [] [ ("name", String "torda-sim") ] :: List.map thread nodes)
+    @ List.map span spans @ List.map sample samples
+  in
+  Json.to_string (Obj [ ("displayTimeUnit", String "ms"); ("traceEvents", List events) ]) ^ "\n"

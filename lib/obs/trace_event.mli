@@ -3,23 +3,12 @@
 
     Phase spans become ["X"] (complete) events and counter samples
     become ["C"] (counter) events, all under pid 0 with one thread per
-    node, so Perfetto renders one track per node with its phase bars
-    and a separate counter track per (track, node) pair.  Timestamps
-    are sim time converted to microseconds (the unit the format
-    mandates). *)
+    node, named ["authority N"], so Perfetto renders one track per
+    node with its phase bars and a separate counter track per (track,
+    node) pair.  Timestamps are sim time converted to microseconds (the
+    unit the format mandates).  A non-finite sample value (the NIC
+    backlog of a zero-bandwidth link) is written as [null]. *)
 
-val emit :
-  ?node_name:(int -> string) ->
-  spans:Events.span list ->
-  samples:Events.sample list ->
-  Buffer.t ->
-  unit
-(** Append one complete JSON document ([{"traceEvents": [...]}]).
-    [node_name] labels each node's track (default ["node N"]). *)
-
-val to_string :
-  ?node_name:(int -> string) ->
-  spans:Events.span list ->
-  samples:Events.sample list ->
-  unit ->
-  string
+val to_string : spans:Events.span list -> samples:Events.sample list -> string
+(** One complete JSON document ([{"traceEvents": [...]}]), written by
+    {!Json.to_string} and ending in a newline. *)

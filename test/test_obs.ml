@@ -1,5 +1,6 @@
 (* Telemetry: histogram bucketing/merging, the network's by-label
-   registry snapshot, the Chrome trace-event export, log iteration,
+   registry snapshot, the JSON writer and the Chrome trace-event
+   export, log iteration,
    and end-to-end telemetry — every protocol's
    run records spans, probes and delivery histograms, and a rerun
    reproduces them bit for bit. *)
@@ -124,13 +125,15 @@ let test_trace_event_json () =
   Obs.Events.span events ~node:0 ~phase:"dissemination" ~start:0. ~stop:1.5
     ~complete:false;
   Obs.Events.sample events ~node:0 ~track:"nic-backlog" ~time:1.0 ~value:0.25;
+  (* A zero-bandwidth NIC's backlog is infinite. *)
+  Obs.Events.sample events ~node:1 ~track:"nic-backlog" ~time:1.0 ~value:infinity;
   let spans = Obs.Events.spans events in
   (* The accessor sorts on every field, not by recording order. *)
   Alcotest.(check int) "both spans" 2 (List.length spans);
   Alcotest.(check string) "sorted by start" "dissemination"
     (List.hd spans).Obs.Events.phase;
   let json =
-    Obs.Trace_event.to_string ~spans ~samples:(Obs.Events.samples events) ()
+    Obs.Trace_event.to_string ~spans ~samples:(Obs.Events.samples events)
   in
   let contains needle =
     let n = String.length needle and len = String.length json in
@@ -147,7 +150,63 @@ let test_trace_event_json () =
   Alcotest.(check bool) "counter named per node" true
     (contains "\"name\": \"nic-backlog (node 0)\"");
   Alcotest.(check bool) "incomplete span flagged" true
-    (contains "\"complete\": false")
+    (contains "\"complete\": false");
+  Alcotest.(check bool) "threads named per authority" true
+    (contains "\"args\": {\"name\": \"authority 1\"}");
+  Alcotest.(check bool) "infinite sample written as null" true
+    (contains "\"args\": {\"value\": null}")
+
+(* --- JSON writer ------------------------------------------------------------ *)
+
+let test_json_strings () =
+  let written s = Obs.Json.to_string (String s) in
+  (* Quote and backslash escaped, control bytes as \u00XX, UTF-8 copied,
+     an invalid byte replaced by U+FFFD. *)
+  Alcotest.(check string) "escapes" ({|"q\"b\\c\u0001t\u0009é|} ^ "\xef\xbf\xbd\"")
+    (written "q\"b\\c\x01t\té\xff");
+  Alcotest.(check string) "member names escaped" {|{
+  "a\"b": "\u001f"
+}|}
+    (Obs.Json.to_string (Obj [ ("a\"b", String "\x1f") ]))
+
+let test_json_numbers_and_layout () =
+  let open Obs.Json in
+  Alcotest.(check string) "non-finite floats are null" {|[
+  null,
+  null,
+  null,
+  0.250000,
+  -3,
+  true,
+  null
+]|}
+    (to_string
+       (List
+          [
+            Float nan; Float infinity; Float neg_infinity; Float 0.25; Int (-3); Bool true;
+            Null;
+          ]));
+  (* The outer two levels go one member per line; deeper values and
+     empty containers stay inline. *)
+  Alcotest.(check string) "layout" {|{
+  "a": {
+    "b": [1, {"c": [], "d": [2.000000, "x"]}],
+    "e": {}
+  },
+  "f": []
+}|}
+    (to_string
+       (Obj
+          [
+            ( "a",
+              Obj
+                [
+                  ( "b",
+                    List [ Int 1; Obj [ ("c", List []); ("d", List [ Float 2.; String "x" ]) ] ] );
+                  ("e", Obj []);
+                ] );
+            ("f", List []);
+          ]))
 
 (* --- log iteration --------------------------------------------------------- *)
 
@@ -281,6 +340,8 @@ let suite =
     ("histogram: overlapping merge", `Quick, test_histogram_merge_overlapping);
     ("registry: merge by name", `Quick, test_registry_merge);
     ("trace-event: JSON export", `Quick, test_trace_event_json);
+    ("json: string escapes", `Quick, test_json_strings);
+    ("json: numbers and layout", `Quick, test_json_numbers_and_layout);
     ("trace: iter matches records", `Quick, test_trace_iter_matches_records);
     ("telemetry bit-identical (ours)", `Quick, test_obs_ours);
     ("telemetry bit-identical (current)", `Quick, test_obs_current);
