@@ -1,80 +1,3 @@
-let include_threshold ~n_votes = (n_votes / 2) + 1
-
-let low_median values =
-  if values = [] then invalid_arg "Aggregate.low_median: empty list";
-  let sorted = List.sort Int.compare values in
-  List.nth sorted ((List.length sorted - 1) / 2)
-
-(* Popular vote over an arbitrary property: the most common value wins,
-   with count ties broken toward the larger value (Figure 2).  Sorting
-   ascending and preferring later runs on equal counts implements the
-   tie-break directly. *)
-let popular ~compare_value values =
-  let sorted = List.sort compare_value values in
-  let rec scan best best_count current count = function
-    | [] -> if count >= best_count then current else best
-    | v :: rest ->
-        if compare_value v current = 0 then scan best best_count current (count + 1) rest
-        else
-          let best, best_count =
-            if count >= best_count then (current, count) else (best, best_count)
-          in
-          scan best best_count v 1 rest
-  in
-  match sorted with
-  | [] -> invalid_arg "Aggregate.popular: empty"
-  | first :: rest -> scan first 0 first 1 rest
-
-let aggregate_relay listings =
-  if listings = [] then invalid_arg "Aggregate.aggregate_relay: empty listings";
-  let fingerprint = (snd (List.hd listings)).Relay.fingerprint in
-  List.iter
-    (fun (_, (r : Relay.t)) ->
-      if not (String.equal r.fingerprint fingerprint) then
-        invalid_arg "Aggregate.aggregate_relay: mismatched fingerprints")
-    listings;
-  let n_listing = List.length listings in
-  (* Nickname: the vote with the largest authority id decides. *)
-  let nickname =
-    let _, relay =
-      List.fold_left
-        (fun (best_id, best_r) (id, r) ->
-          if id > best_id then (id, r) else (best_id, best_r))
-        (List.hd listings) (List.tl listings)
-    in
-    relay.Relay.nickname
-  in
-  (* Flags: strict majority of listing votes; ties stay unset. *)
-  let flags =
-    List.fold_left
-      (fun acc flag ->
-        let yes =
-          List.length (List.filter (fun (_, r) -> Flags.mem flag r.Relay.flags) listings)
-        in
-        if 2 * yes > n_listing then Flags.add flag acc else acc)
-      Flags.empty Flags.all
-  in
-  let relays = List.map snd listings in
-  let version =
-    popular ~compare_value:Version.compare
-      (List.map (fun (r : Relay.t) -> r.version) relays)
-  in
-  let protocols =
-    popular ~compare_value:String.compare
-      (List.map (fun (r : Relay.t) -> r.protocols) relays)
-  in
-  let exit_policy =
-    popular ~compare_value:Exit_policy.compare
-      (List.map (fun (r : Relay.t) -> r.exit_policy) relays)
-  in
-  let bandwidth =
-    let measured = List.filter_map (fun (r : Relay.t) -> r.measured) relays in
-    match measured with
-    | [] -> low_median (List.map (fun (r : Relay.t) -> r.bandwidth) relays)
-    | _ -> low_median measured
-  in
-  { Consensus.fingerprint; nickname; flags; version; protocols; bandwidth; exit_policy }
-
 (* In-place insertion sort of [a.(0 .. k-1)] — the buckets being sorted
    hold at most one element per vote, where insertion sort beats any
    comparison-sort setup cost. *)
@@ -89,8 +12,9 @@ let sort_prefix ~compare a k =
     a.(!j + 1) <- v
   done
 
-(* [popular] over a sorted array prefix: same scan, same tie-break
-   toward the later (larger) run. *)
+(* Popular vote over a sorted array prefix: the most common value
+   wins, and a count tie goes to the larger value (Figure 2) because a
+   later run wins on equal counts. *)
 let popular_prefix ~compare a k =
   let best = ref a.(0) and best_count = ref 0 in
   let current = ref a.(0) and count = ref 1 in
@@ -107,8 +31,8 @@ let popular_prefix ~compare a k =
   done;
   if !count >= !best_count then !current else !best
 
-(* Aggregation used to bucket listings into a [Hashtbl] of ref-lists
-   and rescan each bucket per flag/property with [List.filter] /
+(* The tests' reference model buckets listings into a [Hashtbl] of
+   lists and rescans each bucket per flag/property with [List.filter] /
    [List.sort] / [List.nth].  [Vote.create] already sorts each vote's
    relays by fingerprint and rejects duplicates, so the votes can
    instead be merged like sorted runs: one cursor per vote, each merge
@@ -126,7 +50,9 @@ let compute_consensus ~valid_after ~votes =
     votes;
   let votes = Array.of_list votes in
   let n_votes = Array.length votes in
-  let threshold = include_threshold ~n_votes in
+  (* Inclusion needs a strict majority of the aggregated votes
+     (DESIGN.md §4.2). *)
+  let threshold = (n_votes / 2) + 1 in
   (* Any relay works as scratch filler; if no vote lists any relay the
      merge below has nothing to do. *)
   let filler = ref None in

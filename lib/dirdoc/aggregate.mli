@@ -4,30 +4,19 @@
     the directory protocol's job is to make that set identical
     everywhere.  The rules, per relay:
 
-    - included iff listed in a strict majority of the aggregated votes
-      (see DESIGN.md §4.2 on the threshold reading);
+    - included iff listed in a strict majority of the aggregated votes,
+      [n_votes / 2 + 1] of them (see DESIGN.md §4.2 on the threshold
+      reading);
     - nickname from the listing vote with the largest authority id;
     - each flag set iff a strict majority of listing votes assert it
       (tie ⇒ unset);
     - version and protocols by popular vote, ties to the largest;
     - exit policy by popular vote, ties to the lexicographically
       larger summary;
-    - bandwidth is the low-median of the measured values, falling back
-      to the low-median of advertised values when no vote measured the
-      relay. *)
-
-val include_threshold : n_votes:int -> int
-(** Minimum number of listing votes for inclusion:
-    [n_votes / 2 + 1]. *)
-
-val low_median : int list -> int
-(** Tor's median: element at index [(len - 1) / 2] of the sorted list.
-    Raises [Invalid_argument] on an empty list. *)
-
-val aggregate_relay : (int * Relay.t) list -> Consensus.entry
-(** [aggregate_relay listings] combines one relay's entries from the
-    votes that listed it ([(authority_id, entry)] pairs).  Raises
-    [Invalid_argument] on an empty list or mismatched fingerprints. *)
+    - bandwidth is the low-median (Tor's median: the element at index
+      [(len - 1) / 2] of the sorted values) of the measured values,
+      falling back to the low-median of advertised values when no vote
+      measured the relay. *)
 
 module Memo : sig
   type t

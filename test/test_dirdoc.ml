@@ -164,10 +164,10 @@ let qcheck_civil_inverse =
 
 let sample_relay ?(fingerprint = String.make 40 'A') ?(bandwidth = 1000) ?measured
     ?(flags = Flags.of_list [ Flags.Running; Flags.Valid ])
-    ?(version = Version.make 0 4 8 12) ?(exit_policy = Exit_policy.reject_all)
+    ?(version = Version.make 0 4 8 12) ?protocols ?(exit_policy = Exit_policy.reject_all)
     ?(nickname = "relay") () =
   Relay.make ~fingerprint ~nickname ~address:"192.0.2.1" ~or_port:9001 ~published:0.
-    ~flags ~version ~bandwidth ?measured ~exit_policy ()
+    ~flags ~version ?protocols ~bandwidth ?measured ~exit_policy ()
 
 let test_relay_validation () =
   Alcotest.check_raises "bad fingerprint"
@@ -314,37 +314,39 @@ let qcheck_vote_roundtrip =
 
 (* --- Aggregate: the Figure 2 rules --------------------------------------------- *)
 
-let test_threshold () =
-  checki "9 votes" 5 (Aggregate.include_threshold ~n_votes:9);
-  checki "7 votes" 4 (Aggregate.include_threshold ~n_votes:7);
-  checki "5 votes" 3 (Aggregate.include_threshold ~n_votes:5)
-
-let test_low_median () =
-  checki "odd" 3 (Aggregate.low_median [ 5; 1; 3 ]);
-  checki "even takes lower" 2 (Aggregate.low_median [ 4; 2; 3; 1 ]);
-  checki "single" 7 (Aggregate.low_median [ 7 ]);
-  Alcotest.check_raises "empty" (Invalid_argument "Aggregate.low_median: empty list")
-    (fun () -> ignore (Aggregate.low_median []))
-
 let vote_of ~authority relays =
   Vote.create ~authority ~authority_fingerprint:(fp (1000 + authority))
     ~nickname:(Workload.authority_nickname authority) ~published:0. ~valid_after:0.
     ~relays
 
+(* The entry [Aggregate.consensus] makes of one relay's
+   [(authority, relay)] listings, each in a vote of its own. *)
+let aggregate listings =
+  let votes = List.map (fun (authority, r) -> vote_of ~authority [ r ]) listings in
+  let fingerprint = (snd (List.hd listings)).Relay.fingerprint in
+  match Consensus.find (Aggregate.consensus ~valid_after:0. ~votes) ~fingerprint with
+  | Some entry -> entry
+  | None -> Alcotest.fail "relay listed by every vote left out"
+
 let test_inclusion_majority () =
-  (* Relay listed by 5 of 9 is included; by 4 of 9 is not. *)
+  (* A strict majority of the votes includes a relay; half of them, or
+     the paper's reading of ⌊n/2⌋, does not. *)
   let listed = sample_relay ~fingerprint:(fp 1) () in
-  let votes k =
-    List.init 9 (fun a -> vote_of ~authority:a (if a < k then [ listed ] else []))
-  in
-  let c5 = Aggregate.consensus ~valid_after:0. ~votes:(votes 5) in
-  let c4 = Aggregate.consensus ~valid_after:0. ~votes:(votes 4) in
-  checki "5 listings include" 1 (Consensus.n_entries c5);
-  checki "4 listings exclude" 0 (Consensus.n_entries c4)
+  List.iter
+    (fun (n, majority) ->
+      let entries k =
+        let votes =
+          List.init n (fun a -> vote_of ~authority:a (if a < k then [ listed ] else []))
+        in
+        Consensus.n_entries (Aggregate.consensus ~valid_after:0. ~votes)
+      in
+      checki (Printf.sprintf "%d of %d include" majority n) 1 (entries majority);
+      checki (Printf.sprintf "%d of %d exclude" (majority - 1) n) 0 (entries (majority - 1)))
+    [ (9, 5); (8, 5); (7, 4); (5, 3) ]
 
 let test_nickname_largest_authority () =
   let entry =
-    Aggregate.aggregate_relay
+    aggregate
       [
         (2, sample_relay ~nickname:"fromTwo" ());
         (7, sample_relay ~nickname:"fromSeven" ());
@@ -356,7 +358,7 @@ let test_nickname_largest_authority () =
 let test_flag_majority_and_tie () =
   let with_flags flags = sample_relay ~flags:(Flags.of_list flags) () in
   let entry =
-    Aggregate.aggregate_relay
+    aggregate
       [
         (0, with_flags [ Flags.Fast; Flags.Guard ]);
         (1, with_flags [ Flags.Fast; Flags.Guard ]);
@@ -366,10 +368,7 @@ let test_flag_majority_and_tie () =
   in
   (* Fast: 3/4 -> set.  Guard: 3/4 -> set. *)
   checkb "fast majority" true (Flags.mem Flags.Fast entry.Consensus.flags);
-  let tie =
-    Aggregate.aggregate_relay
-      [ (0, with_flags [ Flags.Fast ]); (1, with_flags []) ]
-  in
+  let tie = aggregate [ (0, with_flags [ Flags.Fast ]); (1, with_flags []) ] in
   (* 1 of 2 is a tie: flag stays unset (Figure 2). *)
   checkb "tie unset" false (Flags.mem Flags.Fast tie.Consensus.flags)
 
@@ -377,23 +376,24 @@ let test_version_popular_and_tie () =
   let with_version v = sample_relay ~version:v () in
   let old = Version.make 0 4 7 16 and new_ = Version.make 0 4 8 12 in
   let entry =
-    Aggregate.aggregate_relay
-      [ (0, with_version old); (1, with_version old); (2, with_version new_) ]
+    aggregate [ (0, with_version old); (1, with_version old); (2, with_version new_) ]
   in
   checks "popular wins" (Version.to_string old)
     (Version.to_string entry.Consensus.version);
-  let tie =
-    Aggregate.aggregate_relay [ (0, with_version old); (1, with_version new_) ]
-  in
+  let tie = aggregate [ (0, with_version old); (1, with_version new_) ] in
   checks "tie takes larger" (Version.to_string new_)
-    (Version.to_string tie.Consensus.version)
+    (Version.to_string tie.Consensus.version);
+  let tie =
+    aggregate
+      [ (0, sample_relay ~protocols:"Link=1-5" ()); (1, sample_relay ~protocols:"Link=1-4" ()) ]
+  in
+  checks "protocols tie takes larger" "Link=1-5" tie.Consensus.protocols
 
 let test_exit_policy_tie () =
   let a = Exit_policy.make Exit_policy.Accept [ (80, 80) ] in
   let r = Exit_policy.reject_all in
   let tie =
-    Aggregate.aggregate_relay
-      [ (0, sample_relay ~exit_policy:a ()); (1, sample_relay ~exit_policy:r ()) ]
+    aggregate [ (0, sample_relay ~exit_policy:a ()); (1, sample_relay ~exit_policy:r ()) ]
   in
   (* "reject 1-65535" > "accept 80" lexicographically. *)
   checks "lexicographically larger wins" (Exit_policy.to_string r)
@@ -401,34 +401,22 @@ let test_exit_policy_tie () =
 
 let test_bandwidth_median () =
   let bw ~advertised ?measured () = sample_relay ~bandwidth:advertised ?measured () in
-  let entry =
-    Aggregate.aggregate_relay
-      [
-        (0, bw ~advertised:100 ~measured:10 ());
-        (1, bw ~advertised:100 ~measured:30 ());
-        (2, bw ~advertised:100 ~measured:20 ());
-      ]
+  let median listings =
+    (aggregate (List.mapi (fun a r -> (a, r)) listings)).Consensus.bandwidth
   in
-  checki "median of measured" 20 entry.Consensus.bandwidth;
-  let unmeasured =
-    Aggregate.aggregate_relay
-      [ (0, bw ~advertised:100 ()); (1, bw ~advertised:300 ()); (2, bw ~advertised:200 ()) ]
-  in
-  checki "falls back to advertised" 200 unmeasured.Consensus.bandwidth;
-  let mixed =
-    Aggregate.aggregate_relay
-      [ (0, bw ~advertised:999 ~measured:50 ()); (1, bw ~advertised:999 ()) ]
-  in
-  checki "measured preferred when present" 50 mixed.Consensus.bandwidth
+  checki "median of measured" 20
+    (median
+       [ bw ~advertised:100 ~measured:10 (); bw ~advertised:100 ~measured:30 ();
+         bw ~advertised:100 ~measured:20 () ]);
+  checki "even count takes the lower" 2
+    (median (List.map (fun m -> bw ~advertised:100 ~measured:m ()) [ 4; 2; 3; 1 ]));
+  checki "single" 7 (median [ bw ~advertised:100 ~measured:7 () ]);
+  checki "falls back to advertised" 200
+    (median [ bw ~advertised:100 (); bw ~advertised:300 (); bw ~advertised:200 () ]);
+  checki "measured preferred when present" 50
+    (median [ bw ~advertised:999 ~measured:50 (); bw ~advertised:999 () ])
 
 let test_aggregate_errors () =
-  Alcotest.check_raises "empty" (Invalid_argument "Aggregate.aggregate_relay: empty listings")
-    (fun () -> ignore (Aggregate.aggregate_relay []));
-  Alcotest.check_raises "mismatch"
-    (Invalid_argument "Aggregate.aggregate_relay: mismatched fingerprints") (fun () ->
-      ignore
-        (Aggregate.aggregate_relay
-           [ (0, sample_relay ~fingerprint:(fp 1) ()); (1, sample_relay ~fingerprint:(fp 2) ()) ]));
   Alcotest.check_raises "duplicate authority"
     (Invalid_argument "Aggregate.consensus: duplicate authority vote") (fun () ->
       ignore
@@ -871,11 +859,94 @@ let test_pinned_consensus_digest () =
 
 (* --- aggregation equivalence ------------------------------------------------- *)
 
-(* Reference implementation: the pre-refactor list path — bucket
-   listings per fingerprint in a Hashtbl, filter by threshold, and run
-   the still-exported [aggregate_relay] on each bucket.  The array
-   merge inside [Aggregate.consensus] must produce the identical
-   document on a realistically divergent 9-authority workload. *)
+(* Reference model: Figure 2 over lists.  Bucket the listings per
+   fingerprint in a table, keep the buckets listed by a strict majority
+   of the votes, and combine each bucket rule by rule.  The array merge
+   inside [Aggregate.consensus] must produce the identical document. *)
+let include_threshold ~n_votes = (n_votes / 2) + 1
+
+(* Tor's median: the element at index [(len - 1) / 2] of the sorted
+   list. *)
+let low_median values =
+  let sorted = List.sort Int.compare values in
+  List.nth sorted ((List.length sorted - 1) / 2)
+
+(* The most common value wins, count ties broken toward the larger
+   value: sorting ascending and preferring later runs on equal counts
+   implements the tie-break directly. *)
+let popular ~compare_value values =
+  let sorted = List.sort compare_value values in
+  let rec scan best best_count current count = function
+    | [] -> if count >= best_count then current else best
+    | v :: rest ->
+        if compare_value v current = 0 then scan best best_count current (count + 1) rest
+        else
+          let best, best_count =
+            if count >= best_count then (current, count) else (best, best_count)
+          in
+          scan best best_count v 1 rest
+  in
+  match sorted with
+  | [] -> invalid_arg "popular: empty"
+  | first :: rest -> scan first 0 first 1 rest
+
+(* One relay's entry from its [(authority_id, relay)] listings. *)
+let aggregate_relay listings =
+  let n_listing = List.length listings in
+  let _, named_by =
+    List.fold_left
+      (fun (best_id, best_r) (id, r) -> if id > best_id then (id, r) else (best_id, best_r))
+      (List.hd listings) (List.tl listings)
+  in
+  let flags =
+    List.fold_left
+      (fun acc flag ->
+        let yes =
+          List.length (List.filter (fun (_, r) -> Flags.mem flag r.Relay.flags) listings)
+        in
+        if 2 * yes > n_listing then Flags.add flag acc else acc)
+      Flags.empty Flags.all
+  in
+  let relays = List.map snd listings in
+  let measured = List.filter_map (fun (r : Relay.t) -> r.measured) relays in
+  {
+    Consensus.fingerprint = named_by.Relay.fingerprint;
+    nickname = named_by.Relay.nickname;
+    flags;
+    version =
+      popular ~compare_value:Version.compare (List.map (fun (r : Relay.t) -> r.version) relays);
+    protocols =
+      popular ~compare_value:String.compare (List.map (fun (r : Relay.t) -> r.protocols) relays);
+    bandwidth =
+      (if measured = [] then low_median (List.map (fun (r : Relay.t) -> r.bandwidth) relays)
+       else low_median measured);
+    exit_policy =
+      popular ~compare_value:Exit_policy.compare
+        (List.map (fun (r : Relay.t) -> r.exit_policy) relays);
+  }
+
+let reference_consensus ~valid_after votes =
+  let n_votes = List.length votes in
+  let table : (string, (int * Relay.t) list) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun (v : Vote.t) ->
+      Array.iter
+        (fun (r : Relay.t) ->
+          let listings = Option.value ~default:[] (Hashtbl.find_opt table r.fingerprint) in
+          Hashtbl.replace table r.fingerprint ((v.authority, r) :: listings))
+        v.relays)
+    votes;
+  let entries =
+    Hashtbl.fold
+      (fun _ listings acc ->
+        if List.length listings >= include_threshold ~n_votes then
+          aggregate_relay listings :: acc
+        else acc)
+      table []
+  in
+  Consensus.create ~valid_after ~n_votes ~entries
+
+(* A realistically divergent 9-authority workload. *)
 let test_aggregate_equivalence () =
   let keyring = Crypto.Keyring.create ~n:9 () in
   let rng = Tor_sim.Rng.of_string_seed "agg-equiv" in
@@ -884,38 +955,51 @@ let test_aggregate_equivalence () =
       (Workload.votes ~rng ~keyring ~n_authorities:9 ~n_relays:1000
          ~valid_after:3600. ())
   in
-  let reference =
-    let n_votes = List.length votes in
-    let threshold = Aggregate.include_threshold ~n_votes in
-    let table : (string, (int * Relay.t) list ref) Hashtbl.t =
-      Hashtbl.create 4096
-    in
-    List.iter
-      (fun (v : Vote.t) ->
-        Array.iter
-          (fun (r : Relay.t) ->
-            match Hashtbl.find_opt table r.Relay.fingerprint with
-            | Some cell -> cell := (v.Vote.authority, r) :: !cell
-            | None ->
-                Hashtbl.add table r.Relay.fingerprint
-                  (ref [ (v.Vote.authority, r) ]))
-          v.Vote.relays)
-      votes;
-    let entries =
-      Hashtbl.fold
-        (fun _ cell acc ->
-          if List.length !cell >= threshold then
-            Aggregate.aggregate_relay !cell :: acc
-          else acc)
-        table []
-    in
-    Consensus.create ~valid_after:3600. ~n_votes ~entries
-  in
+  let reference = reference_consensus ~valid_after:3600. votes in
   let merged = Aggregate.consensus ~valid_after:3600. ~votes in
   checki "same entry count" (Consensus.n_entries reference)
     (Consensus.n_entries merged);
   checkb "identical digest (all entries byte-equal)" true
     (Consensus.equal reference merged)
+
+(* The workload's views disagree only on flags and measured bandwidth.
+   Here every voted property is drawn from a few values per listing,
+   so ties and disagreements are common on each, and so are relays
+   listed by exactly half the votes. *)
+let qcheck_aggregate_reference =
+  let gen = QCheck.Gen.(pair (int_range 1 9) (int_bound 1_000_000)) in
+  let print (n, seed) = Printf.sprintf "votes=%d seed=%d" n seed in
+  QCheck.Test.make ~name:"consensus equals the reference model on disagreeing votes"
+    ~count:200 (QCheck.make ~print gen) (fun (n, seed) ->
+      let rng = Tor_sim.Rng.create (Int64.of_int seed) in
+      let pick l = Tor_sim.Rng.pick rng l in
+      let listing i =
+        sample_relay ~fingerprint:(fp i)
+          ~nickname:(pick [ "a"; "b"; "c" ])
+          ~flags:(Flags.of_list (List.filter (fun _ -> Tor_sim.Rng.bool rng) Flags.all))
+          ~version:(Version.make 0 4 8 (Tor_sim.Rng.int rng 3))
+          ~protocols:(pick [ "Link=1-4"; "Link=1-5" ])
+          ~bandwidth:(Tor_sim.Rng.int rng 4)
+          ?measured:(pick [ None; Some (Tor_sim.Rng.int rng 4) ])
+          ~exit_policy:
+            (pick
+               [
+                 Exit_policy.reject_all;
+                 Exit_policy.make Exit_policy.Accept [ (80, 80) ];
+                 Exit_policy.make Exit_policy.Accept [ (443, 443) ];
+               ])
+          ()
+      in
+      let votes =
+        List.init n (fun authority ->
+            vote_of ~authority
+              (List.filter_map
+                 (fun i -> if Tor_sim.Rng.bool rng then Some (listing i) else None)
+                 (List.init 6 Fun.id)))
+      in
+      Consensus.equal
+        (reference_consensus ~valid_after:0. votes)
+        (Aggregate.consensus ~valid_after:0. ~votes))
 
 let suite =
   [
@@ -940,8 +1024,6 @@ let suite =
     ("vote parse garbage", `Quick, test_vote_parse_garbage);
     ("vote parse rejects a field line outside an entry", `Quick, test_vote_parse_outside_entry);
     QCheck_alcotest.to_alcotest qcheck_vote_roundtrip;
-    ("inclusion threshold", `Quick, test_threshold);
-    ("low median", `Quick, test_low_median);
     ("inclusion needs majority", `Quick, test_inclusion_majority);
     ("nickname from largest authority", `Quick, test_nickname_largest_authority);
     ("flag majority with tie unset", `Quick, test_flag_majority_and_tie);
@@ -952,6 +1034,7 @@ let suite =
     ("pinned vote digest", `Quick, test_pinned_vote_digest);
     ("pinned consensus digest", `Quick, test_pinned_consensus_digest);
     ("aggregate merge equivalence", `Slow, test_aggregate_equivalence);
+    QCheck_alcotest.to_alcotest qcheck_aggregate_reference;
     QCheck_alcotest.to_alcotest qcheck_consensus_order_independent;
     ("aggregation memo shared across domains", `Quick, test_memo_across_domains);
     ("consensus validity window", `Quick, test_consensus_validity_window);
