@@ -147,6 +147,11 @@ module Spec = struct
 
   let digest t = Crypto.Digest32.hex (Crypto.Digest32.of_string (canonical t))
 
+  (* One week, the bound on a distribution halt too.  A run that never
+     decides keeps its timers firing until the horizon, so its cost
+     grows linearly with it. *)
+  let max_horizon = 604_800.
+
   (* Every check runs before anything is built, so a malformed spec is
      rejected before it costs a vote population.  The comparisons are
      written so that NaN fails them — [not (start <= stop)],
@@ -159,6 +164,8 @@ module Spec = struct
       fail "bandwidth must be a non-negative number";
     if not (Float.is_finite spec.horizon && spec.horizon >= 0.) then
       fail "horizon must be finite and non-negative";
+    if spec.horizon > max_horizon then
+      fail (Printf.sprintf "horizon must be at most %.0f s" max_horizon);
     Option.iter
       (fun b ->
         if Array.length b <> n then fail "behaviors length mismatch";

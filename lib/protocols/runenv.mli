@@ -103,13 +103,19 @@ module Spec : sig
   val validate : t -> unit
   (** Raises [Invalid_argument] ["Runenv.of_spec: ..."] on a malformed
       spec: a negative relay count, a NaN or negative bandwidth
-      (infinite is legal), a NaN, infinite or negative horizon, an
-      attack or crash window that is NaN or stops before it starts, a
-      NaN or negative residual attack rate, an attack node out of
-      range, two attack windows that overlap on one node (touching
-      windows are fine), or a behaviors array of the wrong length.
+      (infinite is legal), a NaN, infinite or negative horizon or one
+      above a week (604,800 s), an attack or crash window that is NaN
+      or stops before it starts, a NaN or negative residual attack
+      rate, an attack node out of range, two attack windows that
+      overlap on one node (touching windows are fine), or a behaviors
+      array of the wrong length.
       Invalid fault plans, defenses and distribution configs raise
-      their own modules' errors.  Builds nothing. *)
+      their own modules' errors.  Builds nothing.
+
+      A run that never decides keeps its timers firing until the
+      horizon: at the bound, ours with four of nine authorities silent
+      and 100 relays runs 7.7–9.0 s and peaks at 13 MB on a 2-core
+      host, against 0.09 s at the default 7,200 s. *)
 end
 
 val of_spec : ?votes:Dirdoc.Vote.t array -> Spec.t -> t

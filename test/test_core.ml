@@ -878,6 +878,8 @@ let test_scenario_errors () =
   ignore (expect_error "horizon nan");
   ignore (expect_error "horizon -3");
   ignore (expect_error "horizon inf");
+  ignore (expect_error "horizon 604800.5");
+  ignore (expect_error "horizon 1e9");
   ignore (expect_error "clients many");
   ignore (expect_error "clients 0");
   ignore (expect_error "clients 1000000001");

@@ -43,6 +43,11 @@ let test_of_spec_rejects () =
       rejects (Printf.sprintf "horizon %g" h) "horizon must be finite and non-negative"
         { base with R.Spec.horizon = h })
     [ nan; infinity; -3. ];
+  List.iter
+    (fun h ->
+      rejects (Printf.sprintf "horizon %g" h) "horizon must be at most 604800 s"
+        { base with R.Spec.horizon = h })
+    [ 604_800.5; 1e9 ];
   rejects "attack NaN start" "attack stops before it starts" (attack nan 5. 1e6);
   rejects "attack NaN stop" "attack stops before it starts" (attack 0. nan 1e6);
   rejects "attack NaN rate" "residual bandwidth must be a non-negative number"
@@ -51,7 +56,9 @@ let test_of_spec_rejects () =
     { base with
       R.Spec.behaviors = Some (behaviors_with [ (1, R.Crashed { start = nan; stop = 30. }) ]) };
   let env = R.of_spec { base with R.Spec.bandwidth_bits_per_sec = infinity } in
-  checkb "infinite bandwidth accepted" true (env.R.bandwidth_bits_per_sec = infinity)
+  checkb "infinite bandwidth accepted" true (env.R.bandwidth_bits_per_sec = infinity);
+  let env = R.of_spec { base with R.Spec.horizon = 604_800. } in
+  checkb "one-week horizon accepted" true (env.R.horizon = 604_800.)
 
 (* --- Siground --------------------------------------------------------------- *)
 
