@@ -231,9 +231,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let make_hotstuff node =
     let cb =
       {
-        Protocols.Agreement.now;
-        schedule = (fun after fn -> Sim.Engine.schedule_in engine ~after fn);
-        cancel = (fun h -> Sim.Engine.cancel engine h);
+        Protocols.Agreement.engine;
         send =
           (fun ~dst m ->
             if dst = node.id then

@@ -22,8 +22,8 @@ type histogram
     regardless, so [max_value] is never a bucket bound. *)
 
 val histogram_create : unit -> histogram
-(** A free-standing histogram (not in any registry); used for
-    per-label side tables indexed by dense ids. *)
+(** A free-standing histogram (not in any registry); the network keeps
+    one per (destination, label) and merges them into a registry. *)
 
 val histogram : t -> string -> histogram
 (** Find or register a histogram under [name]. *)

@@ -1,9 +1,7 @@
 (* See agreement.mli for the interface documentation. *)
 
 type ('v, 'm) callbacks = {
-  now : unit -> Tor_sim.Simtime.t;
-  schedule : Tor_sim.Simtime.t -> (unit -> unit) -> Tor_sim.Engine.handle;
-  cancel : Tor_sim.Engine.handle -> unit;
+  engine : Tor_sim.Engine.t;
   send : dst:int -> 'm -> unit;
   validate : 'v -> bool;
   value_digest : 'v -> Crypto.Digest32.t;

@@ -13,15 +13,11 @@
 
 (** Environment the host protocol provides to an engine whose wire
     messages have type ['m].  The engine owns no clock, network, or
-    scheduler of its own — every effect goes through these callbacks,
-    which is what lets the same engine run under the simulator or any
-    other harness. *)
+    scheduler of its own: its view timers run on the host's simulator
+    engine, and every other effect goes through these callbacks. *)
 type ('v, 'm) callbacks = {
-  now : unit -> Tor_sim.Simtime.t;
-  schedule : Tor_sim.Simtime.t -> (unit -> unit) -> Tor_sim.Engine.handle;
-      (** [schedule delay f]: one-shot timer, relative delay *)
-  cancel : Tor_sim.Engine.handle -> unit;
-      (** cancel a pending timer from [schedule] *)
+  engine : Tor_sim.Engine.t;
+      (** the run's engine, for the view timers *)
   send : dst:int -> 'm -> unit;
       (** unicast; [dst] may equal the node itself *)
   validate : 'v -> bool;  (** external validity (Section 5.2.1 proofs) *)

@@ -72,10 +72,10 @@ module Make (P : PROTOCOL) = struct
   }
 
   (* A simulator lives for exactly one run: every setup builds its own
-     engine and network.  Labels are interned once so per-send
-     accounting is an array add (DESIGN.md §7).  Telemetry starts last:
-     its t = 0 probes must be scheduled before any driver event they
-     tie with. *)
+     engine and network.  Labels are looked up once so a send records
+     into the label it carries (DESIGN.md §7).  Telemetry starts before
+     the driver schedules anything: its t = 0 probes must come before
+     any driver event they tie with. *)
   let setup ?(round_seconds = infinity) (env : Runenv.t) ~labels =
     let engine = Sim.Engine.create ~nodes:env.n () in
     let net =
@@ -84,10 +84,11 @@ module Make (P : PROTOCOL) = struct
     in
     let trace = Sim.Trace.create () in
     apply_attacks env net;
-    let labels = Array.map (Sim.Net.intern net) labels in
-    let lbl_sig = Sim.Net.intern net P.sig_label in
-    let lbl_sig_request = Sim.Net.intern net "sig-request" in
-    let lbl_sig_answer = Sim.Net.intern net P.sig_answer_label in
+    let label = Sim.Stats.label (Sim.Net.stats net) in
+    let labels = Array.map label labels in
+    let lbl_sig = label P.sig_label in
+    let lbl_sig_request = label "sig-request" in
+    let lbl_sig_answer = label P.sig_answer_label in
     let stop = Float.min env.horizon (4. *. round_seconds) in
     let tel = Runenv.Telemetry.start env ~engine ~net ~stop in
     let need = Runenv.majority ~n:env.n in

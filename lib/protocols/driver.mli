@@ -7,8 +7,8 @@
 
     Setup-time events all have creator [-1], so same-instant ones pop
     in the order they were scheduled (DESIGN.md §7).  {!Make.setup}
-    interns the labels and starts telemetry, whose t = 0 probes tie
-    with the start-up events, before the driver schedules anything; the
+    makes the labels and starts telemetry, whose t = 0 probes tie with
+    the start-up events, before the driver schedules anything; the
     driver then calls {!Make.start}, schedules its own rounds and, if
     lock-step, hands over to {!Make.lockstep}.  Nothing here allocates
     per message. *)
@@ -55,7 +55,7 @@ module Make (P : PROTOCOL) : sig
 
   val setup : ?round_seconds:Tor_sim.Simtime.t -> Runenv.t -> labels:string array -> t
   (** Build the run's own engine and network, install the
-      environment's attacks, faults and defenses, intern [labels] then
+      environment's attacks, faults and defenses, make [labels] and
       the signature labels, and start telemetry.  With [round_seconds]
       the run is lock-step and stops after four rounds (or at the
       horizon, if earlier); without, it stops at the horizon. *)

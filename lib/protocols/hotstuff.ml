@@ -122,8 +122,9 @@ let update_high_qc t (qc : qc) value =
 let rec enter_view t view =
   if view > t.view && t.decided = None then begin
     t.view <- view;
-    Option.iter t.cb.cancel t.timer;
-    t.timer <- Some (t.cb.schedule t.view_timeout (fun () -> on_timer t));
+    Option.iter (Sim.Engine.cancel t.cb.engine) t.timer;
+    t.timer <-
+      Some (Sim.Engine.schedule_in t.cb.engine ~after:t.view_timeout (fun () -> on_timer t));
     t.cb.log (Printf.sprintf "entering view %d (leader %d)" view (leader_of t view));
     t.cb.on_view ~view;
     try_propose t
@@ -159,7 +160,8 @@ and on_timer t =
       broadcast t
         (Timeout { view = t.view; high_qc = t.high_qc; value = t.high_value; signature })
     end;
-    t.timer <- Some (t.cb.schedule t.view_timeout (fun () -> on_timer t))
+    t.timer <-
+      Some (Sim.Engine.schedule_in t.cb.engine ~after:t.view_timeout (fun () -> on_timer t))
   end
 
 (* --- handlers ----------------------------------------------------------- *)
@@ -168,7 +170,7 @@ let decide_once t ~view value qc =
   if t.decided = None then begin
     t.decided <- Some value;
     t.decided_qc <- Some qc;
-    Option.iter t.cb.cancel t.timer;
+    Option.iter (Sim.Engine.cancel t.cb.engine) t.timer;
     t.timer <- None;
     t.cb.log (Printf.sprintf "decided in view %d" view);
     t.cb.decide ~view value

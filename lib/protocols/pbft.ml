@@ -104,8 +104,9 @@ let sigs_of per = Hashtbl.fold (fun _ s acc -> s :: acc) per []
 (* --- state machine --------------------------------------------------------------- *)
 
 let rec arm_timer t =
-  Option.iter t.cb.cancel t.timer;
-  t.timer <- Some (t.cb.schedule t.view_timeout (fun () -> on_timeout t))
+  Option.iter (Sim.Engine.cancel t.cb.engine) t.timer;
+  t.timer <-
+    Some (Sim.Engine.schedule_in t.cb.engine ~after:t.view_timeout (fun () -> on_timeout t))
 
 and on_timeout t =
   if t.decided = None then begin
@@ -272,7 +273,7 @@ and on_view_change t ~src ~view ~certificate ~signature =
 and decide_once t ~view value commits =
   if t.decided = None then begin
     t.decided <- Some value;
-    Option.iter t.cb.cancel t.timer;
+    Option.iter (Sim.Engine.cancel t.cb.engine) t.timer;
     t.timer <- None;
     let msg = Decision { view; value; commits } in
     t.decision_msg <- Some msg;

@@ -146,7 +146,7 @@ type obs = {
   metrics : Obs.Metrics.t;
       (** ["time-to-decision"] (seconds until each deciding authority
           decided) and ["delivery-latency/<label>"] (send to handler,
-          per interned message label) histograms. *)
+          per message label) histograms. *)
   spans : Obs.Events.span list;
       (** protocol-phase spans, one track per node; [complete = false]
           marks a phase the run ended inside *)
@@ -174,8 +174,8 @@ module Telemetry : sig
     t -> engine:Tor_sim.Engine.t -> net:'m Tor_sim.Net.t -> stop:Tor_sim.Simtime.t -> ctx option
   (** [None] unless the environment has [telemetry] set.  Otherwise
       enables the net's latency histograms and installs the periodic
-      probes (every 5 sim seconds until [stop]).  Call at setup, after
-      message labels are interned and before [Engine.run]. *)
+      probes (every 5 sim seconds until [stop]).  Call at setup, before
+      the driver schedules any event the t = 0 probes tie with. *)
 
   val span :
     ?complete:bool ->
@@ -270,7 +270,7 @@ val time_to_decision : report -> Obs.Metrics.histogram option
 
 val delivery_latency : report -> string -> Obs.Metrics.histogram option
 (** [delivery_latency r label] — the delivery-latency histogram of one
-    interned message label (e.g. ["vote"], ["consensus-sig"]). *)
+    message label (e.g. ["vote"], ["consensus-sig"]). *)
 
 val stalled_phase : t -> report -> string option
 (** Diagnosis for a failed run: among correct authorities that never

@@ -127,8 +127,9 @@ let quorum_digest t votes round =
 (* --- state machine ----------------------------------------------------------- *)
 
 let rec arm_timer t =
-  Option.iter t.cb.cancel t.timer;
-  t.timer <- Some (t.cb.schedule t.view_timeout (fun () -> on_timeout t))
+  Option.iter (Sim.Engine.cancel t.cb.engine) t.timer;
+  t.timer <-
+    Some (Sim.Engine.schedule_in t.cb.engine ~after:t.view_timeout (fun () -> on_timeout t))
 
 and on_timeout t =
   if t.decided = None then
@@ -219,7 +220,7 @@ and maybe_prevote t =
 and decide_once t ~round value precommit_sigs =
   if t.decided = None then begin
     t.decided <- Some value;
-    Option.iter t.cb.cancel t.timer;
+    Option.iter (Sim.Engine.cancel t.cb.engine) t.timer;
     t.timer <- None;
     let msg = Decided { round; value; precommits = precommit_sigs } in
     t.decided_broadcast <- Some msg;

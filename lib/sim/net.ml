@@ -6,9 +6,9 @@ type 'm flight = {
   src : int;
   dst : int;
   size : int;
-  label : Stats.label; (* interned label, for drop accounting *)
+  label : Stats.label option;
   sent_at : float;
-  deadline : float; (* nan: no deadline *)
+  deadline : Simtime.t option;
   duplicate : bool; (* fault-injected: deliver the payload twice *)
   msg : 'm;
 }
@@ -23,11 +23,11 @@ type 'm t = {
   mutable rotation : Defense.Rotation.t option;
   mutable handler : (dst:int -> src:int -> 'm -> unit) option;
   mutable obs_on : bool; (* record delivery latencies (one test per delivery) *)
-  (* Delivery-latency histograms indexed [dst node][interned label id],
-     sized only when telemetry is enabled.  [obs_metrics] merges each
-     label's row in node order, which fixes the float summation order
-     of the merged sums. *)
-  mutable lat : Obs.Metrics.histogram array array;
+  (* Delivery-latency histograms: per label name, one row with a
+     histogram per destination, made at the label's first delivery.
+     [obs_metrics] merges a row in node order, which fixes the float
+     summation order of the merged sums. *)
+  lat : (string, Obs.Metrics.histogram array) Hashtbl.t;
 }
 
 let n t = Array.length t.nics
@@ -35,51 +35,34 @@ let engine t = t.engine
 
 let stats t = t.stats
 
-let ensure_lat t =
-  let nlabels = Array.length (Stats.interned t.stats) in
-  Array.iteri
-    (fun node row ->
-      let cur = Array.length row in
-      if nlabels > cur then
-        t.lat.(node) <-
-          Array.init nlabels (fun i ->
-              if i < cur then row.(i) else Obs.Metrics.histogram_create ()))
-    t.lat
-
-let intern t name =
-  let id = Stats.intern t.stats name in
-  if t.obs_on then ensure_lat t;
-  id
-
-let enable_obs t =
-  t.obs_on <- true;
-  if Array.length t.lat <> n t then
-    t.lat <- Array.make (n t) [||];
-  ensure_lat t
+let enable_obs t = t.obs_on <- true
 
 let obs_metrics t =
   let reg = Obs.Metrics.create () in
-  (* Label ids follow interning order; merge each id's per-node
-     histograms under the label's name, in node order. *)
-  Array.iteri
-    (fun id name ->
+  List.iter
+    (fun name ->
       let h = Obs.Metrics.histogram reg ("delivery-latency/" ^ name) in
-      Array.iter
-        (fun row ->
-          if id < Array.length row then
-            Obs.Metrics.merge_histogram ~into:h row.(id))
-        t.lat)
-    (Stats.interned t.stats);
+      match Hashtbl.find_opt t.lat name with
+      | Some row -> Array.iter (Obs.Metrics.merge_histogram ~into:h) row
+      | None -> ())
+    (Stats.label_names t.stats);
   reg
 
-(* Called at the instant a labelled message reaches its handler. *)
-let observe_latency t ~dst ~label ~sent_at =
-  if label <> Stats.no_label then begin
-    let id = Stats.label_id label in
-    let row = t.lat.(dst) in
-    if id >= 0 && id < Array.length row then
-      Obs.Metrics.observe row.(id) (Engine.now t.engine -. sent_at)
-  end
+(* Called at the instant a message reaches its handler. *)
+let observe_latency t fl =
+  match fl.label with
+  | None -> ()
+  | Some label ->
+      let name = Stats.label_name label in
+      let row =
+        match Hashtbl.find t.lat name with
+        | row -> row
+        | exception Not_found ->
+            let row = Array.init (n t) (fun _ -> Obs.Metrics.histogram_create ()) in
+            Hashtbl.add t.lat name row;
+            row
+      in
+      Obs.Metrics.observe row.(fl.dst) (Engine.now t.engine -. fl.sent_at)
 
 let check_node t id name =
   if id < 0 || id >= n t then invalid_arg ("Net." ^ name ^ ": node out of range")
@@ -115,37 +98,27 @@ let crashed_now t node =
   | None -> false
   | Some fa -> Fault.crashed fa ~node ~now:(Engine.now t.engine)
 
-(* Local delivery: no bandwidth cost, but the receiver's crash and
-   rotation state still apply. *)
-let deliver_self t fl =
+(* The end of every delivery: a receiver inside a crash window drops
+   the message, a rotated-out one turns it away (for a remote message
+   the bytes were spent, wasting the attacker's budget on a quiet
+   target), and otherwise the handler gets it, twice for a
+   fault-injected duplicate. *)
+let hand_over t fl =
   let dst = fl.dst in
   if crashed_now t dst then Stats.record_drop t.stats ~node:dst ~label:fl.label
   else if quiet t dst then Stats.record_reject t.stats ~node:dst ~label:fl.label
   else begin
-    if t.obs_on then observe_latency t ~dst ~label:fl.label ~sent_at:fl.sent_at;
-    deliver t ~dst ~src:fl.src fl.msg
-  end
-
-(* Ingress done: charge the receiver's bytes, then deliver unless the
-   deadline passed or the receiver went down or quiet meanwhile. *)
-let finish t fl ~expired =
-  let dst = fl.dst and label = fl.label in
-  Stats.record_received t.stats ~node:dst ~bytes:fl.size;
-  if expired then Stats.record_drop t.stats ~node:dst ~label
-  else if crashed_now t dst then
-    (* The receiver is inside a crash window when ingress completes:
-       the message reached a dead node. *)
-    Stats.record_drop t.stats ~node:dst ~label
-  else if quiet t dst then
-    (* The receiver rotated out while ingress was in progress: the
-       bytes were spent (the attacker's budget is wasted on a quiet
-       target) but nothing is served. *)
-    Stats.record_reject t.stats ~node:dst ~label
-  else begin
-    if t.obs_on then observe_latency t ~dst ~label ~sent_at:fl.sent_at;
+    if t.obs_on then observe_latency t fl;
     deliver t ~dst ~src:fl.src fl.msg;
     if fl.duplicate then deliver t ~dst ~src:fl.src fl.msg
   end
+
+(* Ingress done: charge the receiver's bytes, then drop the message if
+   its deadline passed or hand it over. *)
+let finish t fl ~expired =
+  Stats.record_received t.stats ~node:fl.dst ~bytes:fl.size;
+  if expired then Stats.record_drop t.stats ~node:fl.dst ~label:fl.label
+  else hand_over t fl
 
 (* The message reaches the receiver.  Admission control runs BEFORE
    the ingress reservation: a turned-away message never costs the
@@ -179,7 +152,7 @@ let rec arrive t fl ~admitted =
         Stats.record_drop t.stats ~node:dst ~label:fl.label
       else begin
         let expired =
-          (not (Float.is_nan fl.deadline)) && done_at -. fl.sent_at > fl.deadline
+          match fl.deadline with Some d -> done_at -. fl.sent_at > d | None -> false
         in
         ignore
           (Engine.schedule t.engine ~owner:dst ~at:done_at (fun () ->
@@ -198,12 +171,10 @@ let create ~engine ~topology ~bits_per_sec () =
     rotation = None;
     handler = None;
     obs_on = false;
-    lat = [||];
+    lat = Hashtbl.create 8;
   }
 
-(* Internal send with sentinel-encoded optionals: [label] is an
-   interned id or [Stats.no_label], [deadline] is NaN for none.  The
-   caller has validated the node ids. *)
+(* The caller has validated the node ids. *)
 let send_msg t ~src ~dst ~size ~label ~deadline msg =
   let now = Engine.now t.engine in
   if crashed_now t src then
@@ -217,11 +188,11 @@ let send_msg t ~src ~dst ~size ~label ~deadline msg =
     Stats.record_reject t.stats ~node:dst ~label
   else if src = dst then
     (* Local delivery: no bandwidth cost, but still asynchronous so
-       handlers never reenter the caller. *)
+       handlers never reenter the caller.  A self-send is never a
+       duplicate. *)
     let fl = { src; dst; size; label; sent_at = now; deadline; duplicate = false; msg } in
-    ignore (Engine.schedule t.engine ~owner:dst ~at:now (fun () -> deliver_self t fl))
+    ignore (Engine.schedule t.engine ~owner:dst ~at:now (fun () -> hand_over t fl))
   else begin
-    Stats.record_send t.stats ~node:src ~bytes:size ~label;
     (* Link-fault verdict at send time: the injector's draws are keyed
        per (src, dst, message number), so the verdict depends only on
        the message's place in its link's send sequence. *)
@@ -232,23 +203,27 @@ let send_msg t ~src ~dst ~size ~label ~deadline msg =
     in
     let egress_done = Nic.reserve t.nics.(src) ~now ~bytes:size in
     if Simtime.is_infinite egress_done then
-      Stats.record_drop t.stats ~node:dst ~label
-    else if decision.Fault.drop then
-      (* Lost in the network after transmission: egress was charged,
-         no arrival is scheduled. *)
+      (* A NIC at zero rate forever never transmits: no bytes charged. *)
       Stats.record_drop t.stats ~node:dst ~label
     else begin
-      let arrival =
-        Simtime.add egress_done (Topology.latency t.topology ~src ~dst)
-        +. decision.Fault.extra_delay
-      in
-      let fl =
-        { src; dst; size; label; sent_at = now; deadline;
-          duplicate = decision.Fault.duplicate; msg }
-      in
-      ignore
-        (Engine.schedule t.engine ~owner:dst ~at:arrival (fun () ->
-             arrive t fl ~admitted:false))
+      Stats.record_send t.stats ~node:src ~bytes:size ~label;
+      if decision.Fault.drop then
+        (* Lost in the network after transmission: egress was charged,
+           no arrival is scheduled. *)
+        Stats.record_drop t.stats ~node:dst ~label
+      else begin
+        let arrival =
+          Simtime.add egress_done (Topology.latency t.topology ~src ~dst)
+          +. decision.Fault.extra_delay
+        in
+        let fl =
+          { src; dst; size; label; sent_at = now; deadline;
+            duplicate = decision.Fault.duplicate; msg }
+        in
+        ignore
+          (Engine.schedule t.engine ~owner:dst ~at:arrival (fun () ->
+               arrive t fl ~admitted:false))
+      end
     end
   end
 
@@ -256,15 +231,11 @@ let send t ~src ~dst ~size ?label ?deadline msg =
   check_node t src "send";
   check_node t dst "send";
   if size < 0 then invalid_arg "Net.send: negative size";
-  let label = match label with None -> Stats.no_label | Some l -> l in
-  let deadline = match deadline with None -> nan | Some d -> d in
   send_msg t ~src ~dst ~size ~label ~deadline msg
 
 let broadcast t ~src ~size ?label ?deadline msg =
   check_node t src "broadcast";
   if size < 0 then invalid_arg "Net.broadcast: negative size";
-  let label = match label with None -> Stats.no_label | Some l -> l in
-  let deadline = match deadline with None -> nan | Some d -> d in
   (* One validated pass: n-1 unicasts in ascending id order. *)
   for dst = 0 to n t - 1 do
     if dst <> src then send_msg t ~src ~dst ~size ~label ~deadline msg

@@ -10,7 +10,9 @@
     DDoS window and drains when bandwidth returns, modelling TCP
     retransmission — the partial-synchrony "eventual delivery"
     abstraction.  Without an installed {!Fault} injector, a message is
-    dropped only if a NIC's rate is zero with no future breakpoint.
+    dropped only if a NIC's rate is zero with no future breakpoint; a
+    sender whose NIC never transmits the message is charged nothing
+    for it.
 
     {!set_fault} interposes a fault injector on the send and delivery
     paths: loss, partitions, jitter, duplication, and crash windows
@@ -37,11 +39,6 @@ val stats : 'm t -> Stats.t
     returns.  The table is the network's own, not a copy: a network
     serves one run, so nothing records into it once its run is
     over. *)
-
-val intern : 'm t -> string -> Stats.label
-(** Intern a label in the network's statistics, returning its dense
-    id.  Call at setup, before the run; [Stats.intern (Net.stats net)]
-    would hide the label from the delivery-latency histograms. *)
 
 val set_handler : 'm t -> (dst:int -> src:int -> 'm -> unit) -> unit
 (** Install the delivery callback.  Must be set before any delivery
@@ -100,8 +97,8 @@ val send :
   'm ->
   unit
 (** Enqueue a message.  Self-sends deliver after a scheduling tick with
-    no bandwidth cost.  [label] is an id interned with {!Stats.intern}
-    on this network's {!stats}.  [deadline] models a transport-level
+    no bandwidth cost.  [label] is a label of this network's {!stats}
+    ({!Stats.label}).  [deadline] models a transport-level
     connection timeout (Tor's directory client): if delivery would
     complete more than [deadline] seconds after the send, the message
     is dropped — the bytes are still charged to both NICs, as they were
@@ -125,14 +122,15 @@ val enable_obs : 'm t -> unit
 (** Start recording per-label delivery latencies (send instant to
     handler invocation) into per-(destination, label) histograms.  Off
     by default; the hot path then pays one boolean test per delivery.
-    Call at setup, after the protocol's labels are interned (later
-    {!intern}s are still picked up). *)
+    A label's histograms are made at its first delivery, so a label
+    made after this call is recorded like any other. *)
 
 val obs_metrics : 'm t -> Obs.Metrics.t
 (** Snapshot of the telemetry metrics: one
-    ["delivery-latency/<label>"] histogram per interned label, merged
-    over destinations in node order.  Take it after {!Engine.run}
-    returns.  Empty when {!enable_obs} was never called. *)
+    ["delivery-latency/<label>"] histogram per label of {!stats},
+    delivered to or not, merged over destinations in node order.  Take
+    it after {!Engine.run} returns.  Every histogram is empty when
+    {!enable_obs} was never called. *)
 
 val install_probes :
   'm t -> events:Obs.Events.t -> interval:Simtime.t -> stop:Simtime.t -> unit

@@ -1,14 +1,14 @@
 (* Breakpoints live in a pair of parallel arrays sorted by time (the
-   append-in-order invariant makes them sorted for free).  The active
-   segment for a time [t] is the HIGHEST index with [times.(i) <= t] —
-   among duplicate times the latest-appended entry wins.  A NIC holds
-   two breakpoints per attack window, so one forward scan finds it. *)
+   append-in-order invariant makes them sorted for free), each grown by
+   one slot per breakpoint.  The active segment for a time [t] is the
+   HIGHEST index with [times.(i) <= t] — among duplicate times the
+   latest-appended entry wins.  A NIC holds two breakpoints per attack
+   window, so one forward scan finds it. *)
 
 type t = {
   base_rate : float; (* bytes per second before the first breakpoint *)
   mutable times : float array;
   mutable rates : float array; (* bytes per second *)
-  mutable n_bp : int;
   mutable busy_until : Simtime.t;
 }
 
@@ -20,32 +20,24 @@ let create ~bits_per_sec () =
     base_rate = bytes_rate bits_per_sec;
     times = [||];
     rates = [||];
-    n_bp = 0;
     busy_until = Simtime.zero;
   }
 
-let last_breakpoint_time t = if t.n_bp = 0 then Simtime.zero else t.times.(t.n_bp - 1)
+let n_bp t = Array.length t.times
+
+let last_breakpoint_time t = if n_bp t = 0 then Simtime.zero else t.times.(n_bp t - 1)
 
 let set_rate t ~from ~bits_per_sec =
   if bits_per_sec < 0. then invalid_arg "Nic.set_rate: negative rate";
   if from < last_breakpoint_time t then
     invalid_arg "Nic.set_rate: breakpoints must be appended in time order";
-  if t.n_bp = Array.length t.times then begin
-    let fresh = max 8 (2 * t.n_bp) in
-    let times = Array.make fresh 0. and rates = Array.make fresh 0. in
-    Array.blit t.times 0 times 0 t.n_bp;
-    Array.blit t.rates 0 rates 0 t.n_bp;
-    t.times <- times;
-    t.rates <- rates
-  end;
-  t.times.(t.n_bp) <- from;
-  t.rates.(t.n_bp) <- bytes_rate bits_per_sec;
-  t.n_bp <- t.n_bp + 1
+  t.times <- Array.append t.times [| from |];
+  t.rates <- Array.append t.rates [| bytes_rate bits_per_sec |]
 
 (* Highest index with [times.(i) <= time], or -1 for the base rate. *)
 let segment t time =
   let i = ref (-1) in
-  while !i + 1 < t.n_bp && t.times.(!i + 1) <= time do incr i done;
+  while !i + 1 < n_bp t && t.times.(!i + 1) <= time do incr i done;
   !i
 
 let seg_rate t i = if i < 0 then t.base_rate else t.rates.(i)
@@ -73,7 +65,7 @@ let finish_at t ~start ~bytes =
   if not !running then result := !time;
   while !running do
     let rate = seg_rate t !i in
-    if !i + 1 >= t.n_bp then begin
+    if !i + 1 >= n_bp t then begin
       result := (if rate <= 0. then Simtime.never else !time +. (!remaining /. rate));
       running := false
     end
@@ -82,7 +74,7 @@ let finish_at t ~start ~bytes =
       if rate <= 0. then begin
         time := change;
         incr i;
-        while !i + 1 < t.n_bp && t.times.(!i + 1) <= !time do incr i done
+        while !i + 1 < n_bp t && t.times.(!i + 1) <= !time do incr i done
       end
       else begin
         let capacity = rate *. (change -. !time) in
@@ -94,7 +86,7 @@ let finish_at t ~start ~bytes =
           remaining := !remaining -. capacity;
           time := change;
           incr i;
-          while !i + 1 < t.n_bp && t.times.(!i + 1) <= !time do incr i done
+          while !i + 1 < n_bp t && t.times.(!i + 1) <= !time do incr i done
         end
       end
     end

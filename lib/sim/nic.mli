@@ -15,8 +15,10 @@ val create : bits_per_sec:float -> unit -> t
     Raises [Invalid_argument] on a negative rate. *)
 
 val set_rate : t -> from:Simtime.t -> bits_per_sec:float -> unit
-(** [set_rate t ~from ~bits_per_sec] appends a rate breakpoint.
-    Breakpoints must be appended in nondecreasing time order. *)
+(** [set_rate t ~from ~bits_per_sec] appends a rate breakpoint.  A NIC
+    holds a handful (two per attack window), so each append copies the
+    schedule.  Raises [Invalid_argument] on a negative rate or a
+    breakpoint before the last one (or before time 0). *)
 
 val limit_window : t -> start:Simtime.t -> stop:Simtime.t -> bits_per_sec:float -> unit
 (** [limit_window t ~start ~stop ~bits_per_sec] caps the rate during

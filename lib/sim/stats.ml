@@ -1,15 +1,14 @@
-type label = int
-
-let no_label = -1
-let label_id l = l
-
-(* Messages lost, or turned away by a defense: a total, a count per
-   intended recipient and a count per interned label. *)
-type tally = {
-  mutable total : int;
-  at : int array;
-  mutable by_label : int array;
+type label = {
+  name : string;
+  mutable bytes : int;
+  mutable drops : int;
+  mutable rejects : int;
+  mutable recorded : bool; (* sent, dropped or rejected at least once *)
 }
+
+(* Messages lost, or turned away by a defense: a total and a count per
+   intended recipient.  The per-label counts live on the labels. *)
+type tally = { mutable total : int; at : int array }
 
 type t = {
   bytes_sent : int array;
@@ -20,18 +19,10 @@ type t = {
      are counted apart from [dropped] so verdicts never conflate what
      a defense did with what an injected fault did. *)
   rejected : tally;
-  (* Interned labels: dense ids into parallel arrays.  The per-send
-     accounting is then one array add — the old string-keyed [Hashtbl]
-     probe (hashing the label on every send) is paid once, at
-     [intern]. *)
-  intern_table : (string, int) Hashtbl.t;
-  mutable label_names : string array;
-  mutable label_bytes : int array;
-  mutable label_used : bool array; (* recorded at least once *)
-  mutable n_labels : int;
+  labels : (string, label) Hashtbl.t;
 }
 
-let tally ~n = { total = 0; at = Array.make n 0; by_label = [||] }
+let tally ~n = { total = 0; at = Array.make n 0 }
 
 let create ~n =
   {
@@ -40,60 +31,52 @@ let create ~n =
     messages_sent = Array.make n 0;
     dropped = tally ~n;
     rejected = tally ~n;
-    intern_table = Hashtbl.create 16;
-    label_names = [||];
-    label_bytes = [||];
-    label_used = [||];
-    n_labels = 0;
+    labels = Hashtbl.create 16;
   }
 
 let n t = Array.length t.bytes_sent
 
-let intern t name =
-  match Hashtbl.find_opt t.intern_table name with
-  | Some id -> id
+let label t name =
+  match Hashtbl.find_opt t.labels name with
+  | Some l -> l
   | None ->
-      let id = t.n_labels in
-      if id = Array.length t.label_names then begin
-        let grow a x = Array.init (max 8 (2 * id)) (fun i -> if i < id then a.(i) else x) in
-        t.label_names <- grow t.label_names "";
-        t.label_bytes <- grow t.label_bytes 0;
-        t.label_used <- grow t.label_used false;
-        t.dropped.by_label <- grow t.dropped.by_label 0;
-        t.rejected.by_label <- grow t.rejected.by_label 0
-      end;
-      t.label_names.(id) <- name;
-      t.n_labels <- id + 1;
-      Hashtbl.replace t.intern_table name id;
-      id
+      let l = { name; bytes = 0; drops = 0; rejects = 0; recorded = false } in
+      Hashtbl.add t.labels name l;
+      l
 
-let interned t = Array.sub t.label_names 0 t.n_labels
+let label_name l = l.name
 
-(* Allocation-free, for the network hot path: [label] is either an
-   interned id or [no_label]. *)
 let record_send t ~node ~bytes ~label =
   t.bytes_sent.(node) <- t.bytes_sent.(node) + bytes;
   t.messages_sent.(node) <- t.messages_sent.(node) + 1;
-  if label >= 0 then begin
-    t.label_bytes.(label) <- t.label_bytes.(label) + bytes;
-    t.label_used.(label) <- true
-  end
+  match label with
+  | None -> ()
+  | Some l ->
+      l.bytes <- l.bytes + bytes;
+      l.recorded <- true
 
 let record_received t ~node ~bytes =
   t.bytes_received.(node) <- t.bytes_received.(node) + bytes
 
-(* Allocation-free: [node] is the intended recipient (or [-1] when
-   unattributable), [label] an interned id or [no_label]. *)
-let count t tally ~node ~label =
+let count tally ~node =
   tally.total <- tally.total + 1;
-  if node >= 0 then tally.at.(node) <- tally.at.(node) + 1;
-  if label >= 0 then begin
-    tally.by_label.(label) <- tally.by_label.(label) + 1;
-    t.label_used.(label) <- true
-  end
+  if node >= 0 then tally.at.(node) <- tally.at.(node) + 1
 
-let record_drop t ~node ~label = count t t.dropped ~node ~label
-let record_reject t ~node ~label = count t t.rejected ~node ~label
+let record_drop t ~node ~label =
+  count t.dropped ~node;
+  match label with
+  | None -> ()
+  | Some l ->
+      l.drops <- l.drops + 1;
+      l.recorded <- true
+
+let record_reject t ~node ~label =
+  count t.rejected ~node;
+  match label with
+  | None -> ()
+  | Some l ->
+      l.rejects <- l.rejects + 1;
+      l.recorded <- true
 
 let bytes_sent t node = t.bytes_sent.(node)
 let bytes_received t node = t.bytes_received.(node)
@@ -104,22 +87,21 @@ let rejected t = t.rejected.total
 let rejected_at t node = t.rejected.at.(node)
 let total_bytes_sent t = Array.fold_left ( + ) 0 t.bytes_sent
 
-let by_name t counts name =
-  match Hashtbl.find_opt t.intern_table name with Some id -> counts.(id) | None -> 0
+let by_name t field name =
+  match Hashtbl.find_opt t.labels name with Some l -> field l | None -> 0
 
-let label_bytes t name = by_name t t.label_bytes name
-let label_dropped t name = by_name t t.dropped.by_label name
-let label_rejected t name = by_name t t.rejected.by_label name
+let label_bytes t = by_name t (fun l -> l.bytes)
+let label_dropped t = by_name t (fun l -> l.drops)
+let label_rejected t = by_name t (fun l -> l.rejects)
 
-(* The labels [keep] selects, with their counts, sorted by name. *)
-let table t counts keep =
-  List.init t.n_labels Fun.id
-  |> List.filter keep
-  |> List.map (fun id -> (t.label_names.(id), counts.(id)))
+(* The labels [keep] selects, with [field], sorted by name. *)
+let table t field keep =
+  Hashtbl.fold (fun name l acc -> if keep l then (name, field l) :: acc else acc) t.labels []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-(* Only labels recorded at least once appear. *)
-let labels t = table t t.label_bytes (fun id -> t.label_used.(id))
-let tally_labels t tally = table t tally.by_label (fun id -> tally.by_label.(id) > 0)
-let dropped_labels t = tally_labels t t.dropped
-let rejected_labels t = tally_labels t t.rejected
+let label_names t =
+  Hashtbl.fold (fun name _ acc -> name :: acc) t.labels [] |> List.sort String.compare
+
+let labels t = table t (fun l -> l.bytes) (fun l -> l.recorded)
+let dropped_labels t = table t (fun l -> l.drops) (fun l -> l.drops > 0)
+let rejected_labels t = table t (fun l -> l.rejects) (fun l -> l.rejects > 0)

@@ -4,45 +4,40 @@
     complexity; these counters measure actual bytes on the simulated
     wire, optionally broken down by message label.
 
-    Labels are interned to dense int ids ({!intern}) so the per-send
-    accounting is an array add, not a string-hash probe.  Protocols
-    intern each label once at setup and pass the id to every send. *)
+    A label is one record per name, holding that name's counts.  A
+    protocol looks each label up once at setup ({!label}) and passes
+    the record with every send, so recording a labelled message is a
+    field update on it, with no lookup by name. *)
 
 type t
 
 type label
-(** An interned message label, valid for the {!t} that interned it. *)
+(** A message label's counts, valid for the {!t} that made it. *)
 
 val create : n:int -> t
 
 val n : t -> int
 
-val intern : t -> string -> label
-(** Intern a label name, returning its dense id; interning the same
-    name twice returns the same id. *)
+val label : t -> string -> label
+(** The label of a name, made on first use: one name gives one label. *)
 
-val interned : t -> string array
-(** Every interned label name, indexed by {!label_id}. *)
+val label_name : label -> string
 
-val no_label : label
-(** Sentinel accepted by {!record_send} for unlabelled traffic. *)
+val label_names : t -> string list
+(** Every label made with {!label}, recorded or not, sorted. *)
 
-val label_id : label -> int
-(** The dense id behind a label ([no_label] maps to [-1]), letting
-    sibling modules key side tables — e.g. per-label latency
-    histograms — without exposing the representation. *)
-
-val record_send : t -> node:int -> bytes:int -> label:label -> unit
-(** Allocation-free accounting for the network hot path. *)
+val record_send : t -> node:int -> bytes:int -> label:label option -> unit
+(** Count a message [node] transmitted, under its label ([None] for
+    unlabelled traffic).  Allocation-free, for the network hot path. *)
 
 val record_received : t -> node:int -> bytes:int -> unit
 
-val record_drop : t -> node:int -> label:label -> unit
+val record_drop : t -> node:int -> label:label option -> unit
 (** Count one lost message: [node] is the intended recipient ([-1]
-    when unattributable), [label] the message's interned label or
-    {!no_label}.  Allocation-free, like {!record_send}. *)
+    when unattributable), [label] the message's label.
+    Allocation-free, like {!record_send}. *)
 
-val record_reject : t -> node:int -> label:label -> unit
+val record_reject : t -> node:int -> label:label option -> unit
 (** Count one message turned away by a defense (admission control,
     rotation quiet period) — deliberately separate from
     {!record_drop}, so verdicts can tell defense behavior from

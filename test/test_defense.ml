@@ -210,10 +210,10 @@ let test_plan_canonical_roundtrip_stability () =
 
 let test_stats_rejected_counters () =
   let s = Stats.create ~n:3 in
-  let vote = Stats.intern s "vote" in
+  let vote = Some (Stats.label s "vote") in
   Stats.record_reject s ~node:1 ~label:vote;
   Stats.record_reject s ~node:1 ~label:vote;
-  Stats.record_reject s ~node:2 ~label:Stats.no_label;
+  Stats.record_reject s ~node:2 ~label:None;
   Alcotest.(check int) "rejected total" 3 (Stats.rejected s);
   Alcotest.(check int) "rejected at node 1" 2 (Stats.rejected_at s 1);
   Alcotest.(check int) "rejected by label" 2 (Stats.label_rejected s "vote");

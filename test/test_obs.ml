@@ -70,8 +70,9 @@ let test_registry_merge () =
   let engine = S.Engine.create () in
   let topology = S.Topology.uniform ~n:3 ~latency:0.01 in
   let net = S.Net.create ~engine ~topology ~bits_per_sec:1e6 () in
-  let vote = S.Net.intern net "vote" and sig_ = S.Net.intern net "sig" in
-  ignore (S.Net.intern net "idle" : S.Stats.label);
+  let label = S.Stats.label (S.Net.stats net) in
+  let vote = label "vote" and sig_ = label "sig" in
+  ignore (label "idle" : S.Stats.label);
   S.Net.enable_obs net;
   let by_hand = Hashtbl.create 8 in
   let recorded ~dst label =
@@ -101,7 +102,7 @@ let test_registry_merge () =
     M.render h
   in
   let reg = S.Net.obs_metrics net in
-  Alcotest.(check (list string)) "one histogram per interned label"
+  Alcotest.(check (list string)) "one histogram per label"
     [ "delivery-latency/idle"; "delivery-latency/sig"; "delivery-latency/vote" ]
     (List.map fst (M.histograms reg));
   List.iter
@@ -115,6 +116,23 @@ let test_registry_merge () =
     [ ("vote", 4); ("sig", 2); ("idle", 0) ];
   Alcotest.(check bool) "unknown name" true
     (M.find_histogram reg "delivery-latency/nope" = None)
+
+(* A label made after telemetry started records its deliveries like
+   any other: the histograms are made at a label's first delivery. *)
+let test_registry_late_label () =
+  let module S = Tor_sim in
+  let engine = S.Engine.create () in
+  let topology = S.Topology.uniform ~n:3 ~latency:0.01 in
+  let net = S.Net.create ~engine ~topology ~bits_per_sec:1e6 () in
+  S.Net.enable_obs net;
+  let late = S.Stats.label (S.Net.stats net) "late" in
+  S.Net.set_handler net (fun ~dst:_ ~src:_ () -> ());
+  S.Net.broadcast net ~src:0 ~size:1_000 ~label:late ();
+  S.Net.send net ~src:1 ~dst:1 ~size:1_000 ~label:late ();
+  S.Engine.run engine;
+  match M.find_histogram (S.Net.obs_metrics net) "delivery-latency/late" with
+  | None -> Alcotest.fail "missing histogram for a label made after enable_obs"
+  | Some h -> Alcotest.(check int) "three deliveries" 3 (M.count h)
 
 (* --- trace-event export -------------------------------------------------- *)
 
@@ -339,6 +357,7 @@ let suite =
     ("histogram: bucketing and percentiles", `Quick, test_histogram_basics);
     ("histogram: overlapping merge", `Quick, test_histogram_merge_overlapping);
     ("registry: merge by name", `Quick, test_registry_merge);
+    ("registry: label made after enable_obs", `Quick, test_registry_late_label);
     ("trace-event: JSON export", `Quick, test_trace_event_json);
     ("json: string escapes", `Quick, test_json_strings);
     ("json: numbers and layout", `Quick, test_json_numbers_and_layout);

@@ -201,9 +201,7 @@ let run_engine (module A : Protocols.Agreement.S) ?(n = 9) ?(silent = []) ?(atta
   for id = 0 to n - 1 do
     let cb =
       {
-        Protocols.Agreement.now = (fun () -> Sim.Engine.now engine);
-        schedule = (fun d f -> Sim.Engine.schedule_in engine ~after:d f);
-        cancel = (fun h -> Sim.Engine.cancel engine h);
+        Protocols.Agreement.engine;
         send =
           (fun ~dst m ->
             Sim.Net.send net ~src:id ~dst ~size:(A.msg_size ~value_size m) m);

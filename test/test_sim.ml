@@ -486,10 +486,10 @@ let test_nic_window_edge_cases () =
 
 let test_stats () =
   let s = Stats.create ~n:3 in
-  let vote = Stats.intern s "vote" in
+  let vote = Some (Stats.label s "vote") in
   Stats.record_send s ~node:0 ~bytes:100 ~label:vote;
   Stats.record_send s ~node:0 ~bytes:50 ~label:vote;
-  Stats.record_send s ~node:1 ~bytes:10 ~label:Stats.no_label;
+  Stats.record_send s ~node:1 ~bytes:10 ~label:None;
   Stats.record_received s ~node:2 ~bytes:100;
   checki "bytes sent" 150 (Stats.bytes_sent s 0);
   checki "messages" 2 (Stats.messages_sent s 0);
@@ -498,22 +498,25 @@ let test_stats () =
   checki "unknown label" 0 (Stats.label_bytes s "nope");
   checki "received" 100 (Stats.bytes_received s 2)
 
+(* One record per label name: looking a name up twice gives the same
+   label, and only recorded labels are listed, by name. *)
 let test_stats_interning () =
   let s = Stats.create ~n:2 in
-  let vote = Stats.intern s "vote" in
-  let again = Stats.intern s "vote" in
-  checkb "interning is idempotent" true (vote = again);
-  let sig_ = Stats.intern s "sig" in
-  checkb "distinct names, distinct ids" true (vote <> sig_);
-  Stats.record_send s ~node:0 ~bytes:100 ~label:vote;
-  Stats.record_send s ~node:1 ~bytes:40 ~label:vote;
-  Stats.record_send s ~node:0 ~bytes:7 ~label:Stats.no_label;
+  let vote = Stats.label s "vote" in
+  checkb "one name, one label" true (vote == Stats.label s "vote");
+  let sig_ = Stats.label s "sig" in
+  checkb "distinct names, distinct labels" true (vote != sig_);
+  Alcotest.(check string) "label name" "sig" (Stats.label_name sig_);
+  Stats.record_send s ~node:0 ~bytes:100 ~label:(Some vote);
+  Stats.record_send s ~node:1 ~bytes:40 ~label:(Some (Stats.label s "vote"));
+  Stats.record_send s ~node:0 ~bytes:7 ~label:None;
   checki "label bytes" 140 (Stats.label_bytes s "vote");
   checki "unlabelled traffic still counted" 147 (Stats.bytes_sent s 0 + Stats.bytes_sent s 1);
-  (* Only recorded labels are listed, sorted. *)
+  Alcotest.(check (list string)) "every label made, sorted" [ "sig"; "vote" ]
+    (Stats.label_names s);
   Alcotest.(check (list (pair string int)))
     "labels lists recorded only" [ ("vote", 140) ] (Stats.labels s);
-  Stats.record_send s ~node:0 ~bytes:5 ~label:sig_;
+  Stats.record_send s ~node:0 ~bytes:5 ~label:(Some sig_);
   Alcotest.(check (list (pair string int)))
     "sorted by name" [ ("sig", 5); ("vote", 140) ] (Stats.labels s)
 
@@ -738,7 +741,7 @@ let test_fault_drop_labels () =
   let engine, net =
     with_fault [ { Fault.kind = Fault.Drop { src = 0; dst = 1; prob = 1. }; start = 0.; stop = 100. } ]
   in
-  let lbl = Net.intern net "vote" in
+  let lbl = Stats.label (Net.stats net) "vote" in
   Net.set_handler net (fun ~dst:_ ~src:_ _ -> ());
   Net.send net ~src:0 ~dst:1 ~size:10 ~label:lbl ();
   Net.send net ~src:0 ~dst:2 ~size:10 ~label:lbl ();
@@ -883,12 +886,27 @@ let test_net_deadline_charges_ingress () =
   let engine, net = make_net ~bits_per_sec:1e6 ~latency:0.5 () in
   let delivered = ref 0 in
   Net.set_handler net (fun ~dst:_ ~src:_ _ -> incr delivered);
-  let label = Net.intern net "doc" in
+  let label = Stats.label (Net.stats net) "doc" in
   Net.send net ~src:0 ~dst:1 ~size:125_000 ~label ~deadline:1. "late";
   Engine.run engine;
   let stats = Net.stats net in
   checki "not delivered" 0 !delivered;
   checki "ingress bytes charged" 125_000 (Stats.bytes_received stats 1);
+  checki "one drop" 1 (Stats.dropped stats);
+  checki "dropped under its label" 1 (Stats.label_dropped stats "doc")
+
+(* A NIC at zero rate forever never transmits: the send is one drop
+   and charges the sender nothing, under its label too. *)
+let test_net_dead_nic_charges_nothing () =
+  let engine, net = make_net ~bits_per_sec:0. () in
+  Net.set_handler net (fun ~dst:_ ~src:_ _ -> Alcotest.fail "delivered");
+  let label = Stats.label (Net.stats net) "doc" in
+  Net.send net ~src:0 ~dst:1 ~size:1_000 ~label "lost";
+  Engine.run engine;
+  let stats = Net.stats net in
+  checki "no bytes sent" 0 (Stats.bytes_sent stats 0);
+  checki "no message sent" 0 (Stats.messages_sent stats 0);
+  checki "no label bytes" 0 (Stats.label_bytes stats "doc");
   checki "one drop" 1 (Stats.dropped stats);
   checki "dropped under its label" 1 (Stats.label_dropped stats "doc")
 
@@ -965,6 +983,7 @@ let suite =
     ("net deferred duplicate delivers twice", `Quick, test_net_deferred_duplicate);
     ("net self send to crashed or quiet node", `Quick, test_net_self_send_crash_and_rotation);
     ("net deadline drop charges ingress", `Quick, test_net_deadline_charges_ingress);
+    ("net dead nic charges nothing", `Quick, test_net_dead_nic_charges_nothing);
     ("summary linear fit", `Quick, test_summary_linear_fit);
     ("summary power-law fit", `Quick, test_summary_power_law);
   ]
