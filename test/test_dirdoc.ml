@@ -1001,6 +1001,123 @@ let qcheck_aggregate_reference =
         (reference_consensus ~valid_after:0. votes)
         (Aggregate.consensus ~valid_after:0. ~votes))
 
+(* --- rendering reference models ------------------------------------------ *)
+
+(* The field renderers as they were before each value carried its own
+   text: [sprintf] versions, a walk of an exit policy's range list, a
+   walk of the flag list and a [sprintf] descriptor digest.  Votes,
+   consensuses and descriptor digests hash these bytes, so the library's
+   renderings must equal them. *)
+
+let reference_flags =
+  Flags.
+    [ (Authority, "Authority"); (BadExit, "BadExit"); (Exit, "Exit"); (Fast, "Fast");
+      (Guard, "Guard"); (HSDir, "HSDir"); (MiddleOnly, "MiddleOnly");
+      (NoEdConsensus, "NoEdConsensus"); (Running, "Running"); (Stable, "Stable");
+      (StaleDesc, "StaleDesc"); (V2Dir, "V2Dir"); (Valid, "Valid") ]
+
+let reference_version_text (major, minor, micro, patch, tag) =
+  let base = Printf.sprintf "%d.%d.%d.%d" major minor micro patch in
+  match tag with None -> base | Some tag -> base ^ "-" ^ tag
+
+let reference_policy_text p =
+  let range (lo, hi) = if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi in
+  let keyword = match Exit_policy.policy p with Accept -> "accept" | Reject -> "reject" in
+  keyword ^ " " ^ String.concat "," (List.map range (Exit_policy.ranges p))
+
+(* Every one of the 8,192 flag sets, through [to_string] and [feed]. *)
+let test_flags_text_reference () =
+  let sink = Crypto.Sink.create () in
+  for bits = 0 to (1 lsl List.length reference_flags) - 1 do
+    let chosen = List.filteri (fun i _ -> bits land (1 lsl i) <> 0) reference_flags in
+    let set = Flags.of_list (List.map fst chosen) in
+    let expected = String.concat " " (List.map snd chosen) in
+    Crypto.Sink.clear sink;
+    Flags.feed sink set;
+    if Flags.to_string set <> expected || Crypto.Sink.contents sink <> expected then
+      Alcotest.failf "flag set %d: to_string %S, feed %S, expected %S" bits
+        (Flags.to_string set) (Crypto.Sink.contents sink) expected
+  done
+
+let gen_version =
+  QCheck.Gen.(
+    let component = oneof [ int_bound 20; int_bound 999_999_999 ] in
+    let* major = component and* minor = component and* micro = component in
+    let* patch = component in
+    let* tag = oneofl [ None; Some "alpha"; Some "rc"; Some "dev-1"; Some "" ] in
+    return (major, minor, micro, patch, tag))
+
+let qcheck_version_text_reference =
+  QCheck.Test.make ~name:"version text equals the sprintf reference" ~count:300
+    (QCheck.make ~print:reference_version_text gen_version)
+    (fun ((major, minor, micro, patch, tag) as v) ->
+      let expected = reference_version_text v in
+      let made = Version.make ?tag major minor micro patch in
+      Version.to_string made = expected
+      &&
+      match Version.of_string expected with
+      | Ok parsed -> Version.to_string parsed = expected && Version.equal parsed made
+      | Error _ -> false)
+
+(* Random range lists, normalized by [make]: the canonical text is the
+   range-list walk, [compare] orders policies by it, and it parses
+   back to an equal policy. *)
+let qcheck_policy_text_reference =
+  let gen_policy =
+    QCheck.Gen.(
+      let port = oneof [ int_range 1 100; int_range 1 65535 ] in
+      let range = map (fun (a, b) -> (min a b, max a b)) (pair port port) in
+      let* policy = oneofl Exit_policy.[ Accept; Reject ] in
+      let* ranges = list_size (int_range 1 5) range in
+      return (Exit_policy.make policy ranges))
+  in
+  QCheck.Test.make ~name:"exit policy text equals the range-list reference" ~count:300
+    (QCheck.make ~print:(fun (a, b) -> reference_policy_text a ^ " / " ^ reference_policy_text b)
+       (QCheck.Gen.pair gen_policy gen_policy))
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      Exit_policy.to_string a = reference_policy_text a
+      && sign (Exit_policy.compare a b)
+         = sign (String.compare (reference_policy_text a) (reference_policy_text b))
+      &&
+      match Exit_policy.of_string (reference_policy_text a) with
+      | Ok parsed -> Exit_policy.equal parsed a && Exit_policy.ranges parsed = Exit_policy.ranges a
+      | Error _ -> false)
+
+(* A relay's descriptor digest hashes its [published] time through
+   [%f]: integral, fractional, negative, [-0.], huge and non-finite
+   times all render as [sprintf] renders them. *)
+let qcheck_descriptor_digest_reference =
+  let gen_published =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl
+            [ 0.; -0.; nan; infinity; neg_infinity; 0.5; -0.5; 2.5; 1e-7; -1e-7; 1e15; -1e15;
+              1e22; -1e22; 4503599627370495.5; 9007199254740993.; max_float; min_float ];
+          map float_of_int (int_range (-2_000_000_000) 2_000_000_000);
+          map Float.round (float_range (-1e18) 1e18);
+          float_range (-1e9) 1e9;
+          float;
+        ])
+  in
+  QCheck.Test.make ~name:"descriptor digest equals the sprintf reference" ~count:500
+    (QCheck.make
+       ~print:(fun (published, bandwidth, v) ->
+         Printf.sprintf "%h %d %s" published bandwidth (reference_version_text v))
+       QCheck.Gen.(triple gen_published (int_bound 1_000_000) gen_version))
+    (fun (published, bandwidth, ((major, minor, micro, patch, tag) as v)) ->
+      let fingerprint = fp 7 in
+      let r =
+        Relay.make ~fingerprint ~nickname:"ref" ~address:"192.0.2.7" ~or_port:9001 ~published
+          ~flags:Flags.empty ~version:(Version.make ?tag major minor micro patch) ~bandwidth
+          ~exit_policy:Exit_policy.reject_all ()
+      in
+      Crypto.Digest32.equal r.descriptor_digest
+        (Crypto.Digest32.of_string
+           (Printf.sprintf "desc|%s|%f|%d|%s" fingerprint published bandwidth
+              (reference_version_text v))))
+
 let suite =
   [
     ("flags basics", `Quick, test_flags_basic);
@@ -1052,4 +1169,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_parser_fuzz;
     QCheck_alcotest.to_alcotest qcheck_parser_line_fuzz;
     ("consensus text pinned", `Quick, test_consensus_text_pinned);
+    ("flags text equals the list-walk reference", `Quick, test_flags_text_reference);
+    QCheck_alcotest.to_alcotest qcheck_version_text_reference;
+    QCheck_alcotest.to_alcotest qcheck_policy_text_reference;
+    QCheck_alcotest.to_alcotest qcheck_descriptor_digest_reference;
   ]

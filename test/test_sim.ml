@@ -29,6 +29,41 @@ let test_rng_determinism () =
   let c = Rng.of_string_seed "seed" and d = Rng.of_string_seed "seed" in
   Alcotest.(check int64) "string seed" (Rng.next_int64 c) (Rng.next_int64 d)
 
+(* The first draws of two seeded streams, as the boxed-state generator
+   made them; every seeded output of the simulator rests on them. *)
+let test_rng_pinned () =
+  let stream name rng ~int64s ~ints ~floats ~gaussians =
+    List.iter
+      (fun x -> Alcotest.(check int64) (name ^ " next_int64") x (Rng.next_int64 rng))
+      int64s;
+    List.iter
+      (fun (bound, x) -> checki (Printf.sprintf "%s int %d" name bound) x (Rng.int rng bound))
+      ints;
+    List.iter
+      (fun (bound, x) ->
+        Alcotest.(check string) (name ^ " float") x (Printf.sprintf "%h" (Rng.float rng bound)))
+      floats;
+    List.iter
+      (fun x ->
+        Alcotest.(check string) (name ^ " gaussian") x
+          (Printf.sprintf "%h" (Rng.gaussian rng ~mean:1.0 ~stddev:0.1)))
+      gaussians
+  in
+  stream "create 42" (Rng.create 42L)
+    ~int64s:[ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    ~ints:[ (16, 10); (100, 25); (1_000_000, 494531); (max_int, 2014432356388812462) ]
+    ~floats:
+      [ (1., "0x1.99ec6bdd3d3c5p-1"); (1., "0x1.5c16e1dc2cf5ep-2"); (1., "0x1.3ca9ae7052feep-1");
+        (3., "0x1.3abaadbecc229p-1") ]
+    ~gaussians:[ "0x1.c3523c54dbeap-1"; "0x1.e23ec296be15p-1" ];
+  stream "seed" (Rng.of_string_seed "seed")
+    ~int64s:[ 7740802136191044996L; 3383118583332635694L; -4444316353233106688L ]
+    ~ints:[ (16, 0); (100, 16); (1_000_000, 434731); (max_int, 899963038431769198) ]
+    ~floats:
+      [ (1., "0x1.fb97d28d15daep-2"); (1., "0x1.bd6da152c657p-2"); (1., "0x1.4373320add0bp-4");
+        (3., "0x1.63b699c8800e9p-1") ]
+    ~gaussians:[ "0x1.053665889ec47p+0"; "0x1.3df8719eaffaep+0" ]
+
 let test_rng_split () =
   let a = Rng.create 1L in
   let child = Rng.split a in
@@ -931,6 +966,7 @@ let suite =
   [
     ("simtime", `Quick, test_simtime);
     ("rng determinism", `Quick, test_rng_determinism);
+    ("rng pinned draws", `Quick, test_rng_pinned);
     ("rng split", `Quick, test_rng_split);
     QCheck_alcotest.to_alcotest qcheck_rng_bounds;
     QCheck_alcotest.to_alcotest qcheck_rng_range;
