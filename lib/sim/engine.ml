@@ -21,7 +21,8 @@ type event = {
 
 type handle = event
 
-(* What [Event_queue.pop_if_before] returns when nothing is due. *)
+(* The queue's dummy: what [Event_queue.pop_if_before] returns when
+   nothing is due. *)
 let none = { time = Simtime.zero; owner = -1; action = ignore; cancelled = true }
 
 type t = {
@@ -36,7 +37,7 @@ let create ?(nodes = 0) () =
   if nodes < 0 then invalid_arg "Engine.create: negative nodes";
   {
     clock = Simtime.zero;
-    queue = Event_queue.create ();
+    queue = Event_queue.create ~dummy:none;
     cur_owner = -1;
     nodes;
     counters = Array.make (nodes + 1) 0;
@@ -81,7 +82,7 @@ let cancel _t ev = ev.cancelled <- true
 let run ?until t =
   let horizon = Option.value until ~default:Simtime.never in
   let rec loop () =
-    let ev = Event_queue.pop_if_before t.queue ~horizon ~default:none in
+    let ev = Event_queue.pop_if_before t.queue ~horizon in
     if ev != none then begin
       (* A cancelled event still advances the clock to its slot, like
          any popped event. *)

@@ -10,21 +10,22 @@ type 'a t = {
   mutable keys : int array;
   mutable payloads : 'a array;
   mutable size : int;
+  dummy : 'a; (* fills every slot that holds no queued payload *)
 }
 
-let create () = { times = [||]; keys = [||]; payloads = [||]; size = 0 }
+let create ~dummy = { times = [||]; keys = [||]; payloads = [||]; size = 0; dummy }
 
 (* Does slot [i]'s key precede the explicit key [(time, key)]? *)
 let precedes_key q i time key =
   q.times.(i) < time || (q.times.(i) = time && q.keys.(i) < key)
 
-let grow q payload =
+let grow q =
   let capacity = Array.length q.times in
   if q.size = capacity then begin
     let fresh = max 16 (capacity * 2) in
     let times = Array.make fresh 0. in
     let keys = Array.make fresh 0 in
-    let payloads = Array.make fresh payload in
+    let payloads = Array.make fresh q.dummy in
     Array.blit q.times 0 times 0 q.size;
     Array.blit q.keys 0 keys 0 q.size;
     Array.blit q.payloads 0 payloads 0 q.size;
@@ -81,24 +82,21 @@ let sift_down q time key payload =
 let push_keyed q ~time ~key payload =
   if Float.is_nan time || Simtime.is_infinite time then
     invalid_arg "Event_queue.push_keyed: time must be finite";
-  grow q payload;
+  grow q;
   q.size <- q.size + 1;
   sift_up q (q.size - 1) time key payload
 
 (* Remove the root, re-heapifying with the last slot's entry.  The
-   vacated slot gets [default], so the array never keeps a popped
-   payload alive. *)
-let pop_if_before q ~horizon ~default =
-  if q.size = 0 || q.times.(0) > horizon then default
+   vacated slot gets the dummy, as every spare slot has since [grow]
+   made it, so the array never keeps a popped payload alive. *)
+let pop_if_before q ~horizon =
+  if q.size = 0 || q.times.(0) > horizon then q.dummy
   else begin
     let payload = q.payloads.(0) in
     q.size <- q.size - 1;
-    if q.size > 0 then begin
-      let lt = q.times.(q.size) and lk = q.keys.(q.size) and lp = q.payloads.(q.size) in
-      q.payloads.(q.size) <- default;
-      sift_down q lt lk lp
-    end
-    else q.payloads.(0) <- default;
+    let lt = q.times.(q.size) and lk = q.keys.(q.size) and lp = q.payloads.(q.size) in
+    q.payloads.(q.size) <- q.dummy;
+    if q.size > 0 then sift_down q lt lk lp;
     payload
   end
 

@@ -11,7 +11,11 @@
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> 'a t
+(** [create ~dummy] is an empty queue.  [dummy] fills every array slot
+    that holds no queued payload, so a popped payload is never kept
+    alive by the queue, and [pop_if_before] returns it when nothing is
+    due. *)
 
 val push_keyed : 'a t -> time:Simtime.t -> key:int -> 'a -> unit
 (** [push_keyed q ~time ~key e] enqueues [e] at [time]; equal-time
@@ -19,9 +23,9 @@ val push_keyed : 'a t -> time:Simtime.t -> key:int -> 'a -> unit
     per-creator counter) keys.  Raises [Invalid_argument] on a
     non-finite or NaN time. *)
 
-val pop_if_before : 'a t -> horizon:Simtime.t -> default:'a -> 'a
-(** [pop_if_before q ~horizon ~default] pops and returns the earliest
-    payload iff its time is at or before [horizon]; otherwise returns
-    [default] and leaves the queue untouched. *)
+val pop_if_before : 'a t -> horizon:Simtime.t -> 'a
+(** [pop_if_before q ~horizon] pops and returns the earliest payload
+    iff its time is at or before [horizon]; otherwise returns the
+    queue's dummy and leaves the queue untouched. *)
 
 val size : 'a t -> int

@@ -114,24 +114,45 @@ let test_rng_errors () =
 
 (* --- Event queue ------------------------------------------------------------ *)
 
-(* Drain [q] through [pop_if_before] with no horizon. *)
-let drain q ~default =
+(* Drain [q] through [pop_if_before] with no horizon, up to its
+   [dummy]. *)
+let drain q ~dummy =
   let rec go acc =
-    let x = Event_queue.pop_if_before q ~horizon:infinity ~default in
-    if x == default then List.rev acc else go (x :: acc)
+    let x = Event_queue.pop_if_before q ~horizon:infinity in
+    if x == dummy then List.rev acc else go (x :: acc)
   in
   go []
 
 let test_queue_order () =
-  let q = Event_queue.create () in
+  let dummy = "-" in
+  let q = Event_queue.create ~dummy in
   Event_queue.push_keyed q ~time:3. ~key:0 "c";
   Event_queue.push_keyed q ~time:1. ~key:1 "a";
   Event_queue.push_keyed q ~time:2. ~key:2 "b";
-  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (drain q ~default:"-");
+  Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (drain q ~dummy);
   checki "empty" 0 (Event_queue.size q)
 
+(* A drained queue holds none of its payloads: after 40 pushes (the
+   arrays grew to 64 slots on the way), a full drain and a major
+   collection, no payload is reachable, although the queue is. *)
+let test_queue_releases_payloads () =
+  let dummy = ref (-1) in
+  let q = Event_queue.create ~dummy in
+  let weak = Weak.create 40 in
+  for i = 0 to 39 do
+    let payload = ref i in
+    Weak.set weak i (Some payload);
+    Event_queue.push_keyed q ~time:(float_of_int i) ~key:i payload
+  done;
+  checki "drained in order" 40 (List.length (drain q ~dummy));
+  Gc.full_major ();
+  for i = 0 to 39 do
+    checkb (Printf.sprintf "payload %d released" i) false (Weak.check weak i)
+  done;
+  checki "queue still reachable" 0 (Event_queue.size q)
+
 let test_queue_invalid_time () =
-  let q = Event_queue.create () in
+  let q = Event_queue.create ~dummy:() in
   let invalid = Invalid_argument "Event_queue.push_keyed: time must be finite" in
   Alcotest.check_raises "infinite" invalid (fun () ->
       Event_queue.push_keyed q ~time:infinity ~key:0 ());
@@ -141,9 +162,9 @@ let qcheck_queue_sorted =
   QCheck.Test.make ~name:"event queue pops sorted" ~count:100
     QCheck.(list_of_size (Gen.int_range 0 100) (float_range 0. 1000.))
     (fun times ->
-      let q = Event_queue.create () in
+      let q = Event_queue.create ~dummy:None in
       List.iteri (fun key t -> Event_queue.push_keyed q ~time:t ~key (Some t)) times;
-      let out = List.map Option.get (drain q ~default:None) in
+      let out = List.map Option.get (drain q ~dummy:None) in
       out = List.sort Float.compare times)
 
 (* Interleaved push/pop stress against a sorted-list model: exercises
@@ -155,13 +176,13 @@ let qcheck_queue_interleaved =
     ~count:100
     QCheck.(list_of_size (Gen.int_range 0 300) (pair bool (int_range 0 20)))
     (fun ops ->
-      let q = Event_queue.create () in
+      let none = (nan, -1) in
+      let q = Event_queue.create ~dummy:none in
       let model = ref [] in
       let seq = ref 0 in
       let ok = ref true in
-      let none = (nan, -1) in
       let pop_both () =
-        let got = Event_queue.pop_if_before q ~horizon:infinity ~default:none in
+        let got = Event_queue.pop_if_before q ~horizon:infinity in
         match !model with
         | [] -> if got != none then ok := false
         | expected :: rest ->
@@ -302,14 +323,15 @@ let test_engine_cancelled_advances_clock () =
   checkf "clock reaches the cancelled event's time" 7. (Engine.now e)
 
 let test_queue_push_keyed_order () =
-  let q = Event_queue.create () in
+  let dummy = "-" in
+  let q = Event_queue.create ~dummy in
   (* Equal times pop in key order, independent of push order. *)
   Event_queue.push_keyed q ~time:1. ~key:30 "c";
   Event_queue.push_keyed q ~time:1. ~key:10 "a";
   Event_queue.push_keyed q ~time:0.5 ~key:99 "first";
   Event_queue.push_keyed q ~time:1. ~key:20 "b";
   Alcotest.(check (list string)) "key order at equal times"
-    [ "first"; "a"; "b"; "c" ] (drain q ~default:"-")
+    [ "first"; "a"; "b"; "c" ] (drain q ~dummy)
 
 (* Same-instant events pop in ascending (creator, per-creator counter)
    order, where the creator is the owner of the event that scheduled
@@ -332,18 +354,17 @@ let test_engine_creator_tie_break () =
     [ "w"; "y1"; "y2"; "z"; "x" ] (List.rev !order)
 
 let test_queue_pop_if_before () =
-  let q = Event_queue.create () in
-  checki "empty yields default" (-1) (Event_queue.pop_if_before q ~horizon:10. ~default:(-1));
+  let q = Event_queue.create ~dummy:(-1) in
+  checki "empty yields the dummy" (-1) (Event_queue.pop_if_before q ~horizon:10.);
   Event_queue.push_keyed q ~time:1. ~key:0 100;
   Event_queue.push_keyed q ~time:5. ~key:1 200;
   Event_queue.push_keyed q ~time:9. ~key:2 300;
-  checki "pops earliest" 100 (Event_queue.pop_if_before q ~horizon:10. ~default:(-1));
-  checki "pops next" 200 (Event_queue.pop_if_before q ~horizon:5. ~default:(-1));
-  checki "beyond horizon stays queued" (-1)
-    (Event_queue.pop_if_before q ~horizon:8.999 ~default:(-1));
+  checki "pops earliest" 100 (Event_queue.pop_if_before q ~horizon:10.);
+  checki "pops next" 200 (Event_queue.pop_if_before q ~horizon:5.);
+  checki "beyond horizon stays queued" (-1) (Event_queue.pop_if_before q ~horizon:8.999);
   checki "still there" 1 (Event_queue.size q);
-  checki "exact horizon pops" 300 (Event_queue.pop_if_before q ~horizon:9. ~default:(-1));
-  checki "drained" (-1) (Event_queue.pop_if_before q ~horizon:infinity ~default:(-1))
+  checki "exact horizon pops" 300 (Event_queue.pop_if_before q ~horizon:9.);
+  checki "drained" (-1) (Event_queue.pop_if_before q ~horizon:infinity)
 
 (* --- NIC ---------------------------------------------------------------- *)
 
@@ -975,6 +996,7 @@ let suite =
     ("rng errors", `Quick, test_rng_errors);
     ("event queue ordering", `Quick, test_queue_order);
     ("event queue invalid time", `Quick, test_queue_invalid_time);
+    ("event queue releases popped payloads", `Quick, test_queue_releases_payloads);
     QCheck_alcotest.to_alcotest qcheck_queue_sorted;
     QCheck_alcotest.to_alcotest qcheck_queue_interleaved;
     ("engine order and clock", `Quick, test_engine_order_and_clock);
