@@ -69,6 +69,7 @@ let compute_consensus ~valid_after ~votes =
          whole merge. *)
       let auths = Array.make n_votes 0 in
       let rels = Array.make n_votes f in
+      let flag_sets = Array.make n_votes f.Relay.flags in
       let versions = Array.make n_votes f.Relay.version in
       let protos = Array.make n_votes f.Relay.protocols in
       let policies = Array.make n_votes f.Relay.exit_policy in
@@ -113,21 +114,14 @@ let compute_consensus ~valid_after ~votes =
               if auths.(i) > auths.(!best) then best := i
             done;
             let nickname = rels.(!best).Relay.nickname in
-            (* Flags: strict majority of listing votes; ties unset. *)
-            let flags = ref Flags.empty in
-            List.iter
-              (fun flag ->
-                let yes = ref 0 in
-                for i = 0 to k - 1 do
-                  if Flags.mem flag rels.(i).Relay.flags then incr yes
-                done;
-                if 2 * !yes > k then flags := Flags.add flag !flags)
-              Flags.all;
             for i = 0 to k - 1 do
+              flag_sets.(i) <- rels.(i).Relay.flags;
               versions.(i) <- rels.(i).Relay.version;
               protos.(i) <- rels.(i).Relay.protocols;
               policies.(i) <- rels.(i).Relay.exit_policy
             done;
+            (* Flags: strict majority of listing votes; ties unset. *)
+            let flags = Flags.majority flag_sets k in
             sort_prefix ~compare:Version.compare versions k;
             sort_prefix ~compare:String.compare protos k;
             sort_prefix ~compare:Exit_policy.compare policies k;
@@ -158,7 +152,7 @@ let compute_consensus ~valid_after ~votes =
               {
                 Consensus.fingerprint = !min_fp;
                 nickname;
-                flags = !flags;
+                flags;
                 version;
                 protocols;
                 bandwidth;

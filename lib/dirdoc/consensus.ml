@@ -39,11 +39,11 @@ let compute_digest ~valid_after ~n_votes entries =
       Crypto.Sink.feed_char sink '|';
       Crypto.Sink.feed_int sink e.bandwidth;
       Crypto.Sink.feed_char sink '|';
-      Version.feed sink e.version;
+      Crypto.Sink.feed_str sink (Version.to_string e.version);
       Crypto.Sink.feed_char sink '|';
       Crypto.Sink.feed_str sink e.protocols;
       Crypto.Sink.feed_char sink '|';
-      Exit_policy.feed sink e.exit_policy;
+      Crypto.Sink.feed_str sink (Exit_policy.to_string e.exit_policy);
       Crypto.Sink.feed_char sink '\n';
       (* Same ~4 KiB batched flush as [Vote.compute_digest]. *)
       if Crypto.Sink.length sink >= 4096 then begin
@@ -131,13 +131,13 @@ let feed_entry sink e =
   Crypto.Sink.feed_str sink "\ns ";
   Flags.feed sink e.flags;
   Crypto.Sink.feed_str sink "\nv Tor ";
-  Version.feed sink e.version;
+  Crypto.Sink.feed_str sink (Version.to_string e.version);
   Crypto.Sink.feed_str sink "\npr ";
   Crypto.Sink.feed_str sink e.protocols;
   Crypto.Sink.feed_str sink "\nw Bandwidth=";
   Crypto.Sink.feed_int sink e.bandwidth;
   Crypto.Sink.feed_str sink "\np ";
-  Exit_policy.feed sink e.exit_policy;
+  Crypto.Sink.feed_str sink (Exit_policy.to_string e.exit_policy);
   Crypto.Sink.feed_char sink '\n'
 
 let footer = "directory-footer\n"

@@ -1,6 +1,9 @@
 type policy = Accept | Reject
 
-type t = { policy : policy; ranges : (int * int) list }
+(* [text] is the canonical summary, built once when the value is made:
+   votes and consensuses hash it for every relay, and Figure 2's
+   tie-break compares it. *)
+type t = { policy : policy; ranges : (int * int) list; text : string }
 
 let normalize ranges =
   let sorted = List.sort (fun (a, _) (b, _) -> Int.compare a b) ranges in
@@ -13,6 +16,9 @@ let normalize ranges =
   in
   merge sorted
 
+let range_to_string (lo, hi) =
+  if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi
+
 let make policy ranges =
   if ranges = [] then invalid_arg "Exit_policy.make: empty range list";
   List.iter
@@ -20,42 +26,28 @@ let make policy ranges =
       if lo < 1 || hi > 65535 || lo > hi then
         invalid_arg "Exit_policy.make: port range out of bounds")
     ranges;
-  { policy; ranges = normalize ranges }
+  let ranges = normalize ranges in
+  let keyword = match policy with Accept -> "accept" | Reject -> "reject" in
+  { policy; ranges; text = keyword ^ " " ^ String.concat "," (List.map range_to_string ranges) }
 
-let accept_all = { policy = Accept; ranges = [ (1, 65535) ] }
-let reject_all = { policy = Reject; ranges = [ (1, 65535) ] }
+let accept_all = make Accept [ (1, 65535) ]
+let reject_all = make Reject [ (1, 65535) ]
 
 let policy t = t.policy
 let ranges t = t.ranges
+let to_string t = t.text
 
-let range_to_string (lo, hi) =
-  if lo = hi then string_of_int lo else Printf.sprintf "%d-%d" lo hi
-
-let to_string t =
-  let keyword = match t.policy with Accept -> "accept" | Reject -> "reject" in
-  keyword ^ " " ^ String.concat "," (List.map range_to_string t.ranges)
-
-(* Byte-identical to [to_string], written straight into the sink. *)
-let feed sink t =
-  Crypto.Sink.feed_str sink
-    (match t.policy with Accept -> "accept " | Reject -> "reject ");
-  List.iteri
-    (fun i (lo, hi) ->
-      if i > 0 then Crypto.Sink.feed_char sink ',';
-      Crypto.Sink.feed_int sink lo;
-      if lo <> hi then begin
-        Crypto.Sink.feed_char sink '-';
-        Crypto.Sink.feed_int sink hi
-      end)
-    t.ranges
+(* Plain decimal digits only: no sign, base prefix or underscore. *)
+let decimal s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then int_of_string_opt s
+  else None
 
 let parse_range s =
   match String.index_opt s '-' with
-  | None -> (
-      match int_of_string_opt s with Some p -> Some (p, p) | None -> None)
+  | None -> Option.map (fun p -> (p, p)) (decimal s)
   | Some i -> (
       let lo = String.sub s 0 i and hi = String.sub s (i + 1) (String.length s - i - 1) in
-      match (int_of_string_opt lo, int_of_string_opt hi) with
+      match (decimal lo, decimal hi) with
       | Some lo, Some hi -> Some (lo, hi)
       | _ -> None)
 
@@ -82,12 +74,9 @@ let of_string s =
             | exception Invalid_argument m -> Error m))
   | _ -> Error (Printf.sprintf "bad exit policy format %S" s)
 
-(* The physical-equality fast path matters: aggregation compares the
-   policies of one relay's listings across votes, which are usually the
-   same shared value, and rendering both sides through [sprintf] per
-   comparison dominated the aggregation profile. *)
-let compare a b =
-  if a == b then 0 else String.compare (to_string a) (to_string b)
+(* Aggregation compares the policies of one relay's listings across
+   votes, which are usually one shared value. *)
+let compare a b = if a == b then 0 else String.compare a.text b.text
 let equal a b = compare a b = 0
 let max a b = if compare a b >= 0 then a else b
 let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -23,12 +23,12 @@ val policy : t -> policy
 val ranges : t -> (int * int) list
 
 val to_string : t -> string
-
-val feed : Crypto.Sink.t -> t -> unit
-(** [feed sink t] writes exactly [to_string t] into [sink] without
-    allocating the intermediate string. *)
+(** The canonical summary.  It is built once, when the value is made,
+    and every call returns that one string. *)
 
 val of_string : string -> (t, string) result
+(** Parse a summary such as ["accept 80,443,8000-8100"].  Each port is
+    plain decimal digits: no sign, base prefix or underscore. *)
 
 val compare : t -> t -> int
 (** Lexicographic on the canonical rendering — the Figure 2 tie-break

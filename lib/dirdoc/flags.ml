@@ -13,28 +13,35 @@ type flag =
   | V2Dir
   | Valid
 
-(* Bitset representation: cheap set operations over 10k-relay votes. *)
+(* Bitset representation: cheap set operations over 10k-relay votes.
+   A flag's bit is its index in dir-spec (alphabetical) order. *)
 type t = int
 
-let bit = function
-  | Authority -> 1 lsl 0
-  | BadExit -> 1 lsl 1
-  | Exit -> 1 lsl 2
-  | Fast -> 1 lsl 3
-  | Guard -> 1 lsl 4
-  | HSDir -> 1 lsl 5
-  | MiddleOnly -> 1 lsl 6
-  | NoEdConsensus -> 1 lsl 7
-  | Running -> 1 lsl 8
-  | Stable -> 1 lsl 9
-  | StaleDesc -> 1 lsl 10
-  | V2Dir -> 1 lsl 11
-  | Valid -> 1 lsl 12
+let index = function
+  | Authority -> 0
+  | BadExit -> 1
+  | Exit -> 2
+  | Fast -> 3
+  | Guard -> 4
+  | HSDir -> 5
+  | MiddleOnly -> 6
+  | NoEdConsensus -> 7
+  | Running -> 8
+  | Stable -> 9
+  | StaleDesc -> 10
+  | V2Dir -> 11
+  | Valid -> 12
 
 let all =
   [ Authority; BadExit; Exit; Fast; Guard; HSDir; MiddleOnly; NoEdConsensus;
     Running; Stable; StaleDesc; V2Dir; Valid ]
 
+(* Each flag's dir-spec name, by bit. *)
+let names =
+  [| "Authority"; "BadExit"; "Exit"; "Fast"; "Guard"; "HSDir"; "MiddleOnly";
+     "NoEdConsensus"; "Running"; "Stable"; "StaleDesc"; "V2Dir"; "Valid" |]
+
+let bit f = 1 lsl index f
 let empty = 0
 let add f t = t lor bit f
 let remove f t = t land lnot (bit f)
@@ -48,35 +55,32 @@ let cardinal t =
 
 let equal = Int.equal
 
-let flag_to_string = function
-  | Authority -> "Authority"
-  | BadExit -> "BadExit"
-  | Exit -> "Exit"
-  | Fast -> "Fast"
-  | Guard -> "Guard"
-  | HSDir -> "HSDir"
-  | MiddleOnly -> "MiddleOnly"
-  | NoEdConsensus -> "NoEdConsensus"
-  | Running -> "Running"
-  | Stable -> "Stable"
-  | StaleDesc -> "StaleDesc"
-  | V2Dir -> "V2Dir"
-  | Valid -> "Valid"
+let majority sets k =
+  let result = ref empty in
+  for b = 0 to Array.length names - 1 do
+    let yes = ref 0 in
+    for i = 0 to k - 1 do
+      yes := !yes + ((sets.(i) lsr b) land 1)
+    done;
+    if 2 * !yes > k then result := !result lor (1 lsl b)
+  done;
+  !result
 
+let flag_to_string f = names.(index f)
 let flag_of_string s = List.find_opt (fun f -> flag_to_string f = s) all
 
 let to_string t = String.concat " " (List.map flag_to_string (to_list t))
 
-(* Byte-identical to [to_string], written straight into the sink. *)
+(* Byte-identical to [to_string], written straight into the sink: one
+   pass over the bits, with no list and no closure. *)
 let feed sink t =
   let first = ref true in
-  List.iter
-    (fun f ->
-      if mem f t then begin
-        if !first then first := false else Crypto.Sink.feed_char sink ' ';
-        Crypto.Sink.feed_str sink (flag_to_string f)
-      end)
-    all
+  for b = 0 to Array.length names - 1 do
+    if t land (1 lsl b) <> 0 then begin
+      if !first then first := false else Crypto.Sink.feed_char sink ' ';
+      Crypto.Sink.feed_str sink names.(b)
+    end
+  done
 
 let of_string s =
   let words = String.split_on_char ' ' s |> List.filter (fun w -> w <> "") in

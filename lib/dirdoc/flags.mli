@@ -36,6 +36,11 @@ val equal : t -> t -> bool
 val all : flag list
 (** Every known flag, in dir-spec order. *)
 
+val majority : t array -> int -> t
+(** [majority sets k] holds each flag that a strict majority of
+    [sets.(0)] to [sets.(k - 1)] hold; a tie leaves it unset (the
+    Figure 2 flag rule). *)
+
 val to_string : t -> string
 (** Space-separated dir-spec rendering, e.g. ["Fast Running Valid"]. *)
 

@@ -23,10 +23,25 @@ let is_hex c = (c >= '0' && c <= '9') || (c >= 'A' && c <= 'F')
 let validate_fingerprint fp =
   String.length fp = 40 && String.for_all is_hex fp
 
+(* The SHA-256 of "desc|<fingerprint>|<published as %f>|<bandwidth>|
+   <version>".  [%f] of an integral time is its [%.0f] digits plus
+   ".000000", which [feed_fixed] writes in place; any other time goes
+   through [sprintf] itself. *)
 let descriptor_digest_of ~fingerprint ~published ~bandwidth ~version =
-  Crypto.Digest32.of_string
-    (Printf.sprintf "desc|%s|%f|%d|%s" fingerprint published bandwidth
-       (Version.to_string version))
+  let sink = Crypto.Sink.create () in
+  Crypto.Sink.feed_str sink "desc|";
+  Crypto.Sink.feed_str sink fingerprint;
+  Crypto.Sink.feed_char sink '|';
+  if Float.is_integer published then begin
+    Crypto.Sink.feed_fixed sink published;
+    Crypto.Sink.feed_str sink ".000000"
+  end
+  else Crypto.Sink.feed_str sink (Printf.sprintf "%f" published);
+  Crypto.Sink.feed_char sink '|';
+  Crypto.Sink.feed_int sink bandwidth;
+  Crypto.Sink.feed_char sink '|';
+  Crypto.Sink.feed_str sink (Version.to_string version);
+  Crypto.Digest32.of_raw (Crypto.Sink.digest sink)
 
 let make ~fingerprint ~nickname ~address ~or_port ?(dir_port = 0) ~published ~flags
     ~version ?(protocols = default_protocols) ~bandwidth ?measured ~exit_policy () =

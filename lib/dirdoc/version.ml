@@ -1,28 +1,28 @@
-type t = { major : int; minor : int; micro : int; patch : int; tag : string option }
+(* [text] is the canonical rendering, built once when the value is made:
+   votes, consensuses and descriptor digests hash it for every relay,
+   and a population holds only a few distinct versions. *)
+type t = {
+  major : int;
+  minor : int;
+  micro : int;
+  patch : int;
+  tag : string option;
+  text : string;
+}
 
 let make ?tag major minor micro patch =
   if major < 0 || minor < 0 || micro < 0 || patch < 0 then
     invalid_arg "Version.make: negative component";
-  { major; minor; micro; patch; tag }
+  let base = Printf.sprintf "%d.%d.%d.%d" major minor micro patch in
+  let text = match tag with None -> base | Some tag -> base ^ "-" ^ tag in
+  { major; minor; micro; patch; tag; text }
 
-let to_string v =
-  let base = Printf.sprintf "%d.%d.%d.%d" v.major v.minor v.micro v.patch in
-  match v.tag with None -> base | Some tag -> base ^ "-" ^ tag
+let to_string v = v.text
 
-(* Byte-identical to [to_string], written straight into the sink. *)
-let feed sink v =
-  Crypto.Sink.feed_int sink v.major;
-  Crypto.Sink.feed_char sink '.';
-  Crypto.Sink.feed_int sink v.minor;
-  Crypto.Sink.feed_char sink '.';
-  Crypto.Sink.feed_int sink v.micro;
-  Crypto.Sink.feed_char sink '.';
-  Crypto.Sink.feed_int sink v.patch;
-  match v.tag with
-  | None -> ()
-  | Some tag ->
-      Crypto.Sink.feed_char sink '-';
-      Crypto.Sink.feed_str sink tag
+(* Plain decimal digits only: no sign, base prefix or underscore. *)
+let decimal s =
+  if s <> "" && String.for_all (fun c -> c >= '0' && c <= '9') s then int_of_string_opt s
+  else None
 
 let of_string s =
   let body, tag =
@@ -31,13 +31,9 @@ let of_string s =
     | Some i ->
         (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
   in
-  match String.split_on_char '.' body with
-  | [ a; b; c; d ] -> (
-      match (int_of_string_opt a, int_of_string_opt b, int_of_string_opt c, int_of_string_opt d) with
-      | Some major, Some minor, Some micro, Some patch
-        when major >= 0 && minor >= 0 && micro >= 0 && patch >= 0 ->
-          Ok { major; minor; micro; patch; tag }
-      | _ -> Error (Printf.sprintf "bad version components in %S" s))
+  match List.map decimal (String.split_on_char '.' body) with
+  | [ Some major; Some minor; Some micro; Some patch ] -> Ok (make ?tag major minor micro patch)
+  | [ _; _; _; _ ] -> Error (Printf.sprintf "bad version components in %S" s)
   | _ -> Error (Printf.sprintf "bad version format %S" s)
 
 (* Version-spec ordering: numeric on components; a tagged version

@@ -13,13 +13,12 @@ val make : ?tag:string -> int -> int -> int -> int -> t
     non-negative. *)
 
 val of_string : string -> (t, string) result
-(** Parse ["0.4.8.12"] or ["0.4.9.1-alpha"]. *)
+(** Parse ["0.4.8.12"] or ["0.4.9.1-alpha"].  Each component is plain
+    decimal digits: no sign, base prefix or underscore. *)
 
 val to_string : t -> string
-
-val feed : Crypto.Sink.t -> t -> unit
-(** [feed sink v] writes exactly [to_string v] into [sink] without
-    allocating the intermediate string. *)
+(** The canonical text, e.g. ["0.4.9.1-alpha"].  It is built once, when
+    the value is made, and every call returns that one string. *)
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -42,11 +42,11 @@ let compute_digest ~authority ~authority_fingerprint ~published ~valid_after rel
       Crypto.Sink.feed_char sink '|';
       Crypto.Sink.feed_int sink (Option.value r.measured ~default:(-1));
       Crypto.Sink.feed_char sink '|';
-      Version.feed sink r.version;
+      Crypto.Sink.feed_str sink (Version.to_string r.version);
       Crypto.Sink.feed_char sink '|';
       Crypto.Sink.feed_str sink r.protocols;
       Crypto.Sink.feed_char sink '|';
-      Exit_policy.feed sink r.exit_policy;
+      Crypto.Sink.feed_str sink (Exit_policy.to_string r.exit_policy);
       Crypto.Sink.feed_char sink '\n';
       (* Flush in ~4 KiB batches: the hash then consumes mostly whole
          blocks straight from the sink buffer instead of realigning a

@@ -34,22 +34,33 @@ let random_address rng =
   Printf.sprintf "%d.%d.%d.%d" (Rng.range rng ~min:1 ~max:223) (Rng.int rng 256)
     (Rng.int rng 256) (Rng.range rng ~min:1 ~max:254)
 
+(* The mixes' values are made once, with their texts, and shared by
+   every relay that draws them. *)
+let v0_4_8_12 = Version.make 0 4 8 12
+let v0_4_8_11 = Version.make 0 4 8 11
+let v0_4_7_16 = Version.make 0 4 7 16
+let v0_4_8_10 = Version.make 0 4 8 10
+let v0_4_9_1_alpha = Version.make ~tag:"alpha" 0 4 9 1
+let web_policy = Exit_policy.make Exit_policy.Accept [ (80, 80); (443, 443) ]
+
+let web_mail_policy =
+  Exit_policy.make Exit_policy.Accept [ (20, 23); (80, 80); (443, 443); (993, 995) ]
+
 let version_mix rng =
   (* A realistic spread: mostly current stable, a tail of older
      releases and an alpha. *)
   let roll = Rng.int rng 100 in
-  if roll < 55 then Version.make 0 4 8 12
-  else if roll < 75 then Version.make 0 4 8 11
-  else if roll < 88 then Version.make 0 4 7 16
-  else if roll < 96 then Version.make 0 4 8 10
-  else Version.make ~tag:"alpha" 0 4 9 1
+  if roll < 55 then v0_4_8_12
+  else if roll < 75 then v0_4_8_11
+  else if roll < 88 then v0_4_7_16
+  else if roll < 96 then v0_4_8_10
+  else v0_4_9_1_alpha
 
 let exit_policy_mix rng =
   let roll = Rng.int rng 100 in
   if roll < 65 then Exit_policy.reject_all
-  else if roll < 80 then Exit_policy.make Exit_policy.Accept [ (80, 80); (443, 443) ]
-  else if roll < 90 then
-    Exit_policy.make Exit_policy.Accept [ (20, 23); (80, 80); (443, 443); (993, 995) ]
+  else if roll < 80 then web_policy
+  else if roll < 90 then web_mail_policy
   else Exit_policy.accept_all
 
 (* Bandwidth in kB/s: log-uniform across ~3 decades, like the live

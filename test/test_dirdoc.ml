@@ -60,7 +60,10 @@ let test_version_invalid () =
       match Version.of_string s with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" s)
       | Error _ -> ())
-    [ "1.2.3"; "a.b.c.d"; ""; "1.2.3.4.5" ]
+    (* Components are plain decimals: no base prefix, sign or
+       underscore. *)
+    [ "1.2.3"; "a.b.c.d"; ""; "1.2.3.4.5"; "0x0.4.8.12"; "+0.4.8.12"; "0.4.8.1_2";
+      "0.4.8.0b11"; "0.4.0o7.12"; " 0.4.8.12"; "0.4.8.12 " ]
 
 (* --- Exit policy --------------------------------------------------------------- *)
 
@@ -80,7 +83,8 @@ let test_exit_policy_parse () =
       match Exit_policy.of_string s with
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted %S" s)
       | Error _ -> ())
-    [ "allow 80"; "accept"; "accept 0-10"; "accept 80-99999"; "accept x" ]
+    [ "allow 80"; "accept"; "accept 0-10"; "accept 80-99999"; "accept x"; "accept 0x50";
+      "accept +80"; "accept 8_0"; "accept 80-0x1BB"; "reject 0b1010000" ]
 
 let test_exit_policy_compare () =
   let a = Exit_policy.make Exit_policy.Accept [ (80, 80) ] in
