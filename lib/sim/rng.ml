@@ -1,11 +1,22 @@
 (* SplitMix64 (Steele, Lea & Flood 2014): tiny state, passes BigCrush,
    and supports cheap stream splitting. *)
 
-type t = { mutable state : int64 }
+(* The state lives unboxed in 8 bytes: storing an [int64] in a mutable
+   record field boxes it, and [next_int64]'s result was boxed again,
+   6 words per [int] draw.  With the reads and writes below and
+   [mix], [next_int64] and [float] inlined, an [int] draw allocates
+   nothing and a [float] or [gaussian] draw only its boxed result. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set t 0 seed;
+  t
 
 let seed_of_string s =
   let raw = Crypto.Sha256.digest_string s in
@@ -18,23 +29,24 @@ let seed_of_string s =
 
 let of_string_seed s = create (seed_of_string s)
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let mix64 = mix
+let mix64 z = mix z
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next_int64 t =
+  let state = Int64.add (get t 0) golden_gamma in
+  set t 0 state;
+  mix state
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let mask = Int64.shift_right_logical (next_int64 t) 1 in
   Int64.to_int (Int64.rem mask (Int64.of_int bound))
 
-let float t bound =
+let[@inline] float t bound =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits /. 9007199254740992. *. bound
 

@@ -64,6 +64,20 @@ let test_rng_pinned () =
         (3., "0x1.63b699c8800e9p-1") ]
     ~gaussians:[ "0x1.053665889ec47p+0"; "0x1.3df8719eaffaep+0" ]
 
+(* An integer draw allocates nothing: 10,000 each of [int], [range] and
+   [bool] stay under 64 minor words, which leaves room only for the
+   boxed floats [Gc.minor_words] itself returns. *)
+let test_rng_draw_allocates_nothing () =
+  let rng = Rng.create 42L in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Rng.int rng 100 : int);
+    ignore (Rng.range rng ~min:1 ~max:6 : int);
+    ignore (Rng.bool rng : bool)
+  done;
+  let words = Gc.minor_words () -. before in
+  checkb (Printf.sprintf "%.0f minor words for 30,000 draws" words) true (words < 64.)
+
 let test_rng_split () =
   let a = Rng.create 1L in
   let child = Rng.split a in
@@ -988,6 +1002,7 @@ let suite =
     ("simtime", `Quick, test_simtime);
     ("rng determinism", `Quick, test_rng_determinism);
     ("rng pinned draws", `Quick, test_rng_pinned);
+    ("rng integer draws allocate nothing", `Quick, test_rng_draw_allocates_nothing);
     ("rng split", `Quick, test_rng_split);
     QCheck_alcotest.to_alcotest qcheck_rng_bounds;
     QCheck_alcotest.to_alcotest qcheck_rng_range;
