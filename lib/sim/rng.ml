@@ -1,11 +1,11 @@
 (* SplitMix64 (Steele, Lea & Flood 2014): tiny state, passes BigCrush,
    and supports cheap stream splitting. *)
 
-(* The state lives unboxed in 8 bytes: storing an [int64] in a mutable
-   record field boxes it, and [next_int64]'s result was boxed again,
-   6 words per [int] draw.  With the reads and writes below and
-   [mix], [next_int64] and [float] inlined, an [int] draw allocates
-   nothing and a [float] or [gaussian] draw only its boxed result. *)
+(* The state lives unboxed in 8 bytes, because a mutable [int64]
+   record field boxes every state stored in it.  With the unboxed
+   reads and writes below and [mix], [next_int64] and [float] inlined,
+   an [int] draw allocates nothing and a [float] or [gaussian] draw
+   only its boxed result. *)
 type t = Bytes.t
 
 external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
@@ -34,7 +34,7 @@ let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let mix64 z = mix z
+let mix64 = mix
 
 let[@inline] next_int64 t =
   let state = Int64.add (get t 0) golden_gamma in

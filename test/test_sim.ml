@@ -29,8 +29,8 @@ let test_rng_determinism () =
   let c = Rng.of_string_seed "seed" and d = Rng.of_string_seed "seed" in
   Alcotest.(check int64) "string seed" (Rng.next_int64 c) (Rng.next_int64 d)
 
-(* The first draws of two seeded streams, as the boxed-state generator
-   made them; every seeded output of the simulator rests on them. *)
+(* The first draws of two seeded streams: every seeded output of the
+   simulator rests on them. *)
 let test_rng_pinned () =
   let stream name rng ~int64s ~ints ~floats ~gaussians =
     List.iter
