@@ -294,6 +294,39 @@ let test_hmac_equal () =
   checkb "different key" false (Hmac.equal a (Hmac.mac ~key:"k'" "m"));
   checkb "different length" false (Hmac.equal a "short")
 
+(* Reference model: RFC 2104 with one 64-byte pad buffer, filled with
+   the (possibly pre-hashed) key, XORed with 0x36 for the inner hash
+   and re-XORed into the outer pad, both pad blocks hashed anew for
+   every MAC. *)
+let reference_mac ~key msg =
+  let pad = Bytes.make 64 '\x00' in
+  (if String.length key > 64 then Bytes.blit_string (Sha256.digest_string key) 0 pad 0 32
+   else Bytes.blit_string key 0 pad 0 (String.length key));
+  let xor byte =
+    Bytes.iteri (fun i c -> Bytes.set pad i (Char.chr (Char.code c lxor byte))) pad
+  in
+  xor 0x36;
+  let inner = Sha256.digest_string (Bytes.to_string pad ^ msg) in
+  xor (0x36 lxor 0x5c);
+  Sha256.digest_string (Bytes.to_string pad ^ inner)
+
+(* [Hmac.mac], and a signature through a keyring seeded with the same
+   key: node 1's secret is the MAC of "node-secret-1" under the seed,
+   and its tag the MAC of "sig\x00" and the message under the secret. *)
+let qcheck_hmac_reference =
+  let gen =
+    QCheck.Gen.(pair (string_size (int_range 0 200)) (string_size (int_range 0 300)))
+  in
+  QCheck.Test.make ~name:"hmac and signature tags equal the pad-buffer reference" ~count:300
+    (QCheck.make ~print:(fun (k, m) -> Printf.sprintf "key %S msg %S" k m) gen)
+    (fun (key, msg) ->
+      let ring = Keyring.create ~seed:key ~n:2 () in
+      let secret = reference_mac ~key "node-secret-1" in
+      String.equal (Hmac.mac ~key msg) (reference_mac ~key msg)
+      && String.equal
+           (Signature.sign ring ~signer:1 msg).Signature.tag
+           (reference_mac ~key:secret ("sig\x00" ^ msg)))
+
 (* --- Digest32 -------------------------------------------------------------- *)
 
 let test_digest32 () =
@@ -339,7 +372,16 @@ let test_signature () =
   checkb "unknown signer" false
     (Signature.verify ring { s with Signature.signer = 99 } "message");
   Alcotest.(check int) "kappa" 64 Signature.wire_size;
-  checkb "equal" true (Signature.equal s (Signature.sign ring ~signer:2 "message"))
+  checkb "equal" true (Signature.equal s (Signature.sign ring ~signer:2 "message"));
+  (* Tags read before the keys kept their pad states. *)
+  let tag ring ~signer msg = Sha256.hex_of_raw (Signature.sign ring ~signer msg).Signature.tag in
+  check str "pinned tag, default seed"
+    "1cd712c7eb03fb605131fdcce29bee0650e3334781bf1cf68bcffafedb3de840"
+    (tag (Keyring.create ~n:9 ()) ~signer:0 "message");
+  check str "pinned tag, 60-byte message"
+    "d3c253129b938cd48c0bc8905d38e4ee4691f1bbad6feaf18e0b4c7da00fc60e"
+    (tag (Keyring.create ~seed:"pinned" ~n:9 ()) ~signer:8
+       (String.init 60 (fun i -> Char.chr (65 + (i mod 26)))))
 
 let qcheck_certifies_model =
   let ring = Keyring.create ~seed:"certifies" ~n:5 () in
@@ -390,6 +432,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_sink_fixed;
     ("hmac RFC 4231", `Quick, test_hmac_rfc4231);
     ("hmac constant-time equal", `Quick, test_hmac_equal);
+    QCheck_alcotest.to_alcotest qcheck_hmac_reference;
     ("digest32", `Quick, test_digest32);
     ("keyring", `Quick, test_keyring);
     ("signature scheme", `Quick, test_signature);

@@ -446,6 +446,13 @@ let qcheck_consensus_order_independent =
         (Aggregate.consensus ~valid_after:0. ~votes)
         (Aggregate.consensus ~valid_after:0. ~votes:shuffled))
 
+(* The equivocation rule restated: an authority's second, conflicting
+   vote is its own vote without the first relay. *)
+let reference_variant (v : Vote.t) =
+  Vote.create ~authority:v.authority ~authority_fingerprint:v.authority_fingerprint
+    ~nickname:v.nickname ~published:v.published ~valid_after:v.valid_after
+    ~relays:(List.tl (Array.to_list v.relays))
+
 (* Two domains aggregating the same vote sets through one population's
    memo: every document equals a fresh merge, and both domains get the
    one document stored for each key. *)
@@ -950,21 +957,37 @@ let reference_consensus ~valid_after votes =
   in
   Consensus.create ~valid_after ~n_votes ~entries
 
-(* A realistically divergent 9-authority workload. *)
+(* A realistically divergent 9-authority workload: every vote, every
+   set with one vote dropped, and the set where authority 4's
+   equivocation variant stands in for its vote.  The views share the
+   ground truth's values physically, so most buckets agree on every
+   property but flags and measured bandwidth. *)
 let test_aggregate_equivalence () =
   let keyring = Crypto.Keyring.create ~n:9 () in
   let rng = Tor_sim.Rng.of_string_seed "agg-equiv" in
-  let votes =
+  let all =
     Array.to_list
       (Workload.votes ~rng ~keyring ~n_authorities:9 ~n_relays:1000
          ~valid_after:3600. ())
   in
-  let reference = reference_consensus ~valid_after:3600. votes in
-  let merged = Aggregate.consensus ~valid_after:3600. ~votes in
-  checki "same entry count" (Consensus.n_entries reference)
-    (Consensus.n_entries merged);
-  checkb "identical digest (all entries byte-equal)" true
-    (Consensus.equal reference merged)
+  let sets =
+    (("all votes", all)
+    :: List.map
+         (fun (v : Vote.t) ->
+           (Printf.sprintf "without %d" v.authority, List.filter (( != ) v) all))
+         all)
+    @ [ ("variant of 4",
+         List.map (fun (v : Vote.t) -> if v.authority = 4 then reference_variant v else v) all) ]
+  in
+  List.iter
+    (fun (name, votes) ->
+      let reference = reference_consensus ~valid_after:3600. votes in
+      let merged = Aggregate.consensus ~valid_after:3600. ~votes in
+      checki (name ^ ": same entry count") (Consensus.n_entries reference)
+        (Consensus.n_entries merged);
+      checkb (name ^ ": identical digest (all entries byte-equal)") true
+        (Consensus.equal reference merged))
+    sets
 
 (* The workload's views disagree only on flags and measured bandwidth.
    Here every voted property is drawn from a few values per listing,
