@@ -31,6 +31,45 @@ let popular_prefix ~compare a k =
   done;
   if !count >= !best_count then !current else !best
 
+(* The same sort on a bucket's bandwidths, with no comparison
+   closure. *)
+let sort_ints (a : int array) k =
+  for i = 1 to k - 1 do
+    let v = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > v do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- v
+  done
+
+(* Popular vote over one property of a bucket's [k] listings.  Views
+   share the ground truth's values, so most buckets agree: when every
+   listing's value is the first listing's, physically or by [compare],
+   the stable sort leaves the prefix in place and the scan returns that
+   first value, so it wins without either.  Only a bucket that
+   disagrees copies into [scratch], sorts and scans. *)
+let[@inline] popular ~compare ~get rels scratch k =
+  let first = get rels.(0) in
+  let i = ref 1 in
+  while
+    !i < k
+    &&
+    let v = get rels.(!i) in
+    v == first || compare v first = 0
+  do
+    incr i
+  done;
+  if !i = k then first
+  else begin
+    for i = 0 to k - 1 do
+      scratch.(i) <- get rels.(i)
+    done;
+    sort_prefix ~compare scratch k;
+    popular_prefix ~compare scratch k
+  end
+
 (* The tests' reference model buckets listings into a [Hashtbl] of
    lists and rescans each bucket per flag/property with [List.filter] /
    [List.sort] / [List.nth].  [Vote.create] already sorts each vote's
@@ -39,7 +78,8 @@ let popular_prefix ~compare a k =
    step collects every listing of the smallest current fingerprint into
    fixed scratch arrays (at most one listing per vote) and aggregates
    them in place — no table, no ref-lists, no per-property rescans of
-   a list. *)
+   a list.  The views share fingerprint strings too, so the scan and
+   the gather compare physically before comparing bytes. *)
 let compute_consensus ~valid_after ~votes =
   let seen = Hashtbl.create 16 in
   List.iter
@@ -67,7 +107,6 @@ let compute_consensus ~valid_after ~votes =
       let cursor = Array.make n_votes 0 in
       (* Scratch for the current fingerprint's bucket, reused across the
          whole merge. *)
-      let auths = Array.make n_votes 0 in
       let rels = Array.make n_votes f in
       let flag_sets = Array.make n_votes f.Relay.flags in
       let versions = Array.make n_votes f.Relay.version in
@@ -84,7 +123,7 @@ let compute_consensus ~valid_after ~votes =
           let relays = votes.(i).Vote.relays in
           if cursor.(i) < Array.length relays then begin
             let fp = relays.(cursor.(i)).Relay.fingerprint in
-            if (not !found) || String.compare fp !min_fp < 0 then begin
+            if (not !found) || (fp != !min_fp && String.compare fp !min_fp < 0) then begin
               min_fp := fp;
               found := true
             end
@@ -92,43 +131,56 @@ let compute_consensus ~valid_after ~votes =
         done;
         if not !found then running := false
         else begin
+          let min_fp = !min_fp in
+          (* Gather the bucket.  Its nickname comes from the listing
+             vote with the largest authority id (ids are distinct,
+             checked above, and never negative). *)
           let k = ref 0 in
+          let named_by = ref (-1) and nickname = ref "" in
           for i = 0 to n_votes - 1 do
             let relays = votes.(i).Vote.relays in
-            if
-              cursor.(i) < Array.length relays
-              && String.equal relays.(cursor.(i)).Relay.fingerprint !min_fp
-            then begin
-              auths.(!k) <- votes.(i).Vote.authority;
-              rels.(!k) <- relays.(cursor.(i));
-              incr k;
-              cursor.(i) <- cursor.(i) + 1
+            if cursor.(i) < Array.length relays then begin
+              let r = relays.(cursor.(i)) in
+              let fp = r.Relay.fingerprint in
+              if fp == min_fp || String.equal fp min_fp then begin
+                if votes.(i).Vote.authority > !named_by then begin
+                  named_by := votes.(i).Vote.authority;
+                  nickname := r.Relay.nickname
+                end;
+                rels.(!k) <- r;
+                incr k;
+                cursor.(i) <- cursor.(i) + 1
+              end
             end
           done;
           let k = !k in
           if k >= threshold then begin
-            (* Nickname: the listing vote with the largest authority id
-               (ids are distinct, checked above). *)
-            let best = ref 0 in
+            (* Flags: strict majority of listing votes; ties unset.  One
+               set held by every listing is its own majority. *)
+            let first_flags = rels.(0).Relay.flags in
+            let same_flags = ref true in
             for i = 1 to k - 1 do
-              if auths.(i) > auths.(!best) then best := i
+              if not (Flags.equal rels.(i).Relay.flags first_flags) then same_flags := false
             done;
-            let nickname = rels.(!best).Relay.nickname in
-            for i = 0 to k - 1 do
-              flag_sets.(i) <- rels.(i).Relay.flags;
-              versions.(i) <- rels.(i).Relay.version;
-              protos.(i) <- rels.(i).Relay.protocols;
-              policies.(i) <- rels.(i).Relay.exit_policy
-            done;
-            (* Flags: strict majority of listing votes; ties unset. *)
-            let flags = Flags.majority flag_sets k in
-            sort_prefix ~compare:Version.compare versions k;
-            sort_prefix ~compare:String.compare protos k;
-            sort_prefix ~compare:Exit_policy.compare policies k;
-            let version = popular_prefix ~compare:Version.compare versions k in
-            let protocols = popular_prefix ~compare:String.compare protos k in
+            let flags =
+              if !same_flags then first_flags
+              else begin
+                for i = 0 to k - 1 do
+                  flag_sets.(i) <- rels.(i).Relay.flags
+                done;
+                Flags.majority flag_sets k
+              end
+            in
+            let version =
+              popular ~compare:Version.compare ~get:(fun r -> r.Relay.version) rels versions k
+            in
+            let protocols =
+              popular ~compare:String.compare ~get:(fun r -> r.Relay.protocols) rels protos k
+            in
             let exit_policy =
-              popular_prefix ~compare:Exit_policy.compare policies k
+              popular ~compare:Exit_policy.compare
+                ~get:(fun r -> r.Relay.exit_policy)
+                rels policies k
             in
             (* Bandwidth: in-place low-median of the measured values,
                falling back to advertised when none were measured. *)
@@ -146,12 +198,12 @@ let compute_consensus ~valid_after ~votes =
               done;
               m := k
             end;
-            sort_prefix ~compare:Int.compare bws !m;
+            sort_ints bws !m;
             let bandwidth = bws.((!m - 1) / 2) in
             entries :=
               {
-                Consensus.fingerprint = !min_fp;
-                nickname;
+                Consensus.fingerprint = min_fp;
+                nickname = !nickname;
                 flags;
                 version;
                 protocols;
@@ -172,13 +224,20 @@ let compute_consensus ~valid_after ~votes =
    vote sets share one computation, within a run and across runs.  The
    key is the sorted vote digests — content-addressed, so it cannot
    confuse distinct inputs — plus [valid_after], so a shared document
-   is the one a fresh merge would build.  A memo belongs to a vote
-   population and is found by the array's physical identity in an
-   ephemeron table, so it is collected with the array.  Lookups and
-   inserts hold the memo's lock, the merge runs outside it, and the
-   first document stored for a key wins. *)
+   is the one a fresh merge would build.  An equivocator's variant is a
+   pure function of its vote, so the memo keeps one per authority.  A
+   memo belongs to a vote population and is found by the array's
+   physical identity in an ephemeron table, so it is collected with the
+   array (the memo's own reference to the array does not keep it
+   alive).  Lookups and inserts hold the memo's lock, the work runs
+   outside it, and the first value stored wins. *)
 module Memo = struct
-  type t = { lock : Mutex.t; documents : (string, Consensus.t) Hashtbl.t }
+  type t = {
+    lock : Mutex.t;
+    documents : (string, Consensus.t) Hashtbl.t;
+    population : Vote.t array;
+    variants : Vote.t option array;  (* by authority index in [population] *)
+  }
 
   module Populations = Ephemeron.K1.Make (struct
     type t = Vote.t array
@@ -196,9 +255,28 @@ module Memo = struct
         match Populations.find_opt populations votes with
         | Some memo -> memo
         | None ->
-            let memo = { lock = Mutex.create (); documents = Hashtbl.create 8 } in
+            let memo =
+              {
+                lock = Mutex.create ();
+                documents = Hashtbl.create 8;
+                population = votes;
+                variants = Array.make (Array.length votes) None;
+              }
+            in
             Populations.add populations votes memo;
             memo)
+
+  let first_stored memo ~find ~store compute =
+    match Mutex.protect memo.lock find with
+    | Some x -> x
+    | None ->
+        let x = compute () in
+        Mutex.protect memo.lock (fun () ->
+            match find () with
+            | Some first -> first
+            | None ->
+                store x;
+                x)
 end
 
 let memo_key ~valid_after ~votes =
@@ -212,14 +290,17 @@ let consensus ~valid_after ~votes = compute_consensus ~valid_after ~votes
 
 let consensus_memo ~(memo : Memo.t) ~valid_after ~votes =
   let key = memo_key ~valid_after ~votes in
-  let find () = Hashtbl.find_opt memo.documents key in
-  match Mutex.protect memo.lock find with
-  | Some c -> c
-  | None ->
-      let c = compute_consensus ~valid_after ~votes in
-      Mutex.protect memo.lock (fun () ->
-          match find () with
-          | Some first -> first
-          | None ->
-              Hashtbl.add memo.documents key c;
-              c)
+  Memo.first_stored memo
+    ~find:(fun () -> Hashtbl.find_opt memo.documents key)
+    ~store:(Hashtbl.add memo.documents key)
+    (fun () -> compute_consensus ~valid_after ~votes)
+
+let variant ~(memo : Memo.t) id =
+  Memo.first_stored memo
+    ~find:(fun () -> memo.variants.(id))
+    ~store:(fun v -> memo.variants.(id) <- Some v)
+    (fun () ->
+      let v = memo.population.(id) in
+      let relays = match Array.to_list v.Vote.relays with [] -> [] | _ :: rest -> rest in
+      Vote.create ~authority:id ~authority_fingerprint:v.authority_fingerprint
+        ~nickname:v.nickname ~published:v.published ~valid_after:v.valid_after ~relays)

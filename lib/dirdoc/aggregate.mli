@@ -21,7 +21,8 @@
 module Memo : sig
   type t
   (** A cache of aggregation results, keyed by the (content-addressed)
-      set of vote digests and [valid_after].  One memo serves one vote
+      set of vote digests and [valid_after], and of the population's
+      equivocation variants ({!variant}).  One memo serves one vote
       population: every authority of every run over that population
       that aggregates the same vote set shares one computation.  A
       memo is domain-safe, and it lives as long as its population. *)
@@ -44,3 +45,12 @@ val consensus_memo : memo:Memo.t -> valid_after:float -> votes:Vote.t list -> Co
     re-running the merge.  Two domains asking for one new key may both
     merge, but the first document stored wins, so every caller gets
     the same physical document for a key. *)
+
+val variant : memo:Memo.t -> int -> Vote.t
+(** [variant ~memo id] is the second, conflicting vote that authority
+    [id] of the memo's population sends when it equivocates: its vote
+    without the first relay, as authority [id].  The memo builds it on
+    first use and keeps it, so every run over the population, in any
+    domain, gets the same physical vote; as in {!consensus_memo}, the
+    first one stored wins.  Raises [Invalid_argument] if [id] is not an
+    index of the population. *)

@@ -46,13 +46,6 @@ let apply_attacks (env : Runenv.t) net =
   | Some p when not (Defense.Plan.is_empty p) -> Sim.Net.set_defense net p
   | Some _ | None -> ()
 
-(* An equivocating authority's second, conflicting vote: same
-   authority, one relay dropped. *)
-let variant id (v : Dirdoc.Vote.t) =
-  let relays = match Array.to_list v.relays with [] -> [] | _ :: rest -> rest in
-  Dirdoc.Vote.create ~authority:id ~authority_fingerprint:v.authority_fingerprint
-    ~nickname:v.nickname ~published:v.published ~valid_after:v.valid_after ~relays
-
 module Make (P : PROTOCOL) = struct
   type t = {
     env : Runenv.t;
@@ -144,7 +137,7 @@ module Make (P : PROTOCOL) = struct
                  (* Down at start-up: start on recovery. *)
                  ignore (Sim.Engine.schedule t.engine ~at:stop (fun () -> f id None))
              | Runenv.Honest | Runenv.Crashed _ -> f id None
-             | Runenv.Equivocating -> f id (Some (variant id t.env.votes.(id)))))
+             | Runenv.Equivocating -> f id (Some (Dirdoc.Aggregate.variant ~memo:t.memo id))))
     done
 
   let store_signature t ~node digest signature =

@@ -85,7 +85,8 @@ module Make (P : PROTOCOL) : sig
   (** Schedule every node's start at t = 0: [f id None] for an honest
       or crashed node (one down at t = 0 starts when it recovers),
       [f id (Some variant)] for an equivocator, [variant] being its
-      vote minus one relay.  A silent node's start does nothing. *)
+      vote minus one relay ({!Dirdoc.Aggregate.variant}, built once per
+      population).  A silent node's start does nothing. *)
 
   val store_signature :
     t -> node:int -> Crypto.Digest32.t -> Crypto.Signature.t -> unit

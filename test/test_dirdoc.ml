@@ -453,9 +453,11 @@ let reference_variant (v : Vote.t) =
     ~nickname:v.nickname ~published:v.published ~valid_after:v.valid_after
     ~relays:(List.tl (Array.to_list v.relays))
 
-(* Two domains aggregating the same vote sets through one population's
-   memo: every document equals a fresh merge, and both domains get the
-   one document stored for each key. *)
+(* Two domains aggregating the same vote sets, and asking for every
+   authority's variant, through one population's memo: every document
+   equals a fresh merge and every variant the fresh rule, and both
+   domains get the one document stored for each key and the one vote
+   stored for each authority. *)
 let test_memo_across_domains () =
   let rng = Tor_sim.Rng.of_string_seed "memo-domains" in
   let keyring = Crypto.Keyring.create ~n:9 () in
@@ -465,18 +467,25 @@ let test_memo_across_domains () =
   let memo = Aggregate.Memo.of_population votes in
   checkb "one memo per population" true (memo == Aggregate.Memo.of_population votes);
   let aggregate () =
-    List.map (fun votes -> Aggregate.consensus_memo ~memo ~valid_after:0. ~votes) sets
+    ( List.map (fun (v : Vote.t) -> Aggregate.variant ~memo v.authority) all,
+      List.map (fun votes -> Aggregate.consensus_memo ~memo ~valid_after:0. ~votes) sets )
   in
   let other = Domain.spawn aggregate in
-  let here = aggregate () in
-  let there = Domain.join other in
+  let variants_here, here = aggregate () in
+  let variants_there, there = Domain.join other in
   List.iteri
     (fun i (votes, (a, b)) ->
       let fresh = Aggregate.consensus ~valid_after:0. ~votes in
       checkb (Printf.sprintf "set %d: equal to a fresh merge" i) true
         (Consensus.equal fresh a && Consensus.equal fresh b);
       checkb (Printf.sprintf "set %d: one stored document" i) true (a == b))
-    (List.combine sets (List.combine here there))
+    (List.combine sets (List.combine here there));
+  List.iter
+    (fun ((v : Vote.t), (a, b)) ->
+      checkb (Printf.sprintf "authority %d: variant equals the fresh rule" v.authority) true
+        (Crypto.Digest32.equal (reference_variant v).Vote.digest a.Vote.digest);
+      checkb (Printf.sprintf "authority %d: one stored variant" v.authority) true (a == b))
+    (List.combine all (List.combine variants_here variants_there))
 
 (* --- Consensus document --------------------------------------------------------- *)
 

@@ -236,8 +236,19 @@ let test_campaign_map_determinism () =
 let ours_document env =
   Option.get (E.run E.Ours env).R.result.R.per_authority.(0).R.consensus
 
+(* Authority 3 equivocates in Ours, under the campaign's base spec. *)
+let equivocating =
+  let behaviors = Array.make 9 R.Honest in
+  behaviors.(3) <- R.Equivocating;
+  { campaign_base with R.Spec.behaviors = Some behaviors }
+
+(* Authority 3's variant in the memo of [env]'s population. *)
+let variant_of (env : R.t) =
+  Dirdoc.Aggregate.variant ~memo:(Dirdoc.Aggregate.Memo.of_population env.R.votes) 3
+
 (* Every run over one vote population aggregates through that
-   population's memo; a population built anew gets a memo of its own. *)
+   population's memo, and an equivocator sends the variant stored
+   there; a population built anew gets a memo of its own. *)
 let test_memo_shared_by_population () =
   let plan = Exec.Campaign.plan_of_spec campaign_base in
   let document ctx = ours_document (Exec.Campaign.env_of ctx plan) in
@@ -246,26 +257,42 @@ let test_memo_shared_by_population () =
   let a = document (Exec.Campaign.create campaign_base)
   and b = document (Exec.Campaign.create campaign_base) in
   checkb "separate populations decide equal documents" true (Dirdoc.Consensus.equal a b);
+  checkb "separate populations do not share them" false (a == b);
+  let equivocating_run ctx =
+    let env = Exec.Campaign.env_of ctx (Exec.Campaign.plan_of_spec equivocating) in
+    ignore (E.run E.Ours env : R.report);
+    variant_of env
+  in
+  checkb "two equivocating runs on one context send one variant" true
+    (equivocating_run ctx == equivocating_run ctx);
+  let a = equivocating_run (Exec.Campaign.create campaign_base)
+  and b = equivocating_run (Exec.Campaign.create campaign_base) in
+  checkb "separate populations build equal variants" true (Dirdoc.Vote.equal a b);
   checkb "separate populations do not share them" false (a == b)
 
-(* Builds a population, runs Ours on it and points [documents] at the
-   decided document; returns the votes if asked to keep them. *)
-let[@inline never] population_document documents ~keep =
-  let votes = (R.of_spec campaign_base).R.votes in
-  Weak.set documents 0 (Some (ours_document (R.of_spec ~votes campaign_base)));
+(* Builds a population, runs Ours on it with an equivocator and points
+   [kept] at the decided document and the variant; returns the votes if
+   asked to keep them. *)
+let[@inline never] population_document kept ~keep =
+  let votes = (R.of_spec equivocating).R.votes in
+  let env = R.of_spec ~votes equivocating in
+  Weak.set kept 0 (Some (Obj.repr (ours_document env)));
+  Weak.set kept 1 (Some (Obj.repr (variant_of env)));
   if keep then Some votes else None
 
-(* The memo keeps a population's documents exactly as long as the
-   population: the report is dropped in both cases. *)
+(* The memo keeps a population's documents and variants exactly as
+   long as the population: the report is dropped in both cases. *)
 let test_memo_lives_with_population () =
-  let documents = Weak.create 1 in
-  let kept = population_document documents ~keep:true in
+  let kept = Weak.create 2 in
+  let population = population_document kept ~keep:true in
   Gc.full_major ();
-  checkb "kept while the population lives" true (Weak.check documents 0);
-  ignore (Sys.opaque_identity kept);
-  ignore (population_document documents ~keep:false : Dirdoc.Vote.t array option);
+  checkb "document kept while the population lives" true (Weak.check kept 0);
+  checkb "variant kept while the population lives" true (Weak.check kept 1);
+  ignore (Sys.opaque_identity population);
+  ignore (population_document kept ~keep:false : Dirdoc.Vote.t array option);
   Gc.full_major ();
-  checkb "collected with the population" false (Weak.check documents 0)
+  checkb "document collected with the population" false (Weak.check kept 0);
+  checkb "variant collected with the population" false (Weak.check kept 1)
 
 (* --- Chaos ------------------------------------------------------------------ *)
 
