@@ -1,31 +1,39 @@
 let block_size = 64
 
-(* One 64-byte pad buffer serves both HMAC passes: it is filled with
-   the (possibly pre-hashed) key, XORed with 0x36 for the inner hash,
-   then re-XORed with [0x36 lxor 0x5c] to become the outer pad in
-   place.  The single SHA-256 context is recycled with [Sha256.reset],
-   so a MAC costs two small buffers total instead of four strings. *)
-let mac ~key msg =
-  let pad = Bytes.make block_size '\x00' in
-  (if String.length key > block_size then
-     Bytes.blit_string (Sha256.digest_string key) 0 pad 0 32
-   else Bytes.blit_string key 0 pad 0 (String.length key));
-  for i = 0 to block_size - 1 do
-    Bytes.unsafe_set pad i
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get pad i) lxor 0x36))
-  done;
+type key = { inner : Sha256.state; outer : Sha256.state }
+
+(* The two pad blocks are the same for every MAC under a key, so a key
+   keeps the chaining words after each: the key (hashed first if longer
+   than a block), zero-padded to a block and XORed with 0x36 for the
+   inner hash and with 0x5c for the outer. *)
+let key secret =
+  let padded = Bytes.make block_size '\x00' in
+  (if String.length secret > block_size then
+     Bytes.blit_string (Sha256.digest_string secret) 0 padded 0 32
+   else Bytes.blit_string secret 0 padded 0 (String.length secret));
+  let pad_state byte =
+    let ctx = Sha256.init () in
+    Sha256.feed_bytes ctx
+      (Bytes.map (fun c -> Char.unsafe_chr (Char.code c lxor byte)) padded)
+      ~pos:0 ~len:block_size;
+    Sha256.save ctx
+  in
+  { inner = pad_state 0x36; outer = pad_state 0x5c }
+
+(* Both passes run in one fresh context resumed from the key's pad
+   states, and [prefix] and [msg] are fed one after the other, so a MAC
+   compresses neither pad block and copies no message. *)
+let mac_with key ?(prefix = "") msg =
   let ctx = Sha256.init () in
-  Sha256.feed_bytes ctx pad ~pos:0 ~len:block_size;
+  Sha256.resume ctx key.inner;
+  Sha256.feed_string ctx prefix;
   Sha256.feed_string ctx msg;
   let inner = Sha256.finalize ctx in
-  for i = 0 to block_size - 1 do
-    Bytes.unsafe_set pad i
-      (Char.unsafe_chr (Char.code (Bytes.unsafe_get pad i) lxor (0x36 lxor 0x5c)))
-  done;
-  Sha256.reset ctx;
-  Sha256.feed_bytes ctx pad ~pos:0 ~len:block_size;
+  Sha256.resume ctx key.outer;
   Sha256.feed_string ctx inner;
   Sha256.finalize ctx
+
+let mac ~key:secret msg = mac_with (key secret) msg
 
 let mac_hex ~key msg = Sha256.hex_of_raw (mac ~key msg)
 

@@ -4,10 +4,26 @@
     simulated signature scheme ({!Signature}).  Validated against the
     RFC 4231 test vectors in the test suite. *)
 
-val mac : key:string -> string -> string
-(** [mac ~key msg] is the 32-byte raw HMAC-SHA256 of [msg] under [key].
-    Keys longer than the 64-byte block size are hashed first, per the
+type key
+(** A key's inner and outer pad states: the SHA-256 chaining words
+    after each pad block, which every MAC under the key would otherwise
+    compress anew. *)
+
+val key : string -> key
+(** [key k] prepares the key [k]: two block compressions, plus one
+    hash of [k] if it is longer than the 64-byte block size, per the
     RFC. *)
+
+val mac_with : key -> ?prefix:string -> string -> string
+(** [mac_with k ~prefix msg] is the 32-byte raw HMAC-SHA256 of
+    [prefix ^ msg] (default [prefix]: empty) under the prepared key
+    [k], computed without the concatenation.  Neither pad block is
+    compressed again: with a 4-byte prefix, a 60-byte message costs
+    three block compressions instead of five. *)
+
+val mac : key:string -> string -> string
+(** [mac ~key msg] is the 32-byte raw HMAC-SHA256 of [msg] under the
+    key string [key]: {!mac_with} on a key prepared for this one MAC. *)
 
 val mac_hex : key:string -> string -> string
 (** [mac_hex ~key msg] is [mac] rendered as lowercase hex. *)

@@ -1,4 +1,4 @@
-type t = { secrets : string array; fingerprints : string array }
+type t = { keys : Hmac.key array; fingerprints : string array }
 
 let create ?(seed = "torpartial-pki") ~n () =
   if n <= 0 then invalid_arg "Keyring.create: n must be positive";
@@ -9,16 +9,16 @@ let create ?(seed = "torpartial-pki") ~n () =
         let hex = Sha256.digest_hex ("identity-" ^ secrets.(id)) in
         String.uppercase_ascii (String.sub hex 0 40))
   in
-  { secrets; fingerprints }
+  { keys = Array.map Hmac.key secrets; fingerprints }
 
-let size t = Array.length t.secrets
+let size t = Array.length t.keys
 
 let check t id name =
   if id < 0 || id >= size t then invalid_arg ("Keyring." ^ name ^ ": bad node id")
 
-let secret t id =
-  check t id "secret";
-  t.secrets.(id)
+let key t id =
+  check t id "key";
+  t.keys.(id)
 
 let fingerprint t id =
   check t id "fingerprint";

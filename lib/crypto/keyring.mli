@@ -17,8 +17,9 @@ val create : ?seed:string -> n:int -> unit -> t
 val size : t -> int
 (** Number of registered nodes. *)
 
-val secret : t -> int -> string
-(** [secret t id] is the secret key of node [id].
+val key : t -> int -> Hmac.key
+(** [key t id] is node [id]'s secret key with its HMAC pad states
+    prepared once, at {!create}.
     Raises [Invalid_argument] if [id] is out of range. *)
 
 val fingerprint : t -> int -> string

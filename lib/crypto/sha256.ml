@@ -39,6 +39,17 @@ let init () =
   reset ctx;
   ctx
 
+type state = { words : int array; length : int }
+
+let save ctx =
+  if ctx.fill <> 0 then invalid_arg "Sha256.save: partial block";
+  { words = Array.copy ctx.h; length = ctx.total }
+
+let resume ctx s =
+  Array.blit s.words 0 ctx.h 0 8;
+  ctx.fill <- 0;
+  ctx.total <- s.length
+
 let feed_bytes ctx src ~pos ~len =
   if pos < 0 || len < 0 || len > Bytes.length src - pos then
     invalid_arg "Sha256.feed_bytes";

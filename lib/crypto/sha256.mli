@@ -20,6 +20,21 @@ val reset : ctx -> unit
 (** [reset ctx] returns the context to the empty-message state, so one
     allocation can serve many digests (e.g. both HMAC passes). *)
 
+type state
+(** The chaining words of a context that has absorbed whole blocks
+    only, and how many bytes that was: a point that hashing can resume
+    from any number of times, in any domain.  HMAC keeps one for each
+    pad block of a key. *)
+
+val save : ctx -> state
+(** [save ctx] is where [ctx] stands.  Raises [Invalid_argument] if
+    [ctx] holds part of a block. *)
+
+val resume : ctx -> state -> unit
+(** [resume ctx s] puts [ctx] where the context [s] was saved from
+    stood, as if it had absorbed the same bytes.  It allocates
+    nothing. *)
+
 val feed_bytes : ctx -> bytes -> pos:int -> len:int -> unit
 (** [feed_bytes ctx b ~pos ~len] absorbs [len] bytes of [b] starting at
     [pos].  Raises [Invalid_argument] if the range is out of bounds. *)

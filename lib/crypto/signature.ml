@@ -1,8 +1,7 @@
 type t = { signer : int; tag : string }
 
 (* Domain-separate signing from other HMAC uses of the same secret. *)
-let tag_of ring ~signer msg =
-  Hmac.mac ~key:(Keyring.secret ring signer) ("sig\x00" ^ msg)
+let tag_of ring ~signer msg = Hmac.mac_with (Keyring.key ring signer) ~prefix:"sig\x00" msg
 
 let sign ring ~signer msg = { signer; tag = tag_of ring ~signer msg }
 
