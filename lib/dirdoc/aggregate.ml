@@ -12,10 +12,11 @@ let sort_prefix ~compare a k =
     a.(!j + 1) <- v
   done
 
-(* Popular vote over a sorted array prefix: the most common value
-   wins, and a count tie goes to the larger value (Figure 2) because a
-   later run wins on equal counts. *)
-let popular_prefix ~compare a k =
+(* Popular vote over an array prefix, sorted in place: the most common
+   value wins, and a count tie goes to the larger value (Figure 2)
+   because a later run wins on equal counts. *)
+let popular ~compare a k =
+  sort_prefix ~compare a k;
   let best = ref a.(0) and best_count = ref 0 in
   let current = ref a.(0) and count = ref 1 in
   for i = 1 to k - 1 do
@@ -44,20 +45,21 @@ let sort_ints (a : int array) k =
     a.(!j + 1) <- v
   done
 
-(* Popular vote over one property of a bucket's [k] listings.  Views
-   share the ground truth's values, so most buckets agree: when every
-   listing's value is the first listing's, physically or by [compare],
-   the stable sort leaves the prefix in place and the scan returns that
-   first value, so it wins without either.  Only a bucket that
-   disagrees copies into [scratch], sorts and scans. *)
-let[@inline] popular ~compare ~get rels scratch k =
+(* One voted property of a bucket's [k] listings.  Views share the
+   ground truth's values, so most buckets agree: when every listing's
+   value is the first listing's, physically or by [equal], that value
+   is what [vote] would return (the stable sort leaves the prefix in
+   place and the popular scan returns its first value; a flag set held
+   by every listing is its own majority).  Only a bucket that
+   disagrees copies into [scratch] and votes. *)
+let[@inline] decide ~equal ~get ~vote rels scratch k =
   let first = get rels.(0) in
   let i = ref 1 in
   while
     !i < k
     &&
     let v = get rels.(!i) in
-    v == first || compare v first = 0
+    v == first || equal v first
   do
     incr i
   done;
@@ -66,8 +68,7 @@ let[@inline] popular ~compare ~get rels scratch k =
     for i = 0 to k - 1 do
       scratch.(i) <- get rels.(i)
     done;
-    sort_prefix ~compare scratch k;
-    popular_prefix ~compare scratch k
+    vote scratch k
   end
 
 (* The tests' reference model buckets listings into a [Hashtbl] of
@@ -155,32 +156,24 @@ let compute_consensus ~valid_after ~votes =
           done;
           let k = !k in
           if k >= threshold then begin
-            (* Flags: strict majority of listing votes; ties unset.  One
-               set held by every listing is its own majority. *)
-            let first_flags = rels.(0).Relay.flags in
-            let same_flags = ref true in
-            for i = 1 to k - 1 do
-              if not (Flags.equal rels.(i).Relay.flags first_flags) then same_flags := false
-            done;
+            (* Flags: strict majority of listing votes; ties unset. *)
             let flags =
-              if !same_flags then first_flags
-              else begin
-                for i = 0 to k - 1 do
-                  flag_sets.(i) <- rels.(i).Relay.flags
-                done;
-                Flags.majority flag_sets k
-              end
+              decide ~equal:Flags.equal ~get:(fun r -> r.Relay.flags) ~vote:Flags.majority
+                rels flag_sets k
             in
+            (* Each [vote] is a closed function: a partial application
+               of [popular] would allocate a closure per bucket. *)
             let version =
-              popular ~compare:Version.compare ~get:(fun r -> r.Relay.version) rels versions k
+              decide ~equal:Version.equal ~get:(fun r -> r.Relay.version)
+                ~vote:(fun a k -> popular ~compare:Version.compare a k) rels versions k
             in
             let protocols =
-              popular ~compare:String.compare ~get:(fun r -> r.Relay.protocols) rels protos k
+              decide ~equal:String.equal ~get:(fun r -> r.Relay.protocols)
+                ~vote:(fun a k -> popular ~compare:String.compare a k) rels protos k
             in
             let exit_policy =
-              popular ~compare:Exit_policy.compare
-                ~get:(fun r -> r.Relay.exit_policy)
-                rels policies k
+              decide ~equal:Exit_policy.equal ~get:(fun r -> r.Relay.exit_policy)
+                ~vote:(fun a k -> popular ~compare:Exit_policy.compare a k) rels policies k
             in
             (* Bandwidth: in-place low-median of the measured values,
                falling back to advertised when none were measured. *)
