@@ -16,10 +16,6 @@ type ctx
 val init : unit -> ctx
 (** [init ()] is a fresh context for an empty message. *)
 
-val reset : ctx -> unit
-(** [reset ctx] returns the context to the empty-message state, so one
-    allocation can serve many digests (e.g. both HMAC passes). *)
-
 type state
 (** The chaining words of a context that has absorbed whole blocks
     only, and how many bytes that was: a point that hashing can resume

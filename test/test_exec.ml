@@ -263,7 +263,7 @@ let test_memo_shared_by_population () =
     ignore (E.run E.Ours env : R.report);
     variant_of env
   in
-  checkb "two equivocating runs on one context send one variant" true
+  checkb "two equivocating runs on one context get one variant" true
     (equivocating_run ctx == equivocating_run ctx);
   let a = equivocating_run (Exec.Campaign.create campaign_base)
   and b = equivocating_run (Exec.Campaign.create campaign_base) in
@@ -271,28 +271,28 @@ let test_memo_shared_by_population () =
   checkb "separate populations do not share them" false (a == b)
 
 (* Builds a population, runs Ours on it with an equivocator and points
-   [kept] at the decided document and the variant; returns the votes if
-   asked to keep them. *)
-let[@inline never] population_document kept ~keep =
+   [documents] at the decided document and [variants] at the variant;
+   returns the votes if asked to keep them. *)
+let[@inline never] population_document documents variants ~keep =
   let votes = (R.of_spec equivocating).R.votes in
   let env = R.of_spec ~votes equivocating in
-  Weak.set kept 0 (Some (Obj.repr (ours_document env)));
-  Weak.set kept 1 (Some (Obj.repr (variant_of env)));
+  Weak.set documents 0 (Some (ours_document env));
+  Weak.set variants 0 (Some (variant_of env));
   if keep then Some votes else None
 
 (* The memo keeps a population's documents and variants exactly as
    long as the population: the report is dropped in both cases. *)
 let test_memo_lives_with_population () =
-  let kept = Weak.create 2 in
-  let population = population_document kept ~keep:true in
+  let documents = Weak.create 1 and variants = Weak.create 1 in
+  let kept = population_document documents variants ~keep:true in
   Gc.full_major ();
-  checkb "document kept while the population lives" true (Weak.check kept 0);
-  checkb "variant kept while the population lives" true (Weak.check kept 1);
-  ignore (Sys.opaque_identity population);
-  ignore (population_document kept ~keep:false : Dirdoc.Vote.t array option);
+  checkb "document kept while the population lives" true (Weak.check documents 0);
+  checkb "variant kept while the population lives" true (Weak.check variants 0);
+  ignore (Sys.opaque_identity kept);
+  ignore (population_document documents variants ~keep:false : Dirdoc.Vote.t array option);
   Gc.full_major ();
-  checkb "document collected with the population" false (Weak.check kept 0);
-  checkb "variant collected with the population" false (Weak.check kept 1)
+  checkb "document collected with the population" false (Weak.check documents 0);
+  checkb "variant collected with the population" false (Weak.check variants 0)
 
 (* --- Chaos ------------------------------------------------------------------ *)
 
