@@ -142,12 +142,11 @@ let print_metrics (o : R.obs) =
           (Obs.Metrics.max_value h))
     (Obs.Metrics.histograms o.R.metrics)
 
-let write_trace path (o : R.obs) =
+let write_trace path spans (o : R.obs) =
   let oc = open_out path in
-  output_string oc (Obs.Trace_event.to_string ~spans:o.R.spans ~samples:o.R.samples);
+  output_string oc (Obs.Trace_event.to_string ~spans ~samples:o.R.samples);
   close_out oc;
-  Printf.printf "trace:     %s (%d span(s), %d sample(s))\n" path
-    (List.length o.R.spans)
+  Printf.printf "trace:     %s (%d span(s), %d sample(s))\n" path (List.length spans)
     (List.length o.R.samples)
 
 let run_cmd =
@@ -175,7 +174,7 @@ let run_cmd =
     (match R.report_obs report with
     | None -> ()
     | Some o ->
-        Option.iter (fun path -> write_trace path o) trace;
+        Option.iter (fun path -> write_trace path report.R.result.R.spans o) trace;
         if metrics then print_metrics o);
     if report.R.success then 0 else 1
   in

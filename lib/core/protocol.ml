@@ -73,6 +73,12 @@ type node = {
   mutable decided_view : int option;
   (* aggregation *)
   mutable fetch_timer : Sim.Engine.handle option;
+  (* phase transitions, from which the spans are recorded after the run *)
+  mutable started_at : Sim.Simtime.t option;
+  mutable proposed_at : Sim.Simtime.t option;   (* first PROPOSAL *)
+  mutable agreed_at : Sim.Simtime.t option;     (* first decision after start *)
+  mutable first_decision_at : Sim.Simtime.t option;
+  mutable signed_at : Sim.Simtime.t option;
 }
 
 let run_detailed ?(params = default_params) (env : Runenv.t) =
@@ -89,11 +95,6 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let engine = r.engine in
   let now () = D.now r in
   let log ?node level fmt = Sim.Trace.logf r.trace ~time:(now ()) ?node level fmt in
-  (* Event-driven protocol, event-driven spans: phases open and close
-     at the actual transitions (first proposal sent, agreement decided,
-     consensus signed, signature majority reached), not on a fixed
-     round grid.  Every helper is a no-op when telemetry is off. *)
-  let tel = r.tel in
   let nodes =
     Array.init n (fun id ->
         {
@@ -107,6 +108,11 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
           decided_vector = None;
           decided_view = None;
           fetch_timer = None;
+          started_at = None;
+          proposed_at = None;
+          agreed_at = None;
+          first_decision_at = None;
+          signed_at = None;
         })
   in
   (* --- dissemination ---------------------------------------------------- *)
@@ -120,9 +126,8 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let send_proposal_if_ready node ~view =
     if dissemination_ready node && node.proposal_sent_view < view then begin
       node.proposal_sent_view <- view;
-      (* First proposal = enough documents collected; idempotent on the
-         re-proposals of later views. *)
-      Runenv.Telemetry.phase_end tel ~node:node.id "dissemination";
+      (* The first proposal ends dissemination. *)
+      if node.proposed_at = None then node.proposed_at <- Some (now ());
       let digests =
         Array.init n (fun j ->
             match (node.docs.(j), node.doc_sigs.(j)) with
@@ -180,11 +185,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
                 (List.init n Fun.id)
             in
             D.sign r ~node:node.id votes;
-            Runenv.Telemetry.phase_end tel ~node:node.id "aggregation";
-            Runenv.Telemetry.phase_begin tel ~node:node.id "signature-exchange";
-            if Siground.decided_at sig_round <> None then
-              (* Own signature already suffices (tiny n). *)
-              Runenv.Telemetry.phase_end tel ~node:node.id "signature-exchange";
+            node.signed_at <- Some (now ());
             log ~node:node.id Sim.Trace.Notice
               "Aggregated %d votes into a consensus document; broadcasting signature."
               (List.length votes);
@@ -248,8 +249,11 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
         decide =
           (fun ~view value ->
             if node.decided_vector = None then begin
-              Runenv.Telemetry.phase_end tel ~node:node.id "agreement";
-              Runenv.Telemetry.phase_begin tel ~node:node.id "aggregation"
+              (* A node crashed at t = 0 can decide at its recovery
+                 instant before its start event: its agreement phase
+                 then starts after the decision and never ends. *)
+              if node.started_at <> None then node.agreed_at <- Some (now ());
+              node.first_decision_at <- Some (now ())
             end;
             node.decided_vector <- Some value;
             node.decided_view <- Some view;
@@ -258,8 +262,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
               (Icps.non_bot value.Dissemination.vector);
             start_fetching node);
         on_view = (fun ~view -> send_proposal_if_ready node ~view);
-        log =
-          (fun text -> log ~node:node.id Sim.Trace.Info "hotstuff: %s" text);
+        log = (fun text -> log ~node:node.id Sim.Trace.Info "%s: %s" A.name text);
       }
     in
     A.create ~keyring:env.keyring ~n ~id:node.id ~view_timeout:params.view_timeout cb
@@ -291,10 +294,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
                     (Fetch_reply { doc; signature })
               | _ -> ())
             wanted
-      | Cons_sig { digest; signature } ->
-          D.store_signature r ~node:dst digest signature;
-          if Siground.decided_at r.rounds.(dst) <> None then
-            Runenv.Telemetry.phase_end tel ~node:dst "signature-exchange"
+      | Cons_sig { digest; signature } -> D.store_signature r ~node:dst digest signature
       | Cons_sig_request -> D.answer_signature_request r ~node:dst ~src);
   (* --- start ------------------------------------------------------------- *)
   (* A node crashed from the first instant starts on recovery: the
@@ -303,8 +303,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
      even and odd peers. *)
   D.start r (fun id variant ->
       let node = nodes.(id) in
-      Runenv.Telemetry.phase_begin tel ~node:id "dissemination";
-      Runenv.Telemetry.phase_begin tel ~node:id "agreement";
+      node.started_at <- Some (now ());
       let sign doc =
         Dissemination.sign_document env.keyring ~sender:id (Dirdoc.Vote.digest doc)
       in
@@ -329,8 +328,34 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
       match node.hotstuff with
       | Some hs -> A.start hs
       | None -> ());
-  (* No lock-step rounds: latency is simply time-to-decision. *)
-  let result = D.run r ~network_time:(fun _ decided -> decided) in
+  (* Phases overlap as the protocol allows: dissemination and agreement
+     from the start, aggregation from the first decision to signing,
+     signature exchange from signing to the signature majority.  A
+     phase still open at run end is incomplete.  No lock-step rounds:
+     latency is simply time-to-decision. *)
+  let spans run_end =
+    Array.iter
+      (fun node ->
+        let span phase start stop =
+          D.span r ~node:node.id ~phase ~start
+            ~stop:(Option.value stop ~default:run_end)
+            ~complete:(stop <> None)
+        in
+        Option.iter
+          (fun start ->
+            span "dissemination" start node.proposed_at;
+            span "agreement" start node.agreed_at)
+          node.started_at;
+        Option.iter
+          (fun start -> span "aggregation" start node.signed_at)
+          node.first_decision_at;
+        Option.iter
+          (fun start ->
+            span "signature-exchange" start (Siground.decided_at r.rounds.(node.id)))
+          node.signed_at)
+      nodes
+  in
+  let result = D.run r ~network_time:(fun _ decided -> decided) ~spans in
   {
     result;
     vectors =

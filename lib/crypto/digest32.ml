@@ -11,5 +11,4 @@ let raw t = t
 let hex t = Sha256.hex_of_raw t
 let short_hex t = String.sub (hex t) 0 10
 let equal = String.equal
-let compare = String.compare
 let wire_size = size

@@ -26,7 +26,6 @@ val short_hex : t -> string
     (mirrors Tor's abbreviated fingerprints). *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val wire_size : int
 (** Bytes a digest occupies on the simulated wire (32). *)

@@ -79,4 +79,3 @@ let of_string s =
 let compare a b = if a == b then 0 else String.compare a.text b.text
 let equal a b = compare a b = 0
 let max a b = if compare a b >= 0 then a else b
-let pp ppf t = Format.pp_print_string ppf (to_string t)

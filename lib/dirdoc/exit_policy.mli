@@ -36,4 +36,3 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 val max : t -> t -> t
-val pp : Format.formatter -> t -> unit

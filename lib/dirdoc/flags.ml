@@ -92,5 +92,3 @@ let of_string s =
         | None -> Error (Printf.sprintf "unknown flag %S" w))
   in
   build empty words
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

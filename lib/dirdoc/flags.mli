@@ -24,8 +24,6 @@ type t
 
 val empty : t
 val of_list : flag list -> t
-val to_list : t -> flag list
-(** In dir-spec order (alphabetical). *)
 
 val add : flag -> t -> t
 val remove : flag -> t -> t
@@ -50,5 +48,3 @@ val feed : Crypto.Sink.t -> t -> unit
 
 val of_string : string -> (t, string) result
 (** Parse a space-separated flag list; fails on unknown flags. *)
-
-val pp : Format.formatter -> t -> unit

@@ -86,7 +86,3 @@ let equal a b =
   && Exit_policy.equal a.exit_policy b.exit_policy
 
 let entry_wire_bytes = 600
-
-let pp ppf r =
-  Format.fprintf ppf "%s (%s) %a bw=%d" (String.sub r.fingerprint 0 8) r.nickname
-    Flags.pp r.flags r.bandwidth

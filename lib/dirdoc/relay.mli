@@ -54,5 +54,3 @@ val entry_wire_bytes : int
     of real dir-spec vote entries; DESIGN.md §4.1 explains how this
     interacts with the shared-NIC model and Tor's directory-connection
     timeout to reproduce the paper's failure crossovers). *)
-
-val pp : Format.formatter -> t -> unit

@@ -33,9 +33,7 @@ let create ?votes (base : Runenv.Spec.t) =
 let base_spec ctx = ctx.base
 let digest ctx plan = Runenv.Spec.digest (spec_of ~base:ctx.base plan)
 
-let env_of ?(telemetry = false) ctx plan =
-  let env = Runenv.of_spec ~votes:ctx.votes (spec_of ~base:ctx.base plan) in
-  if telemetry then { env with Runenv.telemetry = true } else env
+let env_of ctx plan = Runenv.of_spec ~votes:ctx.votes (spec_of ~base:ctx.base plan)
 
 let map ?(jobs = 1) ?votes ~base f items =
   let ctx = create ?votes base in

@@ -41,11 +41,9 @@ val base_spec : ctx -> Protocols.Runenv.Spec.t
 val digest : ctx -> plan -> string
 (** {!Protocols.Runenv.Spec.digest} of [spec_of ~base plan]. *)
 
-val env_of : ?telemetry:bool -> ctx -> plan -> Protocols.Runenv.t
+val env_of : ctx -> plan -> Protocols.Runenv.t
 (** The plan's run environment: [of_spec] of [spec_of ~base plan] with
-    the context's votes.  Every call builds a new environment.
-    [telemetry] (default [false]) sets
-    {!Protocols.Runenv.t.telemetry} on the result.  Raises
+    the context's votes.  Every call builds a new environment.  Raises
     [Invalid_argument] on a plan [of_spec] rejects. *)
 
 val map :

@@ -167,8 +167,7 @@ type report = {
   liveness_violations : int;
 }
 
-let report_of ~run_protocol protocol env =
-  let (r : Runenv.report) = run_protocol protocol env in
+let report_of protocol (r : Runenv.report) =
   {
     protocol;
     success = r.Runenv.success;
@@ -213,7 +212,7 @@ let campaign_plan config ~plan ~behaviors =
 
 let case_fails config ~ctx ~run_protocol ~plan ~behaviors =
   let env = Campaign.env_of ctx (campaign_plan config ~plan ~behaviors) in
-  let ours = report_of ~run_protocol Job.Ours env in
+  let ours = report_of Job.Ours (run_protocol Job.Ours env) in
   let _, _, _, _, safety_ok, _, liveness_ok = judge ~plan ~behaviors ours in
   not (safety_ok && liveness_ok)
 
@@ -258,12 +257,15 @@ let shrink config ~ctx ~run_protocol ~plan ~behaviors =
 let verdict_of_case config ~ctx ~run_protocol ~index =
   let plan, behaviors = sample_case config ~index in
   let cplan = campaign_plan config ~plan ~behaviors in
-  let reports =
-    List.map
-      (fun p -> report_of ~run_protocol p (Campaign.env_of ctx cplan))
-      [ Job.Current; Job.Synchronous; Job.Ours ]
+  let run p =
+    let env = Campaign.env_of ctx cplan in
+    (env, run_protocol p env)
   in
-  let ours = List.nth reports 2 in
+  let baselines =
+    List.map (fun p -> report_of p (snd (run p))) [ Job.Current; Job.Synchronous ]
+  in
+  let ours_env, ours_run = run Job.Ours in
+  let ours = report_of Job.Ours ours_run in
   let ( node_faults,
         permanent_faults,
         faults_clear_at,
@@ -273,20 +275,12 @@ let verdict_of_case config ~ctx ~run_protocol ~index =
         liveness_ok ) =
     judge ~plan ~behaviors ours
   in
-  (* Diagnose a liveness failure: replay the same case with telemetry
-     on (telemetry never changes outcomes, so the replay reproduces the
-     failure exactly) and ask which phase the stuck authorities were
-     inside.  When every correct authority decided — just after the
-     bound — there is no incomplete span to blame. *)
+  (* Diagnose a liveness failure: which phase the stuck authorities
+     were inside.  When every correct authority decided — just after
+     the bound — there is no incomplete span to blame. *)
   let stalled_phase =
     if liveness_ok then None
-    else begin
-      let env = Campaign.env_of ~telemetry:true ctx cplan in
-      let r = run_protocol Job.Ours env in
-      match Runenv.stalled_phase env r with
-      | Some _ as phase -> phase
-      | None -> Some "decided-late"
-    end
+    else Some (Option.value (Runenv.stalled_phase ours_env ours_run) ~default:"decided-late")
   in
   let shrunk =
     if safety_ok && liveness_ok then None
@@ -300,7 +294,7 @@ let verdict_of_case config ~ctx ~run_protocol ~index =
     node_faults;
     permanent_faults;
     faults_clear_at;
-    reports;
+    reports = baselines @ [ ours ];
     safety_applicable;
     safety_ok;
     liveness_applicable;

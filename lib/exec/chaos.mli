@@ -78,9 +78,9 @@ type verdict = {
   liveness_ok : bool;              (** [true] when not applicable *)
   stalled_phase : string option;
       (** liveness failures only: the phase the stuck authorities were
-          inside, from a telemetry replay of the same case
-          ({!Protocols.Runenv.stalled_phase}); ["decided-late"] when
-          every correct authority decided but past the bound *)
+          inside, read from the case's own run of the partial-synchrony
+          protocol ({!Protocols.Runenv.stalled_phase}); ["decided-late"]
+          when every correct authority decided but past the bound *)
   shrunk : Protocols.Runenv.Spec.t option;
       (** minimal failing spec, present iff an invariant failed *)
 }

@@ -3,10 +3,9 @@
     [map ~jobs f items] applies [f] to every item across [jobs]
     OCaml 5 domains and returns the results in input order, so the
     output is independent of worker count and scheduling.  Workers
-    claim items one at a time from a shared atomic index.  [jobs = 1]
-    is a strict sequential fallback ([List.map] — no domains are
-    spawned); at most [List.length items] domains are spawned however
-    large [jobs] is.
+    claim items one at a time from a shared atomic index.  The calling
+    domain is one of the workers, so [map] spawns
+    [min jobs (List.length items) - 1] domains: none for [jobs = 1].
 
     If any [f item] raises, the remaining items still run, and the
     exception of the {e lowest-index} failing item is re-raised (with

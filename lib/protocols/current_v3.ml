@@ -158,9 +158,8 @@ let run (env : Runenv.t) =
       held id)
     ~vote_spans:(fun id ->
       let enough = List.length (held id) >= r.need in
-      Runenv.Telemetry.span r.tel ~node:id ~phase:"vote-dissemination" ~start:0.
-        ~stop:round_seconds;
-      Runenv.Telemetry.span r.tel ~node:id ~phase:"vote-collection" ~start:round_seconds
+      D.span r ~node:id ~phase:"vote-dissemination" ~start:0. ~stop:round_seconds;
+      D.span r ~node:id ~phase:"vote-collection" ~start:round_seconds
         ~stop:(2. *. round_seconds) ~complete:enough;
       enough)
     ~last_vote_at:(fun id -> nodes.(id).last_vote_at)

@@ -52,7 +52,8 @@ module Make (P : PROTOCOL) = struct
     engine : Sim.Engine.t;
     net : P.msg Sim.Net.t;
     trace : Sim.Trace.t;
-    tel : Runenv.Telemetry.ctx option;
+    events : Obs.Events.t;
+    tel : Obs.Events.t option;
     labels : Sim.Stats.label array;
     rounds : Siground.t array;
     need : int;
@@ -83,13 +84,14 @@ module Make (P : PROTOCOL) = struct
     let lbl_sig_request = label "sig-request" in
     let lbl_sig_answer = label P.sig_answer_label in
     let stop = Float.min env.horizon (4. *. round_seconds) in
-    let tel = Runenv.Telemetry.start env ~engine ~net ~stop in
+    let tel = Runenv.Telemetry.start env ~net ~stop in
     let need = Runenv.majority ~n:env.n in
     {
       env;
       engine;
       net;
       trace;
+      events = Obs.Events.create ();
       tel;
       labels;
       rounds =
@@ -167,7 +169,14 @@ module Make (P : PROTOCOL) = struct
     if short then broadcast t ~src:node ~label:t.lbl_sig_request P.sig_request;
     short
 
-  let finish t ~network_time =
+  let span ?(complete = true) t ~node ~phase ~start ~stop =
+    Obs.Events.span t.events ~node ~phase ~start ~stop ~complete
+
+  (* Every run records its spans after the run, from each node's final
+     state, with or without telemetry. *)
+  let run t ~network_time ~spans =
+    Sim.Engine.run ~until:t.stop t.engine;
+    spans (now t);
     let per_authority =
       Array.mapi
         (fun id round ->
@@ -180,18 +189,14 @@ module Make (P : PROTOCOL) = struct
           })
         t.rounds
     in
-    let obs = Runenv.Telemetry.finish t.tel ~engine:t.engine ~net:t.net ~per_authority in
     {
       Runenv.protocol = P.name;
       per_authority;
       stats = Sim.Net.stats t.net;
       trace = t.trace;
-      obs;
+      spans = Obs.Events.spans t.events;
+      obs = Runenv.Telemetry.finish t.tel ~net:t.net ~per_authority;
     }
-
-  let run t ~network_time =
-    Sim.Engine.run ~until:t.stop t.engine;
-    finish t ~network_time
 
   let lockstep t ~held ~vote_spans ~last_vote_at =
     let round k = float_of_int k *. t.round_seconds in
@@ -210,28 +215,25 @@ module Make (P : PROTOCOL) = struct
             "We don't have enough votes to generate a consensus: %d of %d" count t.need
         else sign t ~node:id votes);
     at_round 3 (fun id -> ignore (request_signatures t ~node:id));
-    Sim.Engine.run ~until:t.stop t.engine;
-    (* Lock-step spans are the rounds themselves, emitted after the run
-       from each node's final state.  A phase a node never reached gets
-       no span, which is what makes an incomplete span a stall
-       diagnosis. *)
-    let run_end = now t in
-    Array.iteri
-      (fun id sig_round ->
-        if Runenv.participates t.env.behaviors.(id) then begin
-          let consensus = Siground.consensus sig_round in
-          let decided = Siground.decided_at sig_round in
-          if vote_spans id then
-            Runenv.Telemetry.span t.tel ~node:id ~phase:"aggregation" ~start:(round 2)
-              ~stop:(round 3) ~complete:(consensus <> None);
-          if consensus <> None then
-            Runenv.Telemetry.span t.tel ~node:id ~phase:"signature-exchange"
-              ~start:(round 2)
-              ~stop:(match decided with Some d -> Float.max d (round 2) | None -> run_end)
-              ~complete:(decided <> None)
-        end)
-      t.rounds;
-    (* Paper metric: vote-round completion plus signature-round
-       completion. *)
-    finish t ~network_time:(fun id d -> last_vote_at id +. (d -. round 2))
+    (* Lock-step spans are the rounds themselves.  A phase a node never
+       reached gets no span, which is what makes an incomplete span a
+       stall diagnosis.  Network time is the paper's metric: vote-round
+       completion plus signature-round completion. *)
+    run t
+      ~network_time:(fun id d -> last_vote_at id +. (d -. round 2))
+      ~spans:(fun run_end ->
+        Array.iteri
+          (fun id sig_round ->
+            if Runenv.participates t.env.behaviors.(id) then begin
+              let consensus = Siground.consensus sig_round in
+              let decided = Siground.decided_at sig_round in
+              if vote_spans id then
+                span t ~node:id ~phase:"aggregation" ~start:(round 2) ~stop:(round 3)
+                  ~complete:(consensus <> None);
+              if consensus <> None then
+                span t ~node:id ~phase:"signature-exchange" ~start:(round 2)
+                  ~stop:(match decided with Some d -> Float.max d (round 2) | None -> run_end)
+                  ~complete:(decided <> None)
+            end)
+          t.rounds)
 end

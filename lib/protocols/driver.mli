@@ -9,9 +9,9 @@
     in the order they were scheduled (DESIGN.md §7).  {!Make.setup}
     makes the labels and starts telemetry, whose t = 0 probes tie with
     the start-up events, before the driver schedules anything; the
-    driver then calls {!Make.start}, schedules its own rounds and, if
-    lock-step, hands over to {!Make.lockstep}.  Nothing here allocates
-    per message. *)
+    driver then calls {!Make.start}, schedules its own rounds and hands
+    over to {!Make.lockstep}, or, if event-driven, to {!Make.run} with
+    its own spans.  Nothing here allocates per message. *)
 
 module type PROTOCOL = sig
   type msg
@@ -40,7 +40,8 @@ module Make (P : PROTOCOL) : sig
     engine : Tor_sim.Engine.t;
     net : P.msg Tor_sim.Net.t;
     trace : Tor_sim.Trace.t;
-    tel : Runenv.Telemetry.ctx option;
+    events : Obs.Events.t;  (** the run's phase spans, see {!span} *)
+    tel : Obs.Events.t option;  (** probe samples, iff telemetry is on *)
     labels : Tor_sim.Stats.label array;  (** as passed to {!setup} *)
     rounds : Siground.t array;  (** each node's signatures *)
     need : int;  (** {!Runenv.majority} *)
@@ -103,10 +104,25 @@ module Make (P : PROTOCOL) : sig
   (** If the node signed but lacks a signature majority, ask every peer
       for its signature and return [true]. *)
 
+  val span :
+    ?complete:bool ->
+    t ->
+    node:int ->
+    phase:string ->
+    start:Tor_sim.Simtime.t ->
+    stop:Tor_sim.Simtime.t ->
+    unit
+  (** Record one phase span of the run ([complete] defaults to [true]). *)
+
   val run :
-    t -> network_time:(int -> Tor_sim.Simtime.t -> Tor_sim.Simtime.t) -> Runenv.run_result
-  (** Run to the stop and assemble the result; [network_time id d] is
-      the latency metric of node [id], which decided at [d]. *)
+    t ->
+    network_time:(int -> Tor_sim.Simtime.t -> Tor_sim.Simtime.t) ->
+    spans:(Tor_sim.Simtime.t -> unit) ->
+    Runenv.run_result
+  (** Run to the stop, call [spans run_end] so the driver records its
+      phase spans from each node's final state with {!span}, and
+      assemble the result; [network_time id d] is the latency metric of
+      node [id], which decided at [d]. *)
 
   val lockstep :
     t ->
@@ -118,7 +134,7 @@ module Make (P : PROTOCOL) : sig
       aggregates [held id] and signs, or logs that it holds too few
       votes ([held] runs once per awake node there, so a driver may log
       in it).  Round 4: an awake node short of signatures re-requests
-      them.  After the run, [vote_spans id] emits a participating
+      them.  After the run, [vote_spans id] records a participating
       node's vote-phase spans and says whether it ended them holding a
       vote majority; the skeleton adds the aggregation and
       signature-exchange spans.  Network time is the last vote arrival

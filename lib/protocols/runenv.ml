@@ -27,7 +27,7 @@ type t = {
   distribution : Torclient.Distribution.config option;
   horizon : Sim.Simtime.t;
   telemetry : bool;
-      (* record spans/histograms; NOT part of Spec (see mli) *)
+      (* record histograms and probes; NOT part of Spec (see mli) *)
 }
 
 let participates = function
@@ -243,7 +243,6 @@ type authority_result = {
 type obs = {
   metrics : Obs.Metrics.t;
       (* "time-to-decision" + "delivery-latency/<label>" histograms *)
-  spans : Obs.Events.span list;
   samples : Obs.Events.sample list;
 }
 
@@ -252,72 +251,29 @@ type run_result = {
   per_authority : authority_result array;
   stats : Sim.Stats.t;
   trace : Sim.Trace.t;
+  spans : Obs.Events.span list;
   obs : obs option;
 }
 
-(* Driver-facing telemetry context.  Every emission helper takes the
-   [ctx option] itself and is a no-op on [None], so an instrumented
-   driver pays one option test per phase transition when telemetry is
-   off — nothing per message or per event. *)
+(* Histograms and probes, on only when [env.telemetry] is set: off, a
+   run schedules no probe and records no latency. *)
 module Telemetry = struct
-  type ctx = {
-    tl_events : Obs.Events.t;
-    tl_engine : Sim.Engine.t;
-    (* Open (phase, start) pairs per node, for begin/end instrumented
-       drivers. *)
-    tl_opens : (string * Sim.Simtime.t) list array;
-  }
-
   let probe_interval = 5.
 
-  let start (env : t) ~engine ~net ~stop =
+  let start (env : t) ~net ~stop =
     if not env.telemetry then None
     else begin
       Sim.Net.enable_obs net;
       let events = Obs.Events.create () in
       Sim.Net.install_probes net ~events ~interval:probe_interval ~stop;
-      Some { tl_events = events; tl_engine = engine; tl_opens = Array.make env.n [] }
+      Some events
     end
 
-  let span ?(complete = true) ctx ~node ~phase ~start ~stop =
-    match ctx with
-    | None -> ()
-    | Some c -> Obs.Events.span c.tl_events ~node ~phase ~start ~stop ~complete
-
-  let phase_begin ctx ~node phase =
-    match ctx with
-    | None -> ()
-    | Some c ->
-        c.tl_opens.(node) <-
-          (phase, Sim.Engine.now c.tl_engine) :: c.tl_opens.(node)
-
-  let phase_end ctx ~node phase =
-    match ctx with
-    | None -> ()
-    | Some c -> (
-        match List.assoc_opt phase c.tl_opens.(node) with
-        | None -> () (* already closed (or never opened): idempotent *)
-        | Some start ->
-            c.tl_opens.(node) <- List.remove_assoc phase c.tl_opens.(node);
-            Obs.Events.span c.tl_events ~node ~phase ~start
-              ~stop:(Sim.Engine.now c.tl_engine) ~complete:true)
-
-  (* After [Engine.run]: close dangling phases as incomplete (the
-     stall diagnosis the chaos harness reads) and fold the decision
-     times into a histogram next to the net's delivery latencies. *)
-  let finish ctx ~engine ~net ~per_authority =
-    match ctx with
-    | None -> None
-    | Some c ->
-        let now = Sim.Engine.now engine in
-        Array.iteri
-          (fun node opens ->
-            List.iter
-              (fun (phase, start) ->
-                Obs.Events.span c.tl_events ~node ~phase ~start ~stop:now
-                  ~complete:false)
-              (List.rev opens))
-          c.tl_opens;
+  (* Fold the decision times into a histogram next to the net's
+     delivery latencies. *)
+  let finish events ~net ~per_authority =
+    Option.map
+      (fun events ->
         let metrics = Sim.Net.obs_metrics net in
         let h = Obs.Metrics.histogram metrics "time-to-decision" in
         Array.iter
@@ -326,12 +282,8 @@ module Telemetry = struct
             | Some d -> Obs.Metrics.observe h d
             | None -> ())
           per_authority;
-        Some
-          {
-            metrics;
-            spans = Obs.Events.spans c.tl_events;
-            samples = Obs.Events.samples c.tl_events;
-          }
+        { metrics; samples = Obs.Events.samples events })
+      events
 end
 
 let majority ~n = (n / 2) + 1
@@ -437,39 +389,36 @@ let delivery_latency r label =
    return the most common phase (count ties break to the
    alphabetically-first name, so the answer is deterministic). *)
 let stalled_phase env r =
-  match r.result.obs with
-  | None -> None
-  | Some o ->
-      let latest = Hashtbl.create 8 in
-      List.iter
-        (fun (s : Obs.Events.span) ->
-          if
-            (not s.Obs.Events.complete)
-            && s.node >= 0 && s.node < env.n
-            && correct_behavior env.behaviors.(s.node)
-            && r.result.per_authority.(s.node).decided_at = None
-          then
-            let better =
-              match Hashtbl.find_opt latest s.node with
-              | None -> true
-              | Some (st, ph) ->
-                  s.start > st
-                  || (s.start = st && String.compare s.phase ph > 0)
-            in
-            if better then Hashtbl.replace latest s.node (s.start, s.phase))
-        o.spans;
-      let counts = Hashtbl.create 8 in
-      Hashtbl.iter
-        (fun _ (_, ph) ->
-          Hashtbl.replace counts ph
-            (1 + Option.value (Hashtbl.find_opt counts ph) ~default:0))
-        latest;
-      Hashtbl.fold
-        (fun ph c best ->
-          match best with
-          | Some (bc, bp) when c < bc || (c = bc && String.compare bp ph <= 0)
-            ->
-              best
-          | _ -> Some (c, ph))
-        counts None
-      |> Option.map snd
+  let latest = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Obs.Events.span) ->
+      if
+        (not s.Obs.Events.complete)
+        && s.node >= 0 && s.node < env.n
+        && correct_behavior env.behaviors.(s.node)
+        && r.result.per_authority.(s.node).decided_at = None
+      then
+        let better =
+          match Hashtbl.find_opt latest s.node with
+          | None -> true
+          | Some (st, ph) ->
+              s.start > st
+              || (s.start = st && String.compare s.phase ph > 0)
+        in
+        if better then Hashtbl.replace latest s.node (s.start, s.phase))
+    r.result.spans;
+  let counts = Hashtbl.create 8 in
+  Hashtbl.iter
+    (fun _ (_, ph) ->
+      Hashtbl.replace counts ph
+        (1 + Option.value (Hashtbl.find_opt counts ph) ~default:0))
+    latest;
+  Hashtbl.fold
+    (fun ph c best ->
+      match best with
+      | Some (bc, bp) when c < bc || (c = bc && String.compare bp ph <= 0)
+        ->
+          best
+      | _ -> Some (c, ph))
+    counts None
+  |> Option.map snd

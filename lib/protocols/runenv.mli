@@ -40,7 +40,7 @@ type t = {
       (** downstream cache/client tier; [None] = agreement core only *)
   horizon : Tor_sim.Simtime.t;       (** stop simulating at this time *)
   telemetry : bool;
-      (** record phase spans, latency histograms and probes into
+      (** record latency histograms and probes into
           {!run_result.obs}.  Default [false] (zero-cost: the hot paths
           pay a branch, never an allocation).  Telemetry never changes
           simulation outcomes, so it is deliberately NOT part of
@@ -147,9 +147,6 @@ type obs = {
       (** ["time-to-decision"] (seconds until each deciding authority
           decided) and ["delivery-latency/<label>"] (send to handler,
           per message label) histograms. *)
-  spans : Obs.Events.span list;
-      (** protocol-phase spans, one track per node; [complete = false]
-          marks a phase the run ended inside *)
   samples : Obs.Events.sample list;
       (** periodic ["nic-backlog"] (per node) and ["queue-depth"]
           (node 0: the engine's pending events) probes *)
@@ -160,50 +157,32 @@ type run_result = {
   per_authority : authority_result array;
   stats : Tor_sim.Stats.t;
   trace : Tor_sim.Trace.t;
+  spans : Obs.Events.span list;
+      (** protocol-phase spans, one track per node, recorded in every
+          run from each node's final state and sorted as
+          {!Obs.Events.spans} sorts them; [complete = false] marks a
+          phase the run ended inside *)
   obs : obs option;
 }
 
-(** Instrumentation helper shared by the protocol drivers.  All
-    emission functions are no-ops on a [None] context, so drivers
-    instrument unconditionally and the off-path cost is one option
-    test per phase transition. *)
+(** Histograms and probes, shared by the protocol drivers. *)
 module Telemetry : sig
-  type ctx
-
   val start :
-    t -> engine:Tor_sim.Engine.t -> net:'m Tor_sim.Net.t -> stop:Tor_sim.Simtime.t -> ctx option
+    t -> net:'m Tor_sim.Net.t -> stop:Tor_sim.Simtime.t -> Obs.Events.t option
   (** [None] unless the environment has [telemetry] set.  Otherwise
       enables the net's latency histograms and installs the periodic
-      probes (every 5 sim seconds until [stop]).  Call at setup, before
-      the driver schedules any event the t = 0 probes tie with. *)
-
-  val span :
-    ?complete:bool ->
-    ctx option ->
-    node:int ->
-    phase:string ->
-    start:Tor_sim.Simtime.t ->
-    stop:Tor_sim.Simtime.t ->
-    unit
-  (** Emit one finished span directly — how the lock-step drivers
-      record their fixed round structure after the run. *)
-
-  val phase_begin : ctx option -> node:int -> string -> unit
-  (** Open a phase at the current sim time. *)
-
-  val phase_end : ctx option -> node:int -> string -> unit
-  (** Close an open phase as complete; a no-op if it is not open, so
-      calling it from every place that can end a phase is safe. *)
+      probes (every 5 sim seconds until [stop]), which sample into the
+      returned store.  Call at setup, before the driver schedules any
+      event the t = 0 probes tie with. *)
 
   val finish :
-    ctx option ->
-    engine:Tor_sim.Engine.t ->
+    Obs.Events.t option ->
     net:'m Tor_sim.Net.t ->
     per_authority:authority_result array ->
     obs option
-  (** After the run: closes still-open phases as incomplete, builds the
-      ["time-to-decision"] histogram from [decided_at], and merges the
-      net's latency histograms. *)
+  (** After the run: builds the ["time-to-decision"] histogram from
+      [decided_at] and merges the net's latency histograms; [None]
+      from a [start] that returned [None]. *)
 end
 
 val majority : n:int -> int
@@ -275,8 +254,9 @@ val delivery_latency : report -> string -> Obs.Metrics.histogram option
 val stalled_phase : t -> report -> string option
 (** Diagnosis for a failed run: among correct authorities that never
     decided, each one's latest-begun incomplete phase span, reduced to
-    the most common phase name (ties alphabetically).  [None] when
-    telemetry was off or every correct authority decided. *)
+    the most common phase name (ties alphabetically).  [None] when no
+    undecided correct authority has an incomplete span, as when every
+    correct authority decided.  Answers with telemetry on or off. *)
 
 val default_valid_after : float
 (** POSIX time of the simulated consensus hour (2026-01-01 01:00). *)

@@ -149,7 +149,7 @@ let run (env : Runenv.t) =
   D.lockstep r ~held
     ~vote_spans:(fun id ->
       let enough = List.length (held id) >= r.need in
-      Runenv.Telemetry.span r.tel ~node:id ~phase:"vote-dissemination" ~start:0.
-        ~stop:(2. *. round_seconds) ~complete:enough;
+      D.span r ~node:id ~phase:"vote-dissemination" ~start:0. ~stop:(2. *. round_seconds)
+        ~complete:enough;
       enough)
     ~last_vote_at:(fun id -> nodes.(id).last_vote_at)

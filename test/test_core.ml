@@ -440,7 +440,9 @@ let test_fig11_golden () =
    authority the consensus digest, signature count and decision times
    (%h, so a last-bit move shows); per node the traffic counters; the
    per-label byte/drop/reject tables; the full log; and, with
-   telemetry on, every histogram, span and probe sample.  The expected
+   telemetry on, every histogram, span and probe sample (every run
+   records spans, and `telemetry bit-identical` checks that they do
+   not depend on telemetry).  The expected
    digests pin the drivers' observable behaviour: any change to a
    message, a size, a deadline, a log line or the same-instant order of
    setup events moves at least one of them. *)
@@ -478,7 +480,7 @@ let fingerprint (r : R.run_result) =
       List.iter
         (fun (sp : Obs.Events.span) ->
           p "\nspan %d %s %h %h %b" sp.node sp.phase sp.start sp.stop sp.complete)
-        o.R.spans;
+        r.R.spans;
       List.iter
         (fun (sa : Obs.Events.sample) ->
           p "\nsample %d %s %h %h" sa.node sa.track sa.time sa.value)
@@ -646,7 +648,7 @@ let test_run_fingerprints () =
         { Exec.Campaign.attacks = []; behaviors = None; fault_plan = None }
     in
     let ctx = Exec.Campaign.create ~votes:(votes base) base in
-    Exec.Campaign.env_of ~telemetry ctx (Exec.Campaign.plan_of_spec spec)
+    { (Exec.Campaign.env_of ctx (Exec.Campaign.plan_of_spec spec)) with R.telemetry }
   in
   Alcotest.(check (list (pair string string)))
     "campaign contexts" expected_fingerprints (fingerprints through_context)

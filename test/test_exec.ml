@@ -114,7 +114,23 @@ let test_pool_exception () =
         (Exec.Pool.map ~jobs:3
            (fun x ->
              if x mod 5 = 3 then failwith (Printf.sprintf "boom %d" x) else x)
-           (List.init 17 Fun.id)))
+           (List.init 17 Fun.id)));
+  (* The remaining items still run, on one worker as on several. *)
+  List.iter
+    (fun jobs ->
+      let ran = Atomic.make 0 in
+      Alcotest.check_raises
+        (Printf.sprintf "jobs = %d: first exception" jobs)
+        (Failure "boom 0")
+        (fun () ->
+          ignore
+            (Exec.Pool.map ~jobs
+               (fun x ->
+                 Atomic.incr ran;
+                 if x < 2 then failwith (Printf.sprintf "boom %d" x))
+               [ 0; 1; 2 ]));
+      checki (Printf.sprintf "jobs = %d: every item ran" jobs) 3 (Atomic.get ran))
+    [ 1; 2 ]
 
 (* --- Cache ------------------------------------------------------------------ *)
 

@@ -264,16 +264,15 @@ let run_obs spec protocol =
   | Some o -> (report, o)
   | None -> Alcotest.fail "telemetry on but no obs in the result"
 
-(* Everything a run's telemetry records: histograms in canonical text
-   form, every span field, and every probe sample. *)
-let obs_summary (o : R.obs) =
+(* Everything a run with telemetry records: histograms in canonical
+   text form, every span field, and every probe sample. *)
+let obs_summary ((report : R.report), (o : R.obs)) =
   ( List.map (fun (name, h) -> (name, M.render h)) (M.histograms o.R.metrics),
-    o.R.spans,
+    report.R.result.R.spans,
     o.R.samples )
 
 let check_obs ~name spec protocol =
-  let _, first = run_obs spec protocol in
-  let base = obs_summary first in
+  let base = obs_summary (run_obs spec protocol) in
   let hists, spans, samples = base in
   Alcotest.(check bool) (name ^ ": has spans") true (spans <> []);
   Alcotest.(check bool) (name ^ ": has probes") true (samples <> []);
@@ -283,16 +282,19 @@ let check_obs ~name spec protocol =
     (List.exists
        (fun (n, _) -> String.length n > 17 && String.sub n 0 17 = "delivery-latency/")
        hists);
-  let _, again = run_obs spec protocol in
   Alcotest.(check bool) (name ^ ": rerun reproduces telemetry") true
-    (obs_summary again = base)
+    (obs_summary (run_obs spec protocol) = base);
+  (* Spans are recorded in every run: telemetry off gives the same. *)
+  let plain = E.run protocol (R.of_spec spec) in
+  Alcotest.(check bool) (name ^ ": same spans with telemetry off") true
+    (plain.R.result.R.spans = spans)
 
 let test_obs_ours () = check_obs ~name:"ours" obs_spec E.Ours
 let test_obs_current () = check_obs ~name:"current" obs_spec E.Current
 let test_obs_sync () = check_obs ~name:"synchronous" obs_spec E.Synchronous
 
 let test_report_accessors () =
-  let report, o = run_obs obs_spec E.Ours in
+  let report, _ = run_obs obs_spec E.Ours in
   (* Every decided authority contributes one time-to-decision
      observation. *)
   let decided =
@@ -314,13 +316,14 @@ let test_report_accessors () =
      complete on every participating node. *)
   let phases =
     List.sort_uniq String.compare
-      (List.map (fun (s : Obs.Events.span) -> s.Obs.Events.phase) o.R.spans)
+      (List.map (fun (s : Obs.Events.span) -> s.Obs.Events.phase) report.R.result.R.spans)
   in
   Alcotest.(check (list string)) "phase taxonomy"
     [ "aggregation"; "agreement"; "dissemination"; "signature-exchange" ]
     phases;
   Alcotest.(check bool) "healthy run: all spans complete" true
-    (List.for_all (fun (s : Obs.Events.span) -> s.Obs.Events.complete) o.R.spans);
+    (List.for_all (fun (s : Obs.Events.span) -> s.Obs.Events.complete)
+       report.R.result.R.spans);
   (* Telemetry off: no obs, accessors all None. *)
   let plain = E.run E.Ours (R.of_spec obs_spec) in
   Alcotest.(check bool) "off: no obs" true (R.report_obs plain = None);
@@ -329,8 +332,8 @@ let test_report_accessors () =
 
 (* A failing run is diagnosable: the deployed protocol under the
    paper's flood never decides, and the stalled-phase reducer names
-   the phase its incomplete spans are stuck in.  A healthy run
-   diagnoses as None. *)
+   the phase its incomplete spans are stuck in, with telemetry on or
+   off.  A healthy run diagnoses as None. *)
 let test_stalled_phase () =
   let flood_spec =
     (* Past the relay count where the flood defeats the deployed
@@ -340,14 +343,18 @@ let test_stalled_phase () =
       attacks = Attack.Ddos.bandwidth_attack ~n:9 ();
     }
   in
-  let env = { (R.of_spec flood_spec) with R.telemetry = true } in
+  let plain_env = R.of_spec flood_spec in
+  let env = { plain_env with R.telemetry = true } in
   let report = E.run E.Current env in
   Alcotest.(check bool) "flooded run fails" false report.R.success;
   (match R.stalled_phase env report with
   | None -> Alcotest.fail "failed run should name a stalled phase"
   | Some phase ->
       Alcotest.(check bool) "phase is non-empty" true (phase <> ""));
-  let healthy_env = { (R.of_spec obs_spec) with R.telemetry = true } in
+  Alcotest.(check (option string)) "same phase with telemetry off"
+    (R.stalled_phase env report)
+    (R.stalled_phase plain_env (E.run E.Current plain_env));
+  let healthy_env = R.of_spec obs_spec in
   let healthy = E.run E.Ours healthy_env in
   Alcotest.(check bool) "healthy run: no stalled phase" true
     (R.stalled_phase healthy_env healthy = None)

@@ -384,11 +384,22 @@ let test_tendermint_external_validity () =
   let d = run_tendermint ~validate:(fun _ -> false) ~horizon:60. () in
   checki "nothing invalid decided" 0 (List.length (decided_values d))
 
+(* The agreement engine's trace lines carry its own name. *)
+let check_engine_lines ~engine (result : R.run_result) =
+  let logged prefix =
+    List.exists
+      (fun (r : Tor_sim.Trace.record) -> String.starts_with ~prefix r.Tor_sim.Trace.text)
+      (Tor_sim.Trace.records result.R.trace)
+  in
+  checkb (engine ^ " lines") true (logged (engine ^ ": entering "));
+  checkb "no hotstuff lines" false (logged "hotstuff: ")
+
 let test_full_protocol_over_tendermint () =
   let env = R.of_spec { R.Spec.default with n_relays = 300 } in
   let result = Torpartial.Protocol.Over_tendermint.run env in
   checkb "success" true (R.success env result);
   checkb "agreement" true (R.agreement_holds env result);
+  check_engine_lines ~engine:"tendermint" result;
   (* Same consensus content as the HotStuff instantiation. *)
   let hs = Torpartial.Protocol.Over_hotstuff.run env in
   (match
@@ -430,7 +441,8 @@ let test_full_protocol_over_pbft () =
   let env = R.of_spec { R.Spec.default with n_relays = 300 } in
   let result = Torpartial.Protocol.Over_pbft.run env in
   checkb "success" true (R.success env result);
-  checkb "agreement" true (R.agreement_holds env result)
+  checkb "agreement" true (R.agreement_holds env result);
+  check_engine_lines ~engine:"pbft" result
 
 
 let qcheck_tendermint_agreement_under_faults =
