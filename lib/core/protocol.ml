@@ -29,8 +29,6 @@ type msg =
   | Agreement of Dissemination.value A.msg
   | Fetch of { wanted : int list }
   | Fetch_reply of { doc : Dirdoc.Vote.t; signature : Signature.t }
-  | Cons_sig of { digest : Digest32.t; signature : Signature.t }
-  | Cons_sig_request
 
 module D = Protocols.Driver.Make (struct
   type nonrec msg = msg
@@ -48,13 +46,10 @@ module D = Protocols.Driver.Make (struct
               + match e.sender_sig with Some _ -> Signature.wire_size | None -> 0)
             0 p.entries
     | Agreement m -> A.msg_size ~value_size:Dissemination.value_wire_size m
-    | Fetch _ | Cons_sig_request -> Wire.request_bytes
-    | Cons_sig _ -> Wire.signature_bytes + Wire.control_bytes
+    | Fetch _ -> Wire.request_bytes
 
   (* No transport deadline: documents may take arbitrarily long. *)
   let deadline _ = None
-  let sig_push digest signature = Cons_sig { digest; signature }
-  let sig_request = Cons_sig_request
   let sig_label = "cons-sig"
   let sig_answer_label = "cons-sig"
 end)
@@ -87,14 +82,15 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
   let r =
     D.setup env ~labels:[| "document"; "proposal"; "agreement"; "fetch"; "fetch-reply" |]
   in
-  let lbl_document = r.labels.(0) in
-  let lbl_proposal = r.labels.(1) in
-  let lbl_agreement = r.labels.(2) in
-  let lbl_fetch = r.labels.(3) in
-  let lbl_fetch_reply = r.labels.(4) in
-  let engine = r.engine in
+  let labels = D.labels r in
+  let lbl_document = labels.(0) in
+  let lbl_proposal = labels.(1) in
+  let lbl_agreement = labels.(2) in
+  let lbl_fetch = labels.(3) in
+  let lbl_fetch_reply = labels.(4) in
+  let engine = D.engine r in
+  let rounds = D.rounds r in
   let now () = D.now r in
-  let log ?node level fmt = Sim.Trace.logf r.trace ~time:(now ()) ?node level fmt in
   let nodes =
     Array.init n (fun id ->
         {
@@ -142,11 +138,11 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
     end
   in
   (* --- aggregation ------------------------------------------------------ *)
-  (* One lost Cons_sig broadcast must not strand a node below the
-     signature majority forever (the chaos harness's shrunk repro:
-     partition one link during aggregation, liveness gone).  Until the
-     node has decided, periodically ask every peer for its signature;
-     peers that have signed answer with a Cons_sig. *)
+  (* One lost consensus-signature broadcast must not strand a node
+     below the signature majority forever (the chaos harness's shrunk
+     repro: partition one link during aggregation, liveness gone).
+     Until the node has decided, periodically ask every peer for its
+     signature; peers that have signed answer with theirs. *)
   let rec ensure_signatures node =
     if D.request_signatures r ~node:node.id then
       ignore
@@ -174,7 +170,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
               Sim.Engine.cancel engine h;
               node.fetch_timer <- None
           | None -> ());
-          let sig_round = r.rounds.(node.id) in
+          let sig_round = rounds.(node.id) in
           if Siground.consensus sig_round = None then begin
             let votes =
               List.filter_map
@@ -186,7 +182,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
             in
             D.sign r ~node:node.id votes;
             node.signed_at <- Some (now ());
-            log ~node:node.id Sim.Trace.Notice
+            D.log r ~node:node.id Sim.Trace.Notice
               "Aggregated %d votes into a consensus document; broadcasting signature."
               (List.length votes);
             ignore
@@ -257,12 +253,12 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
             end;
             node.decided_vector <- Some value;
             node.decided_view <- Some view;
-            log ~node:node.id Sim.Trace.Notice
+            D.log r ~node:node.id Sim.Trace.Notice
               "Agreement reached in view %d on a vector with %d documents." view
               (Icps.non_bot value.Dissemination.vector);
             start_fetching node);
         on_view = (fun ~view -> send_proposal_if_ready node ~view);
-        log = (fun text -> log ~node:node.id Sim.Trace.Info "%s: %s" A.name text);
+        log = (fun text -> D.log r ~node:node.id Sim.Trace.Info "%s: %s" A.name text);
       }
     in
     A.create ~keyring:env.keyring ~n ~id:node.id ~view_timeout:params.view_timeout cb
@@ -293,9 +289,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
                   D.send r ~src:dst ~dst:src ~label:lbl_fetch_reply
                     (Fetch_reply { doc; signature })
               | _ -> ())
-            wanted
-      | Cons_sig { digest; signature } -> D.store_signature r ~node:dst digest signature
-      | Cons_sig_request -> D.answer_signature_request r ~node:dst ~src);
+            wanted);
   (* --- start ------------------------------------------------------------- *)
   (* A node crashed from the first instant starts on recovery: the
      whole startup — document broadcast, document deadline, agreement
@@ -351,7 +345,7 @@ let run_detailed ?(params = default_params) (env : Runenv.t) =
           node.first_decision_at;
         Option.iter
           (fun start ->
-            span "signature-exchange" start (Siground.decided_at r.rounds.(node.id)))
+            span "signature-exchange" start (Siground.decided_at rounds.(node.id)))
           node.signed_at)
       nodes
   in

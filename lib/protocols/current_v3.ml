@@ -1,5 +1,4 @@
 module Sim = Tor_sim
-module Signature = Crypto.Signature
 
 let name = "current"
 let round_seconds = 150.
@@ -9,8 +8,6 @@ type msg =
   | Vote_push of Dirdoc.Vote.t
   | Vote_request of { wanted : int list }
   | Vote_reply of Dirdoc.Vote.t
-  | Sig_push of { digest : Crypto.Digest32.t; signature : Signature.t }
-  | Sig_request
 
 type node = {
   id : int;
@@ -34,18 +31,14 @@ module D = Driver.Make (struct
     | Vote_push v | Vote_reply v ->
         Wire.vote_push_bytes ~n_relays:(Dirdoc.Vote.n_relays v)
     | Vote_request _ -> Wire.request_bytes
-    | Sig_push _ -> Wire.signature_bytes + Wire.control_bytes
-    | Sig_request -> Wire.request_bytes
 
   (* Vote-sized transfers ride Tor's directory connections and give up
      after the client timeout; control messages are too small to
      stall. *)
   let deadline = function
     | Vote_push _ | Vote_reply _ -> dir_deadline
-    | Vote_request _ | Sig_push _ | Sig_request -> None
+    | Vote_request _ -> None
 
-  let sig_push digest signature = Sig_push { digest; signature }
-  let sig_request = Sig_request
   let sig_label = "sig"
   let sig_answer_label = "sig-fetch"
 end)
@@ -53,15 +46,16 @@ end)
 let run (env : Runenv.t) =
   let n = env.n in
   let r = D.setup env ~round_seconds ~labels:[| "vote"; "vote-request"; "vote-fetch" |] in
-  let lbl_vote = r.labels.(0) in
-  let lbl_vote_request = r.labels.(1) in
-  let lbl_vote_fetch = r.labels.(2) in
+  let labels = D.labels r in
+  let engine = D.engine r in
+  let lbl_vote = labels.(0) in
+  let lbl_vote_request = labels.(1) in
+  let lbl_vote_fetch = labels.(2) in
   let nodes =
     Array.init n (fun id ->
         { id; votes = Array.make n None; last_vote_at = 0.; replied = Array.make n false })
   in
   let now () = D.now r in
-  let log ?node level fmt = Sim.Trace.logf r.trace ~time:(now ()) ?node level fmt in
   let store_vote node (v : Dirdoc.Vote.t) =
     let src = v.Dirdoc.Vote.authority in
     if src >= 0 && src < n && node.votes.(src) = None && now () <= 2. *. round_seconds
@@ -82,9 +76,7 @@ let run (env : Runenv.t) =
               match node.votes.(j) with
               | Some v -> D.send r ~src:dst ~dst:src ~label:lbl_vote_fetch (Vote_reply v)
               | None -> ())
-            wanted
-      | Sig_push { digest; signature } -> D.store_signature r ~node:dst digest signature
-      | Sig_request -> D.answer_signature_request r ~node:dst ~src);
+            wanted);
   (* Round 1: push votes.  A node down at vote time pushes on recovery;
      peers discard the vote if the voting window has closed
      (store_vote's cutoff), exactly like a late real authority. *)
@@ -95,7 +87,7 @@ let run (env : Runenv.t) =
       match variant with
       | None ->
           node.last_vote_at <- now ();
-          log ~node:id Sim.Trace.Notice "Time to vote.";
+          D.log r ~node:id Sim.Trace.Notice "Time to vote.";
           D.broadcast r ~src:id ~label:lbl_vote (Vote_push own)
       | Some variant ->
           D.split_broadcast r ~src:id ~label:lbl_vote ~even:(Vote_push own)
@@ -109,13 +101,13 @@ let run (env : Runenv.t) =
       in
       if missing <> [] then begin
         if not retry then begin
-          log ~node:node.id Sim.Trace.Notice
+          D.log r ~node:node.id Sim.Trace.Notice
             "Time to fetch any votes that we're missing.";
           let fingerprints =
             String.concat "\n "
               (List.map (Crypto.Keyring.fingerprint env.keyring) missing)
           in
-          log ~node:node.id Sim.Trace.Notice
+          D.log r ~node:node.id Sim.Trace.Notice
             "We're missing votes from %d authorities (%s). Asking every other authority for a copy."
             (List.length missing) fingerprints
         end;
@@ -123,10 +115,10 @@ let run (env : Runenv.t) =
         D.broadcast r ~src:node.id ~label:lbl_vote_request
           (Vote_request { wanted = missing });
         ignore
-          (Sim.Engine.schedule_in r.engine ~after:fetch_timeout (fun () ->
+          (Sim.Engine.schedule_in engine ~after:fetch_timeout (fun () ->
                for dst = 0 to n - 1 do
                  if dst <> node.id && not node.replied.(dst) then
-                   log ~node:node.id Sim.Trace.Info
+                   D.log r ~node:node.id Sim.Trace.Info
                      "connection_dir_client_request_failed(): Giving up downloading votes from %s"
                      (address_of dst)
                done))
@@ -140,12 +132,12 @@ let run (env : Runenv.t) =
   Array.iter
     (fun node ->
       ignore
-        (Sim.Engine.schedule r.engine ~owner:node.id ~at:round_seconds (fun () ->
+        (Sim.Engine.schedule engine ~owner:node.id ~at:round_seconds (fun () ->
              fetch_missing node ~retry:false));
       let retries = int_of_float ((round_seconds -. retry_interval) /. retry_interval) in
       for k = 1 to retries do
         ignore
-          (Sim.Engine.schedule r.engine ~owner:node.id
+          (Sim.Engine.schedule engine ~owner:node.id
              ~at:(round_seconds +. (float_of_int k *. retry_interval))
              (fun () -> fetch_missing node ~retry:true))
       done)
@@ -154,10 +146,10 @@ let run (env : Runenv.t) =
   let held id = List.filter_map Fun.id (Array.to_list nodes.(id).votes) in
   D.lockstep r
     ~held:(fun id ->
-      log ~node:id Sim.Trace.Notice "Time to compute a consensus.";
+      D.log r ~node:id Sim.Trace.Notice "Time to compute a consensus.";
       held id)
     ~vote_spans:(fun id ->
-      let enough = List.length (held id) >= r.need in
+      let enough = List.length (held id) >= D.need r in
       D.span r ~node:id ~phase:"vote-dissemination" ~start:0. ~stop:round_seconds;
       D.span r ~node:id ~phase:"vote-collection" ~start:round_seconds
         ~stop:(2. *. round_seconds) ~complete:enough;

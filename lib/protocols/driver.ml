@@ -6,11 +6,17 @@ module type PROTOCOL = sig
   val name : string
   val msg_size : msg -> int
   val deadline : msg -> Sim.Simtime.t option
-  val sig_push : Crypto.Digest32.t -> Crypto.Signature.t -> msg
-  val sig_request : msg
   val sig_label : string
   val sig_answer_label : string
 end
+
+(* The run's network carries the driver's messages next to the
+   skeleton's own two: a consensus signature, pushed or sent on
+   request, and the request for one. *)
+type 'm wire =
+  | Msg of 'm
+  | Sig_push of { digest : Crypto.Digest32.t; signature : Crypto.Signature.t }
+  | Sig_request
 
 (* Install the attack windows on the NICs, the fault injector and the
    defenses.  A NIC appends breakpoints in time order, so each node's
@@ -50,10 +56,9 @@ module Make (P : PROTOCOL) = struct
   type t = {
     env : Runenv.t;
     engine : Sim.Engine.t;
-    net : P.msg Sim.Net.t;
+    net : P.msg wire Sim.Net.t;
     trace : Sim.Trace.t;
     events : Obs.Events.t;
-    tel : Obs.Events.t option;
     labels : Sim.Stats.label array;
     rounds : Siground.t array;
     need : int;
@@ -69,7 +74,8 @@ module Make (P : PROTOCOL) = struct
      engine and network.  Labels are looked up once so a send records
      into the label it carries (DESIGN.md §7).  Telemetry starts before
      the driver schedules anything: its t = 0 probes must come before
-     any driver event they tie with. *)
+     any driver event they tie with.  Off, a run schedules no probe and
+     records no latency. *)
   let setup ?(round_seconds = infinity) (env : Runenv.t) ~labels =
     let engine = Sim.Engine.create ~nodes:env.n () in
     let net =
@@ -84,15 +90,18 @@ module Make (P : PROTOCOL) = struct
     let lbl_sig_request = label "sig-request" in
     let lbl_sig_answer = label P.sig_answer_label in
     let stop = Float.min env.horizon (4. *. round_seconds) in
-    let tel = Runenv.Telemetry.start env ~net ~stop in
+    let events = Obs.Events.create () in
+    if env.telemetry then begin
+      Sim.Net.enable_obs net;
+      Sim.Net.install_probes net ~events ~interval:5. ~stop
+    end;
     let need = Runenv.majority ~n:env.n in
     {
       env;
       engine;
       net;
       trace;
-      events = Obs.Events.create ();
-      tel;
+      events;
       labels;
       rounds =
         Array.init env.n (fun node -> Siground.create ~keyring:env.keyring ~node ~need);
@@ -105,6 +114,10 @@ module Make (P : PROTOCOL) = struct
       lbl_sig_answer;
     }
 
+  let engine t = t.engine
+  let labels t = t.labels
+  let rounds t = t.rounds
+  let need t = t.need
   let now t = Sim.Engine.now t.engine
 
   let awake t id =
@@ -114,20 +127,45 @@ module Make (P : PROTOCOL) = struct
     | Runenv.Crashed { start; stop } -> not (now t >= start && now t < stop))
     && not (Sim.Net.quiet t.net id)
 
-  let send t ~src ~dst ~label m =
-    Sim.Net.send t.net ~src ~dst ~size:(P.msg_size m) ~label ?deadline:(P.deadline m) m
+  let log t ?node level fmt = Sim.Trace.logf t.trace ~time:(now t) ?node level fmt
 
-  let broadcast t ~src ~label m =
-    Sim.Net.broadcast t.net ~src ~size:(P.msg_size m) ~label ?deadline:(P.deadline m) m
+  let size = function
+    | Msg m -> P.msg_size m
+    | Sig_push _ -> Wire.signature_bytes + Wire.control_bytes
+    | Sig_request -> Wire.request_bytes
+
+  let deadline = function Msg m -> P.deadline m | Sig_push _ | Sig_request -> None
+
+  let send_wire t ~src ~dst ~label w =
+    Sim.Net.send t.net ~src ~dst ~size:(size w) ~label ?deadline:(deadline w) w
+
+  let broadcast_wire t ~src ~label w =
+    Sim.Net.broadcast t.net ~src ~size:(size w) ~label ?deadline:(deadline w) w
+
+  let send t ~src ~dst ~label m = send_wire t ~src ~dst ~label (Msg m)
+  let broadcast t ~src ~label m = broadcast_wire t ~src ~label (Msg m)
 
   let split_broadcast t ~src ~label ~even ~odd =
     for dst = 0 to t.env.n - 1 do
       if dst <> src then send t ~src ~dst ~label (if dst land 1 = 0 then even else odd)
     done
 
+  (* The skeleton keeps the signatures pushed to a node and answers a
+     request with the node's own, if it signed. *)
   let handle t f =
-    Sim.Net.set_handler t.net (fun ~dst ~src msg ->
-        if awake t dst then f ~dst ~src msg)
+    Sim.Net.set_handler t.net (fun ~dst ~src w ->
+        if awake t dst then
+          match w with
+          | Msg m -> f ~dst ~src m
+          | Sig_push { digest; signature } ->
+              Siground.store t.rounds.(dst) ~now:(now t) ~digest signature
+          | Sig_request -> (
+              let round = t.rounds.(dst) in
+              match (Siground.consensus round, Siground.my_signature round) with
+              | Some c, Some signature ->
+                  send_wire t ~src:dst ~dst:src ~label:t.lbl_sig_answer
+                    (Sig_push { digest = Dirdoc.Consensus.digest c; signature })
+              | _ -> ()))
 
   let start t f =
     for id = 0 to t.env.n - 1 do
@@ -142,17 +180,6 @@ module Make (P : PROTOCOL) = struct
              | Runenv.Equivocating -> f id (Some (Dirdoc.Aggregate.variant ~memo:t.memo id))))
     done
 
-  let store_signature t ~node digest signature =
-    Siground.store t.rounds.(node) ~now:(now t) ~digest signature
-
-  let answer_signature_request t ~node ~src =
-    let round = t.rounds.(node) in
-    match (Siground.consensus round, Siground.my_signature round) with
-    | Some c, Some signature ->
-        send t ~src:node ~dst:src ~label:t.lbl_sig_answer
-          (P.sig_push (Dirdoc.Consensus.digest c) signature)
-    | _ -> ()
-
   (* Authorities holding identical vote sets share one aggregation
      through the population's memo, within a run and across runs. *)
   let sign t ~node votes =
@@ -160,13 +187,13 @@ module Make (P : PROTOCOL) = struct
       Dirdoc.Aggregate.consensus_memo ~memo:t.memo ~valid_after:t.env.valid_after ~votes
     in
     let signature = Siground.set_consensus t.rounds.(node) ~now:(now t) c in
-    broadcast t ~src:node ~label:t.lbl_sig
-      (P.sig_push (Dirdoc.Consensus.digest c) signature)
+    broadcast_wire t ~src:node ~label:t.lbl_sig
+      (Sig_push { digest = Dirdoc.Consensus.digest c; signature })
 
   let request_signatures t ~node =
     let round = t.rounds.(node) in
     let short = Siground.consensus round <> None && Siground.decided_at round = None in
-    if short then broadcast t ~src:node ~label:t.lbl_sig_request P.sig_request;
+    if short then broadcast_wire t ~src:node ~label:t.lbl_sig_request Sig_request;
     short
 
   let span ?(complete = true) t ~node ~phase ~start ~stop =
@@ -189,13 +216,27 @@ module Make (P : PROTOCOL) = struct
           })
         t.rounds
     in
+    (* Telemetry folds the decision times into a histogram next to the
+       net's delivery latencies. *)
+    let obs =
+      if not t.env.telemetry then None
+      else begin
+        let metrics = Sim.Net.obs_metrics t.net in
+        let h = Obs.Metrics.histogram metrics "time-to-decision" in
+        Array.iter
+          (fun (a : Runenv.authority_result) ->
+            Option.iter (Obs.Metrics.observe h) a.decided_at)
+          per_authority;
+        Some { Runenv.metrics; samples = Obs.Events.samples t.events }
+      end
+    in
     {
       Runenv.protocol = P.name;
       per_authority;
       stats = Sim.Net.stats t.net;
       trace = t.trace;
       spans = Obs.Events.spans t.events;
-      obs = Runenv.Telemetry.finish t.tel ~net:t.net ~per_authority;
+      obs;
     }
 
   let lockstep t ~held ~vote_spans ~last_vote_at =
@@ -211,7 +252,7 @@ module Make (P : PROTOCOL) = struct
         let votes = held id in
         let count = List.length votes in
         if count < t.need then
-          Sim.Trace.logf t.trace ~time:(now t) ~node:id Sim.Trace.Warn
+          log t ~node:id Sim.Trace.Warn
             "We don't have enough votes to generate a consensus: %d of %d" count t.need
         else sign t ~node:id votes);
     at_round 3 (fun id -> ignore (request_signatures t ~node:id));

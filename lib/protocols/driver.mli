@@ -1,9 +1,10 @@
 (** The run skeleton of the three directory-protocol drivers
     ({!Current_v3}, {!Sync_ic} and the paper's protocol).  A driver
     keeps its message type and sizes, its per-node state, its handlers
-    and its round schedule; the skeleton owns simulator setup, start-up
-    by behaviour, the consensus-signature exchange, result assembly and
-    rounds 3–4 of the lock-step schedule.
+    and its round schedule; the skeleton owns simulator setup,
+    telemetry, start-up by behaviour, the consensus-signature exchange
+    and its two messages on the wire, result assembly and rounds 3–4
+    of the lock-step schedule.
 
     Setup-time events all have creator [-1], so same-instant ones pop
     in the order they were scheduled (DESIGN.md §7).  {!Make.setup}
@@ -11,7 +12,8 @@
     the start-up events, before the driver schedules anything; the
     driver then calls {!Make.start}, schedules its own rounds and hands
     over to {!Make.lockstep}, or, if event-driven, to {!Make.run} with
-    its own spans.  Nothing here allocates per message. *)
+    its own spans.  Nothing here allocates per message beyond the one
+    block that carries a driver's message on the wire. *)
 
 module type PROTOCOL = sig
   type msg
@@ -22,46 +24,47 @@ module type PROTOCOL = sig
   val msg_size : msg -> int
   val deadline : msg -> Tor_sim.Simtime.t option
 
-  val sig_push : Crypto.Digest32.t -> Crypto.Signature.t -> msg
-  (** A consensus signature, pushed or sent on request. *)
-
-  val sig_request : msg
-
   val sig_label : string
-  (** Label of a pushed signature. *)
+  (** Label of a pushed consensus signature. *)
 
   val sig_answer_label : string
-  (** Label of a signature sent in answer to {!sig_request}. *)
+  (** Label of a consensus signature sent in answer to a request
+      ({!Make.request_signatures}).  Requests are labelled
+      ["sig-request"]; the skeleton sizes its signature messages as
+      {!Wire.signature_bytes} plus {!Wire.control_bytes} and a request
+      as {!Wire.request_bytes}, with no deadline. *)
 end
 
 module Make (P : PROTOCOL) : sig
-  type t = {
-    env : Runenv.t;
-    engine : Tor_sim.Engine.t;
-    net : P.msg Tor_sim.Net.t;
-    trace : Tor_sim.Trace.t;
-    events : Obs.Events.t;  (** the run's phase spans, see {!span} *)
-    tel : Obs.Events.t option;  (** probe samples, iff telemetry is on *)
-    labels : Tor_sim.Stats.label array;  (** as passed to {!setup} *)
-    rounds : Siground.t array;  (** each node's signatures *)
-    need : int;  (** {!Runenv.majority} *)
-    round_seconds : Tor_sim.Simtime.t;
-    stop : Tor_sim.Simtime.t;
-    memo : Dirdoc.Aggregate.Memo.t;
-        (** the memo of [env.votes], shared by every run over that population *)
-    lbl_sig : Tor_sim.Stats.label;
-    lbl_sig_request : Tor_sim.Stats.label;
-    lbl_sig_answer : Tor_sim.Stats.label;
-  }
+  type t
+  (** One run: its engine, network, trace, spans and probe samples,
+      and each node's signature round. *)
 
   val setup : ?round_seconds:Tor_sim.Simtime.t -> Runenv.t -> labels:string array -> t
   (** Build the run's own engine and network, install the
       environment's attacks, faults and defenses, make [labels] and
-      the signature labels, and start telemetry.  With [round_seconds]
-      the run is lock-step and stops after four rounds (or at the
-      horizon, if earlier); without, it stops at the horizon. *)
+      the signature labels, and, if [env.telemetry] is set, enable the
+      net's latency histograms and install the periodic probes (every
+      5 sim seconds until the stop).  With [round_seconds] the run is
+      lock-step and stops after four rounds (or at the horizon, if
+      earlier); without, it stops at the horizon. *)
+
+  val engine : t -> Tor_sim.Engine.t
+
+  val labels : t -> Tor_sim.Stats.label array
+  (** The labels made from [labels], in the order passed to {!setup}. *)
+
+  val rounds : t -> Siground.t array
+  (** Each node's signature round. *)
+
+  val need : t -> int
+  (** {!Runenv.majority}. *)
 
   val now : t -> Tor_sim.Simtime.t
+
+  val log :
+    t -> ?node:int -> Tor_sim.Trace.level -> ('a, Format.formatter, unit, unit) format4 -> 'a
+  (** Log into the run's trace at the current time. *)
 
   val awake : t -> int -> bool
   (** Whether the node processes events now: [false] for [Silent]
@@ -79,8 +82,11 @@ module Make (P : PROTOCOL) : sig
       to the rest. *)
 
   val handle : t -> (dst:int -> src:int -> P.msg -> unit) -> unit
-  (** Install the delivery handler; it sees only messages reaching an
-      {!awake} node. *)
+  (** Install the delivery handler; it sees only the driver's messages
+      reaching an {!awake} node.  An awake node keeps a pushed
+      consensus signature that matches its document (in a lock-step
+      run the stop, four rounds in, is the cutoff) and answers a
+      request with its own signature, if it signed. *)
 
   val start : t -> (int -> Dirdoc.Vote.t option -> unit) -> unit
   (** Schedule every node's start at t = 0: [f id None] for an honest
@@ -88,14 +94,6 @@ module Make (P : PROTOCOL) : sig
       [f id (Some variant)] for an equivocator, [variant] being its
       vote minus one relay ({!Dirdoc.Aggregate.variant}, built once per
       population).  A silent node's start does nothing. *)
-
-  val store_signature :
-    t -> node:int -> Crypto.Digest32.t -> Crypto.Signature.t -> unit
-  (** Keep a pushed signature that matches the node's document (in a
-      lock-step run the stop, four rounds in, is the cutoff). *)
-
-  val answer_signature_request : t -> node:int -> src:int -> unit
-  (** Send the node's own signature to [src], if it signed. *)
 
   val sign : t -> node:int -> Dirdoc.Vote.t list -> unit
   (** Aggregate the votes, sign the document and push the signature. *)
@@ -122,7 +120,10 @@ module Make (P : PROTOCOL) : sig
   (** Run to the stop, call [spans run_end] so the driver records its
       phase spans from each node's final state with {!span}, and
       assemble the result; [network_time id d] is the latency metric of
-      node [id], which decided at [d]. *)
+      node [id], which decided at [d].  With telemetry, the result's
+      [obs] holds the ["time-to-decision"] histogram, built from each
+      node's [decided_at], next to the net's latency histograms, and
+      the probe samples. *)
 
   val lockstep :
     t ->

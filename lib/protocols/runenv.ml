@@ -255,37 +255,6 @@ type run_result = {
   obs : obs option;
 }
 
-(* Histograms and probes, on only when [env.telemetry] is set: off, a
-   run schedules no probe and records no latency. *)
-module Telemetry = struct
-  let probe_interval = 5.
-
-  let start (env : t) ~net ~stop =
-    if not env.telemetry then None
-    else begin
-      Sim.Net.enable_obs net;
-      let events = Obs.Events.create () in
-      Sim.Net.install_probes net ~events ~interval:probe_interval ~stop;
-      Some events
-    end
-
-  (* Fold the decision times into a histogram next to the net's
-     delivery latencies. *)
-  let finish events ~net ~per_authority =
-    Option.map
-      (fun events ->
-        let metrics = Sim.Net.obs_metrics net in
-        let h = Obs.Metrics.histogram metrics "time-to-decision" in
-        Array.iter
-          (fun (a : authority_result) ->
-            match a.decided_at with
-            | Some d -> Obs.Metrics.observe h d
-            | None -> ())
-          per_authority;
-        { metrics; samples = Obs.Events.samples events })
-      events
-end
-
 let majority ~n = (n / 2) + 1
 
 let majority_signed ~n result =

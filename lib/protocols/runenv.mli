@@ -165,26 +165,6 @@ type run_result = {
   obs : obs option;
 }
 
-(** Histograms and probes, shared by the protocol drivers. *)
-module Telemetry : sig
-  val start :
-    t -> net:'m Tor_sim.Net.t -> stop:Tor_sim.Simtime.t -> Obs.Events.t option
-  (** [None] unless the environment has [telemetry] set.  Otherwise
-      enables the net's latency histograms and installs the periodic
-      probes (every 5 sim seconds until [stop]), which sample into the
-      returned store.  Call at setup, before the driver schedules any
-      event the t = 0 probes tie with. *)
-
-  val finish :
-    Obs.Events.t option ->
-    net:'m Tor_sim.Net.t ->
-    per_authority:authority_result array ->
-    obs option
-  (** After the run: builds the ["time-to-decision"] histogram from
-      [decided_at] and merges the net's latency histograms; [None]
-      from a [start] that returned [None]. *)
-end
-
 val majority : n:int -> int
 (** [n / 2 + 1] — signatures needed for a valid consensus document. *)
 

@@ -7,8 +7,6 @@ let round_seconds = 150.
 
 type msg =
   | Ds_vote of { origin : int; vote : Dirdoc.Vote.t; chain : Signature.t list }
-  | Sig_push of { digest : Digest32.t; signature : Signature.t }
-  | Sig_request
 
 type node = {
   id : int;
@@ -35,16 +33,11 @@ module D = Driver.Make (struct
 
   let name = name
 
-  let msg_size = function
-    | Ds_vote { vote; chain; _ } ->
-        Wire.vote_push_bytes ~n_relays:(Dirdoc.Vote.n_relays vote)
-        + (List.length chain * Wire.signature_bytes)
-    | Sig_push _ -> Wire.signature_bytes + Wire.control_bytes
-    | Sig_request -> Wire.request_bytes
+  let msg_size (Ds_vote { vote; chain; _ }) =
+    Wire.vote_push_bytes ~n_relays:(Dirdoc.Vote.n_relays vote)
+    + (List.length chain * Wire.signature_bytes)
 
-  let deadline = function Ds_vote _ -> dir_deadline | Sig_push _ | Sig_request -> None
-  let sig_push digest signature = Sig_push { digest; signature }
-  let sig_request = Sig_request
+  let deadline (Ds_vote _) = dir_deadline
   let sig_label = "sig"
   let sig_answer_label = "sig-fetch"
 end)
@@ -61,8 +54,8 @@ let chain_valid keyring ~origin ~digest chain =
 let run (env : Runenv.t) =
   let n = env.n in
   let r = D.setup env ~round_seconds ~labels:[| "ds-vote"; "ds-echo" |] in
-  let lbl_ds_vote = r.labels.(0) in
-  let lbl_ds_echo = r.labels.(1) in
+  let lbl_ds_vote = (D.labels r).(0) in
+  let lbl_ds_echo = (D.labels r).(1) in
   let nodes =
     Array.init n (fun id ->
         {
@@ -75,7 +68,6 @@ let run (env : Runenv.t) =
         })
   in
   let now () = D.now r in
-  let log ?node level fmt = Sim.Trace.logf r.trace ~time:(now ()) ?node level fmt in
   let accept_vote node ~origin ~vote ~chain =
     let digest = Dirdoc.Vote.digest vote in
     if not (chain_valid env.keyring ~origin ~digest chain) then ()
@@ -84,7 +76,7 @@ let run (env : Runenv.t) =
       | Some existing when not (Dirdoc.Vote.equal existing vote) ->
           if not node.equivocated.(origin) then begin
             node.equivocated.(origin) <- true;
-            log ~node:node.id Sim.Trace.Warn
+            D.log r ~node:node.id Sim.Trace.Warn
               "Detected equivocation by authority %d; excluding its vote." origin
           end
       | Some _ -> ()
@@ -113,13 +105,8 @@ let run (env : Runenv.t) =
       end
     end
   in
-  D.handle r (fun ~dst ~src msg ->
-      match msg with
-      | Ds_vote { origin; vote; chain } ->
-          if now () <= 2. *. round_seconds then
-            accept_vote nodes.(dst) ~origin ~vote ~chain
-      | Sig_push { digest; signature } -> D.store_signature r ~node:dst digest signature
-      | Sig_request -> D.answer_signature_request r ~node:dst ~src);
+  D.handle r (fun ~dst ~src:_ (Ds_vote { origin; vote; chain }) ->
+      if now () <= 2. *. round_seconds then accept_vote nodes.(dst) ~origin ~vote ~chain);
   (* Rounds 1-2: Dolev-Strong broadcast of every vote.  A node crashed
      through the vote instant broadcasts on recovery; peers only accept
      it while the dissemination rounds are still open. *)
@@ -148,7 +135,7 @@ let run (env : Runenv.t) =
   in
   D.lockstep r ~held
     ~vote_spans:(fun id ->
-      let enough = List.length (held id) >= r.need in
+      let enough = List.length (held id) >= D.need r in
       D.span r ~node:id ~phase:"vote-dissemination" ~start:0. ~stop:(2. *. round_seconds)
         ~complete:enough;
       enough)
