@@ -671,14 +671,15 @@ let targets =
 let rec parse_args = function
   | "--jobs" :: n :: rest -> (
       match int_of_string_opt n with
-      | Some n when n >= 1 ->
+      | Some n when n >= 1 && n <= Exec.Pool.max_jobs ->
           jobs := n;
           parse_args rest
       | Some 0 ->
           jobs := Exec.Pool.default_jobs ();
           parse_args rest
       | Some _ | None ->
-          Printf.eprintf "bad --jobs value %S (expected an integer >= 0)\n" n;
+          Printf.eprintf "bad --jobs value %S (expected an integer in [0, %d])\n" n
+            Exec.Pool.max_jobs;
           exit 1)
   | "--jobs" :: [] ->
       prerr_endline "--jobs requires a value";

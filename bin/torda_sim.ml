@@ -326,9 +326,9 @@ let sweep_cmd =
       & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains executing the sweep: $(b,1) runs sequentially, \
-             $(b,0) uses one domain per core.  Results are identical for \
-             every setting.")
+            "Worker domains executing the sweep, at most 128: $(b,1) runs \
+             sequentially, $(b,0) uses one domain per core.  Results are \
+             identical for every setting.")
   in
   let protocols_arg =
     Arg.(
@@ -366,7 +366,8 @@ let sweep_cmd =
       Exec.Sweep.cells
         (Exec.Sweep.make ~protocols ~bandwidths_mbit:bandwidths ~relay_counts ~base ())
     in
-    if jobs < 0 then usage_error "sweep" "--jobs must be >= 0"
+    if jobs < 0 || jobs > Exec.Pool.max_jobs then
+      usage_error "sweep" (Printf.sprintf "--jobs must be in [0, %d]" Exec.Pool.max_jobs)
     else
       match
         List.iter
@@ -417,8 +418,9 @@ let chaos_cmd =
       & opt int 1
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Worker domains: $(b,1) runs sequentially, $(b,0) uses one domain \
-             per core.  Verdicts are identical for every setting.")
+            "Worker domains, at most 128: $(b,1) runs sequentially, $(b,0) \
+             uses one domain per core.  Verdicts are identical for every \
+             setting.")
   in
   let plans_arg =
     Arg.(
@@ -467,7 +469,8 @@ let chaos_cmd =
         defense = (if Defense.Plan.is_empty defense then None else Some defense);
       }
     in
-    if jobs < 0 then usage_error "chaos" "--jobs must be >= 0"
+    if jobs < 0 || jobs > Exec.Pool.max_jobs then
+      usage_error "chaos" (Printf.sprintf "--jobs must be in [0, %d]" Exec.Pool.max_jobs)
     else if plans < 0 then usage_error "chaos" "--plans must be >= 0"
     else
       match R.Spec.validate (Exec.Chaos.base_spec config) with

@@ -4,6 +4,11 @@
 
 let default_jobs () = Domain.recommended_domain_count ()
 
+(* The runtime's [Max_domains] on 64-bit hosts.  A spawn past it fails
+   with the domains spawned before it still running, so [map] checks
+   before it spawns any. *)
+let max_jobs = 128
+
 type 'b slot =
   | Pending
   | Value of 'b
@@ -11,6 +16,7 @@ type 'b slot =
 
 let map ~jobs f items =
   if jobs < 1 then invalid_arg "Pool.map: jobs must be >= 1";
+  if jobs > max_jobs then invalid_arg (Printf.sprintf "Pool.map: jobs must be <= %d" max_jobs);
   let input = Array.of_list items in
   let n = Array.length input in
   let results = Array.make n Pending in

@@ -18,7 +18,11 @@
     caches must be domain-safe like {!Cache}. *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** Raises [Invalid_argument] when [jobs < 1]. *)
+(** Raises [Invalid_argument] when [jobs < 1] or [jobs > max_jobs],
+    before it spawns anything. *)
+
+val max_jobs : int
+(** 128, the OCaml runtime's limit on domains per process. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs 0] style

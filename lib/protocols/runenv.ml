@@ -152,6 +152,11 @@ module Spec = struct
      grows linearly with it. *)
   let max_horizon = 604_800.
 
+  (* 140 times the live network's mean of 7,142 relays.  Memory grows
+     with the population, and far above the bound a run dies in the
+     allocator or runs for minutes before it reports. *)
+  let max_relays = 1_000_000
+
   (* Every check runs before anything is built, so a malformed spec is
      rejected before it costs a vote population.  The comparisons are
      written so that NaN fails them — [not (start <= stop)],
@@ -160,6 +165,8 @@ module Spec = struct
     let fail msg = invalid_arg ("Runenv.of_spec: " ^ msg) in
     let n = spec.n in
     if spec.n_relays < 0 then fail "negative relay count";
+    if spec.n_relays > max_relays then
+      fail (Printf.sprintf "relay count must be at most %d" max_relays);
     if not (spec.bandwidth_bits_per_sec >= 0.) then
       fail "bandwidth must be a non-negative number";
     if not (Float.is_finite spec.horizon && spec.horizon >= 0.) then

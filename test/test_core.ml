@@ -882,6 +882,7 @@ let test_scenario_errors () =
   ignore (expect_error "horizon inf");
   ignore (expect_error "horizon 604800.5");
   ignore (expect_error "horizon 1e9");
+  ignore (expect_error "relays 1000001");
   ignore (expect_error "clients many");
   ignore (expect_error "clients 0");
   ignore (expect_error "clients 1000000001");

@@ -103,7 +103,12 @@ let test_pool_order_and_fallback () =
 let test_pool_invalid_jobs () =
   Alcotest.check_raises "jobs=0 rejected"
     (Invalid_argument "Pool.map: jobs must be >= 1") (fun () ->
-      ignore (Exec.Pool.map ~jobs:0 Fun.id [ 1 ]))
+      ignore (Exec.Pool.map ~jobs:0 Fun.id [ 1 ]));
+  (* Past the runtime's domain limit, rejected before anything spawns;
+     on three items a spawning pool would start two domains. *)
+  Alcotest.check_raises "jobs=129 rejected"
+    (Invalid_argument "Pool.map: jobs must be <= 128") (fun () ->
+      ignore (Exec.Pool.map ~jobs:129 Fun.id [ 1; 2; 3 ]))
 
 let test_pool_exception () =
   (* The lowest-index failure wins, independent of scheduling; the

@@ -34,6 +34,11 @@ let test_of_spec_rejects () =
   in
   rejects "negative relays" "negative relay count" { base with R.Spec.n_relays = -5 };
   List.iter
+    (fun n_relays ->
+      rejects (Printf.sprintf "%d relays" n_relays) "relay count must be at most 1000000"
+        { base with R.Spec.n_relays })
+    [ 1_000_001; max_int ];
+  List.iter
     (fun bw ->
       rejects (Printf.sprintf "bandwidth %g" bw) "bandwidth must be a non-negative number"
         { base with R.Spec.bandwidth_bits_per_sec = bw })
@@ -58,7 +63,9 @@ let test_of_spec_rejects () =
   let env = R.of_spec { base with R.Spec.bandwidth_bits_per_sec = infinity } in
   checkb "infinite bandwidth accepted" true (env.R.bandwidth_bits_per_sec = infinity);
   let env = R.of_spec { base with R.Spec.horizon = 604_800. } in
-  checkb "one-week horizon accepted" true (env.R.horizon = 604_800.)
+  checkb "one-week horizon accepted" true (env.R.horizon = 604_800.);
+  (* Checked, not built: a million-relay population takes seconds. *)
+  R.Spec.validate { base with R.Spec.n_relays = 1_000_000 }
 
 (* --- Siground --------------------------------------------------------------- *)
 
