@@ -257,14 +257,12 @@ let shrink config ~ctx ~run_protocol ~plan ~behaviors =
 let verdict_of_case config ~ctx ~run_protocol ~index =
   let plan, behaviors = sample_case config ~index in
   let cplan = campaign_plan config ~plan ~behaviors in
-  let run p =
-    let env = Campaign.env_of ctx cplan in
-    (env, run_protocol p env)
-  in
+  (* An environment is immutable, so the three protocols share one. *)
+  let env = Campaign.env_of ctx cplan in
   let baselines =
-    List.map (fun p -> report_of p (snd (run p))) [ Job.Current; Job.Synchronous ]
+    List.map (fun p -> report_of p (run_protocol p env)) [ Job.Current; Job.Synchronous ]
   in
-  let ours_env, ours_run = run Job.Ours in
+  let ours_run = run_protocol Job.Ours env in
   let ours = report_of Job.Ours ours_run in
   let ( node_faults,
         permanent_faults,
@@ -280,7 +278,7 @@ let verdict_of_case config ~ctx ~run_protocol ~index =
      the bound — there is no incomplete span to blame. *)
   let stalled_phase =
     if liveness_ok then None
-    else Some (Option.value (Runenv.stalled_phase ours_env ours_run) ~default:"decided-late")
+    else Some (Option.value (Runenv.stalled_phase env ours_run) ~default:"decided-late")
   in
   let shrunk =
     if safety_ok && liveness_ok then None
