@@ -25,24 +25,21 @@ val run : protocol -> Protocols.Runenv.t -> Protocols.Runenv.report
     hashes text.  After a failed run nothing reaches the caches, so
     the field is [None]. *)
 
-val run_job : Exec.Job.t -> Exec.Job.outcome
-(** Execute one sweep job through {!run}, on a fresh environment built
-    from its spec with the shared vote population
-    ({!votes_for_spec}). *)
-
 val votes_for_spec : Protocols.Runenv.Spec.t -> Dirdoc.Vote.t array
 (** The vote population [Runenv.of_spec] would generate for this spec,
     from a process-wide domain-safe cache keyed by exactly the
     vote-relevant spec fields (seed, n, n_relays, valid_after,
     divergence) — unrelated fields (attacks, bandwidth, horizon, ...)
     share the same entry.  Feed the result back through
-    [Runenv.of_spec ~votes] (as {!run_job} does internally) or
+    [Runenv.of_spec ~votes] (as {!run_jobs} does for each job) or
     {!Exec.Campaign.map}'s [?votes] to skip vote generation, the
     dominant setup cost of large-population runs. *)
 
 val run_jobs : ?jobs:int -> Exec.Job.t list -> Exec.Job.outcome list
-(** [run_jobs ~jobs l] maps {!run_job} over [l] on an [jobs]-domain
-    {!Exec.Pool} (default 1 = sequential), preserving order.  Results
+(** [run_jobs ~jobs l] runs every job of [l] through {!run}, on a
+    fresh environment built from its spec with the shared vote
+    population ({!votes_for_spec}), on a [jobs]-domain {!Exec.Pool}
+    (default 1 = sequential), preserving order.  Results
     are byte-identical for every [jobs] value: each job rebuilds its
     environment from its own spec, and outcomes are reassembled in
     input order. *)

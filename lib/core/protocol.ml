@@ -20,6 +20,12 @@ type detailed = {
   decided_views : int option array;
 }
 
+module type S = sig
+  val name : string
+  val run : ?params:params -> Runenv.t -> Runenv.run_result
+  val run_detailed : ?params:params -> Runenv.t -> detailed
+end
+
 module Make (A : Protocols.Agreement.S) = struct
   let name = "ours+" ^ A.name
 

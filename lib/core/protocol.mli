@@ -51,32 +51,21 @@ val run_detailed : ?params:params -> Protocols.Runenv.t -> detailed
 (** Like {!run} but also exposes the agreed vectors and views, which
     the Definition 5.1 property tests inspect. *)
 
+(** One instance of the protocol over an agreement engine. *)
+module type S = sig
+  val name : string
+  val run : ?params:params -> Protocols.Runenv.t -> Protocols.Runenv.run_result
+  val run_detailed : ?params:params -> Protocols.Runenv.t -> detailed
+end
+
 (** The protocol is a functor over the agreement engine (paper
     §5.2.2: any view-based consensus protocol fits).  [run] above is
-    {!Over_hotstuff} under the plain name; {!Over_tendermint}
-    exercises the same dissemination and aggregation sub-protocols
-    over Tendermint-style agreement, and the ablation bench compares
-    the two. *)
-module Make (A : Protocols.Agreement.S) : sig
-  val name : string
-  val run : ?params:params -> Protocols.Runenv.t -> Protocols.Runenv.run_result
-  val run_detailed : ?params:params -> Protocols.Runenv.t -> detailed
-end
+    {!Over_hotstuff} under the plain name; {!Over_tendermint} and
+    {!Over_pbft} exercise the same dissemination and aggregation
+    sub-protocols over Tendermint- and PBFT-style agreement, and the
+    ablation bench compares the three. *)
+module Make (A : Protocols.Agreement.S) : S
 
-module Over_hotstuff : sig
-  val name : string
-  val run : ?params:params -> Protocols.Runenv.t -> Protocols.Runenv.run_result
-  val run_detailed : ?params:params -> Protocols.Runenv.t -> detailed
-end
-
-module Over_tendermint : sig
-  val name : string
-  val run : ?params:params -> Protocols.Runenv.t -> Protocols.Runenv.run_result
-  val run_detailed : ?params:params -> Protocols.Runenv.t -> detailed
-end
-
-module Over_pbft : sig
-  val name : string
-  val run : ?params:params -> Protocols.Runenv.t -> Protocols.Runenv.run_result
-  val run_detailed : ?params:params -> Protocols.Runenv.t -> detailed
-end
+module Over_hotstuff : S
+module Over_tendermint : S
+module Over_pbft : S

@@ -78,4 +78,3 @@ let of_string s =
    votes, which are usually one shared value. *)
 let compare a b = if a == b then 0 else String.compare a.text b.text
 let equal a b = compare a b = 0
-let max a b = if compare a b >= 0 then a else b

@@ -35,4 +35,3 @@ val compare : t -> t -> int
     order. *)
 
 val equal : t -> t -> bool
-val max : t -> t -> t

@@ -58,4 +58,3 @@ let compare a b =
           | Some x, Some y -> String.compare x y
 
 let equal a b = compare a b = 0
-let max a b = if compare a b >= 0 then a else b

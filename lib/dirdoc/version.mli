@@ -22,4 +22,3 @@ val to_string : t -> string
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val max : t -> t -> t
