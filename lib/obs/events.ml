@@ -19,10 +19,10 @@ let sample t ~node ~track ~time ~value =
   t.samples <- { node; track; time; value } :: t.samples
 
 (* Full-field comparators: the sort result depends only on the items,
-   not on the order they were recorded in (a lock-step driver emits its
-   spans after the run, an event-driven one as phases end).  Duplicates
-   are kept — they compare equal and the sort is a permutation either
-   way. *)
+   not on the order they were recorded in, so the order in which a
+   driver walks its nodes and phases after the run never shows.
+   Duplicates are kept — they compare equal and the sort is a
+   permutation either way. *)
 
 let compare_span (a : span) (b : span) =
   match Float.compare a.start b.start with

@@ -1,9 +1,9 @@
 (** Sim-time phase spans and counter samples.
 
     The accessors sort with comparators over *every* field, so the
-    streams depend only on what was recorded, not in what order: a span
-    emitted mid-run and the same span emitted post-run sort to the same
-    place. *)
+    streams depend only on what was recorded, not in what order: every
+    driver records its spans after the run, and the order in which it
+    walks its nodes and phases does not show in the stream. *)
 
 type span = {
   node : int;
